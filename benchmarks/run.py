@@ -10,9 +10,11 @@ and `setup_s` is their median. The timed window then repeats the
 workload's fixed pass of commands (see workloads.py) until --seconds is
 spent, each command a `python -m elicitrec` subprocess of the source tree
 in ./src with one BLAS/OpenMP thread. Outputs are checked after the
-window. With --trace 1 the same workload runs in-process instead, with a
-span around each public call (see traced.py), and per-layer metrics are
-reported. The last line of standard output is one JSON object with the
+window. Every timing metric is scaled to a reference machine speed, which
+calibrate.py measures between commands (see SPEED); the wall times are
+printed next to it. With --trace 1 the same workload runs in-process
+instead, with a span around each public call (see traced.py), and
+per-layer metrics are reported. The last line of standard output is one JSON object with the
 keys correct, attempted, failed and metrics.
 
 --scale smoke shrinks every input so that a run takes seconds; the
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CALIBRATE = Path(__file__).resolve().parent / "calibrate.py"
 SRC = ROOT / "src"
 WORK = ROOT / ".benchwork"
 OUT = ROOT / ".benchout"
@@ -45,6 +48,13 @@ SETUP_REPEATS = 5
 COMMAND_TIMEOUT_S = 150
 #: the tail is the highest percentile with at least this many samples beyond it
 TAIL_BEYOND = 10
+#: The machine's speed changes in spells that last from seconds to minutes
+#: and move every command of a run together. calibrate.py runs before and
+#: after every timed step, and each step's time is reported as wall time x
+#: SPEED / (mean of those two calibration times): the time the step would
+#: take on a machine that runs calibrate.py in SPEED seconds, about what a
+#: 2-core Xeon takes.
+SPEED = 0.3
 
 
 def child_env() -> dict[str, str]:
@@ -56,10 +66,38 @@ def child_env() -> dict[str, str]:
 def cli(argv: list[str], cwd: Path) -> tuple[float, subprocess.CompletedProcess | None]:
     """Run one `elicitrec` command; returns its wall time and result
     (None when it timed out and was killed)."""
+    return _child(["-m", "elicitrec", *argv], cwd)
+
+
+class Calibration:
+    """calibrate.py times taken between timed steps."""
+
+    def __init__(self, cwd: Path):
+        self.cwd = cwd
+        self.times = [self._run()]
+
+    def _run(self) -> float:
+        seconds, result = _child([str(CALIBRATE)], self.cwd)
+        if result is None or result.returncode != 0:
+            raise RuntimeError("calibrate.py failed")
+        return seconds
+
+    def after_step(self) -> float:
+        """Calibrate once more; returns the mean of the calibrations just
+        before and just after the step that has ended."""
+        self.times.append(self._run())
+        return (self.times[-2] + self.times[-1]) / 2
+
+
+def scaled(seconds: float, calibration: float) -> float:
+    return seconds * SPEED / calibration
+
+
+def _child(args: list[str], cwd: Path) -> tuple[float, subprocess.CompletedProcess | None]:
     start = time.perf_counter()
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "elicitrec", *argv],
+            [sys.executable, *args],
             cwd=cwd,
             env=child_env(),
             capture_output=True,
@@ -133,11 +171,14 @@ class Command:
     row: Path | None = None
     threshold: float | None = None
     seconds: float = 0.0
+    calibration: float = 0.0  # mean calibrate.py seconds just before and after the command
     problems: list[str] = field(default_factory=list)
 
 
 def plan_pass(w, inputs, pass_index: int, work: Path, first_command: int) -> list[Command]:
     """The commands of one pass, with every input and output path fixed."""
+    from workloads import occurrence
+
     commands: list[Command] = []
     seen = {kind: 0 for kind in w.pass_plan}
     model = scores = None
@@ -147,8 +188,9 @@ def plan_pass(w, inputs, pass_index: int, work: Path, first_command: int) -> lis
         seen[kind] += 1
         out = work / f"cmd{first_command + k:04d}_{kind}"
         c = Command(kind, [], out)
+        n = occurrence(w, kind, pass_index, i)
         if kind in ("run", "score"):
-            c.master_seed = inputs.master_seeds[i % len(inputs.master_seeds)]
+            c.master_seed = inputs.master_seeds[n % len(inputs.master_seeds)]
             c.argv = [kind, "--config", str(inputs.config), "--input", str(inputs.data_csv),
                       "--seed", str(c.master_seed)]
             if kind == "score":
@@ -165,7 +207,7 @@ def plan_pass(w, inputs, pass_index: int, work: Path, first_command: int) -> lis
             c.argv = ["evaluate", "--config", str(inputs.config), "--model", str(model),
                       "--input", str(inputs.holdout_csv)]
         else:
-            j = (pass_index * w.pass_plan.count("recommend") + i) % len(inputs.rows)
+            j = n % len(inputs.rows)
             c.model, c.row, c.threshold = model, inputs.rows[j], inputs.thresholds[j]
             c.argv = ["recommend", "--model", str(model), "--scores", str(scores),
                       "--row", str(c.row), "--threshold", repr(c.threshold)]
@@ -179,9 +221,10 @@ def keep_going(elapsed: float, pass_times: list[float], seconds: float) -> bool:
     return elapsed + 0.5 * statistics.median(pass_times) <= seconds
 
 
-def setup(w, seed: int, work: Path) -> tuple[object, list[float]]:
+def setup(w, seed: int, work: Path, cal: Calibration) -> tuple[object, list[tuple[float, float]]]:
     """Generate the inputs and warm up, SETUP_REPEATS times; the inputs of
-    the last repeat are used."""
+    the last repeat are used. Returns the inputs and, per repeat, its
+    seconds and calibration."""
     from workloads import generate_inputs
 
     times = []
@@ -189,20 +232,22 @@ def setup(w, seed: int, work: Path) -> tuple[object, list[float]]:
         start = time.perf_counter()
         inputs = generate_inputs(w, seed, work / f"inputs{r}")
         _, result = cli(["--help"], work)
-        times.append(time.perf_counter() - start)
+        seconds = time.perf_counter() - start
         if result is None or result.returncode != 0:
             raise RuntimeError("elicitrec --help failed during set-up")
+        times.append((seconds, cal.after_step()))
     return inputs, times
 
 
-def check(commands: list[Command], w, inputs, work: Path) -> list[float]:
-    """Check every command's outputs; returns the balanced auch of each run."""
+def check(commands: list[Command], w, inputs, work: Path) -> dict[int, float]:
+    """Check every command's outputs; returns the balanced auch of each
+    master seed's runs (the determinism check makes them equal)."""
     import checks
 
     models = checks.ModelCache()
     n_trees = {**w.config, **w.train_config}.get("forest", {}).get("n_trees", 100)
     n_features = w.data.p
-    auchs = []
+    auchs = {}
     for c in commands:
         if c.problems:
             continue
@@ -210,7 +255,7 @@ def check(commands: list[Command], w, inputs, work: Path) -> list[float]:
             if c.kind == "run":
                 c.problems, auch = checks.check_run(c.out)
                 if auch is not None:
-                    auchs.append(auch)
+                    auchs[c.master_seed] = auch
             elif c.kind == "score":
                 c.problems = checks.check_score(c.out, w.config, n_features)
             elif c.kind == "balance":
@@ -250,31 +295,35 @@ def check_determinism(runs: list[Command], work: Path) -> None:
                 group[0].problems.append(f"report.json differs between {group[0].out.name} and {c.out.name}")
 
 
-def untraced(w, inputs, seconds: float, work: Path) -> tuple[list[Command], list[float], float]:
-    """The timed closed loop; returns the commands, pass times and window length."""
+def untraced(w, inputs, seconds: float, work: Path, cal: Calibration) -> tuple[list[Command], list[float], float]:
+    """The timed closed loop; returns the commands, the scaled time of
+    each pass (its commands', calibrations excluded) and the window length."""
     commands: list[Command] = []
     pass_times: list[float] = []
+    pass_walls: list[float] = []
     start = time.perf_counter()
     while True:
         batch = plan_pass(w, inputs, len(pass_times), work, len(commands))
         pass_start = time.perf_counter()
         for c in batch:
             c.seconds, result = cli(c.argv, work)
+            c.calibration = cal.after_step()
             if result is None:
                 c.problems.append(f"killed after {COMMAND_TIMEOUT_S} s")
             elif result.returncode != 0:
                 c.problems.append(f"exit {result.returncode}: {result.stderr.strip()[-300:]}")
-        pass_times.append(time.perf_counter() - pass_start)
+        pass_times.append(sum(scaled(c.seconds, c.calibration) for c in batch))
+        pass_walls.append(time.perf_counter() - pass_start)
         commands += batch
-        if not keep_going(time.perf_counter() - start, pass_times, seconds):
+        if not keep_going(time.perf_counter() - start, pass_walls, seconds):
             break
     return commands, pass_times, time.perf_counter() - start
 
 
-def report_untraced(w, inputs, setup_times, seconds, work) -> tuple[dict, int, int, bool]:
+def report_untraced(w, inputs, setup_times, seconds, work, cal) -> tuple[dict, int, int, bool]:
     from workloads import KINDS
 
-    commands, pass_times, window = untraced(w, inputs, seconds, work)
+    commands, pass_times, window = untraced(w, inputs, seconds, work, cal)
     # read before the checks: a child's max-RSS counts this process's
     # resident set at spawn time, and the checks load models in-process
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
@@ -286,30 +335,37 @@ def report_untraced(w, inputs, setup_times, seconds, work) -> tuple[dict, int, i
     ok = len(commands) - len(failed)
     print(f"window {window:.2f} s, {len(pass_times)} pass(es), {len(commands)} commands; "
           f"benchmark process max-RSS {own_mb:.1f} MB")
-    metrics = {
-        "setup_s": metric(statistics.median(setup_times), "s"),
-        "pass_s": metric(statistics.median(pass_times), "s"),
-    }
-    samples = {"setup_s": len(setup_times), "pass_s": len(pass_times)}
+    print(f"calibration median {statistics.median(cal.times):.4f} s (n={len(cal.times)}); "
+          f"timings below are scaled to {SPEED} s")
+    # name -> (seconds and calibration of each step, unit); the metric is
+    # the median scaled time, printed next to the median wall time
+    timings = {"setup_s": (setup_times, "s")}
     for kind in KINDS:
-        times = [c.seconds * 1000.0 for c in commands if c.kind == kind and not c.problems]
-        if times:
-            metrics[f"{kind}_ms"] = metric(statistics.median(times), "ms")
-            samples[f"{kind}_ms"] = len(times)
-    rec = [c.seconds * 1000.0 for c in commands if c.kind == "recommend" and not c.problems]
+        steps = [(c.seconds, c.calibration) for c in commands if c.kind == kind and not c.problems]
+        if steps:
+            timings[f"{kind}_ms"] = (steps, "ms")
+    metrics, samples, walls = {}, {}, {}
+    for name, (steps, unit) in timings.items():
+        per = 1000.0 if unit == "ms" else 1.0
+        metrics[name] = metric(per * statistics.median(scaled(*step) for step in steps), unit)
+        walls[name] = per * statistics.median(seconds for seconds, _ in steps)
+        samples[name] = len(steps)
+    metrics["pass_s"] = metric(statistics.median(pass_times), "s")
+    samples["pass_s"] = len(pass_times)
     metrics["peak_rss_mb"] = metric(peak_mb, "MB")
     samples["peak_rss_mb"] = len(commands)
     metrics["ops_ok_share"] = metric(ok / len(commands), "share")
     samples["ops_ok_share"] = len(commands)
     if auchs:
-        metrics["auch"] = metric(statistics.fmean(auchs), "area")
+        metrics["auch"] = metric(statistics.fmean(auchs.values()), "area")
         samples["auch"] = len(auchs)
     for name, m in metrics.items():
-        n = samples.get(name)
-        print(f"{name} {m['value']:.6g} {m['unit']}" + (f" (n={n})" if n else ""))
+        wall = f"; wall {walls[name]:.6g} {m['unit']}" if name in walls else ""
+        print(f"{name} {m['value']:.6g} {m['unit']} (n={samples[name]}{wall})")
     for kind in KINDS:
         times = " ".join(f"{c.seconds * 1000.0:.1f}" for c in commands if c.kind == kind and not c.problems)
-        print(f"samples {kind}_ms {times}")
+        print(f"samples {kind}_ms (wall) {times}")
+    rec = [1000.0 * scaled(c.seconds, c.calibration) for c in commands if c.kind == "recommend" and not c.problems]
     t = tail(rec)
     if t is None:
         print(f"recommend_tail_ms not reported: {len(rec)} samples, fewer than {2 * TAIL_BEYOND}")
@@ -344,14 +400,16 @@ def main(argv: list[str] | None = None) -> int:
     env = environment()
     work = WORK / f"{w.name}-{args.seed}-{os.getpid()}"
     try:
-        inputs, setup_times = setup(w, args.seed, work)
+        work.mkdir(parents=True)
+        cal = Calibration(work)
+        inputs, setup_times = setup(w, args.seed, work, cal)
         print(f"workload {w.name} ({args.scale}) seed {args.seed} seconds {args.seconds:g} trace {args.trace}")
         if args.trace:
             from traced import report_traced
 
             metrics, attempted, failed, correct = report_traced(w, inputs, args.seconds, work, OUT, args.seed)
         else:
-            metrics, attempted, failed, correct = report_untraced(w, inputs, setup_times, args.seconds, work)
+            metrics, attempted, failed, correct = report_untraced(w, inputs, setup_times, args.seconds, work, cal)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     env["loadavg_end"] = _loadavg()

@@ -35,15 +35,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
 
     results = []
-    for seed in range(args.first_seed, args.first_seed + args.runs):
-        cmd = spec["command"] + ["--workload", args.workload, "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+    seconds = str(spec["run_seconds"])
+    for seed in range(1, args.runs + 1):
+        cmd = spec["command"] + ["--workload", args.workload, "--seed", str(seed), "--seconds", seconds, "--trace", "0"]
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
         lines = proc.stdout.strip().splitlines()
         if proc.returncode != 0 or not lines:
@@ -57,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / ".benchout" / f"steady-{args.workload}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(results, indent=1), encoding="utf-8")
-    print(f"\n{args.workload}: {args.runs} runs, seeds {args.first_seed}..{args.first_seed + args.runs - 1}")
+    print(f"\n{args.workload}: {args.runs} runs, seeds 1..{args.runs}")
     print(f"{'metric':<14} {'median':>12} {'unit':<6} {'spread':>8} {'bound':>6}  verdict")
     for m in spec["end_to_end"]:
         values = [r["metrics"][m["name"]]["value"] for r in results if m["name"] in r["metrics"]]

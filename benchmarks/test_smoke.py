@@ -48,6 +48,7 @@ def test_untraced_prints_every_end_to_end_metric(workload):
     assert proc.returncode == 0, proc.stderr
     result = assert_printed(proc.stdout, SPEC["end_to_end"])
     assert result["metrics"]["ops_ok_share"]["value"] == 1.0
+    assert re.search(r"^calibration median \d\S* s \(n=\d+\); timings below are scaled to \d", proc.stdout, re.M)
     env = json.loads(next(l for l in proc.stdout.splitlines() if l.startswith("env "))[4:])
     assert {"nproc", "python", "numpy", "git_sha", "child_thread_vars", "loadavg_start", "loadavg_end"} <= set(env)
     assert re.search(

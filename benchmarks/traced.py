@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from elicitrec import (
-    FeatureSchema,
     ForestParams,
     PipelineConfig,
     Prediction,
@@ -34,7 +33,6 @@ from elicitrec import (
     drop_constant_features,
     form_recommendations,
     load_csv,
-    model_from_dict,
     model_to_dict,
     predict_proba,
     predict_proba_many,
@@ -47,10 +45,12 @@ from elicitrec import (
     train_forest,
     write_csv,
 )
+from elicitrec import cli as cli_module
 from elicitrec import recommender
 from elicitrec.feature_scoring import METHOD_MUTUAL_INFO, METHODS
 
 from run import cli, keep_going, metric
+from workloads import occurrence
 
 STARTUP_SAMPLES = 5
 
@@ -263,15 +263,10 @@ class Mirror:
             d = self._load(req)
             model = self._train(d, _forest_params(config, seed), req)
             with self.t.span("forest.model_save", req):
-                doc = model_to_dict(model)
-                doc.update(
-                    schema=[{"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema],
-                    target_name=d.target_name,
-                    target_levels=list(d.target_levels),
-                )
-                text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                doc = cli_module._bundle_to_doc(model, d)
+                text = cli_module._dump_json(doc, compact=True)
                 self.model_doc = self.work / "model.json"
-                self.model_doc.write_text(text, encoding="utf-8")
+                cli_module._write_atomic(self.model_doc, text)
         if self.t.enabled:
             shapes = [tree_shape(t) for t in doc["trees"]]
             self.train_shape = (sum(n for n, _ in shapes), max(d for _, d in shapes))
@@ -279,28 +274,28 @@ class Mirror:
 
     def _load_model(self, req: str):
         with self.t.span("forest.model_load", req):
-            doc = json.loads(self.model_doc.read_text(encoding="utf-8"))
-            model = model_from_dict(doc)
-        schema = tuple(FeatureSchema(f["name"], f["role"], tuple(f["levels"])) for f in doc["schema"])
-        return model, schema, doc["target_levels"]
+            return cli_module._load_bundle(str(self.model_doc))
 
     def evaluate(self, req: str) -> None:
         with self.t.span("cli.evaluate", req):
-            model, schema, levels = self._load_model(req)
+            bundle = self._load_model(req)
             with self.t.span("data_model.load_csv_schema", req):
-                d = load_csv(self.inputs.holdout_csv, "target", positive_label=levels[1], schema=schema)
+                d = load_csv(
+                    self.inputs.holdout_csv, "target",
+                    positive_label=bundle.target_levels[1], schema=bundle.schema,
+                )
             with self.t.span("forest.predict_proba_many", req, rows=d.n_rows):
-                scores = predict_proba_many(model, d.X)
+                scores = predict_proba_many(bundle.model, d.X)
             with self.t.span("evaluation.analyze_scores", req):
                 analyze_scores(scores, d.y)
 
     def recommend(self, row: Path, threshold: float, req: str) -> None:
         with self.t.span("cli.recommend", req):
-            model, schema, _ = self._load_model(req)
+            bundle = self._load_model(req)
             context = json.loads(row.read_text(encoding="utf-8"))
-            codes = np.array([f.encode(context[f.name]) for f in schema], dtype=np.int64)
+            codes = np.array([f.encode(context[f.name]) for f in bundle.schema], dtype=np.int64)
             with self.t.span("forest.predict_proba", req):
-                p = predict_proba(model, codes)
+                p = predict_proba(bundle.model, codes)
             with self.t.span("recommender.form_recommendations", req):
                 form_recommendations(self.mi_table, Prediction("target", p), threshold)
 
@@ -309,21 +304,21 @@ class Mirror:
         the commands themselves, replays and bookkeeping excluded."""
         seen = {kind: 0 for kind in self.w.pass_plan}
         seeds = self.inputs.master_seeds
-        n_rec = self.w.pass_plan.count("recommend")
         busy = 0.0
         for kind in self.w.pass_plan:
             i = seen[kind]
             seen[kind] += 1
+            n = occurrence(self.w, kind, pass_index, i)
             req = f"p{pass_index}.{kind}{i}"
             start = time.perf_counter()
             if kind in ("run", "score"):
-                getattr(self, kind)(seeds[i % len(seeds)], req)
+                getattr(self, kind)(seeds[n % len(seeds)], req)
             elif kind in ("balance", "train"):
                 getattr(self, kind)(seeds[0], req)
             elif kind == "evaluate":
                 self.evaluate(req)
             else:
-                j = (pass_index * n_rec + i) % len(self.inputs.rows)
+                j = n % len(self.inputs.rows)
                 self.recommend(self.inputs.rows[j], self.inputs.thresholds[j], req)
             busy += time.perf_counter() - start
         if self.t.enabled:

@@ -1,10 +1,9 @@
 """Workloads: the generated inputs and the fixed command list of one pass.
 
-Every workload runs every command kind, because every end-to-end metric
-is reported on every workload. What sets a workload apart is the size of
-its data, its forest settings and how often each kind recurs in a pass.
-Passes are kept near 12 s so that a run holds about four of them and
-every per-kind median rests on several samples.
+Every workload runs every command kind once per pass, because every
+end-to-end metric is reported on every workload and each per-kind median
+needs several samples: a run holds four to six passes. What sets a
+workload apart is the size of its data and its forest settings.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ KINDS = ("run", "score", "balance", "train", "recommend", "evaluate")
 N_CONTEXT_ROWS = 64
 #: recommend thresholds are drawn uniformly from [0, THRESHOLD_MAX) nats
 THRESHOLD_MAX = 0.05
+#: run and score take these master seeds in turn, one per pass
+N_MASTER_SEEDS = 2
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class DataSpec:
 class Workload:
     name: str
     why: str
-    data: DataSpec  # the CSV that run, score, balance and train read
-    holdout: DataSpec  # the CSV evaluate reads; recommend rows come from it
+    data: DataSpec  # shape of the training CSV and of the holdout CSV evaluate reads
     config: dict  # config of run, score and balance
     pass_plan: tuple[str, ...]  # command kinds of one pass, in order
     train_config: dict = field(default_factory=dict)  # overrides for train
@@ -73,24 +73,16 @@ FULL = {
             name="survey",
             why="paper-scale data (282/41 rows, p=27), default config: forest growth in run and train, filter selection in score",
             data=_SURVEY,
-            holdout=_SURVEY,
             config=_config(),
-            pass_plan=(
-                "run", "score", "train", "balance", "recommend", "evaluate",
-                "run", "balance", "recommend", "evaluate",
-            ),
+            pass_plan=("run", "score", "train", "balance", "recommend", "evaluate"),
         ),
         Workload(
             name="bulk",
             why="6k rows with a 2k minority: SMOTE and CSV in balance, deep trees in run and train, a larger model to load in recommend",
             data=_BULK,
-            holdout=_BULK,
             config=_config(n_trees=4, top_k=5),
             train_config={"forest": {"n_trees": 8}},
-            pass_plan=(
-                "balance", "run", "train", "score", "recommend", "evaluate",
-                "balance", "recommend", "evaluate",
-            ),
+            pass_plan=("balance", "run", "train", "score", "recommend", "evaluate"),
         ),
     )
 }
@@ -103,7 +95,6 @@ SMOKE = {
         name=name,
         why=w.why,
         data=_TINY,
-        holdout=_TINY,
         config=_config(n_trees=3, top_k=3),
         pass_plan=w.pass_plan,
         train_config={"forest": {"n_trees": 3}},
@@ -128,6 +119,11 @@ class Inputs:
     n_holdout_rows: int
 
 
+def occurrence(w: Workload, kind: str, pass_index: int, i: int) -> int:
+    """How many commands of `kind` precede the i-th one of pass `pass_index`."""
+    return pass_index * w.pass_plan.count(kind) + i
+
+
 def _seed_stream(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
@@ -137,7 +133,7 @@ def generate_inputs(w: Workload, seed: int, out: Path) -> Inputs:
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(_seed_stream(seed, 0))
     data = generate_synthetic(SyntheticSpec(**vars(w.data), seed=_seed_stream(seed, 1)))
-    holdout = generate_synthetic(SyntheticSpec(**vars(w.holdout), seed=_seed_stream(seed, 2)))
+    holdout = generate_synthetic(SyntheticSpec(**vars(w.data), seed=_seed_stream(seed, 2)))
     # evaluate reads the holdout with the model's schema, so every level
     # it uses must occur in the training data
     for j, f in enumerate(data.schema):
@@ -160,7 +156,7 @@ def generate_inputs(w: Workload, seed: int, out: Path) -> Inputs:
         path.write_text(json.dumps(dict(zip(holdout.feature_names, holdout.decode_row(int(i))))), encoding="utf-8")
         rows.append(path)
     thresholds = tuple(float(t) for t in rng.uniform(0.0, THRESHOLD_MAX, size=N_CONTEXT_ROWS))
-    master_seeds = tuple(int(s) for s in rng.integers(0, 2**31, size=w.pass_plan.count("run")))
+    master_seeds = tuple(int(s) for s in rng.integers(0, 2**31, size=N_MASTER_SEEDS))
     return Inputs(
         data_csv=data_csv,
         holdout_csv=holdout_csv,
