@@ -207,19 +207,6 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv_atomic(d: Dataset, path: Path, include_provenance: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        data_model.write_csv(d, tmp, include_provenance=include_provenance)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     return Path(args.out_dir)
 
@@ -261,14 +248,20 @@ def _load_bundle(path: str) -> ModelBundle:
     for key in ("schema", "target_name", "target_levels"):
         if key not in doc:
             raise ValueError(f"model file lacks {key!r}")
-    schema = tuple(
-        FeatureSchema(f["name"], f["role"], tuple(f["levels"])) for f in doc["schema"]
-    )
+    try:
+        schema = tuple(
+            FeatureSchema(f["name"], f["role"], tuple(f["levels"])) for f in doc["schema"]
+        )
+    except (KeyError, TypeError):
+        raise ValueError("model schema entries need 'name', 'role' and 'levels'") from None
     levels = doc["target_levels"]
-    if len(levels) != 2:
+    if not isinstance(levels, list) or len(levels) != 2:
         raise ValueError("model target_levels must list exactly two values")
+    model = forest.model_from_dict(doc)
+    if model.feature.min() < -1 or model.feature.max() >= len(schema):
+        raise ValueError(f"model has a feature index outside its {len(schema)}-feature schema")
     return ModelBundle(
-        model=forest.model_from_dict(doc),
+        model=model,
         schema=schema,
         target_name=str(doc["target_name"]),
         target_levels=(str(levels[0]), str(levels[1])),
@@ -348,7 +341,7 @@ def cmd_balance(args: argparse.Namespace) -> int:
     smote_cfg = replace(smote_cfg, seed=derive_seed(s.seed, recommender.STREAM_SMOTE))
     balanced = smote_oversample(d, smote_cfg)
     out = _out_dir(args) / "balanced.csv"
-    _write_csv_atomic(balanced, out, include_provenance=True)
+    _write_atomic(out, data_model.csv_text(balanced, include_provenance=True))
     summary = data_model.summarize(balanced)
     print(
         f"balanced {d.n_rows} -> {balanced.n_rows} rows "
@@ -589,7 +582,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError, KeyError) as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure distinct from bad input

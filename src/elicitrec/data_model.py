@@ -10,6 +10,7 @@ existing schema is supplied (the train/evaluate round trip).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -247,22 +248,27 @@ def load_csv(
     )
 
 
-def write_csv(d: Dataset, path: str | Path, include_provenance: bool = False) -> None:
-    """Emit the dataset as CSV: features in schema order, target last,
+def csv_text(d: Dataset, include_provenance: bool = False) -> str:
+    """The dataset as CSV text: features in schema order, target last,
     then the provenance column when requested."""
-    path = Path(path)
     header = list(d.feature_names) + [d.target_name]
     if include_provenance:
         header.append(PROVENANCE_COLUMN)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(d.n_rows):
-            row = d.decode_row(i)
-            row.append(d.target_levels[int(d.y[i])])
-            if include_provenance:
-                row.append("1" if d.synthetic[i] else "0")
-            writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(d.n_rows):
+        row = d.decode_row(i)
+        row.append(d.target_levels[int(d.y[i])])
+        if include_provenance:
+            row.append("1" if d.synthetic[i] else "0")
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def write_csv(d: Dataset, path: str | Path, include_provenance: bool = False) -> None:
+    """Write `csv_text(d, include_provenance)` to `path`."""
+    Path(path).write_text(csv_text(d, include_provenance), encoding="utf-8", newline="\n")
 
 
 def drop_constant_features(d: Dataset) -> Dataset:

@@ -8,13 +8,18 @@ breaking ties toward the lower feature index, then the lower threshold.
 Every internal node also records the entropy-measured quality of its chosen
 split (regardless of the training criterion) so the forest's mean split
 entropy can be compared between imbalanced and balanced training sets.
+
+A tree is a set of parallel node arrays (`NODE_FIELDS`) in preorder. An
+internal node's `left` and `right` children are tree-local indices after its
+own; a leaf has `feature`, `left` and `right` -1. `n0`/`n1` count the
+training rows of each class that reached the node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,20 +72,11 @@ class SplitCandidate:
             raise ValueError("split produces an empty child")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    class_counts: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Internal:
-    split: SplitCandidate
-    split_entropy: float  # entropy-measured quality of the split, in bits
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Union[Leaf, Internal]
+#: the node arrays of a tree, with their dtypes
+NODE_FIELDS = {
+    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
+    "n0": np.int64, "n1": np.int64, "split_entropy": np.float64,
+}
 
 
 @dataclass(frozen=True)
@@ -113,13 +109,32 @@ class ForestParams:
         return mtry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomForestModel:
-    trees: tuple[TreeNode, ...]
-    n_trees: int
+    """Every tree's node arrays, concatenated; tree t holds the nodes
+    offsets[t]:offsets[t + 1], with child indices local to the tree."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n0: np.ndarray
+    n1: np.ndarray
+    split_entropy: np.ndarray
+    offsets: np.ndarray
     mtry: int
     criterion: str
     seed: int
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.offsets) - 1
+
+
+def _concat_trees(trees: list[dict], mtry: int, criterion: str, seed: int) -> RandomForestModel:
+    nodes = {f: np.concatenate([t[f] for t in trees]) for f in NODE_FIELDS}
+    offsets = np.cumsum([0] + [len(t["feature"]) for t in trees])
+    return RandomForestModel(**nodes, offsets=offsets, mtry=mtry, criterion=criterion, seed=seed)
 
 
 def split_quality(
@@ -247,22 +262,31 @@ def best_split(
 
 def grow_tree(
     X: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator
-) -> TreeNode:
-    """Recursively grow one tree on the given rows.
+) -> dict[str, np.ndarray]:
+    """Grow one tree on the given rows; returns its node arrays.
 
     Each node draws a fresh uniform feature subset of size mtry; growth
     stops at purity, the depth limit, the leaf-size limit, or when no
-    candidate separates the rows.
+    candidate separates the rows. Nodes are grown in preorder (a stack
+    takes the left child before the right), which fixes the order of the
+    draws from `rng`.
     """
     X = np.asarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     p = X.shape[1]
     mtry = params.resolve_mtry(p)
-
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    size = 2 * len(y) - 1  # the most nodes a tree with non-empty leaves can have
+    t = {f: np.full(size, -1 if dt is np.int64 else 0.0, dtype=dt) for f, dt in NODE_FIELDS.items()}
+    n_nodes = 0
+    stack = [(np.arange(len(y)), 0, -1)]  # rows, depth, node whose right child it is
+    while stack:
+        idx, depth, right_of = stack.pop()
+        i, n_nodes = n_nodes, n_nodes + 1
+        if right_of >= 0:
+            t["right"][right_of] = i
         ys = y[idx]
         n1 = int(ys.sum())
-        counts = (len(idx) - n1, n1)
+        t["n0"][i], t["n1"][i] = len(idx) - n1, n1
         if (
             n1 == 0
             or n1 == len(idx)
@@ -270,31 +294,25 @@ def grow_tree(
             or len(idx) < 2
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
-            return Leaf(counts)
+            continue
         feats = np.sort(rng.choice(p, size=mtry, replace=False))
         cand = _scan_features(
             X[np.ix_(idx, feats)], ys, feats, params.criterion, params.min_samples_leaf
         )
         if cand is None:
-            return Leaf(counts)
+            continue
         left_mask = X[idx, cand.feature_index] <= cand.threshold
-        idx_left = idx[left_mask]
-        idx_right = idx[~left_mask]
+        idx_left, idx_right = idx[left_mask], idx[~left_mask]
         n1_left = int(y[idx_left].sum())
         n1_right = n1 - n1_left
         c_left = (len(idx_left) - n1_left, n1_left)
         c_right = (len(idx_right) - n1_right, n1_right)
-        split_ent = (len(idx_left) / len(idx)) * entropy(c_left) + (
+        t["split_entropy"][i] = (len(idx_left) / len(idx)) * entropy(c_left) + (
             len(idx_right) / len(idx)
         ) * entropy(c_right)
-        return Internal(
-            split=cand,
-            split_entropy=split_ent,
-            left=build(idx_left, depth + 1),
-            right=build(idx_right, depth + 1),
-        )
-
-    return build(np.arange(len(y)), 0)
+        t["feature"][i], t["threshold"][i], t["left"][i] = cand.feature_index, cand.threshold, i + 1
+        stack += [(idx_right, depth + 1, i), (idx_left, depth + 1, -1)]
+    return {f: a[:n_nodes] for f, a in t.items()}
 
 
 def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
@@ -310,34 +328,29 @@ def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
         tree_rng = np.random.default_rng([params.seed, t])
         boot = tree_rng.integers(0, n, size=n)
         trees.append(grow_tree(d.X[boot], d.y[boot], params, tree_rng))
-    return RandomForestModel(
-        trees=tuple(trees),
-        n_trees=params.n_trees,
-        mtry=mtry,
-        criterion=params.criterion,
-        seed=params.seed,
-    )
-
-
-def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if isinstance(node, Leaf):
-        n0, n1 = node.class_counts
-        out[idx] = n1 / (n0 + n1)
-        return
-    mask = X[idx, node.split.feature_index] <= node.split.threshold
-    _route(node.left, X, idx[mask], out)
-    _route(node.right, X, idx[~mask], out)
+    return _concat_trees(trees, mtry, params.criterion, params.seed)
 
 
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
-    """Positive-class probability per row: mean leaf positive fraction."""
+    """Positive-class probability per row: mean leaf positive fraction.
+
+    All (tree, row) pairs descend together, one level per step.
+    """
     X = np.asarray(X, dtype=np.int64)
-    acc = np.zeros(X.shape[0])
-    buf = np.empty(X.shape[0])
-    all_rows = np.arange(X.shape[0])
-    for tree in m.trees:
-        _route(tree, X, all_rows, buf)
-        acc += buf
+    n = X.shape[0]
+    root = np.repeat(m.offsets[:-1], n)  # pair (t, r) sits at t * n + r
+    row = np.tile(np.arange(n), m.n_trees)
+    node = root.copy()
+    live = np.flatnonzero(m.feature[node] >= 0)
+    while live.size:
+        cur = node[live]
+        go_left = X[row[live], m.feature[cur]] <= m.threshold[cur]
+        node[live] = root[live] + np.where(go_left, m.left[cur], m.right[cur])
+        live = live[m.feature[node[live]] >= 0]
+    leaf_fraction = (m.n1[node] / (m.n0[node] + m.n1[node])).reshape(m.n_trees, n)
+    acc = np.zeros(n)
+    for fraction in leaf_fraction:  # tree by tree: the sum's rounding is fixed
+        acc += fraction
     return acc / m.n_trees
 
 
@@ -345,81 +358,70 @@ def predict_proba(m: RandomForestModel, row: np.ndarray) -> float:
     return float(predict_proba_many(m, np.asarray(row)[None, :])[0])
 
 
-def predict(m: RandomForestModel, row: np.ndarray, threshold: float = 0.5) -> int:
-    return 1 if predict_proba(m, row) >= threshold else 0
-
-
-def _iter_internal(node: TreeNode):
-    if isinstance(node, Internal):
-        yield node
-        yield from _iter_internal(node.left)
-        yield from _iter_internal(node.right)
-
-
 def mean_split_entropy(m: RandomForestModel) -> float:
     """Mean recorded split entropy over every internal node of every tree."""
-    values = [node.split_entropy for tree in m.trees for node in _iter_internal(tree)]
-    if not values:
+    values = m.split_entropy[m.feature >= 0]
+    if not values.size:
         raise ValueError("all-leaf forest has no splits")
     return float(np.mean(values))
 
 
-MODEL_FORMAT_VERSION = 1
-
-
-def tree_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": list(node.class_counts)}
-    return {
-        "feature": node.split.feature_index,
-        "threshold": node.split.threshold,
-        "n_left": node.split.n_left,
-        "n_right": node.split.n_right,
-        "quality": node.split.quality,
-        "split_entropy": node.split_entropy,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
-
-
-def tree_from_dict(doc: dict) -> TreeNode:
-    if "leaf" in doc:
-        n0, n1 = doc["leaf"]
-        return Leaf((int(n0), int(n1)))
-    return Internal(
-        split=SplitCandidate(
-            feature_index=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            n_left=int(doc["n_left"]),
-            n_right=int(doc["n_right"]),
-            quality=float(doc["quality"]),
-        ),
-        split_entropy=float(doc["split_entropy"]),
-        left=tree_from_dict(doc["left"]),
-        right=tree_from_dict(doc["right"]),
-    )
+MODEL_FORMAT_VERSION = 2
 
 
 def model_to_dict(m: RandomForestModel) -> dict:
+    bounds = m.offsets.tolist()
+    trees = [
+        {f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS} for a, b in zip(bounds, bounds[1:])
+    ]
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "n_trees": m.n_trees,
         "mtry": m.mtry,
         "criterion": m.criterion,
         "seed": m.seed,
-        "trees": [tree_to_dict(t) for t in m.trees],
+        "trees": trees,
     }
 
 
+def _tree_from_dict(doc, where: str) -> dict[str, np.ndarray]:
+    """One tree's node arrays, checked so that a descent from the root only
+    moves forward, stays inside the tree and ends at a leaf with rows."""
+    missing = [f for f in NODE_FIELDS if not isinstance(doc, dict) or f not in doc]
+    if missing:
+        raise ValueError(f"{where} lacks the node array {missing[0]!r}")
+    try:
+        t = {f: np.asarray(doc[f], dtype=dt) for f, dt in NODE_FIELDS.items()}
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} holds a node array that is not a list of numbers") from None
+    n = t["feature"].size
+    if n == 0 or any(a.shape != (n,) for a in t.values()):
+        raise ValueError(f"{where} node arrays must be non-empty lists of equal length")
+    internal = t["feature"] >= 0
+    children = np.stack([t["left"], t["right"]])[:, internal]
+    if ((children <= np.flatnonzero(internal)) | (children >= n)).any():
+        raise ValueError(f"{where} has a child index not after its parent or outside the tree")
+    n0, n1 = t["n0"][~internal], t["n1"][~internal]
+    if ((n0 < 0) | (n1 < 0) | (n0 + n1 == 0)).any():
+        raise ValueError(f"{where} has a leaf with negative class counts or none at all")
+    return t
+
+
 def model_from_dict(doc: dict) -> RandomForestModel:
+    """Rebuild a model from `model_to_dict` output; raises ValueError when the
+    document is not a well-formed forest of the current format."""
     version = doc.get("format_version")
+    if version == 1:
+        raise ValueError("model format_version 1 is no longer read; retrain with `elicitrec train`")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
-    trees = tuple(tree_from_dict(t) for t in doc["trees"])
-    return RandomForestModel(
-        trees=trees,
-        n_trees=int(doc["n_trees"]),
-        mtry=int(doc["mtry"]),
-        criterion=str(doc["criterion"]),
-        seed=int(doc["seed"]),
-    )
+    missing = [k for k in ("n_trees", "mtry", "criterion", "seed", "trees") if k not in doc]
+    if missing:
+        raise ValueError(f"model lacks {missing[0]!r}")
+    if not all(isinstance(doc[k], int) for k in ("n_trees", "mtry", "seed")):
+        raise ValueError("model n_trees, mtry and seed must be integers")
+    trees = doc["trees"]
+    if not isinstance(trees, list) or not trees or len(trees) != doc["n_trees"]:
+        raise ValueError("model trees must be a list of n_trees (at least 1) trees")
+    trees = [_tree_from_dict(t, f"model tree {k}") for k, t in enumerate(trees)]
+    return _concat_trees(trees, doc["mtry"], str(doc["criterion"]), doc["seed"])

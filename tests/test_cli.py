@@ -1,8 +1,10 @@
 import csv
 import json
+from operator import setitem
 
 import pytest
 
+from elicitrec import forest
 from elicitrec.cli import main, render_hulls_svg
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
@@ -86,7 +88,7 @@ class TestTrainEvaluate:
         rc = main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["n_trees"] == 15
         assert doc["target_name"] == "target"
         assert len(doc["schema"]) == 8
@@ -116,6 +118,98 @@ class TestTrainEvaluate:
         ])
         assert rc == 2
         assert "model" in capsys.readouterr().err
+
+
+# each case breaks a model.json (doc) or its first tree (tree) in place
+MALFORMED_MODELS = {
+    "version_1": (lambda doc, tree: doc.update(format_version=1), "retrain with `elicitrec train`"),
+    "missing_key": (lambda doc, tree: doc.pop("seed"), "lacks 'seed'"),
+    "missing_node_array": (lambda doc, tree: tree.pop("n1"), "lacks the node array 'n1'"),
+    "missing_schema_key": (lambda doc, tree: doc["schema"][0].pop("levels"), "'levels'"),
+    "unequal_lengths": (lambda doc, tree: tree["threshold"].pop(), "equal length"),
+    "child_before_parent": (lambda doc, tree: setitem(tree["left"], 0, 0), "not after its parent"),
+    "child_outside_tree": (
+        lambda doc, tree: setitem(tree["right"], 0, len(tree["right"])),
+        "outside the tree",
+    ),
+    "feature_outside_schema": (
+        lambda doc, tree: setitem(tree["feature"], 0, len(doc["schema"])),
+        "8-feature schema",
+    ),
+    "negative_leaf_count": (
+        lambda doc, tree: setitem(tree["n0"], tree["feature"].index(-1), -1),
+        "negative",
+    ),
+    "empty_leaf": (
+        lambda doc, tree: tree.update(n0=[0] * len(tree["n0"]), n1=[0] * len(tree["n1"])),
+        "none at all",
+    ),
+}
+
+
+class TestModelFile:
+    @pytest.fixture(scope="class")
+    def model_doc(self, tmp_path_factory, input_csv):
+        out = tmp_path_factory.mktemp("model")
+        cfg = write_config(out, {"target": "target", "forest": {"n_trees": 2}})
+        assert main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 0
+        return (out / "model.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+    def test_malformed_model_exits_2(self, tmp_path, input_csv, model_doc, capsys, case):
+        mutate, message = MALFORMED_MODELS[case]
+        doc = json.loads(model_doc)
+        assert doc["trees"][0]["feature"][0] >= 0  # the root splits
+        mutate(doc, doc["trees"][0])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main([
+            "evaluate", "--target", "target", "--input", input_csv,
+            "--model", str(model), "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_key_error_is_a_bug(self, tmp_path, input_csv, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise KeyError("n_trees")
+
+        monkeypatch.setattr(forest, "train_forest", broken)
+        cfg = fast_config(tmp_path)
+        rc = main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "runtime error: KeyError" in capsys.readouterr().err
+
+    def test_deep_tree_trains_evaluates_and_recommends(self, tmp_path):
+        # 1500 levels with alternating labels, each row 8 times: the single
+        # tree peels off a few levels per split and grows hundreds deep
+        data = tmp_path / "deep.csv"
+        rows = "".join(f"v{k:04d},{k % 2}\n" for _ in range(8) for k in range(1500))
+        data.write_text("x,target\n" + rows, encoding="utf-8")
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 1}})
+        out = str(tmp_path)
+        assert main(["train", "--config", cfg, "--input", str(data), "--out-dir", out]) == 0
+        tree = json.loads((tmp_path / "model.json").read_text())["trees"][0]
+        depth = [0] * len(tree["feature"])
+        for i, f in enumerate(tree["feature"]):
+            if f >= 0:
+                depth[tree["left"][i]] = depth[tree["right"][i]] = depth[i] + 1
+        assert max(depth) > 500
+        model = str(tmp_path / "model.json")
+        rc = main([
+            "evaluate", "--config", cfg, "--input", str(data), "--model", model, "--out-dir", out,
+        ])
+        assert rc == 0
+        assert json.loads((tmp_path / "evaluation.json").read_text())["n_rows"] == 12000
+        scores = tmp_path / "scores_MutualInfo.csv"
+        scores.write_text("feature,role,score\nx,context,0.5\n", encoding="utf-8")
+        row = tmp_path / "row.json"
+        row.write_text(json.dumps({"x": "v0007"}), encoding="utf-8")
+        rc = main([
+            "recommend", "--model", model, "--scores", str(scores), "--row", str(row),
+            "--threshold", "0.1", "--out-dir", out,
+        ])
+        assert rc == 0
 
 
 class TestRun:

@@ -5,9 +5,8 @@ import pytest
 
 from elicitrec.data_model import SyntheticSpec, generate_synthetic
 from elicitrec.forest import (
+    NODE_FIELDS,
     ForestParams,
-    Internal,
-    Leaf,
     best_split,
     entropy,
     gini,
@@ -15,7 +14,6 @@ from elicitrec.forest import (
     mean_split_entropy,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_proba,
     predict_proba_many,
     split_quality,
@@ -178,51 +176,61 @@ class TestGrowTree:
     def test_pure_input_is_leaf(self):
         X = np.array([[0], [1], [2]])
         y = np.array([1, 1, 1])
-        node = grow_tree(X, y, ForestParams(mtry=1), np.random.default_rng(0))
-        assert isinstance(node, Leaf)
-        assert node.class_counts == (0, 3)
+        t = grow_tree(X, y, ForestParams(mtry=1), np.random.default_rng(0))
+        assert t["feature"].tolist() == [-1]
+        assert (t["n0"][0], t["n1"][0]) == (0, 3)
 
     def test_separable_is_depth_one(self):
         X = np.array([[0], [0], [1], [1]])
         y = np.array([0, 0, 1, 1])
-        node = grow_tree(X, y, ForestParams(mtry=1), np.random.default_rng(0))
-        assert isinstance(node, Internal)
-        assert isinstance(node.left, Leaf) and isinstance(node.right, Leaf)
-        assert node.left.class_counts == (2, 0)
-        assert node.right.class_counts == (0, 2)
-        assert node.split_entropy == 0.0
+        t = grow_tree(X, y, ForestParams(mtry=1), np.random.default_rng(0))
+        assert t["feature"].tolist() == [0, -1, -1]
+        assert t["left"].tolist() == [1, -1, -1]
+        assert t["right"].tolist() == [2, -1, -1]
+        assert (t["n0"][1], t["n1"][1]) == (2, 0)
+        assert (t["n0"][2], t["n1"][2]) == (0, 2)
+        assert t["split_entropy"][0] == 0.0
 
     def test_max_depth_zero(self):
         X = np.array([[0], [1]])
         y = np.array([0, 1])
-        node = grow_tree(X, y, ForestParams(mtry=1, max_depth=0), np.random.default_rng(0))
-        assert isinstance(node, Leaf)
-        assert node.class_counts == (1, 1)
+        t = grow_tree(X, y, ForestParams(mtry=1, max_depth=0), np.random.default_rng(0))
+        assert t["feature"].tolist() == [-1]
+        assert (t["n0"][0], t["n1"][0]) == (1, 1)
 
     def test_min_samples_leaf(self):
         X = np.array([[0], [0], [0], [1]])
         y = np.array([0, 0, 0, 1])
-        node = grow_tree(
+        t = grow_tree(
             X, y, ForestParams(mtry=1, min_samples_leaf=2), np.random.default_rng(0)
         )
-        assert isinstance(node, Leaf)  # the only useful split leaves a 1-row child
+        assert t["feature"].tolist() == [-1]  # the only useful split leaves a 1-row child
 
     def test_counts_sum_to_children(self):
         rng = np.random.default_rng(8)
         X = rng.integers(0, 3, size=(60, 4))
         y = rng.integers(0, 2, size=60)
-        node = grow_tree(X, y, ForestParams(mtry=2), np.random.default_rng(1))
+        t = grow_tree(X, y, ForestParams(mtry=2), np.random.default_rng(1))
+        internal = np.flatnonzero(t["feature"] >= 0)
+        assert internal.size > 1
+        for i in internal:
+            kids = [t["left"][i], t["right"][i]]
+            assert t["n0"][i] == t["n0"][kids].sum() and t["n1"][i] == t["n1"][kids].sum()
+            assert 0.0 <= t["split_entropy"][i] <= 1.0
+        leaf = t["feature"] < 0
+        assert t["n0"][0] + t["n1"][0] == t["n0"][leaf].sum() + t["n1"][leaf].sum() == 60
 
-        def check(n):
-            if isinstance(n, Leaf):
-                return n.class_counts
-            lc = check(n.left)
-            rc = check(n.right)
-            assert n.split.n_left == sum(lc) and n.split.n_right == sum(rc)
-            assert 0.0 <= n.split_entropy <= 1.0
-            return (lc[0] + rc[0], lc[1] + rc[1])
 
-        assert sum(check(node)) == 60
+def walk_proba(m, row):
+    """Reference for predict_proba_many: one row, one tree at a time."""
+    total = 0.0
+    for start in m.offsets[:-1]:
+        i = start
+        while m.feature[i] >= 0:
+            child = m.left[i] if row[m.feature[i]] <= m.threshold[i] else m.right[i]
+            i = start + child
+        total += m.n1[i] / (m.n0[i] + m.n1[i])
+    return total / m.n_trees
 
 
 class TestForest:
@@ -231,7 +239,7 @@ class TestForest:
         y = np.array([0, 0, 1, 1] * 4)
         d = make_dataset(X, y)
         m = train_forest(d, ForestParams(n_trees=1, mtry=2, seed=5))
-        preds = [predict(m, row) for row in X]
+        preds = [int(predict_proba(m, row) >= 0.5) for row in X]
         assert preds == y.tolist()
 
     def test_deterministic(self, skewed_dataset):
@@ -263,14 +271,21 @@ class TestForest:
         for i, row in enumerate(X):
             assert predict_proba(m, row) == probas[i]
 
+    def test_descent_matches_row_walk(self, skewed_dataset):
+        m = train_forest(skewed_dataset, ForestParams(n_trees=7, seed=9))
+        X = skewed_dataset.X[:40]
+        assert predict_proba_many(m, X).tolist() == [walk_proba(m, row) for row in X]
+
     def test_predict_threshold_boundary(self):
         X = np.array([[0], [1]])
         y = np.array([0, 1])
         d = make_dataset(X, y)
         m = train_forest(d, ForestParams(n_trees=2, mtry=1, max_depth=0, seed=0))
         # every tree is a single leaf; bootstrap draws decide the fraction
+        roots = m.offsets[:-1]
         p = predict_proba(m, np.array([0]))
-        assert predict(m, np.array([0])) == (1 if p >= 0.5 else 0)
+        assert p == np.mean(m.n1[roots] / (m.n0[roots] + m.n1[roots]))
+        assert p == predict_proba(m, np.array([1]))
 
     def test_mean_split_entropy(self):
         X = np.array([[0], [0], [1], [1]])
@@ -292,19 +307,24 @@ class TestSerialization:
     def test_round_trip(self, skewed_dataset):
         m = train_forest(skewed_dataset, ForestParams(n_trees=3, seed=11))
         doc = model_to_dict(m)
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         m2 = model_from_dict(doc)
-        assert m2 == m
+        assert model_to_dict(m2) == doc
+        for f, dtype in NODE_FIELDS.items():
+            assert getattr(m2, f).dtype == dtype
+            assert np.array_equal(getattr(m2, f), getattr(m, f))
 
     def test_round_trip_through_json(self, skewed_dataset):
         import json
 
         m = train_forest(skewed_dataset, ForestParams(n_trees=2, seed=4))
         m2 = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
-        assert m2 == m
+        assert model_to_dict(m2) == model_to_dict(m)
         x = skewed_dataset.X[:10]
         assert np.array_equal(predict_proba_many(m, x), predict_proba_many(m2, x))
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="format_version"):
             model_from_dict({"format_version": 99, "trees": []})
+        with pytest.raises(ValueError, match="retrain with `elicitrec train`"):
+            model_from_dict({"format_version": 1, "trees": []})
