@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -175,23 +174,9 @@ def _load_input(args: argparse.Namespace, s: Settings) -> Dataset:
     return load_csv(args.input, s.target, role_map=s.roles, positive_label=s.positive_label)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _jsonable(float(obj))
-    return obj
-
-
 def _dump_json(doc, compact: bool = False) -> str:
     kwargs = {"separators": (",", ":")} if compact else {"indent": 2}
-    return json.dumps(_jsonable(doc), sort_keys=True, allow_nan=False, **kwargs) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs) + "\n"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -199,6 +184,11 @@ def _write_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp creates the file 0600; give it the mode a plain open
+            # would (reading the umask means setting it)
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -336,9 +326,10 @@ def render_hulls_svg(
 
 def cmd_balance(args: argparse.Namespace) -> int:
     s = _load_settings(args)
+    if s.smote is None:
+        raise ValueError('config "smote" is null, which turns balancing off; balance needs an object')
     d = _load_input(args, s)
-    smote_cfg = s.smote if s.smote is not None else SmoteConfig()
-    smote_cfg = replace(smote_cfg, seed=derive_seed(s.seed, recommender.STREAM_SMOTE))
+    smote_cfg = replace(s.smote, seed=derive_seed(s.seed, recommender.STREAM_SMOTE))
     balanced = smote_oversample(d, smote_cfg)
     out = _out_dir(args) / "balanced.csv"
     _write_atomic(out, data_model.csv_text(balanced, include_provenance=True))

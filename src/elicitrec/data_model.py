@@ -208,8 +208,11 @@ def load_csv(
         X = np.empty((len(rows), len(schema)), dtype=np.int64)
         for k, feat in enumerate(schema):
             j = col_of[feat.name]
-            for i, row in enumerate(rows):
-                X[i, k] = feat.encode(row[j])
+            code_of = {v: c for c, v in enumerate(feat.levels)}
+            try:
+                X[:, k] = [code_of[row[j]] for row in rows]
+            except KeyError as e:
+                raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
         out_schema = tuple(schema)
     else:
         role_map = role_map or {}

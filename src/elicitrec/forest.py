@@ -53,12 +53,6 @@ def entropy(counts: tuple[int, int]) -> float:
     return h
 
 
-def _impurity_fn(criterion: str):
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    return gini if criterion == "gini" else entropy
-
-
 @dataclass(frozen=True)
 class SplitCandidate:
     feature_index: int
@@ -135,24 +129,6 @@ def _concat_trees(trees: list[dict], mtry: int, criterion: str, seed: int) -> Ra
     nodes = {f: np.concatenate([t[f] for t in trees]) for f in NODE_FIELDS}
     offsets = np.cumsum([0] + [len(t["feature"]) for t in trees])
     return RandomForestModel(**nodes, offsets=offsets, mtry=mtry, criterion=criterion, seed=seed)
-
-
-def split_quality(
-    X: np.ndarray, y: np.ndarray, feature: int, threshold: float, criterion: str
-) -> float:
-    """Weighted child impurity of one candidate over the given rows."""
-    h = _impurity_fn(criterion)
-    left = X[:, feature] <= threshold
-    n_left = int(left.sum())
-    n_right = len(y) - n_left
-    if n_left == 0 or n_right == 0:
-        raise ValueError("empty child")
-    n1_left = int(y[left].sum())
-    n1_right = int(y.sum()) - n1_left
-    h_left = h((n_left - n1_left, n1_left))
-    h_right = h((n_right - n1_right, n1_right))
-    n = len(y)
-    return (n_left / n) * h_left + (n_right / n) * h_right
 
 
 def _scan_features(
@@ -249,7 +225,8 @@ def best_split(
     in the rows; quality is minimized with ties broken by (feature index,
     threshold), both ascending.
     """
-    _impurity_fn(criterion)
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if len(y) < 2:
         return None
     feats = sorted(set(int(f) for f in feature_subset))

@@ -16,6 +16,7 @@ indices, so a run is a pure function of (dataset, config).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -91,8 +92,9 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
-        if self.recommendation_threshold is not None and self.recommendation_threshold < 0:
-            raise ValueError("recommendation_threshold must be non-negative")
+        t = self.recommendation_threshold
+        if t is not None and not 0 <= t < math.inf:
+            raise ValueError(f"recommendation_threshold must be finite and non-negative, got {t!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -213,8 +215,8 @@ def form_recommendations(
     the choice). Both keep descending-score order. The threshold is the
     caller's choice and has no default.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold!r}")
     above = [e for e in scores.entries if e.score > threshold]
     return RecommendationSet(
         predicted=prediction,
@@ -249,13 +251,15 @@ def compare_balancing(d: Dataset, cfg: PipelineConfig) -> BalancingComparison:
 
 
 def recommendation_set_to_dict(rs: RecommendationSet) -> dict:
+    """JSON-ready structure; an infinite score (AnovaF with zero
+    within-class variance) is written as the string "inf"."""
+
+    def entry(e: ScoreEntry) -> dict:
+        return {"feature": e.feature_name, "score": e.score if math.isfinite(e.score) else repr(e.score)}
+
     return {
         "predicted": {"label": rs.predicted.label, "probability": rs.predicted.probability},
         "threshold": rs.threshold,
-        "collaborative": [
-            {"feature": e.feature_name, "score": e.score} for e in rs.collaborative
-        ],
-        "content_based": [
-            {"feature": e.feature_name, "score": e.score} for e in rs.content_based
-        ],
+        "collaborative": [entry(e) for e in rs.collaborative],
+        "content_based": [entry(e) for e in rs.content_based],
     }

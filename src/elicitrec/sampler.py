@@ -3,7 +3,7 @@
 A synthetic sample is a point on the segment between a minority row x and
 one of its k nearest minority neighbours x_r:
 
-    values = x + k_draw * (x_r - x),   k_draw uniform in [0, 1]
+    values = x + k_draw * (x_r - x),   k_draw uniform in [0, 1)
 
 Because the feature domain is ordinal codes, the interpolated vector is
 rounded back to the nearest valid code (half-way rounds down) so the
@@ -17,6 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_model import Dataset, minority_label
+
+#: parent rows per block of the neighbour search; each block holds a few
+#: (rows x minority count) temporaries, and at 256 rows they raised the
+#: peak memory of balancing 6k rows (2k minority) by 12 MB
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -34,87 +39,71 @@ class SmoteConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class SyntheticSample:
-    """One synthesis record: the pre-rounding vector and its rounded codes,
-    plus the parent/neighbour rows and interpolation draw that produced it."""
+def _neighbors(Xm: np.ndarray, n_parents: int, k: int) -> np.ndarray:
+    """Positions in Xm of the k nearest rows to each of its first n_parents
+    rows, nearest first (requires k < len(Xm)).
 
-    values: np.ndarray
-    rounded: np.ndarray
-    parent_index: int
-    neighbor_index: int
-    k_draw: float
-
-
-def minority_neighbors(d: Dataset, i: int, k: int) -> list[int]:
-    """Indices of the up-to-k nearest minority rows to minority row i.
-
-    Distance is Euclidean over ordinal codes; ties break toward the lower
-    row index. Row i itself is excluded.
+    Distance is Euclidean over ordinal codes; squared distances stay
+    integral, so ties are exact and break toward the lower position. A row
+    is never its own neighbour.
     """
+    sq = np.einsum("ij,ij->i", Xm, Xm)
+    out = np.empty((n_parents, k), dtype=np.int64)
+    for lo in range(0, n_parents, _BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, n_parents))
+        d2 = sq[rows, None] - 2 * (Xm[rows] @ Xm.T) + sq
+        d2[np.arange(len(rows)), rows] = np.iinfo(np.int64).max
+        # the k-th smallest distance; rows tied at it are taken lowest first
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        closer = d2 < kth
+        tied = d2 == kth
+        room = k - closer.sum(axis=1, keepdims=True)
+        take = closer | (tied & (np.cumsum(tied, axis=1) <= room))
+        idx = np.nonzero(take)[1].reshape(len(rows), k)  # ascending position
+        order = np.argsort(np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable")
+        out[rows] = np.take_along_axis(idx, order, axis=1)
+    return out
+
+
+def _interpolate(x: np.ndarray, x_r: np.ndarray, draw: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Rows x + draw * (x_r - x), each value rounded to the nearest code
+    (half-way rounds down: ceil(v - 0.5)) and clipped to [0, limits]."""
+    values = x + draw[:, None] * (x_r - x)
+    return np.clip(np.ceil(values - 0.5).astype(np.int64), 0, limits)
+
+
+def smote_details(
+    d: Dataset, cfg: SmoteConfig
+) -> tuple[Dataset, np.ndarray, np.ndarray, np.ndarray]:
+    """Oversample and also return, per synthetic row, the row indices into
+    `d` of its parent and neighbour and its interpolation draw."""
     label = minority_label(d)
-    if d.y[i] != label:
-        raise ValueError(f"row {i} is not a minority-class row")
-    candidates = np.flatnonzero(d.y == label)
-    if len(candidates) < 2:
-        raise ValueError("insufficient minority samples: need at least 2 rows")
-    candidates = candidates[candidates != i]
-    # squared distances stay integral, so tie comparison is exact
-    diffs = d.X[candidates] - d.X[i]
-    sq_dist = np.einsum("ij,ij->i", diffs, diffs)
-    order = np.lexsort((candidates, sq_dist))
-    return [int(candidates[j]) for j in order[: min(k, len(candidates))]]
-
-
-def synthesize(x: np.ndarray, x_r: np.ndarray, k_draw: float, schema) -> SyntheticSample:
-    """Interpolate between two code vectors and round to valid codes."""
-    x = np.asarray(x, dtype=np.float64)
-    x_r = np.asarray(x_r, dtype=np.float64)
-    if x.shape != x_r.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {x_r.shape}")
-    if not 0.0 <= k_draw <= 1.0:
-        raise ValueError(f"k_draw must be in [0, 1], got {k_draw}")
-    values = x + k_draw * (x_r - x)
-    # nearest code, half-way rounding down: ceil(v - 0.5)
-    rounded = np.ceil(values - 0.5).astype(np.int64)
-    limits = np.array([len(f.levels) - 1 for f in schema], dtype=np.int64)
-    rounded = np.clip(rounded, 0, limits)
-    return SyntheticSample(values=values, rounded=rounded, parent_index=-1,
-                           neighbor_index=-1, k_draw=k_draw)
-
-
-def smote_details(d: Dataset, cfg: SmoteConfig) -> tuple[Dataset, list[SyntheticSample]]:
-    """Oversample and also return the per-sample synthesis records."""
-    label = minority_label(d)
-    n_minority = int((d.y == label).sum())
-    n_majority = d.n_rows - n_minority
-    needed = round(cfg.target_ratio * n_majority) - n_minority
-    if needed <= 0:
-        return d, []
-
     minority_rows = np.flatnonzero(d.y == label)
-    if len(minority_rows) < 2:
+    m = len(minority_rows)
+    needed = round(cfg.target_ratio * (d.n_rows - m)) - m
+    if needed <= 0:
+        return d, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    if m < 2:
         raise ValueError("insufficient minority samples: need at least 2 rows")
-    neighbors = {int(i): minority_neighbors(d, int(i), cfg.k_neighbors)
-                 for i in minority_rows}
 
+    k = min(cfg.k_neighbors, m - 1)
+    slot = np.arange(needed) % m  # parents cycle over the minority rows
+    near = _neighbors(d.X[minority_rows], min(needed, m), k)
     rng = np.random.default_rng(cfg.seed)
-    records: list[SyntheticSample] = []
-    new_X = np.empty((needed, d.n_features), dtype=np.int64)
-    for s in range(needed):
-        parent = int(minority_rows[s % len(minority_rows)])
-        options = neighbors[parent]
-        neighbor = options[int(rng.integers(len(options)))]
-        k_draw = float(rng.random())
-        sample = synthesize(d.X[parent], d.X[neighbor], k_draw, d.schema)
-        sample = replace(sample, parent_index=parent, neighbor_index=neighbor)
-        records.append(sample)
-        new_X[s] = sample.rounded
+    pick = np.empty(needed, dtype=np.int64)
+    draw = np.empty(needed)
+    for s in range(needed):  # one (neighbour, draw) pair per row, in row order
+        pick[s] = rng.integers(k)
+        draw[s] = rng.random()
+    parent = minority_rows[slot]
+    neighbor = minority_rows[near[slot, pick]]
 
+    limits = np.array([len(f.levels) - 1 for f in d.schema], dtype=np.int64)
+    new_X = _interpolate(d.X[parent], d.X[neighbor], draw, limits)
     X = np.vstack([d.X, new_X])
     y = np.concatenate([d.y, np.full(needed, label, dtype=np.int64)])
     synthetic = np.concatenate([d.synthetic, np.ones(needed, dtype=bool)])
-    return replace(d, X=X, y=y, synthetic=synthetic), records
+    return replace(d, X=X, y=y, synthetic=synthetic), parent, neighbor, draw
 
 
 def smote_oversample(d: Dataset, cfg: SmoteConfig) -> Dataset:
@@ -125,5 +114,4 @@ def smote_oversample(d: Dataset, cfg: SmoteConfig) -> Dataset:
     RNG, so the output is a pure function of (dataset, config). Original
     rows are kept unchanged as a prefix of the result.
     """
-    balanced, _ = smote_details(d, cfg)
-    return balanced
+    return smote_details(d, cfg)[0]

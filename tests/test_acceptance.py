@@ -128,21 +128,20 @@ def test_criterion_03_best_split_matches_brute_force():
 
 def test_criterion_04_smote_invariants(skewed_dataset):
     start = time.perf_counter()
-    limits = np.array([len(f.levels) - 1 for f in skewed_dataset.schema])
+    d = skewed_dataset
+    limits = np.array([len(f.levels) - 1 for f in d.schema])
     for seed in range(100):
-        balanced, records = smote_details(skewed_dataset, SmoteConfig(seed=seed))
+        balanced, parent, neighbor, draw = smote_details(d, SmoteConfig(seed=seed))
         counts = np.bincount(balanced.y, minlength=2)
         assert counts[0] == counts[1] == 282
-        assert len(records) == 282 - 41
-        for rec in records:
-            parent = skewed_dataset.X[rec.parent_index].astype(np.float64)
-            neighbor = skewed_dataset.X[rec.neighbor_index].astype(np.float64)
-            on_segment = parent + rec.k_draw * (neighbor - parent)
-            assert np.array_equal(rec.values, on_segment)
-            assert 0.0 <= rec.k_draw <= 1.0
-            assert np.all(rec.rounded >= 0) and np.all(rec.rounded <= limits)
-        synth = balanced.X[skewed_dataset.n_rows:]
-        assert np.array_equal(synth, np.array([r.rounded for r in records]))
+        assert len(parent) == len(neighbor) == len(draw) == 282 - 41
+        x = d.X[parent].astype(np.float64)
+        x_r = d.X[neighbor].astype(np.float64)
+        on_segment = x + draw[:, None] * (x_r - x)
+        assert ((draw >= 0.0) & (draw <= 1.0)).all()
+        synth = balanced.X[d.n_rows:]
+        assert np.array_equal(synth, np.clip(np.ceil(on_segment - 0.5), 0, limits))
+        assert np.all(synth >= 0) and np.all(synth <= limits)
     assert time.perf_counter() - start < 5.0
 
 

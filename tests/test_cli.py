@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 from operator import setitem
 
 import pytest
@@ -74,6 +76,13 @@ class TestBalance:
         assert rc == 0
         second = read_rows(out2 / "balanced.csv")
         assert second == first  # synthetic flags survive the round trip too
+
+    def test_smote_null_rejected(self, tmp_path, input_csv, capsys):
+        cfg = fast_config(tmp_path, smote=None)
+        rc = main(["balance", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert '"smote" is null' in capsys.readouterr().err
+        assert not (tmp_path / "balanced.csv").exists()
 
     def test_missing_input(self, tmp_path, capsys):
         cfg = fast_config(tmp_path)
@@ -241,6 +250,15 @@ class TestRun:
             assert len(poly.split()) == n_hull
         assert no_tmp_leftovers(out)
 
+    def test_artifacts_honour_umask(self, tmp_path, input_csv):
+        old = os.umask(0o027)
+        try:
+            out = self.run_once(tmp_path, input_csv, "out")
+        finally:
+            os.umask(old)
+        for name in ("report.json", "roc_imbalanced.csv", "roc_hulls.svg"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o640
+
     def test_report_byte_identical_across_runs(self, tmp_path, input_csv):
         a = self.run_once(tmp_path, input_csv, "a")
         b = self.run_once(tmp_path, input_csv, "b")
@@ -332,6 +350,26 @@ class TestRecommend:
         assert rc == 0
         doc = json.loads((trained["dir"] / "recommendations.json").read_text())
         assert doc["collaborative"] == [] and doc["content_based"] == []
+
+    def test_infinite_score_written_as_string(self, trained):
+        # AnovaF scores a feature whose classes each hold one code as +inf
+        scores = trained["dir"] / "scores_AnovaF.csv"
+        scores.write_text("feature,role,score\nf0,context,inf\nf1,context,0.5\n", encoding="utf-8")
+        rc = main(self.base_args({**trained, "scores": str(scores)}) + ["--threshold", "1"])
+        assert rc == 0
+        text = (trained["dir"] / "recommendations.json").read_text()
+        assert json.loads(text)["content_based"] == [{"feature": "f0", "score": "inf"}]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_rejected(self, trained, capsys, value):
+        rc = main(self.base_args(trained) + ["--threshold", value])
+        assert rc == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+        cfg = write_config(trained["dir"], {"recommendation_threshold": float(value)}, "thr.json")
+        rc = main(self.base_args(trained) + ["--config", cfg])
+        assert rc == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not (trained["dir"] / "recommendations.json").exists()
 
     def test_threshold_required(self, trained, capsys):
         rc = main(self.base_args(trained))

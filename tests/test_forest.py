@@ -7,6 +7,7 @@ from elicitrec.data_model import SyntheticSpec, generate_synthetic
 from elicitrec.forest import (
     NODE_FIELDS,
     ForestParams,
+    SplitCandidate,
     best_split,
     entropy,
     gini,
@@ -16,7 +17,6 @@ from elicitrec.forest import (
     model_to_dict,
     predict_proba,
     predict_proba_many,
-    split_quality,
     train_forest,
 )
 
@@ -79,24 +79,23 @@ class TestSplitQuality:
     def test_pure_children(self):
         X = np.array([[0], [0], [0], [0], [1], [1], [1], [1]])
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        assert split_quality(X, y, 0, 0.5, "gini") == 0.0
-        assert split_quality(X, y, 0, 0.5, "entropy") == 0.0
+        assert best_split(X, y, [0], "gini").quality == 0.0
+        assert best_split(X, y, [0], "entropy").quality == 0.0
 
     def test_uninformative_split(self):
         X = np.array([[0], [0], [0], [0], [1], [1], [1], [1]])
         y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        assert split_quality(X, y, 0, 0.5, "entropy") == 1.0
+        assert best_split(X, y, [0], "entropy").quality == 1.0
 
     def test_pure_children_from_impure_parent(self):
         X = np.array([[0], [0], [0], [1]])
         y = np.array([0, 0, 0, 1])
-        assert split_quality(X, y, 0, 0.5, "gini") == 0.0
+        cand = best_split(X, y, [0], "gini")
+        assert (cand.threshold, cand.quality) == (0.5, 0.0)
 
     def test_empty_child(self):
-        X = np.array([[0], [0]])
-        y = np.array([0, 1])
         with pytest.raises(ValueError, match="empty child"):
-            split_quality(X, y, 0, 5.0, "gini")
+            SplitCandidate(feature_index=0, threshold=5.0, n_left=2, n_right=0, quality=0.0)
 
 
 class TestBestSplit:
@@ -126,8 +125,8 @@ class TestBestSplit:
         X = np.array([[0], [1], [1], [2]])
         y = np.array([1, 0, 0, 1])
         cand = best_split(X, y, [0], "gini")
-        q_low = split_quality(X, y, 0, 0.5, "gini")
-        q_high = split_quality(X, y, 0, 1.5, "gini")
+        (q_low, _, thr_low), (q_high, _, thr_high) = brute_best_quality(X, y, [0], "gini")
+        assert (thr_low, thr_high) == (0.5, 1.5)
         assert q_low == q_high
         assert cand.threshold == 0.5
         assert cand.quality == q_low

@@ -51,8 +51,9 @@ class TestConfigValidation:
             config(test_fraction=0.0)
 
     def test_negative_threshold(self):
-        with pytest.raises(ValueError, match="threshold"):
-            config(recommendation_threshold=-0.1)
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="threshold"):
+                config(recommendation_threshold=value)
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -203,10 +204,11 @@ class TestFormRecommendations:
             assert scores == sorted(scores, reverse=True)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="threshold"):
-            form_recommendations(
-                interviews_score_table(), Prediction("Interviews", 0.5), threshold=-1.0
-            )
+        for value in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="threshold"):
+                form_recommendations(
+                    interviews_score_table(), Prediction("Interviews", 0.5), threshold=value
+                )
 
     def test_set_invariant_rechecked(self):
         entry = interviews_score_table().entries[0]

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
+from elicitrec import sampler
 from elicitrec.data_model import minority_label, summarize
-from elicitrec.sampler import (
-    SmoteConfig,
-    minority_neighbors,
-    smote_details,
-    smote_oversample,
-    synthesize,
-)
+from elicitrec.sampler import SmoteConfig, smote_details, smote_oversample
 
 from conftest import make_dataset
 
@@ -21,55 +16,49 @@ def brute_neighbors(X, minority_rows, i, k):
     return [j for _, j in ranked[:k]]
 
 
-class TestNeighbors:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        X = rng.integers(0, 4, size=(40, 5))
-        y = np.array([0] * 28 + [1] * 12)
-        d = make_dataset(X, y, levels=[4] * 5)
-        minority = [i for i in range(40) if y[i] == 1]
-        for i in minority:
-            for k in (1, 3, 5, 20):
-                got = minority_neighbors(d, i, k)
-                assert got == brute_neighbors(X, minority, i, k)
+def minority_of(d):
+    return [i for i in range(d.n_rows) if d.y[i] == minority_label(d)]
 
-    def test_rejects_majority_row(self):
-        # label 0 appears once, so label-1 rows are the majority class
-        d = make_dataset([[0], [1], [1]], [0, 1, 1])
-        with pytest.raises(ValueError, match="not a minority"):
-            minority_neighbors(d, 1, 1)
+
+class TestNeighbors:
+    def test_matches_brute_force(self, monkeypatch):
+        # 4 levels over 5 columns gives many tied distances, and an all-zero
+        # matrix ties every pair; a block of 7 rows splits the 40 parents
+        # into six blocks, the last one partial
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(11)
+        rows = list(range(40))
+        for X in (rng.integers(0, 4, size=(40, 5)), np.zeros((40, 2), dtype=np.int64)):
+            for k in (1, 3, 5, 20, 38, 39):
+                for n_parents in (1, 7, 40):
+                    got = sampler._neighbors(X, n_parents, k)
+                    assert got.shape == (n_parents, k)
+                    for i in range(n_parents):
+                        assert got[i].tolist() == brute_neighbors(X, rows, i, k)
 
     def test_needs_two_minority_rows(self):
         d = make_dataset([[0], [1], [1]], [0, 1, 1])
         with pytest.raises(ValueError, match="insufficient minority"):
-            minority_neighbors(d, 0, 5)
+            smote_details(d, SmoteConfig(k_neighbors=5))
 
 
 class TestSynthesize:
     def test_interpolation_and_rounding(self):
-        d = make_dataset([[0, 0], [3, 1]], [0, 1], levels=[4, 2])
-        x = np.array([0, 0])
-        x_r = np.array([3, 1])
-        s = synthesize(x, x_r, 0.5, d.schema)
-        assert s.values.tolist() == [1.5, 0.5]
-        # round half down: ceil(v - 0.5)
-        assert s.rounded.tolist() == [1, 0]
+        x = np.array([[0, 0]])
+        x_r = np.array([[3, 1]])
+        # values [1.5, 0.5]; round half down: ceil(v - 0.5)
+        got = sampler._interpolate(x, x_r, np.array([0.5]), np.array([3, 1]))
+        assert got.tolist() == [[1, 0]]
 
     def test_rounding_half_down_and_clamp(self):
-        d = make_dataset([[0], [3]], [0, 1], levels=[4])
         cases = [(0.5, 0), (1.5, 1), (2.5, 2), (1.51, 2), (0.49, 0), (3.0, 3)]
-        for k_draw, expected in cases:
-            s = synthesize(np.array([0]), np.array([4 - 1]), k_draw / 3, d.schema)
-            # values = 3 * k/3 = k_draw
-            assert s.values[0] == pytest.approx(k_draw)
-            assert s.rounded[0] == expected
-
-    def test_k_draw_bounds(self):
-        d = make_dataset([[0], [1]], [0, 1])
-        with pytest.raises(ValueError):
-            synthesize(np.array([0]), np.array([1]), 1.5, d.schema)
-        with pytest.raises(ValueError):
-            synthesize(np.array([0]), np.array([1]), -0.1, d.schema)
+        draws = np.array([v / 3 for v, _ in cases])
+        n = len(cases)
+        got = sampler._interpolate(np.zeros((n, 1), np.int64), np.full((n, 1), 3), draws, np.array([3]))
+        assert got[:, 0].tolist() == [expected for _, expected in cases]
+        # a limit below the rounded code clips it
+        clipped = sampler._interpolate(np.zeros((n, 1), np.int64), np.full((n, 1), 3), draws, np.array([1]))
+        assert clipped[:, 0].tolist() == [0, 1, 1, 1, 0, 1]
 
 
 class TestSmote:
@@ -94,37 +83,49 @@ class TestSmote:
 
     def test_noop_when_already_balanced(self):
         d = make_dataset([[0, 1], [1, 0], [0, 0], [1, 1]], [0, 0, 1, 1])
-        out, records = smote_details(d, SmoteConfig(seed=3))
+        out, parent, neighbor, draw = smote_details(d, SmoteConfig(seed=3))
         assert out is d
-        assert records == []
+        assert parent.size == neighbor.size == draw.size == 0
+        assert smote_oversample(d, SmoteConfig(seed=3)) is d
 
     def test_round_robin_parents(self, skewed_dataset):
         d = skewed_dataset
-        _, records = smote_details(d, SmoteConfig(seed=1))
-        minority_rows = [i for i in range(d.n_rows) if d.y[i] == minority_label(d)]
-        expected = [minority_rows[s % len(minority_rows)] for s in range(len(records))]
-        assert [r.parent_index for r in records] == expected
+        _, parent, _, _ = smote_details(d, SmoteConfig(seed=1))
+        minority_rows = minority_of(d)
+        expected = [minority_rows[s % len(minority_rows)] for s in range(len(parent))]
+        assert parent.tolist() == expected
 
     def test_records_consistent(self, skewed_dataset):
         d = skewed_dataset
-        balanced, records = smote_details(d, SmoteConfig(seed=2))
+        balanced, parent, neighbor, draw = smote_details(d, SmoteConfig(seed=2))
         n = d.n_rows
-        for idx, r in enumerate(records):
-            x = d.X[r.parent_index]
-            x_r = d.X[r.neighbor_index]
-            assert 0.0 <= r.k_draw < 1.0
-            assert np.array_equal(r.values, x + r.k_draw * (x_r - x))
-            lo = np.minimum(x, x_r)
-            hi = np.maximum(x, x_r)
-            assert ((r.values >= lo) & (r.values <= hi)).all()
-            assert np.array_equal(balanced.X[n + idx], r.rounded)
-            assert r.neighbor_index in minority_neighbors(d, r.parent_index, 5)
+        minority_rows = minority_of(d)
+        limits = np.array([len(f.levels) - 1 for f in d.schema])
+        assert len(parent) == len(neighbor) == len(draw) == balanced.n_rows - n
+        for s, (i, j, k_draw) in enumerate(zip(parent, neighbor, draw)):
+            x = d.X[i]
+            x_r = d.X[j]
+            row = balanced.X[n + s]
+            assert 0.0 <= k_draw < 1.0
+            values = x + k_draw * (x_r - x)
+            assert np.array_equal(row, np.clip(np.ceil(values - 0.5), 0, limits))
+            # rounding between two codes cannot leave the segment
+            assert ((row >= np.minimum(x, x_r)) & (row <= np.maximum(x, x_r))).all()
+            assert j in brute_neighbors(d.X, minority_rows, i, 5)
 
     def test_neighbor_pool_respects_k(self, skewed_dataset):
         d = skewed_dataset
-        _, r1 = smote_details(d, SmoteConfig(k_neighbors=1, seed=5))
-        for r in r1:
-            assert [r.neighbor_index] == minority_neighbors(d, r.parent_index, 1)
+        _, parent, neighbor, _ = smote_details(d, SmoteConfig(k_neighbors=1, seed=5))
+        minority_rows = minority_of(d)
+        for i, j in zip(parent, neighbor):
+            assert [j] == brute_neighbors(d.X, minority_rows, i, 1)
+
+    def test_pool_larger_than_minority(self):
+        # k >= m - 1: every other minority row is a candidate
+        d = make_dataset([[0], [1], [2], [3], [0], [2], [3]], [0, 0, 0, 0, 1, 1, 1], levels=[4])
+        _, parent, neighbor, _ = smote_details(d, SmoteConfig(k_neighbors=50, seed=4))
+        assert parent.tolist() == [4]
+        assert neighbor[0] in (5, 6)
 
     def test_deterministic(self, skewed_dataset):
         a = smote_oversample(skewed_dataset, SmoteConfig(seed=9))
