@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: balance, train, evaluate, run, score, recommend. A JSON
-config file supplies experiment settings; unknown keys are rejected so a
-typo fails fast instead of silently using a default. Every output file is
+config file supplies experiment settings; unknown keys, values of the
+wrong type and non-finite numbers are rejected so a typo fails fast
+instead of silently using a default or crashing later. Every output file is
 written atomically (temp file + rename), and a fixed seed makes each
 subcommand's outputs byte-identical across runs.
 
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -28,52 +30,85 @@ from .forest import ForestParams
 from .recommender import FilterConfig, PipelineConfig, Prediction
 from .sampler import SmoteConfig, smote_oversample
 
-_TOP_KEYS = {
-    "target",
-    "positive_label",
-    "roles",
-    "mode",
-    "test_fraction",
-    "seed",
-    "smote",
-    "forest",
-    "filter",
-    "recommendation_threshold",
+#: JSON types by the name a config error gives them
+_JSON_TYPES = {
+    "an integer": (int,),
+    "a number": (int, float),
+    "a string": (str,),
+    "a list": (list,),
+    "an object": (dict,),
+    "null": (type(None),),
 }
-_SMOTE_KEYS = {"k_neighbors", "target_ratio"}
-_FOREST_KEYS = {"n_trees", "mtry", "max_depth", "min_samples_leaf", "criterion"}
-_FILTER_KEYS = {"methods", "top_k"}
+
+#: every key of each config level and the JSON types it accepts; null is
+#: accepted only where it means something
+_KEYS = {
+    "config": {
+        "target": ("a string", "null"),
+        "positive_label": ("a string", "null"),
+        "roles": ("an object",),
+        "mode": ("a string",),
+        "test_fraction": ("a number",),
+        "seed": ("an integer",),
+        "smote": ("an object", "null"),  # null turns balancing off
+        "forest": ("an object",),
+        "filter": ("an object",),
+        "recommendation_threshold": ("a number", "null"),
+    },
+    "smote": {"k_neighbors": ("an integer",), "target_ratio": ("a number",)},
+    "forest": {
+        "n_trees": ("an integer",),
+        "mtry": ("an integer", "null"),  # null: floor(sqrt(p))
+        "max_depth": ("an integer", "null"),  # null: unlimited
+        "min_samples_leaf": ("an integer",),
+        "criterion": ("a string",),
+    },
+    "filter": {"methods": ("a list",), "top_k": ("an integer",)},
+}
+
+#: the dataclass each config section is read into; a key the section
+#: leaves out takes the dataclass default
+_SECTIONS = {"smote": SmoteConfig, "forest": ForestParams, "filter": FilterConfig}
+
+_PIPELINE_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
+def _checked(doc, level: str) -> dict:
+    """`doc` once it is known to be an object holding only keys of config
+    `level`, each with one of its JSON types (a bool is no integer) and
+    every number finite."""
+    where = "config" if level == "config" else f"config {level}"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    keys = _KEYS[level]
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-
-
-def _expect(doc: dict, key: str, types, where: str, default):
-    value = doc.get(key, default)
-    if value is None or value is default:
-        return value
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ValueError(f"config {where}.{key} has the wrong type")
-    return value
+    for key, value in doc.items():
+        name = key if level == "config" else f"{level}.{key}"
+        types = tuple(t for kind in keys[key] for t in _JSON_TYPES[kind])
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(keys[key])
+            raise ValueError(f"config {name} must be {expected}, got {json.dumps(value)}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config {name} must be finite, got {value!r}")
+    return doc
 
 
 @dataclass(frozen=True)
 class Settings:
     """Everything a subcommand might need, merged from config and flags."""
 
-    target: Optional[str]
-    positive_label: Optional[str]
-    roles: dict[str, str]
-    mode: str
-    test_fraction: float
-    seed: int
     smote: Optional[SmoteConfig]
     forest: ForestParams
     filter: FilterConfig
-    recommendation_threshold: Optional[float]
+    target: Optional[str] = None
+    positive_label: Optional[str] = None
+    roles: dict[str, str] = field(default_factory=dict)
+    mode: str = _PIPELINE_DEFAULTS["mode"]
+    test_fraction: float = _PIPELINE_DEFAULTS["test_fraction"]
+    seed: int = _PIPELINE_DEFAULTS["seed"]
+    recommendation_threshold: Optional[float] = None
 
 
 def _load_settings(args: argparse.Namespace) -> Settings:
@@ -82,96 +117,41 @@ def _load_settings(args: argparse.Namespace) -> Settings:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"no such config file: {path}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("config root must be a JSON object")
-        _reject_unknown(doc, _TOP_KEYS, "config")
-
-    roles = doc.get("roles", {})
-    if not isinstance(roles, dict):
-        raise ValueError("config roles must be an object of feature -> role")
-    for name, role in roles.items():
+        doc = _checked(json.loads(path.read_text(encoding="utf-8")), "config")
+    for name, cls in _SECTIONS.items():
+        if doc.get(name, {}) is not None:  # "smote": null stays None
+            doc[name] = cls(**_checked(doc.get(name, {}), name))
+    for name, role in doc.get("roles", {}).items():
         if role not in (data_model.ROLE_CONTEXT, data_model.ROLE_TECHNIQUE):
             raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
+    for key in ("target", "positive_label", "mode", "seed"):  # a flag overrides the config
+        if getattr(args, key) not in (None, ""):
+            doc[key] = getattr(args, key)
+    s = Settings(**doc)
+    if s.mode not in recommender.MODES:
+        raise ValueError(f"mode must be one of {recommender.MODES}, got {s.mode!r}")
+    return s
 
-    smote_doc = doc.get("smote", {})
-    if smote_doc is None:
-        smote_cfg = None
-    else:
-        if not isinstance(smote_doc, dict):
-            raise ValueError("config smote must be an object or null")
-        _reject_unknown(smote_doc, _SMOTE_KEYS, "config smote")
-        smote_cfg = SmoteConfig(
-            k_neighbors=_expect(smote_doc, "k_neighbors", int, "smote", 5),
-            target_ratio=float(_expect(smote_doc, "target_ratio", (int, float), "smote", 1.0)),
-            seed=0,
-        )
 
-    forest_doc = doc.get("forest", {})
-    if not isinstance(forest_doc, dict):
-        raise ValueError("config forest must be an object")
-    _reject_unknown(forest_doc, _FOREST_KEYS, "config forest")
-    forest_cfg = ForestParams(
-        n_trees=_expect(forest_doc, "n_trees", int, "forest", 100),
-        mtry=_expect(forest_doc, "mtry", int, "forest", None),
-        max_depth=_expect(forest_doc, "max_depth", int, "forest", None),
-        min_samples_leaf=_expect(forest_doc, "min_samples_leaf", int, "forest", 1),
-        criterion=_expect(forest_doc, "criterion", str, "forest", "gini"),
-        seed=0,
-    )
-
-    filter_doc = doc.get("filter", {})
-    if not isinstance(filter_doc, dict):
-        raise ValueError("config filter must be an object")
-    _reject_unknown(filter_doc, _FILTER_KEYS, "config filter")
-    methods = filter_doc.get("methods", list(feature_scoring.METHODS))
-    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-        raise ValueError("config filter.methods must be a list of method names")
-    filter_cfg = FilterConfig(
-        methods=tuple(methods),
-        top_k=_expect(filter_doc, "top_k", int, "filter", 10),
-    )
-
-    mode = args.mode or _expect(doc, "mode", str, "config", recommender.MODE_SOUND)
-    if mode not in recommender.MODES:
-        raise ValueError(f"mode must be one of {recommender.MODES}, got {mode!r}")
-    seed = args.seed if args.seed is not None else _expect(doc, "seed", int, "config", 0)
-    threshold = _expect(doc, "recommendation_threshold", (int, float), "config", None)
-
-    return Settings(
-        target=getattr(args, "target", None) or _expect(doc, "target", str, "config", None),
-        positive_label=getattr(args, "positive_label", None)
-        or _expect(doc, "positive_label", str, "config", None),
-        roles=dict(roles),
-        mode=mode,
-        test_fraction=float(_expect(doc, "test_fraction", (int, float), "config", 0.2)),
-        seed=int(seed),
-        smote=smote_cfg,
-        forest=forest_cfg,
-        filter=filter_cfg,
-        recommendation_threshold=None if threshold is None else float(threshold),
-    )
+def _target(s: Settings) -> str:
+    if not s.target:
+        raise ValueError("a target column is required (config 'target' or --target)")
+    return s.target
 
 
 def _pipeline_config(s: Settings) -> PipelineConfig:
-    if not s.target:
-        raise ValueError("a target column is required (config 'target' or --target)")
     return PipelineConfig(
-        target_name=s.target,
+        target_name=_target(s),
         mode=s.mode,
         test_fraction=s.test_fraction,
         smote=s.smote,
         forest=s.forest,
-        filter=s.filter,
-        recommendation_threshold=s.recommendation_threshold,
         seed=s.seed,
     )
 
 
 def _load_input(args: argparse.Namespace, s: Settings) -> Dataset:
-    if not s.target:
-        raise ValueError("a target column is required (config 'target' or --target)")
-    return load_csv(args.input, s.target, role_map=s.roles, positive_label=s.positive_label)
+    return load_csv(args.input, _target(s), role_map=s.roles, positive_label=s.positive_label)
 
 
 def _dump_json(doc, compact: bool = False) -> str:
@@ -444,7 +424,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             s.forest,
             eval_seed=s.seed,
             test_fraction=s.test_fraction,
-            smote_template=s.smote if s.smote is not None else SmoteConfig(),
+            smote_template=s.smote,
         )
         _write_atomic(out_dir / "best_method.txt", selection.method + "\n")
         for method in s.filter.methods:

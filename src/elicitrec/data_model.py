@@ -25,6 +25,13 @@ _ROLES = (ROLE_CONTEXT, ROLE_TECHNIQUE)
 PROVENANCE_COLUMN = "_synthetic"
 
 
+# seed stream indices under the master seed
+STREAM_SPLIT = 0
+STREAM_SMOTE = 1
+STREAM_FOREST_IMBALANCED = 2
+STREAM_FOREST_BALANCED = 3
+
+
 def derive_seed(master: int, stream: int) -> int:
     """Independent child seed for one named stream of a master seed."""
     if master < 0 or stream < 0:
@@ -145,8 +152,9 @@ def load_csv(
 
     Levels are coded by first appearance unless `schema` is given, in which
     case values are looked up in the stored levels (unknown values are an
-    error). A `_synthetic` column, if present, is read as row provenance
-    rather than a feature. Missing (empty) cells are rejected.
+    error). `role_map` may name feature columns only. A `_synthetic`
+    column, if present, is read as row provenance rather than a feature.
+    Missing (empty) cells are rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -172,12 +180,8 @@ def load_csv(
 
     target_idx = header.index(target_name)
     prov_idx = header.index(PROVENANCE_COLUMN) if PROVENANCE_COLUMN in header else None
-    feature_cols = [
-        (j, name)
-        for j, name in enumerate(header)
-        if j != target_idx and j != prov_idx
-    ]
-    if not feature_cols:
+    col_of = {name: j for j, name in enumerate(header) if j != target_idx and j != prov_idx}
+    if not col_of:
         raise ValueError(f"{path}: no feature columns")
 
     target_values = [row[target_idx] for row in rows]
@@ -200,37 +204,26 @@ def load_csv(
     negative_label = next(v for v in distinct_targets if v != positive_label)
     y = np.fromiter((1 if v == positive_label else 0 for v in target_values), dtype=np.int64)
 
-    if schema is not None:
-        col_of = {name: j for j, name in feature_cols}
-        missing = [f.name for f in schema if f.name not in col_of]
-        if missing:
-            raise ValueError(f"{path}: missing feature columns {missing}")
-        X = np.empty((len(rows), len(schema)), dtype=np.int64)
-        for k, feat in enumerate(schema):
-            j = col_of[feat.name]
-            code_of = {v: c for c, v in enumerate(feat.levels)}
-            try:
-                X[:, k] = [code_of[row[j]] for row in rows]
-            except KeyError as e:
-                raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
-        out_schema = tuple(schema)
-    else:
+    if schema is None:
         role_map = role_map or {}
-        feats = []
-        X = np.empty((len(rows), len(feature_cols)), dtype=np.int64)
-        for k, (j, name) in enumerate(feature_cols):
-            levels: list[str] = []
-            seen: dict[str, int] = {}
-            for i, row in enumerate(rows):
-                v = row[j]
-                code = seen.get(v)
-                if code is None:
-                    code = seen[v] = len(levels)
-                    levels.append(v)
-                X[i, k] = code
-            role = role_map.get(name, ROLE_CONTEXT)
-            feats.append(FeatureSchema(name, role, tuple(levels)))
-        out_schema = tuple(feats)
+        stray = sorted(set(role_map) - set(col_of))
+        if stray:
+            raise ValueError(f"{path}: roles given for columns that are not features: {stray}")
+        schema = []
+        for name, j in col_of.items():
+            levels = tuple(dict.fromkeys(row[j] for row in rows))  # first-appearance order
+            schema.append(FeatureSchema(name, role_map.get(name, ROLE_CONTEXT), levels))
+    missing = [f.name for f in schema if f.name not in col_of]
+    if missing:
+        raise ValueError(f"{path}: missing feature columns {missing}")
+    X = np.empty((len(rows), len(schema)), dtype=np.int64)
+    for k, feat in enumerate(schema):
+        j = col_of[feat.name]
+        code_of = {v: c for c, v in enumerate(feat.levels)}
+        try:
+            X[:, k] = [code_of[row[j]] for row in rows]
+        except KeyError as e:
+            raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
 
     if prov_idx is not None:
         flags = [row[prov_idx] for row in rows]
@@ -242,7 +235,7 @@ def load_csv(
         synthetic = np.zeros(len(rows), dtype=bool)
 
     return Dataset(
-        schema=out_schema,
+        schema=tuple(schema),
         target_name=target_name,
         X=X,
         y=y,

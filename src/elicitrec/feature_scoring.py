@@ -27,7 +27,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data_model import Dataset, derive_seed, select_features, split_train_test
+from .data_model import (
+    STREAM_FOREST_IMBALANCED,
+    STREAM_SMOTE,
+    STREAM_SPLIT,
+    Dataset,
+    derive_seed,
+    select_features,
+    split_train_test,
+)
 from .evaluation import analyze_scores
 from .forest import ForestParams, predict_proba_many, train_forest
 from .sampler import SmoteConfig, smote_oversample
@@ -160,9 +168,11 @@ def _subset_auch(
     Seeds derive from eval_seed alone so the result depends only on the
     selected feature subset.
     """
-    balanced = smote_oversample(sub, replace(smote_template, seed=derive_seed(eval_seed, 1)))
-    train, test = split_train_test(balanced, test_fraction, seed=derive_seed(eval_seed, 0))
-    model = train_forest(train, replace(forest_params, seed=derive_seed(eval_seed, 2)))
+    smote_cfg = replace(smote_template, seed=derive_seed(eval_seed, STREAM_SMOTE))
+    balanced = smote_oversample(sub, smote_cfg)
+    train, test = split_train_test(balanced, test_fraction, seed=derive_seed(eval_seed, STREAM_SPLIT))
+    params = replace(forest_params, seed=derive_seed(eval_seed, STREAM_FOREST_IMBALANCED))
+    model = train_forest(train, params)
     scores = predict_proba_many(model, test.X)
     return analyze_scores(scores, test.y).auch
 

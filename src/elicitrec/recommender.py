@@ -25,6 +25,10 @@ import numpy as np
 from .data_model import (
     ROLE_CONTEXT,
     ROLE_TECHNIQUE,
+    STREAM_FOREST_BALANCED,
+    STREAM_FOREST_IMBALANCED,
+    STREAM_SMOTE,
+    STREAM_SPLIT,
     Dataset,
     derive_seed,
     drop_constant_features,
@@ -52,12 +56,6 @@ MODE_BALANCE_FIRST = "balance-first"  # balance, then split (optimistic)
 MODE_SOUND = "sound"  # split, then balance the training subset only
 MODES = (MODE_BALANCE_FIRST, MODE_SOUND)
 
-# seed stream indices under the master seed
-STREAM_SPLIT = 0
-STREAM_SMOTE = 1
-STREAM_FOREST_IMBALANCED = 2
-STREAM_FOREST_BALANCED = 3
-
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -65,6 +63,7 @@ class FilterConfig:
     top_k: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ValueError("at least one scoring method is required")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -83,8 +82,6 @@ class PipelineConfig:
     test_fraction: float = 0.2
     smote: Optional[SmoteConfig] = field(default_factory=SmoteConfig)
     forest: ForestParams = field(default_factory=ForestParams)
-    filter: FilterConfig = field(default_factory=FilterConfig)
-    recommendation_threshold: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -92,9 +89,6 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
-        t = self.recommendation_threshold
-        if t is not None and not 0 <= t < math.inf:
-            raise ValueError(f"recommendation_threshold must be finite and non-negative, got {t!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

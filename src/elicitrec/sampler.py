@@ -45,13 +45,18 @@ def _neighbors(Xm: np.ndarray, n_parents: int, k: int) -> np.ndarray:
 
     Distance is Euclidean over ordinal codes; squared distances stay
     integral, so ties are exact and break toward the lower position. A row
-    is never its own neighbour.
+    is never its own neighbour. The row products run in float64, where
+    numpy has BLAS, while every partial sum of a product stays an integer
+    below 2**53 and so exact; larger codes stay in int64.
     """
     sq = np.einsum("ij,ij->i", Xm, Xm)
+    exact = Xm.shape[1] * int(Xm.max()) ** 2 < 2**53
+    Xp = Xm.astype(np.float64) if exact else Xm
     out = np.empty((n_parents, k), dtype=np.int64)
     for lo in range(0, n_parents, _BLOCK_ROWS):
         rows = np.arange(lo, min(lo + _BLOCK_ROWS, n_parents))
-        d2 = sq[rows, None] - 2 * (Xm[rows] @ Xm.T) + sq
+        dot = (Xp[rows] @ Xp.T).astype(np.int64, copy=False)
+        d2 = sq[rows, None] - 2 * dot + sq
         d2[np.arange(len(rows)), rows] = np.iinfo(np.int64).max
         # the k-th smallest distance; rows tied at it are taken lowest first
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]

@@ -371,6 +371,16 @@ class TestRecommend:
         assert "threshold must be finite" in capsys.readouterr().err
         assert not (trained["dir"] / "recommendations.json").exists()
 
+    def test_negative_threshold_rejected(self, trained, capsys):
+        rc = main(self.base_args(trained) + ["--threshold", "-0.1"])
+        assert rc == 2
+        assert "threshold must be finite and non-negative" in capsys.readouterr().err
+        cfg = write_config(trained["dir"], {"recommendation_threshold": -0.1}, "thr.json")
+        rc = main(self.base_args(trained) + ["--config", cfg])
+        assert rc == 2
+        assert "threshold must be finite and non-negative" in capsys.readouterr().err
+        assert not (trained["dir"] / "recommendations.json").exists()
+
     def test_threshold_required(self, trained, capsys):
         rc = main(self.base_args(trained))
         assert rc == 2
@@ -395,7 +405,83 @@ class TestRecommend:
         assert removed in capsys.readouterr().err
 
 
+# every config key as (section, key): whether null is accepted, and a
+# value of a type the key never takes
+CONFIG_KEYS = {
+    (None, "target"): (True, 5),
+    (None, "positive_label"): (True, 5),
+    (None, "roles"): (False, "technique"),
+    (None, "mode"): (False, 5),
+    (None, "test_fraction"): (False, "0.2"),
+    (None, "seed"): (False, 1.5),
+    (None, "smote"): (True, 5),
+    (None, "forest"): (False, [15]),
+    (None, "filter"): (False, "Chi2"),
+    (None, "recommendation_threshold"): (True, "0.2"),
+    ("smote", "k_neighbors"): (False, 2.0),
+    ("smote", "target_ratio"): (False, "1"),
+    ("forest", "n_trees"): (False, "15"),
+    ("forest", "mtry"): (True, 2.5),
+    ("forest", "max_depth"): (True, "3"),
+    ("forest", "min_samples_leaf"): (False, 1.0),
+    ("forest", "criterion"): (False, 0),
+    ("filter", "methods"): (False, "Chi2"),
+    ("filter", "top_k"): (False, 3.0),
+}
+
+
+def bad_config_cases():
+    for (section, key), (nullable, wrong) in CONFIG_KEYS.items():
+        name = key if section is None else f"{section}.{key}"
+        # json writes inf as Infinity: the wrong type, or a non-finite number
+        values = {"wrong_type": wrong, "true": True, "inf": float("inf")}
+        if not nullable:
+            values["null"] = None
+        for label, value in values.items():
+            yield pytest.param(section, key, value, id=f"{name}-{label}")
+
+
+def config_with(section, key, value):
+    doc = {"target": "target", "forest": {"n_trees": 5}}
+    if section is None:
+        doc[key] = value
+    else:
+        doc[section] = {**doc.get(section, {}), key: value}
+    return doc
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("section,key,value", bad_config_cases())
+    def test_bad_value_exits_2_naming_key(self, tmp_path, input_csv, capsys, section, key, value):
+        cfg = write_config(tmp_path, config_with(section, key, value))
+        for command in ("run", "score", "train", "balance"):
+            out = tmp_path / command
+            rc = main([command, "--config", cfg, "--input", input_csv, "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2, err
+            assert (key if section is None else f"{section}.{key}") in err
+            assert not out.exists()
+
+    def test_null_accepted_where_it_means_something(self, tmp_path, input_csv, capsys):
+        def run(name, doc):
+            out = tmp_path / name
+            rc = main(["run", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                       "--input", input_csv, "--out-dir", str(out), "--target", "target"])
+            assert rc == 0, capsys.readouterr().err
+            return json.loads((out / "report.json").read_text())
+
+        base = run("base", config_with(None, "seed", 3))
+        nullable = [sk for sk, (ok, _) in CONFIG_KEYS.items() if ok]
+        assert len(nullable) == 6
+        for section, key in nullable:
+            doc = config_with(section, key, None)
+            doc["seed"] = 3
+            report = run(f"{section}-{key}", doc)
+            if key == "smote":
+                assert report["comparison"]["auc_delta"] == 0.0
+            else:  # null stands for the default, or for the --target flag
+                assert report == base
+
     def test_unknown_key(self, tmp_path, input_csv, capsys):
         cfg = write_config(tmp_path, {"target": "target", "tress": 5})
         rc = main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])
@@ -428,6 +514,14 @@ class TestConfigErrors:
         path.write_text("{not json", encoding="utf-8")
         rc = main(["train", "--config", str(path), "--input", input_csv, "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("roles", [{"ctx99": "technique"}, {"target": "context"}])
+    def test_roles_for_non_features_rejected(self, tmp_path, input_csv, capsys, roles):
+        cfg = write_config(tmp_path, {"target": "target", "roles": roles})
+        rc = main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert repr(next(iter(roles))) in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
     def test_missing_target(self, tmp_path, input_csv, capsys):
         rc = main(["train", "--input", input_csv, "--out-dir", str(tmp_path)])

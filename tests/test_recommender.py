@@ -38,7 +38,6 @@ class TestConfigValidation:
         assert cfg.mode == MODE_SOUND
         assert cfg.test_fraction == 0.2
         assert cfg.smote is not None
-        assert cfg.recommendation_threshold is None
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -49,11 +48,6 @@ class TestConfigValidation:
             config(test_fraction=1.0)
         with pytest.raises(ValueError, match="test_fraction"):
             config(test_fraction=0.0)
-
-    def test_negative_threshold(self):
-        for value in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="threshold"):
-                config(recommendation_threshold=value)
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -204,7 +198,7 @@ class TestFormRecommendations:
             assert scores == sorted(scores, reverse=True)
 
     def test_negative_threshold_rejected(self):
-        for value in (-1.0, float("nan"), float("inf")):
+        for value in (-1.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="threshold"):
                 form_recommendations(
                     interviews_score_table(), Prediction("Interviews", 0.5), threshold=value

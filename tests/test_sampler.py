@@ -36,6 +36,15 @@ class TestNeighbors:
                     for i in range(n_parents):
                         assert got[i].tolist() == brute_neighbors(X, rows, i, k)
 
+    def test_large_codes_stay_exact(self):
+        # products of codes near 2**27 over 3 columns pass 2**53, where a
+        # float64 product would round away the small differences
+        rng = np.random.default_rng(5)
+        X = 2**27 + rng.integers(0, 4, size=(30, 3))
+        got = sampler._neighbors(X, 30, 4)
+        for i in range(30):
+            assert got[i].tolist() == brute_neighbors(X, list(range(30)), i, 4)
+
     def test_needs_two_minority_rows(self):
         d = make_dataset([[0], [1], [1]], [0, 1, 1])
         with pytest.raises(ValueError, match="insufficient minority"):
