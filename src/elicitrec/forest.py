@@ -4,19 +4,24 @@ Splits are threshold tests on ordinal codes: rows with code <= threshold go
 left. A candidate's quality is the child-size-weighted sum of child
 impurities (gini or entropy); the grower picks the candidate minimizing it,
 breaking ties toward the lower feature index, then the lower threshold.
-
 Every internal node also records the entropy-measured quality of its chosen
 split (regardless of the training criterion) so the forest's mean split
 entropy can be compared between imbalanced and balanced training sets.
 
-A tree is a set of parallel node arrays (`NODE_FIELDS`) in preorder. An
-internal node's `left` and `right` children are tree-local indices after its
-own; a leaf has `feature`, `left` and `right` -1. `n0`/`n1` count the
-training rows of each class that reached the node.
+All trees grow together, breadth-first: per level, one `bincount` builds
+the (node, drawn feature, code, class) histogram of the whole frontier, in
+chunks of at most `_CELLS` cells, and one cumulative pass picks every
+node's split. A node draws its features from a splitmix64 hash of its key.
+
+A tree is a set of parallel node arrays (`NODE_FIELDS`) in breadth-first
+order. An internal node's `left` and `right` children are tree-local indices
+after its own; a leaf has `feature`, `left` and `right` -1. `n0`/`n1` count
+the training rows of each class that reached the node.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,29 +33,35 @@ from .data_model import Dataset
 CRITERIA = ("gini", "entropy")
 
 
-def gini(counts: tuple[int, int]) -> float:
-    """Gini impurity 1 - p0^2 - p1^2 of a two-class count pair."""
+def _fractions(counts):
     n0, n1 = counts
     total = n0 + n1
-    if total < 1:
+    if np.any(total < 1):
         raise ValueError("empty counts")
-    p0 = n0 / total
-    p1 = n1 / total
+    return n0 / total, n1 / total
+
+
+def gini(counts):
+    """Gini impurity 1 - p0^2 - p1^2 of a two-class count pair (or arrays)."""
+    p0, p1 = _fractions(counts)
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def entropy(counts: tuple[int, int]) -> float:
-    """Shannon entropy in bits, with 0*log(0) taken as 0."""
-    n0, n1 = counts
-    total = n0 + n1
-    if total < 1:
-        raise ValueError("empty counts")
+def entropy(counts):
+    """Entropy in bits, 0*log(0) taken as 0, of a two-class count pair (or arrays)."""
     h = 0.0
-    for c in (n0, n1):
-        if c > 0:
-            p = c / total
-            h -= p * float(np.log2(p))
+    for p in _fractions(counts):
+        h = h - p * np.log2(p + (p == 0))  # log2(1) = 0 where p = 0
     return h
+
+
+def _quality(left, right, criterion: str):
+    """Child-size-weighted impurity of splits, from the (class 0, class 1)
+    row counts of each side."""
+    impurity = gini if criterion == "gini" else entropy
+    n_left, n_right = left[0] + left[1], right[0] + right[1]
+    m = n_left + n_right
+    return (n_left / m) * impurity(left) + (n_right / m) * impurity(right)
 
 
 @dataclass(frozen=True)
@@ -125,187 +136,180 @@ class RandomForestModel:
         return len(self.offsets) - 1
 
 
-def _concat_trees(trees: list[dict], mtry: int, criterion: str, seed: int) -> RandomForestModel:
-    nodes = {f: np.concatenate([t[f] for t in trees]) for f in NODE_FIELDS}
-    offsets = np.cumsum([0] + [len(t["feature"]) for t in trees])
-    return RandomForestModel(**nodes, offsets=offsets, mtry=mtry, criterion=criterion, seed=seed)
+#: the most key (rows x drawn features) plus histogram cells of one split-search step
+_CELLS = 1 << 16
+_TIE = 1e-12  # qualities this close tie: equal splits can round differently
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's stream increment
 
 
-def _scan_features(
-    Xsub: np.ndarray,
-    y: np.ndarray,
-    features: Sequence[int],
-    criterion: str,
-    min_child: int,
-) -> Optional[SplitCandidate]:
-    """Evaluate all thresholds of all given feature columns at once.
-
-    Xsub holds only the candidate columns, ordered like `features` (which
-    must be ascending so first-minimum selection honours the tie rule).
-    """
-    m = len(y)
-    k = Xsub.shape[1]
-    n1_total = int(y.sum())
-    n0_total = m - n1_total
-    l_max = int(Xsub.max()) + 1
-
-    flat = (np.arange(k) * l_max)[None, :] * 2 + Xsub * 2 + y[:, None]
-    counts = np.bincount(flat.ravel(), minlength=k * l_max * 2).reshape(k, l_max, 2)
-    cum = counts.cumsum(axis=1)
-    cum_tot = cum[:, :, 0] + cum[:, :, 1]
-    present = (counts[:, :, 0] + counts[:, :, 1]) > 0
-
-    # midpoint partner: smallest present code strictly above each code
-    big = l_max + 1
-    masked = np.where(present, np.arange(l_max)[None, :], big)
-    suffix_min = np.minimum.accumulate(masked[:, ::-1], axis=1)[:, ::-1]
-    next_present = np.concatenate([suffix_min[:, 1:], np.full((k, 1), big)], axis=1)
-
-    valid = (
-        present
-        & (next_present < big)
-        & (cum_tot >= min_child)
-        & (m - cum_tot >= min_child)
-    )
-    if not valid.any():
-        return None
-
-    n0_left = cum[:, :, 0].astype(np.float64)
-    n1_left = cum[:, :, 1].astype(np.float64)
-    n_left = cum_tot.astype(np.float64)
-    n_right = m - n_left
-    n0_right = n0_total - n0_left
-    n1_right = n1_total - n1_left
-
-    safe_left = np.where(n_left > 0, n_left, 1.0)
-    safe_right = np.where(n_right > 0, n_right, 1.0)
-    if criterion == "gini":
-        p0l, p1l = n0_left / safe_left, n1_left / safe_left
-        p0r, p1r = n0_right / safe_right, n1_right / safe_right
-        h_left = 1.0 - p0l * p0l - p1l * p1l
-        h_right = 1.0 - p0r * p0r - p1r * p1r
-    else:
-        h_left = _entropy_grid(n0_left, n1_left, safe_left)
-        h_right = _entropy_grid(n0_right, n1_right, safe_right)
-
-    quality = (n_left / m) * h_left + (n_right / m) * h_right
-    quality = np.where(valid, quality, np.inf)
-    best = int(np.argmin(quality))  # first minimum: lowest feature, then code
-    fi, code = divmod(best, l_max)
-    q = float(quality.ravel()[best])
-    if not np.isfinite(q):
-        return None
-    return SplitCandidate(
-        feature_index=int(features[fi]),
-        threshold=(code + int(next_present[fi, code])) / 2.0,
-        n_left=int(cum_tot[fi, code]),
-        n_right=int(m - cum_tot[fi, code]),
-        quality=q,
-    )
+def _stream(keys: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Outputs first .. first + count - 1 of the splitmix64 stream that each
+    uint64 key seeds, one row per key (wrapping uint64 arithmetic)."""
+    z = keys[:, None] + np.arange(first, first + count, dtype=np.uint64) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _entropy_grid(n0: np.ndarray, n1: np.ndarray, safe_total: np.ndarray) -> np.ndarray:
-    h = np.zeros_like(n0)
-    for part in (n0, n1):
-        p = part / safe_total
-        h -= np.where(part > 0, p * np.log2(np.where(part > 0, p, 1.0)), 0.0)
-    return h
+def _draw_features(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
+    """Each node's mtry features, ascending: those whose outputs 1..p of its
+    key's stream rank lowest. Outputs p + 1 and p + 2 key its children."""
+    feats = np.empty((len(keys), mtry), dtype=np.int64)
+    step = max(1, _CELLS // p)
+    for a in range(0, len(keys), step):
+        rank = np.argsort(_stream(keys[a:a + step], 1, p), axis=1, kind="stable")
+        feats[a:a + step] = np.sort(rank[:, :mtry], axis=1)
+    return feats
+
+
+def _best_splits(codes, y, node, width, counts, criterion, min_child):
+    """Every node's best split over its drawn features, from one histogram.
+
+    Row r of `codes` holds a row's codes at the k drawn features (slots,
+    ascending) of its node `node[r]`; slot s of node c has `width[c, s]`
+    (code, class) cells, and `counts[c]` are its rows per class. Returns per
+    node the slot (-1: no threshold leaves `min_child` rows on each side),
+    threshold, rows per class going left, and quality; of the cells within
+    `_TIE` of a node's minimum the first wins."""
+    n_nodes, k = width.shape
+    size = width.ravel()
+    start = np.cumsum(size) - size  # first cell of each (node, slot) block
+    n_cells = int(size.sum())
+    flat = (start.reshape(n_nodes, k)[node] + codes) * 2 + y[:, None]
+    hist = np.bincount(flat.ravel(), minlength=2 * n_cells).reshape(n_cells, 2)
+    block = np.repeat(np.arange(n_nodes * k), size)
+    cum = hist.cumsum(axis=0)
+    left = cum - (cum[start] - hist[start])[block]  # class counts at codes <= the cell's
+    n_left = left.sum(axis=1)
+    present = hist.any(axis=1)
+    # the threshold's upper code: the next present cell, if in the same block
+    nxt = np.minimum.accumulate(np.where(present, np.arange(n_cells), n_cells)[::-1])[::-1]
+    nxt = np.append(nxt[1:], n_cells)
+    m = counts.sum(axis=1)[block // k]
+    ok = present & (nxt < (start + size)[block]) & (n_left >= min_child) & (m - n_left >= min_child)
+    slot, threshold = np.full(n_nodes, -1), np.zeros(n_nodes)
+    left_rows, quality = np.zeros((n_nodes, 2), dtype=np.int64), np.zeros(n_nodes)
+    v = np.flatnonzero(ok)
+    if v.size:
+        b, c = block[v], block[v] // k
+        q = _quality(left[v].T, (counts[c] - left[v]).T, criterion)
+        first = np.flatnonzero(np.diff(c, prepend=-1))  # each node's first valid cell
+        q_min = np.repeat(np.minimum.reduceat(q, first), np.diff(first, append=v.size))
+        best = np.minimum.reduceat(np.where(q <= q_min + _TIE, np.arange(v.size), v.size), first)
+        won, cell, b = c[best], v[best], b[best]
+        slot[won] = b % k
+        threshold[won] = (cell + nxt[cell] - 2 * start[b]) / 2.0
+        left_rows[won] = left[cell]
+        quality[won] = q[best]
+    return slot, threshold, left_rows, quality
 
 
 def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_subset: Sequence[int],
-    criterion: str,
-    min_child: int = 1,
+    X: np.ndarray, y: np.ndarray, feature_subset: Sequence[int], criterion: str, min_child: int = 1
 ) -> Optional[SplitCandidate]:
-    """Best candidate over the subset's features, or None if nothing splits.
-
-    Thresholds sit at midpoints between consecutive distinct codes present
-    in the rows; quality is minimized with ties broken by (feature index,
-    threshold), both ascending.
-    """
+    """Best candidate over the subset's features, or None if nothing splits:
+    the forest's split search on one node. Thresholds sit at midpoints
+    between consecutive distinct codes present in the rows."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if len(y) < 2:
-        return None
     feats = sorted(set(int(f) for f in feature_subset))
-    if not feats:
+    if len(y) < 2 or not feats:
         return None
-    X = np.asarray(X)
-    y = np.asarray(y)
-    return _scan_features(X[:, feats], y, feats, criterion, min_child)
+    codes, y = np.asarray(X, dtype=np.int64)[:, feats], np.asarray(y, dtype=np.int64)
+    (slot,), (threshold,), (left,), (quality,) = _best_splits(
+        codes, y, np.zeros(len(y), dtype=np.int64), codes.max(axis=0, keepdims=True) + 1,
+        np.array([[len(y) - y.sum(), y.sum()]]), criterion, min_child,
+    )
+    if slot < 0:
+        return None
+    n_left = int(left.sum())
+    return SplitCandidate(feats[slot], float(threshold), n_left, len(y) - n_left, float(quality))
 
 
-def grow_tree(
-    X: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    """Grow one tree on the given rows; returns its node arrays.
+def _frontier_splits(X, y, rows, feats, width, counts, params: ForestParams):
+    """`_best_splits` of a frontier whose rows `rows` lists node by node, in
+    chunks of at most `_CELLS` key and histogram cells (or of one node)."""
+    size = counts.sum(axis=1)
+    cost = size * feats.shape[1] + width.sum(axis=1)
+    cum, end = np.cumsum(cost), np.cumsum(size)
+    parts, a = [], 0
+    while a < len(size):
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] - cost[a] + _CELLS, "right")))
+        r = rows[end[a] - size[a]:end[b - 1]]
+        node = np.repeat(np.arange(b - a), size[a:b])
+        parts.append(_best_splits(
+            X[r[:, None], feats[a:b][node]], y[r], node, width[a:b], counts[a:b],
+            params.criterion, params.min_samples_leaf,
+        ))
+        a = b
+    return [np.concatenate(column) for column in zip(*parts)]
 
-    Each node draws a fresh uniform feature subset of size mtry; growth
-    stops at purity, the depth limit, the leaf-size limit, or when no
-    candidate separates the rows. Nodes are grown in preorder (a stack
-    takes the left child before the right), which fixes the order of the
-    draws from `rng`.
+
+def grow_forest(X, y, boots, params: ForestParams) -> RandomForestModel:
+    """Grow one tree per row of `boots`, tree t on the rows `boots[t]` lists
+    (`params.n_trees` is not read): all together, breadth-first.
+
+    Tree t's root key is the first word of SeedSequence([params.seed, t]).
+    A node is a leaf when it is pure, at `max_depth`, smaller than
+    2 * `min_samples_leaf`, or when no candidate separates its rows.
     """
-    X = np.asarray(X, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    p = X.shape[1]
+    X, y, boots = (np.asarray(a, dtype=np.int64) for a in (X, y, boots))
+    n_trees, p = len(boots), X.shape[1]
     mtry = params.resolve_mtry(p)
-    size = 2 * len(y) - 1  # the most nodes a tree with non-empty leaves can have
-    t = {f: np.full(size, -1 if dt is np.int64 else 0.0, dtype=dt) for f, dt in NODE_FIELDS.items()}
-    n_nodes = 0
-    stack = [(np.arange(len(y)), 0, -1)]  # rows, depth, node whose right child it is
-    while stack:
-        idx, depth, right_of = stack.pop()
-        i, n_nodes = n_nodes, n_nodes + 1
-        if right_of >= 0:
-            t["right"][right_of] = i
-        ys = y[idx]
-        n1 = int(ys.sum())
-        t["n0"][i], t["n1"][i] = len(idx) - n1, n1
-        if (
-            n1 == 0
-            or n1 == len(idx)
-            or len(idx) < 2 * params.min_samples_leaf
-            or len(idx) < 2
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
-            continue
-        feats = np.sort(rng.choice(p, size=mtry, replace=False))
-        cand = _scan_features(
-            X[np.ix_(idx, feats)], ys, feats, params.criterion, params.min_samples_leaf
-        )
-        if cand is None:
-            continue
-        left_mask = X[idx, cand.feature_index] <= cand.threshold
-        idx_left, idx_right = idx[left_mask], idx[~left_mask]
-        n1_left = int(y[idx_left].sum())
-        n1_right = n1 - n1_left
-        c_left = (len(idx_left) - n1_left, n1_left)
-        c_right = (len(idx_right) - n1_right, n1_right)
-        t["split_entropy"][i] = (len(idx_left) / len(idx)) * entropy(c_left) + (
-            len(idx_right) / len(idx)
-        ) * entropy(c_right)
-        t["feature"][i], t["threshold"][i], t["left"][i] = cand.feature_index, cand.threshold, i + 1
-        stack += [(idx_right, depth + 1, i), (idx_left, depth + 1, -1)]
-    return {f: a[:n_nodes] for f, a in t.items()}
+    width = X.max(axis=0) + 1  # histogram cells of each feature
+    rows = boots.ravel()  # the rows of every frontier node, node by node
+    tree, local = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
+    seeds = (np.random.SeedSequence([params.seed, t]) for t in range(n_trees))
+    key = np.array([s.generate_state(1, np.uint64)[0] for s in seeds])
+    counts = np.column_stack([(y[boots] == 0).sum(axis=1), y[boots].sum(axis=1)])  # rows per class
+    n_nodes = np.ones(n_trees, dtype=np.int64)  # nodes numbered so far, per tree
+    made = []  # (tree, tree-local index, node fields) of every node, then of its split
+    for depth in itertools.count():
+        made.append((tree, local, dict(n0=counts[:, 0], n1=counts[:, 1])))
+        go = counts.all(axis=1) & (counts.sum(axis=1) >= 2 * params.min_samples_leaf)
+        go &= params.max_depth is None or depth < params.max_depth
+        rows = rows[np.repeat(go, counts.sum(axis=1))]
+        tree, local, key, counts = tree[go], local[go], key[go], counts[go]
+        if not tree.size:
+            break
+        feats = _draw_features(key, p, mtry)
+        slot, threshold, left, _ = _frontier_splits(X, y, rows, feats, width[feats], counts, params)
+        split = slot >= 0
+        sp, t = np.flatnonzero(split), tree[split]
+        first = n_nodes[t] + 2 * (np.arange(sp.size) - np.searchsorted(t, t))  # left child's index
+        n_nodes += 2 * np.bincount(t, minlength=n_trees)
+        right = counts[sp] - left[sp]
+        made.append((t, local[sp], dict(
+            feature=feats[sp, slot[sp]], threshold=threshold[sp], left=first, right=first + 1,
+            split_entropy=_quality(left[sp].T, right.T, "entropy"),
+        )))
+        # the rows of split nodes move to their children, node by node
+        node = np.repeat(np.arange(tree.size), counts.sum(axis=1))
+        child = 2 * np.cumsum(split)[node] + (X[rows, feats[node, slot[node]]] > threshold[node])
+        rows = rows[split[node]][np.argsort(child[split[node]], kind="stable")]
+        tree, local = np.repeat(t, 2), (first[:, None] + np.arange(2)).ravel()
+        key = _stream(key[sp], p + 1, 2).ravel()
+        counts = np.stack([left[sp], right], axis=1).reshape(-1, 2)
+    offsets = np.concatenate([[0], np.cumsum(n_nodes)])
+    nodes = {f: np.full(offsets[-1], -1 if dt is np.int64 else 0.0, dtype=dt)
+             for f, dt in NODE_FIELDS.items()}
+    for t, local, fields in made:
+        for f, values in fields.items():
+            nodes[f][offsets[t] + local] = values
+    return RandomForestModel(**nodes, offsets=offsets, mtry=mtry, criterion=params.criterion,
+                             seed=params.seed)
 
 
 def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
-    """Bag `n_trees` trees, each on a bootstrap sample drawn from a per-tree
-    RNG seeded by (params.seed, tree index), so the model is a pure function
-    of (dataset, params) no matter how training is scheduled."""
+    """Bag `n_trees` trees, tree t grown on the bootstrap sample that
+    `default_rng([params.seed, t])` draws. The model is a pure function of
+    (dataset, params) no matter how training is scheduled: tree t is the
+    same in every forest of more than t trees, whatever the chunking."""
     if len(np.unique(d.y)) < 2:
         raise ValueError("single-class dataset")
     n = d.n_rows
-    mtry = params.resolve_mtry(d.n_features)
-    trees = []
-    for t in range(params.n_trees):
-        tree_rng = np.random.default_rng([params.seed, t])
-        boot = tree_rng.integers(0, n, size=n)
-        trees.append(grow_tree(d.X[boot], d.y[boot], params, tree_rng))
-    return _concat_trees(trees, mtry, params.criterion, params.seed)
+    rngs = (np.random.default_rng([params.seed, t]) for t in range(params.n_trees))
+    return grow_forest(d.X, d.y, np.stack([rng.integers(0, n, size=n) for rng in rngs]), params)
 
 
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
@@ -347,18 +351,10 @@ MODEL_FORMAT_VERSION = 2
 
 
 def model_to_dict(m: RandomForestModel) -> dict:
-    bounds = m.offsets.tolist()
-    trees = [
-        {f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS} for a, b in zip(bounds, bounds[1:])
-    ]
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "n_trees": m.n_trees,
-        "mtry": m.mtry,
-        "criterion": m.criterion,
-        "seed": m.seed,
-        "trees": trees,
-    }
+    cut = m.offsets.tolist()
+    trees = [{f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS} for a, b in zip(cut, cut[1:])]
+    head = {"n_trees": m.n_trees, "mtry": m.mtry, "criterion": m.criterion, "seed": m.seed}
+    return {"format_version": MODEL_FORMAT_VERSION, **head, "trees": trees}
 
 
 def _tree_from_dict(doc, where: str) -> dict[str, np.ndarray]:
@@ -401,4 +397,8 @@ def model_from_dict(doc: dict) -> RandomForestModel:
     if not isinstance(trees, list) or not trees or len(trees) != doc["n_trees"]:
         raise ValueError("model trees must be a list of n_trees (at least 1) trees")
     trees = [_tree_from_dict(t, f"model tree {k}") for k, t in enumerate(trees)]
-    return _concat_trees(trees, doc["mtry"], str(doc["criterion"]), doc["seed"])
+    return RandomForestModel(
+        **{f: np.concatenate([t[f] for t in trees]) for f in NODE_FIELDS},
+        offsets=np.cumsum([0] + [len(t["feature"]) for t in trees]),
+        mtry=doc["mtry"], criterion=str(doc["criterion"]), seed=doc["seed"],
+    )

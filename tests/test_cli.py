@@ -103,6 +103,15 @@ class TestTrainEvaluate:
         assert len(doc["schema"]) == 8
         assert doc["target_levels"] == ["0", "1"]
 
+    def test_train_seed_above_64_bits(self, tmp_path, input_csv):
+        seed = 2**70
+        rc = main([
+            "train", "--config", fast_config(tmp_path), "--input", input_csv,
+            "--out-dir", str(tmp_path), "--seed", str(seed),
+        ])
+        assert rc == 0
+        assert json.loads((tmp_path / "model.json").read_text())["seed"] == seed
+
     def test_evaluate_round_trip(self, tmp_path, input_csv):
         cfg = fast_config(tmp_path)
         main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])

@@ -258,3 +258,32 @@ class TestCsv:
         assert lines[1].endswith("true")  # (0,0) anchor is always on the hull
         flags = [ln.split(",")[3] for ln in lines[1:]]
         assert flags.count("true") == len(a.hull)
+
+
+class TestScipyOracles:
+    def test_paired_t_test_matches_ttest_rel(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            n = int(rng.integers(2, 30))
+            a = rng.random(n)
+            b = a + rng.normal(rng.normal(0.0, 0.1), 0.2, size=n)
+            ours, ref = paired_t_test(a, b), stats.ttest_rel(a, b)
+            assert ours.df == n - 1
+            assert ours.t == pytest.approx(ref.statistic, rel=1e-9)
+            assert ours.p_two_tailed == pytest.approx(ref.pvalue, rel=1e-7, abs=1e-12)
+
+    def test_auc_matches_mannwhitneyu(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(42)
+        checked = 0
+        while checked < 200:
+            n = int(rng.integers(2, 60))
+            y = rng.integers(0, 2, n)
+            if y.min() == y.max():
+                continue
+            scores = np.round(rng.random(n), 1)  # coarse grid forces ties
+            pos, neg = scores[y == 1], scores[y == 0]
+            u = stats.mannwhitneyu(pos, neg).statistic  # U of the positives, ties count 1/2
+            assert auc(roc_curve(scores, y)) == pytest.approx(u / (pos.size * neg.size), abs=1e-12)
+            checked += 1
