@@ -244,22 +244,34 @@ def load_csv(
     )
 
 
-def csv_text(d: Dataset, include_provenance: bool = False) -> str:
-    """The dataset as CSV text: features in schema order, target last,
-    then the provenance column when requested."""
-    header = list(d.feature_names) + [d.target_name]
-    if include_provenance:
-        header.append(PROVENANCE_COLUMN)
+def _csv_fields(values: Sequence[str]) -> list[str]:
+    """Each value as `csv.writer` renders it inside a row of several fields
+    (a row's lone empty field is quoted, an inner one is not)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(d.n_rows):
-        row = d.decode_row(i)
-        row.append(d.target_levels[int(d.y[i])])
-        if include_provenance:
-            row.append("1" if d.synthetic[i] else "0")
-        writer.writerow(row)
-    return buf.getvalue()
+    out = []
+    for v in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([v, ""])
+        out.append(buf.getvalue()[:-2])  # drop the "," and "\n" of the empty field
+    return out
+
+
+def csv_text(d: Dataset, include_provenance: bool = False) -> str:
+    """The dataset as CSV text: features in schema order, target last,
+    then the provenance column when requested. Each level is rendered
+    once and indexed by the codes, column by column."""
+    header = list(d.feature_names) + [d.target_name]
+    columns = [(f.levels, d.X[:, j]) for j, f in enumerate(d.schema)]
+    columns.append((d.target_levels, d.y))
+    if include_provenance:
+        header.append(PROVENANCE_COLUMN)
+        columns.append((("0", "1"), d.synthetic.astype(np.int64)))
+    cells = [np.array(_csv_fields(levels), dtype=object)[codes].tolist() for levels, codes in columns]
+    lines = [",".join(_csv_fields(header))]
+    lines.extend(",".join(row) for row in zip(*cells))
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(d: Dataset, path: str | Path, include_provenance: bool = False) -> None:

@@ -18,10 +18,14 @@ import numpy as np
 
 from .data_model import Dataset, minority_label
 
-#: parent rows per block of the neighbour search; each block holds a few
-#: (rows x minority count) temporaries, and at 256 rows they raised the
-#: peak memory of balancing 6k rows (2k minority) by 12 MB
+#: parent rows per block of the neighbour search; one block holds a
+#: (rows x minority count) key matrix and its partitioned copy. On 2000
+#: minority rows, blocks of 32 and 64 rows ran alike and 128 about 20 %
+#: slower
 _BLOCK_ROWS = 32
+
+#: float64 holds every integer of smaller magnitude exactly
+_F64_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -43,30 +47,33 @@ def _neighbors(Xm: np.ndarray, n_parents: int, k: int) -> np.ndarray:
     """Positions in Xm of the k nearest rows to each of its first n_parents
     rows, nearest first (requires k < len(Xm)).
 
-    Distance is Euclidean over ordinal codes; squared distances stay
-    integral, so ties are exact and break toward the lower position. A row
-    is never its own neighbour. The row products run in float64, where
-    numpy has BLAS, while every partial sum of a product stays an integer
-    below 2**53 and so exact; larger codes stay in int64.
+    Distance is Euclidean over ordinal codes, and ties break toward the
+    lower position. A row is never its own neighbour. One product per
+    block of parent rows gives every candidate j of row i the key
+
+        m * (|x_j|**2 - 2 x_i.x_j) + j,   m = len(Xm)
+
+    which is m * (squared distance - |x_i|**2) + j: keys order a row's
+    candidates by squared distance, then by position, and no two are
+    equal. The product runs in float64 (BLAS) when every term and partial
+    sum is an integer below 2**53, and so exact in any order of
+    summation; otherwise in Python integers.
     """
-    sq = np.einsum("ij,ij->i", Xm, Xm)
-    exact = Xm.shape[1] * int(Xm.max()) ** 2 < 2**53
-    Xp = Xm.astype(np.float64) if exact else Xm
+    m, p = Xm.shape
+    X = Xm - Xm.min(axis=0)  # a shift keeps every distance
+    span = int(X.max())
+    # |partial sum| <= p * 2m span**2 (products) + m p span**2 + m - 1 (last column)
+    dtype = np.float64 if m * (3 * p * span**2 + 1) < _F64_EXACT else object
+    X = X.astype(dtype)
+    rows = np.hstack([X[:n_parents], np.ones((n_parents, 1), dtype)])
+    cols = np.vstack([-2 * m * X.T, m * (X * X).sum(axis=1) + np.arange(m).astype(dtype)])
     out = np.empty((n_parents, k), dtype=np.int64)
     for lo in range(0, n_parents, _BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + _BLOCK_ROWS, n_parents))
-        dot = (Xp[rows] @ Xp.T).astype(np.int64, copy=False)
-        d2 = sq[rows, None] - 2 * dot + sq
-        d2[np.arange(len(rows)), rows] = np.iinfo(np.int64).max
-        # the k-th smallest distance; rows tied at it are taken lowest first
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-        closer = d2 < kth
-        tied = d2 == kth
-        room = k - closer.sum(axis=1, keepdims=True)
-        take = closer | (tied & (np.cumsum(tied, axis=1) <= room))
-        idx = np.nonzero(take)[1].reshape(len(rows), k)  # ascending position
-        order = np.argsort(np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable")
-        out[rows] = np.take_along_axis(idx, order, axis=1)
+        hi = min(lo + _BLOCK_ROWS, n_parents)
+        key = rows[lo:hi] @ cols
+        key[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never its own neighbour
+        near = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
+        out[lo:hi] = near % m
     return out
 
 

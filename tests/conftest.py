@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no per-example time limit on a
+    # loaded machine
+    settings.register_profile("elicitrec", derandomize=True, deadline=None, database=None)
+    settings.load_profile("elicitrec")
+
 from elicitrec.data_model import (
     Dataset,
     FeatureSchema,

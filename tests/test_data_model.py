@@ -1,3 +1,7 @@
+import csv
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from elicitrec.data_model import (
     select_features,
     split_train_test,
     summarize,
+    csv_text,
     write_csv,
 )
 
@@ -136,6 +141,41 @@ class TestWriteCsv:
         d2 = load_csv(out, "target")
         assert d2.synthetic.tolist() == [False, False, False]
         assert d2.X.tolist() == d.X.tolist()
+
+    def test_levels_that_need_quoting(self, tmp_path):
+        # a comma, a double quote, a newline, a leading space and the empty
+        # level; the bytes must equal a per-row csv.writer's
+        levels = ("a,b", 'say "hi"', "two\nlines", " lead", "plain", "")
+        d = Dataset(
+            schema=(
+                FeatureSchema("x,1", ROLE_CONTEXT, levels),
+                FeatureSchema("x2", ROLE_TECHNIQUE, ("", 'q"')),
+            ),
+            target_name='t"',
+            X=[[0, 0], [1, 1], [2, 0], [3, 1], [4, 0], [5, 1], [5, 0]],
+            y=[0, 1, 0, 1, 1, 0, 1],
+            synthetic=[False, True, False, False, True, False, True],
+            target_levels=("no,pe", ""),
+        )
+        for provenance in (False, True):
+            header = ["x,1", "x2", 't"'] + [PROVENANCE_COLUMN] * provenance
+            rows = [
+                d.decode_row(i) + [d.target_levels[d.y[i]]] + [str(int(d.synthetic[i]))] * provenance
+                for i in range(d.n_rows)
+            ]
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+            text = csv_text(d, include_provenance=provenance)
+            assert text == buf.getvalue()
+            assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
+        # load_csv rejects empty cells; every other level loads back as written
+        d = make_dataset([[0], [1], [2], [3], [4]], [0, 1, 0, 1, 1], names=["x,1"])
+        d = replace(d, schema=(FeatureSchema("x,1", ROLE_CONTEXT, levels[:5]),))
+        out = tmp_path / "quoted.csv"
+        write_csv(d, out)
+        back = load_csv(out, "target")
+        assert back.schema == d.schema
+        assert back.X.tolist() == d.X.tolist()
 
 
 class TestDatasetValidation:

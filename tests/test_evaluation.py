@@ -19,6 +19,7 @@ from elicitrec.evaluation import (
     roc_curve,
     student_t_p_two_tailed,
 )
+from elicitrec.feature_scoring import chi2_score, mutual_info_score
 
 
 def mann_whitney_auc(scores, y):
@@ -287,3 +288,37 @@ class TestScipyOracles:
             u = stats.mannwhitneyu(pos, neg).statistic  # U of the positives, ties count 1/2
             assert auc(roc_curve(scores, y)) == pytest.approx(u / (pos.size * neg.size), abs=1e-12)
             checked += 1
+
+    @staticmethod
+    def _code_class_samples(rng, count):
+        """Random (codes, labels) pairs with both classes present; small
+        level counts and skewed classes leave some cells empty."""
+        while count:
+            n = int(rng.integers(2, 80))
+            x = rng.integers(0, int(rng.integers(1, 6)), n)
+            y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+            if y.min() == y.max():
+                continue
+            yield x, y
+            count -= 1
+
+    def test_chi2_matches_chi2_contingency(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(43)
+        for x, y in self._code_class_samples(rng, 200):
+            codes = np.unique(x)
+            table = np.array([[np.sum((x == c) & (y == k)) for k in (0, 1)] for c in codes])
+            if len(codes) == 1:  # one code: no dependence, and scipy needs two rows
+                assert chi2_score(x, y) == 0.0
+                continue
+            ref = stats.chi2_contingency(table, correction=False).statistic
+            assert chi2_score(x, y) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+    def test_mutual_info_matches_entropies(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(44)
+        for x, y in self._code_class_samples(rng, 200):
+            joint = np.array([[np.sum((x == c) & (y == k)) for k in (0, 1)] for c in np.unique(x)])
+            # I(X; Y) = H(X) + H(Y) - H(X, Y), in nats
+            ref = stats.entropy(joint.sum(axis=1)) + stats.entropy(joint.sum(axis=0)) - stats.entropy(joint.ravel())
+            assert mutual_info_score(x, y) == pytest.approx(max(ref, 0.0), rel=1e-9, abs=1e-12)

@@ -45,6 +45,18 @@ class TestNeighbors:
         for i in range(30):
             assert got[i].tolist() == brute_neighbors(X, list(range(30)), i, 4)
 
+    def test_span_beyond_float64_stays_exact(self, monkeypatch):
+        # one column holds both 0 and 2**27, so no shift brings the keys
+        # under 2**53 and the products run in Python integers; float64
+        # would round away both the small distances and the row positions
+        rng = np.random.default_rng(6)
+        X = np.column_stack([2**27 * rng.integers(0, 2, 30), rng.integers(0, 4, size=(30, 2))])
+        rows = list(range(30))
+        expected = [brute_neighbors(X, rows, i, 4) for i in rows]
+        assert sampler._neighbors(X, 30, 4).tolist() == expected
+        monkeypatch.setattr(sampler, "_F64_EXACT", 2**200)  # force float64
+        assert sampler._neighbors(X, 30, 4).tolist() != expected
+
     def test_needs_two_minority_rows(self):
         d = make_dataset([[0], [1], [1]], [0, 1, 1])
         with pytest.raises(ValueError, match="insufficient minority"):
