@@ -244,17 +244,18 @@ _PLOT_SIZE = 600
 
 
 def render_hulls_svg(
-    hull_imbalanced, hull_balanced, size: int = _PLOT_SIZE
+    hull_imbalanced: np.ndarray, hull_balanced: np.ndarray, size: int = _PLOT_SIZE
 ) -> str:
-    """Both hulls as polylines in a square viewport.
+    """Both hulls (rows fpr, tpr, ...) as polylines in a square viewport.
 
     A point maps to (fpr * size, (1 - tpr) * size) so (0,0) sits bottom
     left and the perfect corner (fpr 0, tpr 1) top left.
     """
     w = h = size
 
-    def poly(hull) -> str:
-        return " ".join(f"{p.fpr * w!r},{(1 - p.tpr) * h!r}" for p in hull)
+    def poly(hull: np.ndarray) -> str:
+        xs, ys = (hull[:, 0] * w).tolist(), ((1 - hull[:, 1]) * h).tolist()
+        return " ".join(f"{x!r},{y!r}" for x, y in zip(xs, ys))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-80 -30 {w + 170} {h + 110}"'

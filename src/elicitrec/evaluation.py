@@ -1,11 +1,13 @@
 """Classifier evaluation: confusion metrics, ROC analysis, and paired t-tests.
 
-The ROC curve places one point per distinct score threshold in descending
-order plus a (0,0) anchor; tied scores collapse into a single step so the
-trapezoidal area equals the Mann-Whitney rank statistic with ties counted
-as one half. The upper convex hull of the curve gives AUCH, and two hulls
-can be compared for dominance (one curve at least as high everywhere and
-strictly higher somewhere).
+A ROC curve is one (n, 3) float array of rows (fpr, tpr, threshold): a
+(0, 0, inf) anchor, then one row per distinct score threshold in
+descending order, so the rows ascend in (fpr, tpr) and end at (1, 1).
+Tied scores collapse into a single step, so the trapezoidal area equals
+the Mann-Whitney rank statistic with ties counted as one half. A boolean
+mask over the rows marks the curve's upper convex hull, whose area is
+AUCH, and two hulls can be compared for dominance (one curve at least as
+high everywhere and strictly higher somewhere).
 """
 
 from __future__ import annotations
@@ -17,34 +19,29 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    fpr: float
-    tpr: float
-    threshold: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.fpr <= 1.0 and 0.0 <= self.tpr <= 1.0):
-            raise ValueError("fpr and tpr must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocAnalysis:
-    points: tuple[RocPoint, ...]
-    hull: tuple[RocPoint, ...]
+    """A curve from `roc_curve`, its hull mask and both areas."""
+
+    curve: np.ndarray
+    on_hull: np.ndarray
     auc: float
     auch: float
 
     def __post_init__(self):
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.fpr < prev.fpr or (cur.fpr == prev.fpr and cur.tpr < prev.tpr):
-                raise ValueError("points must be sorted by (fpr, tpr)")
-        if self.hull:
-            first, last = self.hull[0], self.hull[-1]
-            if (first.fpr, first.tpr) != (0.0, 0.0) or (last.fpr, last.tpr) != (1.0, 1.0):
-                raise ValueError("hull must run from (0,0) to (1,1)")
+        rates = self.curve[:, :2]
+        dx, dy = np.diff(rates, axis=0).T
+        if not np.all((rates >= 0) & (rates <= 1)) or np.any((dx < 0) | ((dx == 0) & (dy < 0))):
+            raise ValueError("curve rates must lie in [0, 1], sorted by (fpr, tpr)")
+        ends = self.hull[[0, -1], :2].tolist() if self.on_hull.any() else None
+        if ends != [[0.0, 0.0], [1.0, 1.0]]:
+            raise ValueError("hull must run from (0,0) to (1,1)")
         if self.auch < self.auc - 1e-9:
             raise ValueError("area under the hull cannot fall below the curve's")
+
+    @property
+    def hull(self) -> np.ndarray:
+        return self.curve[self.on_hull]
 
 
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> tuple[int, int, int, int]:
@@ -90,10 +87,11 @@ def recall(conf: tuple[int, int, int, int]) -> Optional[float]:
     return tp / (tp + fn)
 
 
-def roc_curve(scores: Sequence[float], y_true: Sequence[int]) -> list[RocPoint]:
-    """One point per distinct descending score threshold, plus a (0,0) anchor.
+def roc_curve(scores: Sequence[float], y_true: Sequence[int]) -> np.ndarray:
+    """Rows (fpr, tpr, threshold): the (0, 0, inf) anchor, then one row per
+    distinct descending score threshold.
 
-    A point's rates count rows with score >= threshold as predicted
+    A row's rates count rows with score >= threshold as predicted
     positive, so tied scores form a single step.
     """
     s = np.asarray(scores, dtype=np.float64)
@@ -109,73 +107,60 @@ def roc_curve(scores: Sequence[float], y_true: Sequence[int]) -> list[RocPoint]:
     y_desc = y[order]
     tps = np.cumsum(y_desc == 1)
     fps = np.cumsum(y_desc == 0)
-    last_of_block = np.r_[s_desc[1:] != s_desc[:-1], True]
-    points = [RocPoint(0.0, 0.0, math.inf)]
-    for i in np.flatnonzero(last_of_block):
-        points.append(RocPoint(fps[i] / n_neg, tps[i] / n_pos, float(s_desc[i])))
-    return points
+    ends = np.flatnonzero(np.r_[s_desc[1:] != s_desc[:-1], True])
+    rows = np.column_stack((fps[ends] / n_neg, tps[ends] / n_pos, s_desc[ends]))
+    return np.vstack(([0.0, 0.0, math.inf], rows))
 
 
-def auc(points: Sequence[RocPoint]) -> float:
-    """Trapezoidal area under a curve sorted by ascending fpr."""
-    if len(points) < 2:
+def auc(curve: np.ndarray) -> float:
+    """Trapezoidal area under rows (fpr, tpr, ...) sorted by ascending fpr."""
+    if len(curve) < 2:
         raise ValueError("need at least two points")
-    area = 0.0
-    for a, b in zip(points, points[1:]):
-        area += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2.0
-    return area
+    terms = np.diff(curve[:, 0]) * (curve[:-1, 1] + curve[1:, 1]) / 2.0
+    # summed left to right: np.sum's pairwise order would change the last bits
+    return float(np.cumsum(terms)[-1])
 
 
-def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def roc_convex_hull(points: Sequence[RocPoint]) -> tuple[list[RocPoint], float]:
-    """Upper convex hull (monotone chain) and its trapezoidal area.
-
-    The anchors (0,0) and (1,1) are added if absent so the hull always
-    spans the unit square's diagonal corners.
-    """
-    threshold_of: dict[tuple[float, float], float] = {}
-    for p in points:
-        threshold_of.setdefault((p.fpr, p.tpr), p.threshold)
-    threshold_of.setdefault((0.0, 0.0), math.inf)
-    threshold_of.setdefault((1.0, 1.0), -math.inf)
-    coords = sorted(threshold_of.keys())
-    stack: list[tuple[float, float]] = []
-    for c in coords:
-        while len(stack) >= 2 and _cross(stack[-2], stack[-1], c) >= 0:
+def roc_convex_hull(curve: np.ndarray) -> np.ndarray:
+    """Mask of the rows on the upper convex hull (monotone chain) of a
+    `roc_curve` curve; collinear rows are left off."""
+    pts = curve[:, :2].tolist()
+    stack: list[int] = []
+    for i, (x, y) in enumerate(pts):
+        while len(stack) >= 2:
+            (ox, oy), (ax, ay) = pts[stack[-2]], pts[stack[-1]]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) < 0:
+                break
             stack.pop()
-        stack.append(c)
-    hull = [RocPoint(x, y, threshold_of[(x, y)]) for x, y in stack]
-    return hull, auc(hull)
+        stack.append(i)
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[stack] = True
+    return mask
 
 
 def analyze_scores(scores: Sequence[float], y_true: Sequence[int]) -> RocAnalysis:
-    points = roc_curve(scores, y_true)
-    hull, auch = roc_convex_hull(points)
-    return RocAnalysis(points=tuple(points), hull=tuple(hull), auc=auc(points), auch=auch)
+    curve = roc_curve(scores, y_true)
+    on_hull = roc_convex_hull(curve)
+    return RocAnalysis(curve=curve, on_hull=on_hull, auc=auc(curve), auch=auc(curve[on_hull]))
 
 
-def _hull_heights(hull: Sequence[RocPoint], xs: np.ndarray) -> np.ndarray:
-    # keep the max tpr per distinct fpr so vertical segments read as their top
-    best: dict[float, float] = {}
-    for p in hull:
-        best[p.fpr] = max(best.get(p.fpr, 0.0), p.tpr)
-    hx = sorted(best)
-    hy = [best[x] for x in hx]
-    return np.interp(xs, hx, hy)
+def _hull_heights(hull: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # rows ascend in (fpr, tpr), so the last row of each fpr is the top of
+    # a vertical segment
+    fpr, tpr = hull[np.append(hull[1:, 0] != hull[:-1, 0], True), :2].T
+    return np.interp(xs, fpr, tpr)
 
 
-def dominates(hull_a: Sequence[RocPoint], hull_b: Sequence[RocPoint]) -> str:
+def dominates(hull_a: np.ndarray, hull_b: np.ndarray) -> str:
     """'A' if hull_a is at least as high everywhere and strictly higher
-    somewhere, 'B' for the symmetric case, else 'neither'."""
-    xs = np.asarray(sorted({p.fpr for p in hull_a} | {p.fpr for p in hull_b}))
+    somewhere, 'B' for the symmetric case, else 'neither'. Each hull is
+    rows (fpr, tpr, ...) in ascending (fpr, tpr) order."""
+    xs = np.concatenate((hull_a[:, 0], hull_b[:, 0]))
     ha = _hull_heights(hull_a, xs)
     hb = _hull_heights(hull_b, xs)
     eps = 1e-12
-    a_above = bool(np.any(ha > hb + eps))
-    b_above = bool(np.any(hb > ha + eps))
+    a_above = bool((ha > hb + eps).any())
+    b_above = bool((hb > ha + eps).any())
     if a_above and not b_above:
         return "A"
     if b_above and not a_above:
@@ -298,10 +283,6 @@ class ArmMetrics:
     n_test: int
 
     @property
-    def auc(self) -> float:
-        return self.roc.auc
-
-    @property
     def auch(self) -> float:
         return self.roc.auch
 
@@ -345,7 +326,7 @@ def _arm_to_dict(m: ArmMetrics) -> dict:
         "mean_split_entropy": m.mean_split_entropy,
         "n_train": m.n_train,
         "n_test": m.n_test,
-        "hull": [[p.fpr, p.tpr] for p in m.roc.hull],
+        "hull": m.roc.hull[:, :2].tolist(),
     }
 
 
@@ -377,9 +358,7 @@ def _round_pct(value: Optional[float]) -> Optional[dict]:
 
 def roc_analysis_to_csv(analysis: RocAnalysis) -> str:
     """CSV text with one row per curve point: fpr,tpr,threshold,on_hull."""
-    on_hull = {(p.fpr, p.tpr) for p in analysis.hull}
     lines = ["fpr,tpr,threshold,on_hull"]
-    for p in analysis.points:
-        flag = "true" if (p.fpr, p.tpr) in on_hull else "false"
-        lines.append(f"{p.fpr!r},{p.tpr!r},{p.threshold!r},{flag}")
+    for (fpr, tpr, threshold), flag in zip(analysis.curve.tolist(), analysis.on_hull.tolist()):
+        lines.append(f"{fpr!r},{tpr!r},{threshold!r},{'true' if flag else 'false'}")
     return "\n".join(lines) + "\n"

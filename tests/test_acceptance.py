@@ -243,11 +243,10 @@ def test_criterion_09_hull_properties():
             continue
         analysis = analyze_scores(np.round(rng.random(n), 1), y)
         assert analysis.auch >= analysis.auc - 1e-12
-        slopes = []
-        for q, r in zip(analysis.hull, analysis.hull[1:]):
-            dx = r.fpr - q.fpr
-            slopes.append(math.inf if dx == 0 else (r.tpr - q.tpr) / dx)
-        assert all(a >= b - 1e-9 for a, b in zip(slopes, slopes[1:]))
+        dx, dy = np.diff(analysis.hull[:, 0]), np.diff(analysis.hull[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = np.where(dx == 0, math.inf, dy / dx)
+        assert np.all(slopes[:-1] >= slopes[1:] - 1e-9)
         assert dominates(analysis.hull, analysis.hull) == "neither"
         checked += 1
     assert time.perf_counter() - start < 1.0

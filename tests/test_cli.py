@@ -3,7 +3,9 @@ import json
 import os
 import stat
 from operator import setitem
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from elicitrec import forest
@@ -14,7 +16,6 @@ from elicitrec.data_model import (
     generate_synthetic,
     write_csv,
 )
-from elicitrec.evaluation import RocPoint
 
 
 @pytest.fixture(scope="module")
@@ -396,19 +397,21 @@ class TestRecommend:
         assert "threshold" in capsys.readouterr().err
 
     def test_unknown_level_names_feature(self, trained, capsys):
-        row = json.loads(open(trained["row"]).read())
+        row_path = Path(trained["row"])
+        row = json.loads(row_path.read_text(encoding="utf-8"))
         bad_feature = sorted(row)[0]
         row[bad_feature] = "never-seen"
-        open(trained["row"], "w").write(json.dumps(row))
+        row_path.write_text(json.dumps(row), encoding="utf-8")
         rc = main(self.base_args(trained) + ["--threshold", "0.1"])
         assert rc == 2
         assert bad_feature in capsys.readouterr().err
 
     def test_missing_feature_rejected(self, trained, capsys):
-        row = json.loads(open(trained["row"]).read())
+        row_path = Path(trained["row"])
+        row = json.loads(row_path.read_text(encoding="utf-8"))
         removed = sorted(row)[0]
         del row[removed]
-        open(trained["row"], "w").write(json.dumps(row))
+        row_path.write_text(json.dumps(row), encoding="utf-8")
         rc = main(self.base_args(trained) + ["--threshold", "0.1"])
         assert rc == 2
         assert removed in capsys.readouterr().err
@@ -552,9 +555,54 @@ class TestConfigErrors:
 
 class TestSvgRendering:
     def test_polyline_coordinates(self):
-        hull = [RocPoint(0.0, 0.0, 1.0), RocPoint(0.25, 0.75, 0.5), RocPoint(1.0, 1.0, 0.0)]
+        hull = np.array([[0.0, 0.0, 1.0], [0.25, 0.75, 0.5], [1.0, 1.0, 0.0]])
         svg = render_hulls_svg(hull, hull)
         # fpr 0.25 -> x 150, tpr 0.75 -> y 150 in the 600 square
         assert "150.0,150.0" in svg
         assert svg.count("0.0,600.0 150.0,150.0 600.0,0.0") == 2
         assert "false positive rate" in svg and "true positive rate" in svg
+
+
+class TestArtifactText:
+    """Artifacts hold plain float text, whatever numpy's scalar repr is."""
+
+    def test_roc_cells_and_polyline_coordinates_are_floats(self, tmp_path, input_csv):
+        out = tmp_path / "run"
+        assert main(["run", "--config", fast_config(tmp_path), "--input", input_csv, "--out-dir", str(out)]) == 0
+        for name in ("roc_imbalanced.csv", "roc_balanced.csv"):
+            rows = read_rows(out / name)
+            assert len(rows) > 2
+            for row in rows[1:]:
+                for cell in row[:3]:
+                    float(cell)
+                assert row[3] in ("true", "false")
+        svg = (out / "roc_hulls.svg").read_text()
+        for arm in ("imbalanced", "balanced"):
+            poly = svg.split(f'id="hull-{arm}"')[1].split('points="')[1].split('"')[0]
+            for point in poly.split():
+                x, y = point.split(",")
+                assert 0.0 <= float(x) <= 600.0 and 0.0 <= float(y) <= 600.0
+
+    def test_no_numpy_repr_in_any_artifact(self, tmp_path, input_csv):
+        cfg = fast_config(tmp_path, filter={"top_k": 4})
+        out = tmp_path / "out"
+        common = ["--config", cfg, "--input", input_csv, "--out-dir", str(out)]
+        for command in ("run", "score", "train", "balance"):
+            assert main([command, *common]) == 0
+        assert main([
+            "evaluate", "--config", cfg, "--input", input_csv,
+            "--model", str(out / "model.json"), "--out-dir", str(out),
+        ]) == 0
+        header, first = read_rows(input_csv)[:2]
+        row_path = tmp_path / "row.json"
+        row_path.write_text(json.dumps(dict(zip(header[:-1], first[:-1]))), encoding="utf-8")
+        assert main([
+            "recommend", "--model", str(out / "model.json"), "--scores", str(out / "scores_MutualInfo.csv"),
+            "--row", str(row_path), "--threshold", "0.01", "--out-dir", str(out),
+        ]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        for expected in ("report.json", "roc_balanced.csv", "roc_hulls.svg", "scores_Chi2.csv", "best_method.txt",
+                         "model.json", "balanced.csv", "evaluation.json", "recommendations.json"):
+            assert expected in names
+        for path in out.iterdir():
+            assert "np." not in path.read_text(encoding="utf-8"), path.name

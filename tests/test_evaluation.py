@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elicitrec.evaluation import (
-    RocPoint,
+    RocAnalysis,
     accuracy,
     analyze_scores,
     auc,
@@ -86,23 +86,23 @@ class TestRates:
 
 class TestRocCurve:
     def test_perfect_ranker(self):
-        pts = roc_curve([0.9, 0.1], [1, 0])
-        assert [(p.fpr, p.tpr) for p in pts] == [(0, 0), (0, 1), (1, 1)]
-        assert auc(pts) == 1.0
+        curve = roc_curve([0.9, 0.1], [1, 0])
+        assert curve.tolist() == [[0.0, 0.0, math.inf], [0.0, 1.0, 0.9], [1.0, 1.0, 0.1]]
+        assert auc(curve) == 1.0
 
     def test_all_tied(self):
-        pts = roc_curve([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-        assert [(p.fpr, p.tpr) for p in pts] == [(0, 0), (1, 1)]
-        assert auc(pts) == 0.5
+        curve = roc_curve([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
+        assert curve[:, :2].tolist() == [[0, 0], [1, 1]]
+        assert auc(curve) == 0.5
 
     def test_five_points(self):
-        pts = roc_curve([0.8, 0.6, 0.4, 0.2], [1, 0, 1, 0])
-        assert len(pts) == 5
-        assert auc(pts) == 0.75
+        curve = roc_curve([0.8, 0.6, 0.4, 0.2], [1, 0, 1, 0])
+        assert curve.shape == (5, 3)
+        assert auc(curve) == 0.75
 
     def test_pair_ordering_auc(self):
-        pts = roc_curve([0.8, 0.4, 0.6, 0.2], [1, 1, 0, 0])
-        assert auc(pts) == 0.75
+        curve = roc_curve([0.8, 0.4, 0.6, 0.2], [1, 1, 0, 0])
+        assert auc(curve) == 0.75
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class"):
@@ -116,9 +116,9 @@ class TestRocCurve:
             if y.min() == y.max():
                 continue
             s = np.round(rng.random(n), 1)  # coarse grid forces ties
-            base = [(p.fpr, p.tpr) for p in roc_curve(s, y)]
-            warped = [(p.fpr, p.tpr) for p in roc_curve(np.exp(3 * s), y)]
-            assert base == warped
+            base = roc_curve(s, y)[:, :2]
+            warped = roc_curve(np.exp(3 * s), y)[:, :2]
+            assert np.array_equal(base, warped)
 
     def test_matches_rank_statistic(self):
         rng = np.random.default_rng(12)
@@ -132,39 +132,42 @@ class TestRocCurve:
                 mann_whitney_auc(s, y), abs=1e-9
             )
 
+    def test_auc_sums_left_to_right(self):
+        # the loop order of the trapezoid sum fixes the bits of report.json
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(4, 300))
+            y = rng.integers(0, 2, n)
+            if y.min() == y.max():
+                continue
+            curve = roc_curve(rng.random(n), y)
+            area = 0.0
+            for (x0, y0), (x1, y1) in zip(curve[:-1, :2].tolist(), curve[1:, :2].tolist()):
+                area += (x1 - x0) * (y0 + y1) / 2.0
+            assert auc(curve) == area
+
 
 class TestHull:
     def test_strictly_concave_is_fixed_point(self):
-        pts = [
-            RocPoint(0.0, 0.0, math.inf),
-            RocPoint(0.2, 0.6, 0.8),
-            RocPoint(0.5, 0.9, 0.5),
-            RocPoint(1.0, 1.0, 0.1),
-        ]
-        hull, auch = roc_convex_hull(pts)
-        assert [(p.fpr, p.tpr) for p in hull] == [(p.fpr, p.tpr) for p in pts]
-        assert auch == auc(pts)
+        curve = np.array([[0.0, 0.0, math.inf], [0.2, 0.6, 0.8], [0.5, 0.9, 0.5], [1.0, 1.0, 0.1]])
+        on_hull = roc_convex_hull(curve)
+        assert on_hull.tolist() == [True] * 4
+        assert auc(curve[on_hull]) == auc(curve)
 
     def test_dented_point_removed(self):
-        pts = [
-            RocPoint(0.0, 0.0, math.inf),
-            RocPoint(0.2, 0.4, 0.9),
-            RocPoint(0.4, 0.3, 0.5),
-            RocPoint(1.0, 1.0, 0.1),
-        ]
-        hull, auch = roc_convex_hull(pts)
-        assert [(p.fpr, p.tpr) for p in hull] == [(0.0, 0.0), (0.2, 0.4), (1.0, 1.0)]
-        assert auch > auc(pts)
+        curve = np.array([[0.0, 0.0, math.inf], [0.2, 0.4, 0.9], [0.4, 0.3, 0.5], [1.0, 1.0, 0.1]])
+        on_hull = roc_convex_hull(curve)
+        assert curve[on_hull, :2].tolist() == [[0.0, 0.0], [0.2, 0.4], [1.0, 1.0]]
+        assert auc(curve[on_hull]) > auc(curve)
+
+    def test_collinear_point_left_off(self):
+        curve = np.array([[0.0, 0.0, math.inf], [0.5, 0.5, 0.5], [1.0, 1.0, 0.1]])
+        assert roc_convex_hull(curve).tolist() == [True, False, True]
 
     def test_perfect_curve(self):
-        pts = roc_curve([0.9, 0.1], [1, 0])
-        hull, auch = roc_convex_hull(pts)
-        assert auch == 1.0
-
-    def test_anchors_added(self):
-        hull, _ = roc_convex_hull([RocPoint(0.5, 0.8, 0.5)])
-        assert (hull[0].fpr, hull[0].tpr) == (0.0, 0.0)
-        assert (hull[-1].fpr, hull[-1].tpr) == (1.0, 1.0)
+        a = analyze_scores([0.9, 0.1], [1, 0])
+        assert a.auch == 1.0
+        assert a.hull.tolist() == a.curve.tolist()
 
     def test_properties_random(self):
         rng = np.random.default_rng(6)
@@ -176,19 +179,31 @@ class TestHull:
             s = np.round(rng.random(n), 1)
             a = analyze_scores(s, y)
             assert a.auch >= a.auc - 1e-12
-            slopes = []
-            for q, r in zip(a.hull, a.hull[1:]):
-                dx = r.fpr - q.fpr
-                slopes.append(math.inf if dx == 0 else (r.tpr - q.tpr) / dx)
-            assert all(s1 >= s2 - 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
+            dx, dy = np.diff(a.hull[:, :2], axis=0).T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slopes = np.where(dx == 0, math.inf, dy / dx)
+            assert np.all(slopes[:-1] >= slopes[1:] - 1e-9)
+
+    def test_analysis_checks_its_invariants(self):
+        a = analyze_scores([0.8, 0.6, 0.4, 0.2], [1, 0, 1, 0])
+        with pytest.raises(ValueError, match="sorted"):
+            RocAnalysis(a.curve[::-1], a.on_hull[::-1], a.auc, a.auch)
+        with pytest.raises(ValueError, match="lie in"):
+            RocAnalysis(a.curve * 2, a.on_hull, a.auc, a.auch)
+        first_off = a.on_hull.copy()
+        first_off[0] = False
+        with pytest.raises(ValueError, match="hull must run"):
+            RocAnalysis(a.curve, first_off, a.auc, a.auch)
+        with pytest.raises(ValueError, match="below the curve"):
+            RocAnalysis(a.curve, a.on_hull, a.auc, a.auc - 0.1)
 
 
 class TestDominance:
     def diag(self):
-        return [RocPoint(0.0, 0.0, 1.0), RocPoint(1.0, 1.0, 0.0)]
+        return np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 
     def perfect(self):
-        return [RocPoint(0.0, 0.0, 1.0), RocPoint(0.0, 1.0, 0.5), RocPoint(1.0, 1.0, 0.0)]
+        return np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [1.0, 1.0, 0.0]])
 
     def test_identical_is_neither(self):
         assert dominates(self.diag(), self.diag()) == "neither"
@@ -199,8 +214,8 @@ class TestDominance:
         assert dominates(self.diag(), self.perfect()) == "B"
 
     def test_crossing_hulls(self):
-        a = [RocPoint(0.0, 0.0, 1.0), RocPoint(0.1, 0.7, 0.6), RocPoint(1.0, 1.0, 0.0)]
-        b = [RocPoint(0.0, 0.0, 1.0), RocPoint(0.6, 0.95, 0.4), RocPoint(1.0, 1.0, 0.0)]
+        a = np.array([[0.0, 0.0, 1.0], [0.1, 0.7, 0.6], [1.0, 1.0, 0.0]])
+        b = np.array([[0.0, 0.0, 1.0], [0.6, 0.95, 0.4], [1.0, 1.0, 0.0]])
         assert dominates(a, b) == "neither"
         assert dominates(b, a) == "neither"
 
@@ -255,7 +270,7 @@ class TestCsv:
         text = roc_analysis_to_csv(a)
         lines = text.strip().split("\n")
         assert lines[0] == "fpr,tpr,threshold,on_hull"
-        assert len(lines) == len(a.points) + 1
+        assert len(lines) == len(a.curve) + 1
         assert lines[1].endswith("true")  # (0,0) anchor is always on the hull
         flags = [ln.split(",")[3] for ln in lines[1:]]
         assert flags.count("true") == len(a.hull)

@@ -1,5 +1,6 @@
-"""Property tests: SMOTE's neighbour search against a brute-force oracle,
-and the shape of its output, over generated datasets."""
+"""Property tests over generated data: SMOTE's neighbour search against a
+brute-force oracle and the shape of its output; the ROC hull and hull
+dominance over tied scores."""
 
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from elicitrec import sampler
 from elicitrec.data_model import minority_label
+from elicitrec.evaluation import analyze_scores, dominates
 from elicitrec.sampler import SmoteConfig, smote_details
 
 from conftest import make_dataset
@@ -78,3 +80,41 @@ def test_smote_keeps_prefix_and_schema(case):
     assert (d.y[parent] == label).all() and (d.y[neighbor] == label).all()
     assert (parent != neighbor).all()
     assert ((draw >= 0) & (draw < 1)).all()
+
+
+@st.composite
+def tied_scores(draw):
+    """(scores, labels): scores on a grid of at most 11 values, so ties
+    are common; both classes present."""
+    n = draw(st.integers(2, 60))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    assume(0 < y.sum() < n)
+    grid = draw(st.integers(1, 10))
+    return draw(hnp.arrays(np.int64, n, elements=st.integers(0, grid))) / grid, y
+
+
+@given(tied_scores())
+def test_hull_is_concave_and_covers_the_curve(case):
+    a = analyze_scores(*case)
+    curve, hull = a.curve, a.hull
+    assert a.on_hull.dtype == bool and a.on_hull.shape == (len(curve),)
+    assert {tuple(r) for r in hull.tolist()} <= {tuple(r) for r in curve.tolist()}
+    assert hull[0, :2].tolist() == [0.0, 0.0] and hull[-1, :2].tolist() == [1.0, 1.0]
+    dx, dy = np.diff(hull[:, 0]), np.diff(hull[:, 1])
+    assert (dx >= 0).all() and (dx[1:] > 0).all()  # only the first segment may be vertical
+    slopes = dy[dx > 0] / dx[dx > 0]
+    assert (slopes[1:] <= slopes[:-1] + 1e-9).all()
+    # every curve point lies on or below each hull segment spanning its fpr
+    for (x0, y0), (x1, y1) in zip(hull[:-1, :2].tolist(), hull[1:, :2].tolist()):
+        if x1 > x0:
+            inside = (curve[:, 0] >= x0) & (curve[:, 0] <= x1)
+            line = y0 + (y1 - y0) * (curve[inside, 0] - x0) / (x1 - x0)
+            assert (curve[inside, 1] <= line + 1e-12).all()
+    assert a.auch >= a.auc - 1e-12
+
+
+@given(tied_scores(), tied_scores())
+def test_dominance_is_antisymmetric(case_a, case_b):
+    hull_a, hull_b = analyze_scores(*case_a).hull, analyze_scores(*case_b).hull
+    assert (dominates(hull_a, hull_b) == "A") == (dominates(hull_b, hull_a) == "B")
+    assert dominates(hull_a, hull_a) == "neither"
