@@ -413,8 +413,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     s = _load_settings(args)
     d = _load_input(args, s)
     out_dir = _out_dir(args)
-    for method in s.filter.methods:
-        table = feature_scoring.score_all(d, method)
+    tables = {method: feature_scoring.score_all(d, method) for method in s.filter.methods}
+    for method, table in tables.items():
         _write_atomic(out_dir / f"scores_{method}.csv", feature_scoring.table_to_csv(table))
     print(f"scored {d.n_features} features with {len(s.filter.methods)} method(s)")
     if len(s.filter.methods) > 1:
@@ -426,6 +426,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             eval_seed=s.seed,
             test_fraction=s.test_fraction,
             smote_template=s.smote,
+            tables=tables,
         )
         _write_atomic(out_dir / "best_method.txt", selection.method + "\n")
         for method in s.filter.methods:

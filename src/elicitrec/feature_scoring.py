@@ -23,7 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -185,11 +185,13 @@ def select_best_filter(
     eval_seed: int,
     test_fraction: float = 0.2,
     smote_template: Optional[SmoteConfig] = None,
+    tables: Optional[Mapping[str, FeatureScoreTable]] = None,
 ) -> FilterSelection:
     """Pick the filter whose top_k features yield the largest AUCH.
 
-    Exact ties fall back to the canonical preference
-    MutualInfo > Chi2 > AnovaF.
+    `tables` may hold `score_all(d, method)` tables already made, by
+    method; the methods it lacks are scored here. Exact ties fall back to
+    the canonical preference MutualInfo > Chi2 > AnovaF.
     """
     if not methods:
         raise ValueError("no candidate methods given")
@@ -200,11 +202,12 @@ def select_best_filter(
     if top_k > d.n_features:
         raise ValueError(f"top_k {top_k} exceeds feature count {d.n_features}")
     template = smote_template if smote_template is not None else SmoteConfig()
-    tables: dict[str, FeatureScoreTable] = {}
+    tables = dict(tables or {})
     auch_by_method: dict[str, float] = {}
     for method in methods:
-        table = score_all(d, method)
-        tables[method] = table
+        if method not in tables:
+            tables[method] = score_all(d, method)
+        table = tables[method]
         names = {e.feature_name for e in table.entries[:top_k]}
         # schema order, so the run depends only on the selected SET
         sub = select_features(d, [f.name for f in d.schema if f.name in names])

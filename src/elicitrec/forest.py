@@ -12,6 +12,11 @@ All trees grow together, breadth-first: per level, one `bincount` builds
 the (node, drawn feature, code, class) histogram of the whole frontier, in
 chunks of at most `_CELLS` cells, and one cumulative pass picks every
 node's split. A node draws its features from a splitmix64 hash of its key.
+Each tree works on its distinct rows: rows equal in X and y share one
+content id, a tree's repeated bootstrap draws of one id become one entry
+weighted by its count, and the histogram sums those weights. Splits and
+the stored class counts depend only on the weighted counts, so the trees
+are the ones that growing on every bootstrap entry would give.
 
 A tree is a set of parallel node arrays (`NODE_FIELDS`) in breadth-first
 order. An internal node's `left` and `right` children are tree-local indices
@@ -162,21 +167,24 @@ def _draw_features(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
     return feats
 
 
-def _best_splits(codes, y, node, width, counts, criterion, min_child):
+def _best_splits(codes, node, weight, width, counts, criterion, min_child):
     """Every node's best split over its drawn features, from one histogram.
 
-    Row r of `codes` holds a row's codes at the k drawn features (slots,
-    ascending) of its node `node[r]`; slot s of node c has `width[c, s]`
-    (code, class) cells, and `counts[c]` are its rows per class. Returns per
-    node the slot (-1: no threshold leaves `min_child` rows on each side),
-    threshold, rows per class going left, and quality; of the cells within
-    `_TIE` of a node's minimum the first wins."""
+    Row r of `codes` holds a distinct row's codes at the k drawn features
+    (slots, ascending) of its node `node[r]`, each folded with the row's
+    class as 2 * code + class, and `weight[r]` is how many sample rows it
+    stands for. Slot s of node c has `width[c, s]` code cells, and
+    `counts[c]` are its sample rows per class. Returns per node the slot
+    (-1: no threshold leaves `min_child` rows on each side), threshold, rows
+    per class going left, and quality; of the cells within `_TIE` of a
+    node's minimum the first wins."""
     n_nodes, k = width.shape
     size = width.ravel()
     start = np.cumsum(size) - size  # first cell of each (node, slot) block
     n_cells = int(size.sum())
-    flat = (start.reshape(n_nodes, k)[node] + codes) * 2 + y[:, None]
-    hist = np.bincount(flat.ravel(), minlength=2 * n_cells).reshape(n_cells, 2)
+    flat = 2 * start.reshape(n_nodes, k)[node] + codes
+    # the weights are whole numbers, so the float sums are exact
+    hist = np.bincount(flat.ravel(), np.repeat(weight, k), 2 * n_cells).astype(np.int64).reshape(n_cells, 2)
     block = np.repeat(np.arange(n_nodes * k), size)
     cum = hist.cumsum(axis=0)
     left = cum - (cum[start] - hist[start])[block]  # class counts at codes <= the cell's
@@ -208,8 +216,8 @@ def best_split(
     X: np.ndarray, y: np.ndarray, feature_subset: Sequence[int], criterion: str, min_child: int = 1
 ) -> Optional[SplitCandidate]:
     """Best candidate over the subset's features, or None if nothing splits:
-    the forest's split search on one node. Thresholds sit at midpoints
-    between consecutive distinct codes present in the rows."""
+    the forest's split search on one node, every row weighing 1. Thresholds
+    sit at midpoints between consecutive distinct codes present in the rows."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     feats = sorted(set(int(f) for f in feature_subset))
@@ -217,8 +225,8 @@ def best_split(
         return None
     codes, y = np.asarray(X, dtype=np.int64)[:, feats], np.asarray(y, dtype=np.int64)
     (slot,), (threshold,), (left,), (quality,) = _best_splits(
-        codes, y, np.zeros(len(y), dtype=np.int64), codes.max(axis=0, keepdims=True) + 1,
-        np.array([[len(y) - y.sum(), y.sum()]]), criterion, min_child,
+        2 * codes + y[:, None], np.zeros(len(y), dtype=np.int64), np.ones(len(y)),
+        codes.max(axis=0, keepdims=True) + 1, np.array([[len(y) - y.sum(), y.sum()]]), criterion, min_child,
     )
     if slot < 0:
         return None
@@ -226,20 +234,44 @@ def best_split(
     return SplitCandidate(feats[slot], float(threshold), n_left, len(y) - n_left, float(quality))
 
 
-def _frontier_splits(X, y, rows, feats, width, counts, params: ForestParams):
-    """`_best_splits` of a frontier whose rows `rows` lists node by node, in
-    chunks of at most `_CELLS` key and histogram cells (or of one node)."""
-    size = counts.sum(axis=1)
+def _distinct_samples(X, y, boots, width):
+    """The distinct rows of (X, y), with the class folded in as 2 * code +
+    class, and each tree's sample as distinct rows: the rows, tree by tree,
+    how often the sample draws each, and how many each tree has.
+
+    Rows are told apart by a key, mixed-radix over the class and the
+    columns, that is re-ranked to its distinct values before it could pass
+    2**62."""
+    key, span = y, 2
+    for col, w in zip(X.T, width.tolist()):
+        if span * w > 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key, span = key * w + col, span * w
+    _, rep, ids = np.unique(key, return_index=True, return_inverse=True)
+    n = len(rep)
+    drawn = np.bincount((ids[boots] + n * np.arange(len(boots))[:, None]).ravel(), minlength=len(boots) * n)
+    pair = np.flatnonzero(drawn)
+    codes = 2 * X[rep] + y[rep, None]
+    return codes, pair % n, drawn[pair].astype(np.float64), np.bincount(pair // n, minlength=len(boots))
+
+
+def _frontier_splits(codes, rows, weight, feats, width, counts, size, params: ForestParams):
+    """`_best_splits` of a frontier whose distinct rows `rows` (of the folded
+    `codes`, with their weights) lists node by node, `size[c]` of them for
+    node c, in chunks of at most `_CELLS` key and histogram cells (or of
+    one node)."""
+    p = codes.shape[1]
     cost = size * feats.shape[1] + width.sum(axis=1)
     cum, end = np.cumsum(cost), np.cumsum(size)
     parts, a = [], 0
     while a < len(size):
         b = max(a + 1, int(np.searchsorted(cum, cum[a] - cost[a] + _CELLS, "right")))
-        r = rows[end[a] - size[a]:end[b - 1]]
+        lo, hi = end[a] - size[a], end[b - 1]
         node = np.repeat(np.arange(b - a), size[a:b])
         parts.append(_best_splits(
-            X[r[:, None], feats[a:b][node]], y[r], node, width[a:b], counts[a:b],
-            params.criterion, params.min_samples_leaf,
+            codes.take(rows[lo:hi, None] * p + feats[a:b][node]), node, weight[lo:hi], width[a:b],
+            counts[a:b], params.criterion, params.min_samples_leaf,
         ))
         a = b
     return [np.concatenate(column) for column in zip(*parts)]
@@ -249,6 +281,8 @@ def grow_forest(X, y, boots, params: ForestParams) -> RandomForestModel:
     """Grow one tree per row of `boots`, tree t on the rows `boots[t]` lists
     (`params.n_trees` is not read): all together, breadth-first.
 
+    Each tree works on its distinct rows, weighted by how often the sample
+    holds them: rows equal in X and y are one, and so are repeated draws.
     Tree t's root key is the first word of SeedSequence([params.seed, t]).
     A node is a leaf when it is pure, at `max_depth`, smaller than
     2 * `min_samples_leaf`, or when no candidate separates its rows.
@@ -257,23 +291,24 @@ def grow_forest(X, y, boots, params: ForestParams) -> RandomForestModel:
     n_trees, p = len(boots), X.shape[1]
     mtry = params.resolve_mtry(p)
     width = X.max(axis=0) + 1  # histogram cells of each feature
-    rows = boots.ravel()  # the rows of every frontier node, node by node
+    counts = np.column_stack([(y[boots] == 0).sum(axis=1), y[boots].sum(axis=1)])  # rows per class
+    codes, rows, weight, size = _distinct_samples(X, y, boots, width)
     tree, local = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
     seeds = (np.random.SeedSequence([params.seed, t]) for t in range(n_trees))
     key = np.array([s.generate_state(1, np.uint64)[0] for s in seeds])
-    counts = np.column_stack([(y[boots] == 0).sum(axis=1), y[boots].sum(axis=1)])  # rows per class
     n_nodes = np.ones(n_trees, dtype=np.int64)  # nodes numbered so far, per tree
     made = []  # (tree, tree-local index, node fields) of every node, then of its split
     for depth in itertools.count():
         made.append((tree, local, dict(n0=counts[:, 0], n1=counts[:, 1])))
         go = counts.all(axis=1) & (counts.sum(axis=1) >= 2 * params.min_samples_leaf)
         go &= params.max_depth is None or depth < params.max_depth
-        rows = rows[np.repeat(go, counts.sum(axis=1))]
-        tree, local, key, counts = tree[go], local[go], key[go], counts[go]
+        keep = np.repeat(go, size)
+        rows, weight = rows[keep], weight[keep]
+        tree, local, key, counts, size = tree[go], local[go], key[go], counts[go], size[go]
         if not tree.size:
             break
         feats = _draw_features(key, p, mtry)
-        slot, threshold, left, _ = _frontier_splits(X, y, rows, feats, width[feats], counts, params)
+        slot, threshold, left, _ = _frontier_splits(codes, rows, weight, feats, width[feats], counts, size, params)
         split = slot >= 0
         sp, t = np.flatnonzero(split), tree[split]
         first = n_nodes[t] + 2 * (np.arange(sp.size) - np.searchsorted(t, t))  # left child's index
@@ -283,10 +318,17 @@ def grow_forest(X, y, boots, params: ForestParams) -> RandomForestModel:
             feature=feats[sp, slot[sp]], threshold=threshold[sp], left=first, right=first + 1,
             split_entropy=_quality(left[sp].T, right.T, "entropy"),
         )))
-        # the rows of split nodes move to their children, node by node
-        node = np.repeat(np.arange(tree.size), counts.sum(axis=1))
-        child = 2 * np.cumsum(split)[node] + (X[rows, feats[node, slot[node]]] > threshold[node])
-        rows = rows[split[node]][np.argsort(child[split[node]], kind="stable")]
+        # the rows of split nodes move to their children, node by node;
+        # 2 * code + class > 2 * floor(threshold) + 1 exactly when code > threshold
+        node = np.repeat(np.arange(tree.size), size)
+        moving = split[node]
+        rows, weight, node = rows[moving], weight[moving], node[moving]
+        cut = 2 * np.floor(threshold) + 1
+        child = 2 * (np.cumsum(split) - 1)[node] + (codes.take(rows * p + feats[node, slot[node]]) > cut[node])
+        # a stable sort on 16-bit keys is a radix sort
+        order = np.argsort(child.astype(np.int16) if sp.size <= 1 << 14 else child, kind="stable")
+        rows, weight = rows[order], weight[order]
+        size = np.bincount(child, minlength=2 * sp.size)
         tree, local = np.repeat(t, 2), (first[:, None] + np.arange(2)).ravel()
         key = _stream(key[sp], p + 1, 2).ravel()
         counts = np.stack([left[sp], right], axis=1).reshape(-1, 2)

@@ -2,13 +2,15 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 from operator import setitem
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elicitrec import forest
+from elicitrec import feature_scoring, forest
 from elicitrec.cli import main, render_hulls_svg
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
@@ -36,6 +38,9 @@ def fast_config(tmp_path, **extra):
     doc = {"target": "target", "forest": {"n_trees": 15}, "seed": 7}
     doc.update(extra)
     return write_config(tmp_path, doc)
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def read_rows(path):
@@ -303,6 +308,28 @@ class TestScore:
         assert best in ("Chi2", "AnovaF", "MutualInfo")
         assert "best filter" in capsys.readouterr().out
 
+    def test_each_method_scored_once_and_written_before_selection(
+        self, tmp_path, input_csv, monkeypatch
+    ):
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5}, "filter": {"top_k": 4}})
+        out = tmp_path / "once"
+        scored, written = [], []
+        score_all, select = feature_scoring.score_all, feature_scoring.select_best_filter
+
+        def counted(d, method):
+            scored.append(method)
+            return score_all(d, method)
+
+        def checked(*args, **kwargs):
+            written.extend(sorted(p.name for p in out.glob("scores_*.csv")))
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(feature_scoring, "score_all", counted)
+        monkeypatch.setattr(feature_scoring, "select_best_filter", checked)
+        assert main(["score", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 0
+        assert sorted(scored) == sorted(feature_scoring.METHODS)
+        assert written == sorted(f"scores_{m}.csv" for m in feature_scoring.METHODS)
+
     def test_single_method_skips_marker(self, tmp_path, input_csv):
         cfg = write_config(
             tmp_path, {"target": "target", "filter": {"methods": ["Chi2"]}}, "single.json"
@@ -313,6 +340,27 @@ class TestScore:
         assert (out / "scores_Chi2.csv").exists()
         assert not (out / "best_method.txt").exists()
         assert not (out / "scores_MutualInfo.csv").exists()
+
+
+class TestThreadCounts:
+    def test_artifacts_identical_across_thread_counts(self, tmp_path, input_csv):
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 10}, "filter": {"top_k": 4}})
+        src = str(Path(forest.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        files = []
+        for k, threads in enumerate((1, min(2, os.cpu_count() or 1))):  # never more than the machine has
+            env = dict(os.environ, PYTHONPATH=path, **{var: str(threads) for var in THREAD_VARS})
+            out = tmp_path / f"out{k}"
+            for command in ("run", "score"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "elicitrec", command, "--config", cfg, "--input", input_csv,
+                     "--out-dir", str(out)],
+                    capture_output=True, text=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+            names = ["report.json", "best_method.txt", *sorted(p.name for p in out.glob("roc_*.csv"))]
+            files.append({name: (out / name).read_bytes() for name in names})
+        assert len(files[0]) >= 4 and files[0] == files[1]
 
 
 class TestRecommend:

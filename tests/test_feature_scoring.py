@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from elicitrec import feature_scoring
 from elicitrec.forest import ForestParams
 from elicitrec.feature_scoring import (
     METHOD_ANOVA_F,
@@ -244,6 +245,20 @@ class TestSelectBestFilter:
         a = select_best_filter(d, list(METHODS), top_k=3, forest_params=SMALL_FOREST, eval_seed=4)
         b = select_best_filter(d, list(METHODS), top_k=3, forest_params=SMALL_FOREST, eval_seed=4)
         assert a == b
+
+    def test_given_tables_are_not_scored_again(self, monkeypatch):
+        d = xor_dataset()
+        tables = {m: score_all(d, m) for m in METHODS}
+        expected = select_best_filter(d, list(METHODS), top_k=2, forest_params=SMALL_FOREST, eval_seed=3)
+
+        def refuse(d, method):
+            raise AssertionError(f"{method} scored again")
+
+        monkeypatch.setattr(feature_scoring, "score_all", refuse)
+        got = select_best_filter(
+            d, list(METHODS), top_k=2, forest_params=SMALL_FOREST, eval_seed=3, tables=tables
+        )
+        assert got == expected
 
     def test_top_k_too_large(self):
         d = xor_dataset()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -262,6 +263,42 @@ def replay(d, m, params):
                 todo.append((m.right[start + i], rows[~go_left], depth + 1, splitmix64(key, p + 2)))
 
 
+def check_against_oracle(d, m, params):
+    """Every node of `m`, replayed on its bootstrap rows: its class counts,
+    and its split or leaf against `brute_best_quality` and the leaf rules.
+    Returns each node's depth by global index."""
+    criterion, min_samples_leaf, max_depth = params.criterion, params.min_samples_leaf, params.max_depth
+    depths = {}
+    for start, i, rows, depth, feats in replay(d, m, params):
+        g = start + i
+        depths[g] = depth
+        Xs, ys = d.X[rows], d.y[rows]
+        assert (m.n0[g], m.n1[g]) == (len(ys) - ys.sum(), ys.sum())
+        oracle = [
+            (q, f, thr)
+            for q, f, thr in brute_best_quality(Xs, ys, feats, criterion)
+            if min_samples_leaf <= (Xs[:, f] <= thr).sum() <= len(ys) - min_samples_leaf
+        ]
+        stops = (
+            ys.min() == ys.max()
+            or (max_depth is not None and depth >= max_depth)
+            or len(ys) < 2 * min_samples_leaf
+        )
+        if m.feature[g] < 0:
+            assert stops or not oracle
+            continue
+        assert not stops
+        assert i < m.left[g] < m.right[g]
+        q_min = min(q for q, _, _ in oracle)
+        first_best = min((f, thr) for q, f, thr in oracle if q <= q_min + 1e-12)
+        assert (m.feature[g], m.threshold[g]) == first_best
+        left = Xs[:, first_best[0]] <= first_best[1]
+        split_entropy = brute_best_quality(left[:, None].astype(int), ys, [0], "entropy")[0][0]
+        assert m.split_entropy[g] == pytest.approx(split_entropy, abs=1e-12)
+    assert sorted(depths) == list(range(len(m.feature)))
+    return depths
+
+
 class TestGrownSplitsAreOptimal:
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     @pytest.mark.parametrize("min_samples_leaf", [1, 3])
@@ -272,34 +309,8 @@ class TestGrownSplitsAreOptimal:
             n_trees=4, criterion=criterion, min_samples_leaf=min_samples_leaf, max_depth=max_depth, seed=9
         )
         m = train_forest(d, params)
-        depths = {}
-        for start, i, rows, depth, feats in replay(d, m, params):
-            g = start + i
-            depths[g] = depth
-            Xs, ys = d.X[rows], d.y[rows]
-            assert (m.n0[g], m.n1[g]) == (len(ys) - ys.sum(), ys.sum())
-            oracle = [
-                (q, f, thr)
-                for q, f, thr in brute_best_quality(Xs, ys, feats, criterion)
-                if min_samples_leaf <= (Xs[:, f] <= thr).sum() <= len(ys) - min_samples_leaf
-            ]
-            stops = (
-                ys.min() == ys.max()
-                or (max_depth is not None and depth >= max_depth)
-                or len(ys) < 2 * min_samples_leaf
-            )
-            if m.feature[g] < 0:
-                assert stops or not oracle
-                continue
-            assert not stops
-            assert i < m.left[g] < m.right[g]
-            q_min = min(q for q, _, _ in oracle)
-            first_best = min((f, thr) for q, f, thr in oracle if q <= q_min + 1e-12)
-            assert (m.feature[g], m.threshold[g]) == first_best
-            left = Xs[:, first_best[0]] <= first_best[1]
-            split_entropy = brute_best_quality(left[:, None].astype(int), ys, [0], "entropy")[0][0]
-            assert m.split_entropy[g] == pytest.approx(split_entropy, abs=1e-12)
-        assert sorted(depths) == list(range(len(m.feature))) and (m.feature >= 0).sum() > 20
+        depths = check_against_oracle(d, m, params)
+        assert (m.feature >= 0).sum() > 20
         for a, b in zip(m.offsets, m.offsets[1:]):  # breadth-first: depth never falls
             assert all(depths[g] <= depths[g + 1] for g in range(a, b - 1))
 
@@ -320,6 +331,30 @@ class TestScheduling:
         monkeypatch.setattr(forest, "_CELLS", 50)
         assert model_to_dict(train_forest(skewed_dataset, params)) == whole
         assert max(chunk_sizes) == 1 and len(chunk_sizes) > 100
+
+    def test_root_histograms_hold_each_distinct_row_once(self, monkeypatch):
+        # 36 distinct rows, each 4 times: a tree's root level histograms its
+        # distinct (row content) draws, not its n bootstrap entries
+        base = np.array(list(itertools.product(range(3), range(3), range(4))))
+        labels = np.random.default_rng(2).integers(0, 2, size=len(base))
+        X, y = np.tile(base, (4, 1)), np.tile(labels, 4)
+        params = ForestParams(n_trees=5, seed=6)
+        n = len(y)
+        distinct = sum(
+            len(set(np.random.default_rng([params.seed, t]).integers(0, n, size=n) % len(base)))
+            for t in range(params.n_trees)
+        )
+        rows_in = []
+        kernel = forest._best_splits
+
+        def counted(codes, *rest):
+            rows_in.append(len(codes))
+            return kernel(codes, *rest)
+
+        monkeypatch.setattr(forest, "_best_splits", counted)
+        monkeypatch.setattr(forest, "_CELLS", 1 << 30)  # one kernel call per level
+        train_forest(make_dataset(X, y), params)
+        assert rows_in[0] == distinct < params.n_trees * n
 
     def test_forest_prefix(self, skewed_dataset):
         small = model_to_dict(train_forest(skewed_dataset, ForestParams(n_trees=3, seed=8)))

@@ -1,6 +1,7 @@
 """Property tests over generated data: SMOTE's neighbour search against a
 brute-force oracle and the shape of its output; the ROC hull and hull
-dominance over tied scores."""
+dominance over tied scores; grown trees against the per-node split oracle
+on data full of repeated rows."""
 
 from unittest import mock
 
@@ -14,9 +15,11 @@ from hypothesis.extra import numpy as hnp
 from elicitrec import sampler
 from elicitrec.data_model import minority_label
 from elicitrec.evaluation import analyze_scores, dominates
+from elicitrec.forest import ForestParams, train_forest
 from elicitrec.sampler import SmoteConfig, smote_details
 
 from conftest import make_dataset
+from test_forest import check_against_oracle
 from test_sampler import brute_neighbors
 
 
@@ -118,3 +121,41 @@ def test_dominance_is_antisymmetric(case_a, case_b):
     hull_a, hull_b = analyze_scores(*case_a).hull, analyze_scores(*case_b).hull
     assert (dominates(hull_a, hull_b) == "A") == (dominates(hull_b, hull_a) == "B")
     assert dominates(hull_a, hull_a) == "neither"
+
+
+@st.composite
+def repeated_rows(draw):
+    """(dataset, params): rows drawn from a small pool of distinct feature
+    rows, labels drawn apart, so equal rows with equal and with different
+    classes are common. Wide draws hold eight 256-level columns: the
+    mixed-radix content key then needs 1 + 64 bits and is re-ranked, and a
+    key left to wrap would shift the class out of it."""
+    if draw(st.booleans()):
+        levels = [256] * 8
+    else:
+        levels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_pool = draw(st.integers(1, 6))
+    pool = np.column_stack([
+        draw(hnp.arrays(np.int64, n_pool, elements=st.integers(0, L - 1))) for L in levels
+    ])
+    pool[0] = np.array(levels) - 1
+    rows = draw(hnp.arrays(np.int64, draw(st.integers(2, 40)), elements=st.integers(0, n_pool - 1)))
+    rows[0] = 0  # every column reaches its top level
+    X = pool[rows]
+    n = len(rows)
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    assume(0 < y.sum() < n)
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 4)),
+        criterion=draw(st.sampled_from(["gini", "entropy"])),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return make_dataset(X, y, levels=levels), params
+
+
+@given(repeated_rows())
+def test_grown_trees_match_oracle_on_repeated_rows(case):
+    d, params = case
+    check_against_oracle(d, train_forest(d, params), params)
