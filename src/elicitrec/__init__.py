@@ -55,13 +55,11 @@ from .recommender import (
     MODE_BALANCE_FIRST,
     MODE_SOUND,
     MODES,
-    BalancingComparison,
     FilterConfig,
     PipelineConfig,
     Prediction,
     RecommendationSet,
     combine_reports,
-    compare_balancing,
     form_recommendations,
     run_pipeline,
 )
@@ -70,7 +68,6 @@ from .sampler import SmoteConfig, smote_details, smote_oversample
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalancingComparison",
     "Dataset",
     "DatasetSummary",
     "EvaluationReport",
@@ -96,7 +93,6 @@ __all__ = [
     "analyze_scores",
     "auc",
     "combine_reports",
-    "compare_balancing",
     "derive_seed",
     "dominates",
     "drop_constant_features",

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -25,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import data_model, evaluation, feature_scoring, forest, recommender
-from .data_model import Dataset, FeatureSchema, derive_seed, load_csv
+from .data_model import Dataset, FeatureSchema, derive_seed, load_csv, write_atomic as _write_atomic
 from .forest import ForestParams
 from .recommender import FilterConfig, PipelineConfig, Prediction
 from .sampler import SmoteConfig, smote_oversample
@@ -157,24 +155,6 @@ def _load_input(args: argparse.Namespace, s: Settings) -> Dataset:
 def _dump_json(doc, compact: bool = False) -> str:
     kwargs = {"separators": (",", ":")} if compact else {"indent": 2}
     return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs) + "\n"
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            # mkstemp creates the file 0600; give it the mode a plain open
-            # would (reading the umask means setting it)
-            umask = os.umask(0o022)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -374,8 +354,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     s = _load_settings(args)
     cfg = _pipeline_config(s)
     d = _load_input(args, s)
-    cmp = recommender.compare_balancing(d, cfg)
-    row = cmp.report.rows[0]
+    report = recommender.run_pipeline(d, cfg)
+    row = report.rows[0]
     out_dir = _out_dir(args)
     report_doc = {
         "format_version": 1,
@@ -383,12 +363,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         "mode": cfg.mode,
         "seed": cfg.seed,
         "comparison": {
-            "hull_verdict": cmp.verdict,
-            "auc_delta": cmp.auc_delta,
-            "accuracy_delta": cmp.accuracy_delta,
-            "entropy_delta": cmp.entropy_delta,
+            "hull_verdict": row.hull_verdict,
+            "auc_delta": row.auc_delta,
+            "accuracy_delta": row.accuracy_delta,
+            "entropy_delta": row.entropy_delta,
         },
-        "report": evaluation.report_to_dict(cmp.report),
+        "report": evaluation.report_to_dict(report),
     }
     _write_atomic(out_dir / "report.json", _dump_json(report_doc))
     _write_atomic(
@@ -403,7 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     print(
         f"run complete ({cfg.mode} mode): auc {row.imbalanced.roc.auc:.4f} -> "
-        f"{row.balanced.roc.auc:.4f}, hull verdict {cmp.verdict}; wrote report.json, "
+        f"{row.balanced.roc.auc:.4f}, hull verdict {row.hull_verdict}; wrote report.json, "
         f"roc_imbalanced.csv, roc_balanced.csv, roc_hulls.svg in {out_dir}"
     )
     return 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -274,9 +276,29 @@ def csv_text(d: Dataset, include_provenance: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file and a rename, so a
+    reader never sees a partial file; the mode is what a plain open gives."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp creates the file 0600; give it the mode a plain open
+            # would (reading the umask means setting it)
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(d: Dataset, path: str | Path, include_provenance: bool = False) -> None:
-    """Write `csv_text(d, include_provenance)` to `path`."""
-    Path(path).write_text(csv_text(d, include_provenance), encoding="utf-8", newline="\n")
+    """Write `csv_text(d, include_provenance)` to `path` atomically."""
+    write_atomic(Path(path), csv_text(d, include_provenance))
 
 
 def drop_constant_features(d: Dataset) -> Dataset:

@@ -278,7 +278,7 @@ class ArmMetrics:
     precision: Optional[float]
     recall: Optional[float]
     roc: RocAnalysis
-    mean_split_entropy: float
+    mean_split_entropy: Optional[float]  # None when the forest has no split
     n_train: int
     n_test: int
 
@@ -287,26 +287,70 @@ class ArmMetrics:
         return self.roc.auch
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    imbalanced: ArmMetrics
-    balanced: ArmMetrics
-    accuracy_improvement_pct: Optional[float]
-    auc_improvement_pct: Optional[float]
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    rows: tuple[ReportRow, ...]
-    t_tests: dict[str, Optional[TTestResult]]
-
-
 def relative_improvement_pct(before: float, after: float) -> Optional[float]:
     """Relative change in percent, or None when the baseline is zero."""
     if before == 0:
         return None
     return (after - before) / before * 100.0
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    """One label's two arms. Every comparison is derived from them, and
+    each delta is balanced minus imbalanced."""
+
+    label: str
+    imbalanced: ArmMetrics
+    balanced: ArmMetrics
+
+    @property
+    def accuracy_improvement_pct(self) -> Optional[float]:
+        return relative_improvement_pct(self.imbalanced.accuracy, self.balanced.accuracy)
+
+    @property
+    def auc_improvement_pct(self) -> Optional[float]:
+        return relative_improvement_pct(self.imbalanced.roc.auc, self.balanced.roc.auc)
+
+    @property
+    def hull_verdict(self) -> str:
+        """The arm whose hull dominates the other's, or "neither"."""
+        outcome = dominates(self.balanced.roc.hull, self.imbalanced.roc.hull)
+        return {"A": "balanced", "B": "imbalanced"}.get(outcome, "neither")
+
+    @property
+    def auc_delta(self) -> float:
+        return self.balanced.roc.auc - self.imbalanced.roc.auc
+
+    @property
+    def accuracy_delta(self) -> float:
+        return self.balanced.accuracy - self.imbalanced.accuracy
+
+    @property
+    def entropy_delta(self) -> Optional[float]:
+        """None when either forest has no split."""
+        bal, imb = self.balanced.mean_split_entropy, self.imbalanced.mean_split_entropy
+        return None if bal is None or imb is None else bal - imb
+
+
+def t_tests_for_rows(rows: Sequence[ReportRow]) -> dict[str, Optional[TTestResult]]:
+    """Paired t-tests of imbalanced vs balanced precision and recall over
+    the rows where both sides are defined; None when fewer than 2 pairs."""
+    out: dict[str, Optional[TTestResult]] = {}
+    for metric in ("precision", "recall"):
+        pairs = [(getattr(r.imbalanced, metric), getattr(r.balanced, metric)) for r in rows]
+        pairs = [pair for pair in pairs if None not in pair]
+        out[metric] = paired_t_test(*zip(*pairs)) if len(pairs) >= 2 else None
+    return out
+
+
+@dataclass(frozen=True)
+class EvaluationReport:
+    rows: tuple[ReportRow, ...]
+
+    @property
+    def t_tests(self) -> dict[str, Optional[TTestResult]]:
+        """The cross-row comparison: `t_tests_for_rows` over every row."""
+        return t_tests_for_rows(self.rows)
 
 
 def t_test_to_dict(r: Optional[TTestResult]) -> Optional[dict]:

@@ -1,14 +1,20 @@
-"""End-to-end pipeline: balance, split, train, evaluate, and recommend.
+"""End-to-end pipeline: split, balance, train, evaluate, and recommend.
 
+`run_pipeline` tests two arms, a forest without balancing and one with
+SMOTE. Both start from one split; only the balanced arm's data differs.
 Two orderings of balancing and splitting are supported:
 
 - "balance-first" mode balances the full dataset and then splits, the
   ordering many studies report. Because synthetic minority points are
   created before the split, some of them land in the test subset; metrics
   measured this way are optimistic.
-- "sound" mode (the default) splits first and balances only the training
-  subset, so the test subset contains real rows only. Both arms share the
-  same split, making their comparison paired.
+- "sound" mode (the default) balances only the training subset, so the
+  test subset contains real rows only and both arms share it, making
+  their comparison paired. An input that already holds synthetic rows is
+  refused.
+
+With `smote` None the balanced arm is the imbalanced one. A report row
+holds the two arms; it derives every comparison between them.
 
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
@@ -23,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data_model import (
+    PROVENANCE_COLUMN,
     ROLE_CONTEXT,
     ROLE_TECHNIQUE,
     STREAM_FOREST_BALANCED,
@@ -38,15 +45,11 @@ from .evaluation import (
     ArmMetrics,
     EvaluationReport,
     ReportRow,
-    TTestResult,
     accuracy,
     analyze_scores,
     confusion,
-    dominates,
-    paired_t_test,
     precision,
     recall,
-    relative_improvement_pct,
 )
 from .feature_scoring import METHODS, FeatureScoreTable, ScoreEntry
 from .forest import ForestParams, mean_split_entropy, predict_proba_many, train_forest
@@ -93,8 +96,8 @@ class PipelineConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams) -> ArmMetrics:
-    model = train_forest(train, params)
+def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams, seed: int) -> ArmMetrics:
+    model = train_forest(train, replace(params, seed=seed))
     scores = predict_proba_many(model, test.X)
     preds = (scores >= 0.5).astype(np.int64)
     conf = confusion(test.y, preds)
@@ -103,7 +106,7 @@ def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams) -> ArmMet
         precision=precision(conf),
         recall=recall(conf),
         roc=analyze_scores(scores, test.y),
-        mean_split_entropy=mean_split_entropy(model),
+        mean_split_entropy=mean_split_entropy(model) if (model.feature >= 0).any() else None,
         n_train=train.n_rows,
         n_test=test.n_rows,
     )
@@ -114,69 +117,40 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
 
     Returns one report row per run, carrying accuracy, precision, recall,
     the full ROC analysis, and the forest's mean split entropy for each
-    arm, plus relative improvement percentages.
+    arm; the row derives the comparisons between the arms.
     """
+    if cfg.mode == MODE_SOUND and d.synthetic.any():
+        raise ValueError(
+            f"the input holds {int(d.synthetic.sum())} synthetic rows (column {PROVENANCE_COLUMN}), "
+            "but sound mode tests on real rows only; run on the data from before balance, "
+            f"or use --mode {MODE_BALANCE_FIRST}"
+        )
     d = drop_constant_features(d)
     split_seed = derive_seed(cfg.seed, STREAM_SPLIT)
-    params_imb = replace(cfg.forest, seed=derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED))
-    params_bal = replace(cfg.forest, seed=derive_seed(cfg.seed, STREAM_FOREST_BALANCED))
-    smote_cfg = None
-    if cfg.smote is not None:
-        smote_cfg = replace(cfg.smote, seed=derive_seed(cfg.seed, STREAM_SMOTE))
-
-    if cfg.mode == MODE_BALANCE_FIRST:
-        train_imb, test_imb = split_train_test(d, cfg.test_fraction, seed=split_seed)
-        if smote_cfg is None:
-            train_bal, test_bal = train_imb, test_imb
-        else:
-            balanced = smote_oversample(d, smote_cfg)
-            train_bal, test_bal = split_train_test(balanced, cfg.test_fraction, seed=split_seed)
+    train, test = split_train_test(d, cfg.test_fraction, seed=split_seed)
+    imb = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED))
+    if cfg.smote is None:
+        # with balancing off the arms are one experiment; reuse the
+        # evaluation so the rows come out identical
+        bal = imb
     else:
-        train_imb, test_imb = split_train_test(d, cfg.test_fraction, seed=split_seed)
-        test_bal = test_imb
-        train_bal = train_imb if smote_cfg is None else smote_oversample(train_imb, smote_cfg)
-        if test_bal.synthetic.any():
-            raise AssertionError("synthetic row leaked into the test subset")
-
-    imb = _evaluate_arm(train_imb, test_imb, params_imb)
-    # with balancing off the arms are one experiment; reuse the evaluation
-    # so the rows come out identical
-    bal = imb if smote_cfg is None else _evaluate_arm(train_bal, test_bal, params_bal)
-    row = ReportRow(
-        label=d.target_name,
-        imbalanced=imb,
-        balanced=bal,
-        accuracy_improvement_pct=relative_improvement_pct(imb.accuracy, bal.accuracy),
-        auc_improvement_pct=relative_improvement_pct(imb.roc.auc, bal.roc.auc),
-    )
-    return EvaluationReport(rows=(row,), t_tests=t_tests_for_rows((row,)))
-
-
-def t_tests_for_rows(rows: Sequence[ReportRow]) -> dict[str, Optional[TTestResult]]:
-    """Paired t-tests of imbalanced vs balanced precision and recall over
-    the rows where both sides are defined; None when fewer than 2 pairs."""
-    out: dict[str, Optional[TTestResult]] = {}
-    for metric in ("precision", "recall"):
-        pairs = [
-            (getattr(r.imbalanced, metric), getattr(r.balanced, metric))
-            for r in rows
-            if getattr(r.imbalanced, metric) is not None
-            and getattr(r.balanced, metric) is not None
-        ]
-        if len(pairs) >= 2:
-            out[metric] = paired_t_test([a for a, _ in pairs], [b for _, b in pairs])
+        smote_cfg = replace(cfg.smote, seed=derive_seed(cfg.seed, STREAM_SMOTE))
+        if cfg.mode == MODE_BALANCE_FIRST:
+            balanced = smote_oversample(d, smote_cfg)
+            train, test = split_train_test(balanced, cfg.test_fraction, seed=split_seed)
         else:
-            out[metric] = None
-    return out
+            train = smote_oversample(train, smote_cfg)
+        bal = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED))
+    return EvaluationReport(rows=(ReportRow(label=d.target_name, imbalanced=imb, balanced=bal),))
 
 
 def combine_reports(reports: Sequence[EvaluationReport]) -> EvaluationReport:
-    """Merge per-target reports into one table and recompute the t-tests
-    over all rows (the cross-technique comparison)."""
+    """Merge per-target reports into one table; its t-tests then run over
+    all rows (the cross-technique comparison)."""
     rows = tuple(row for rep in reports for row in rep.rows)
     if not rows:
         raise ValueError("no report rows to combine")
-    return EvaluationReport(rows=rows, t_tests=t_tests_for_rows(rows))
+    return EvaluationReport(rows=rows)
 
 
 @dataclass(frozen=True)
@@ -217,30 +191,6 @@ def form_recommendations(
         collaborative=tuple(e for e in above if e.role == ROLE_TECHNIQUE),
         content_based=tuple(e for e in above if e.role == ROLE_CONTEXT),
         threshold=threshold,
-    )
-
-
-@dataclass(frozen=True)
-class BalancingComparison:
-    verdict: str  # "balanced", "imbalanced", or "neither"
-    auc_delta: float
-    accuracy_delta: float
-    entropy_delta: float
-    report: EvaluationReport
-
-
-def compare_balancing(d: Dataset, cfg: PipelineConfig) -> BalancingComparison:
-    """Hull-dominance verdict plus balanced-minus-imbalanced metric deltas."""
-    report = run_pipeline(d, cfg)
-    row = report.rows[0]
-    outcome = dominates(row.balanced.roc.hull, row.imbalanced.roc.hull)
-    verdict = {"A": "balanced", "B": "imbalanced"}.get(outcome, "neither")
-    return BalancingComparison(
-        verdict=verdict,
-        auc_delta=row.balanced.roc.auc - row.imbalanced.roc.auc,
-        accuracy_delta=row.balanced.accuracy - row.imbalanced.accuracy,
-        entropy_delta=row.balanced.mean_split_entropy - row.imbalanced.mean_split_entropy,
-        report=report,
     )
 
 

@@ -290,6 +290,30 @@ class TestRun:
         b = self.run_once(tmp_path, input_csv, "s2", extra=("--seed", "2"))
         assert (a / "report.json").read_bytes() != (b / "report.json").read_bytes()
 
+    def test_sound_mode_on_balanced_output_exits_2(self, tmp_path, input_csv, capsys):
+        cfg = fast_config(tmp_path)
+        assert main(["balance", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)]) == 0
+        balanced = str(tmp_path / "balanced.csv")
+        out = tmp_path / "sound"
+        rc = main(["run", "--config", cfg, "--input", balanced, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "70 synthetic rows" in err and PROVENANCE_COLUMN in err
+        assert "before balance" in err and "--mode balance-first" in err
+        assert not out.exists()
+        # balance-first mode measures on the oversampled pool by design
+        self.run_once(tmp_path, balanced, "bf", extra=("--mode", "balance-first"))
+
+    @pytest.mark.parametrize("forest_doc", [{"max_depth": 0}, {"min_samples_leaf": 100}])
+    def test_forest_without_splits(self, tmp_path, input_csv, forest_doc):
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5, **forest_doc}, "filter": {"top_k": 4}})
+        for command in ("run", "train", "score"):
+            assert main([command, "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["comparison"]["entropy_delta"] is None
+        for arm in ("imbalanced", "balanced"):
+            assert report["report"]["rows"][0][arm]["mean_split_entropy"] is None
+
 
 class TestScore:
     def test_all_methods_and_marker(self, tmp_path, input_csv, capsys):

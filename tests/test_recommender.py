@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from elicitrec.data_model import ROLE_CONTEXT, ROLE_TECHNIQUE
-from elicitrec.evaluation import report_to_dict, roc_analysis_to_csv
+from elicitrec.evaluation import report_to_dict, roc_analysis_to_csv, t_tests_for_rows
 from elicitrec.forest import ForestParams
 from elicitrec.recommender import (
     MODE_BALANCE_FIRST,
@@ -15,11 +15,9 @@ from elicitrec.recommender import (
     Prediction,
     RecommendationSet,
     combine_reports,
-    compare_balancing,
     form_recommendations,
     recommendation_set_to_dict,
     run_pipeline,
-    t_tests_for_rows,
 )
 from elicitrec.sampler import SmoteConfig
 
@@ -235,16 +233,23 @@ class TestFormRecommendations:
 
 class TestCompareBalancing:
     def test_smote_off_is_neither(self, skewed_dataset):
-        cmp = compare_balancing(skewed_dataset, config(smote=None))
-        assert cmp.verdict == "neither"
-        assert cmp.auc_delta == 0.0
-        assert cmp.accuracy_delta == 0.0
-        assert cmp.entropy_delta == 0.0
+        row = run_pipeline(skewed_dataset, config(smote=None)).rows[0]
+        assert row.hull_verdict == "neither"
+        assert row.auc_delta == 0.0
+        assert row.accuracy_delta == 0.0
+        assert row.entropy_delta == 0.0
 
     def test_verdict_vocabulary(self, skewed_dataset):
-        cmp = compare_balancing(skewed_dataset, config(mode=MODE_BALANCE_FIRST))
-        assert cmp.verdict in ("balanced", "imbalanced", "neither")
-        row = cmp.report.rows[0]
-        assert cmp.auc_delta == pytest.approx(
-            row.balanced.roc.auc - row.imbalanced.roc.auc
-        )
+        row = run_pipeline(skewed_dataset, config(mode=MODE_BALANCE_FIRST)).rows[0]
+        assert row.hull_verdict in ("balanced", "imbalanced", "neither")
+        assert row.auc_delta == pytest.approx(row.balanced.roc.auc - row.imbalanced.roc.auc)
+
+    def test_derived_from_the_arms(self, skewed_dataset):
+        row = run_pipeline(skewed_dataset, config()).rows[0]
+        imb, bal = row.imbalanced, row.balanced
+        flipped = dataclasses.replace(row, imbalanced=bal, balanced=imb)
+        assert flipped.auc_delta == -row.auc_delta
+        assert flipped.accuracy_delta == -row.accuracy_delta
+        assert flipped.entropy_delta == -row.entropy_delta
+        assert {row.hull_verdict, flipped.hull_verdict} in ({"neither"}, {"balanced", "imbalanced"})
+        assert row.auc_improvement_pct == pytest.approx((bal.roc.auc / imb.roc.auc - 1) * 100)
