@@ -34,13 +34,7 @@ from .evaluation import (
     roc_convex_hull,
     roc_curve,
 )
-from .feature_scoring import (
-    FeatureScoreTable,
-    FilterSelection,
-    METHODS,
-    score_all,
-    select_best_filter,
-)
+from .feature_scoring import FeatureScoreTable, METHODS, score_all
 from .forest import (
     ForestParams,
     RandomForestModel,
@@ -56,12 +50,14 @@ from .recommender import (
     MODE_SOUND,
     MODES,
     FilterConfig,
+    FilterSelection,
     PipelineConfig,
     Prediction,
     RecommendationSet,
     combine_reports,
     form_recommendations,
     run_pipeline,
+    select_best_filter,
 )
 from .sampler import SmoteConfig, smote_details, smote_oversample
 

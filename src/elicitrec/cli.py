@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from . import data_model, evaluation, feature_scoring, forest, recommender
-from .data_model import Dataset, FeatureSchema, derive_seed, load_csv, write_atomic as _write_atomic
+from .data_model import Dataset, FeatureSchema, load_csv, write_atomic as _write_atomic
 from .forest import ForestParams
 from .recommender import FilterConfig, PipelineConfig, Prediction
-from .sampler import SmoteConfig, smote_oversample
+from .sampler import SmoteConfig
 
 #: JSON types by the name a config error gives them
 _JSON_TYPES = {
@@ -290,8 +290,7 @@ def cmd_balance(args: argparse.Namespace) -> int:
     if s.smote is None:
         raise ValueError('config "smote" is null, which turns balancing off; balance needs an object')
     d = _load_input(args, s)
-    smote_cfg = replace(s.smote, seed=derive_seed(s.seed, recommender.STREAM_SMOTE))
-    balanced = smote_oversample(d, smote_cfg)
+    balanced = recommender.balance(d, s.smote, s.seed)
     out = _out_dir(args) / "balanced.csv"
     _write_atomic(out, data_model.csv_text(balanced, include_provenance=True))
     summary = data_model.summarize(balanced)
@@ -398,7 +397,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         _write_atomic(out_dir / f"scores_{method}.csv", feature_scoring.table_to_csv(table))
     print(f"scored {d.n_features} features with {len(s.filter.methods)} method(s)")
     if len(s.filter.methods) > 1:
-        selection = feature_scoring.select_best_filter(
+        selection = recommender.select_best_filter(
             d,
             s.filter.methods,
             s.filter.top_k,

@@ -140,7 +140,6 @@ class DatasetSummary:
     n_majority: int
     n_minority: int
     imbalance_ratio: float
-    task: str = "binary classification"
 
 
 def load_csv(

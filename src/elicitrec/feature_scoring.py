@@ -1,4 +1,4 @@
-"""Learner-independent feature scoring and hull-based filter selection.
+"""Learner-independent feature scoring.
 
 Three filter methods score each feature against the binary target:
 
@@ -9,12 +9,8 @@ Three filter methods score each feature against the binary target:
   means equal (the classic XOR-style case).
 - MutualInfo: plug-in discrete mutual information in nats.
 
-`select_best_filter` compares methods the way a downstream consumer cares
-about: train on each method's top-k features and keep the method whose
-ROC convex hull has the largest area. The training run is a pure function
-of the selected feature subset and the evaluation seed, so methods that
-select identical subsets produce identical areas and fall through to the
-canonical tie order.
+Scores depend only on the data, never on a learner; `recommender` turns
+them into feature subsets and picks the best filter.
 """
 
 from __future__ import annotations
@@ -22,31 +18,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import (
-    STREAM_FOREST_IMBALANCED,
-    STREAM_SMOTE,
-    STREAM_SPLIT,
-    Dataset,
-    derive_seed,
-    select_features,
-    split_train_test,
-)
-from .evaluation import analyze_scores
-from .forest import ForestParams, predict_proba_many, train_forest
-from .sampler import SmoteConfig, smote_oversample
+from .data_model import Dataset
 
 METHOD_CHI2 = "Chi2"
 METHOD_ANOVA_F = "AnovaF"
 METHOD_MUTUAL_INFO = "MutualInfo"
 METHODS = (METHOD_CHI2, METHOD_ANOVA_F, METHOD_MUTUAL_INFO)
-
-# preference when areas tie exactly, strongest first
-_TIE_RANK = {METHOD_MUTUAL_INFO: 2, METHOD_CHI2: 1, METHOD_ANOVA_F: 0}
 
 
 @dataclass(frozen=True)
@@ -147,75 +128,6 @@ def score_all(d: Dataset, method: str) -> FeatureScoreTable:
     ]
     entries.sort(key=lambda e: (-e.score, e.feature_name))
     return FeatureScoreTable(method=method, entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class FilterSelection:
-    method: str
-    table: FeatureScoreTable
-    auch_by_method: dict[str, float]
-
-
-def _subset_auch(
-    sub: Dataset,
-    forest_params: ForestParams,
-    eval_seed: int,
-    test_fraction: float,
-    smote_template: SmoteConfig,
-) -> float:
-    """Area under the hull of one balance -> split -> train -> score run.
-
-    Seeds derive from eval_seed alone so the result depends only on the
-    selected feature subset.
-    """
-    smote_cfg = replace(smote_template, seed=derive_seed(eval_seed, STREAM_SMOTE))
-    balanced = smote_oversample(sub, smote_cfg)
-    train, test = split_train_test(balanced, test_fraction, seed=derive_seed(eval_seed, STREAM_SPLIT))
-    params = replace(forest_params, seed=derive_seed(eval_seed, STREAM_FOREST_IMBALANCED))
-    model = train_forest(train, params)
-    scores = predict_proba_many(model, test.X)
-    return analyze_scores(scores, test.y).auch
-
-
-def select_best_filter(
-    d: Dataset,
-    methods: Sequence[str],
-    top_k: int,
-    forest_params: ForestParams,
-    eval_seed: int,
-    test_fraction: float = 0.2,
-    smote_template: Optional[SmoteConfig] = None,
-    tables: Optional[Mapping[str, FeatureScoreTable]] = None,
-) -> FilterSelection:
-    """Pick the filter whose top_k features yield the largest AUCH.
-
-    `tables` may hold `score_all(d, method)` tables already made, by
-    method; the methods it lacks are scored here. Exact ties fall back to
-    the canonical preference MutualInfo > Chi2 > AnovaF.
-    """
-    if not methods:
-        raise ValueError("no candidate methods given")
-    if len(set(methods)) != len(methods):
-        raise ValueError("duplicate candidate methods")
-    if top_k < 1:
-        raise ValueError("top_k must be at least 1")
-    if top_k > d.n_features:
-        raise ValueError(f"top_k {top_k} exceeds feature count {d.n_features}")
-    template = smote_template if smote_template is not None else SmoteConfig()
-    tables = dict(tables or {})
-    auch_by_method: dict[str, float] = {}
-    for method in methods:
-        if method not in tables:
-            tables[method] = score_all(d, method)
-        table = tables[method]
-        names = {e.feature_name for e in table.entries[:top_k]}
-        # schema order, so the run depends only on the selected SET
-        sub = select_features(d, [f.name for f in d.schema if f.name in names])
-        auch_by_method[method] = _subset_auch(
-            sub, forest_params, eval_seed, test_fraction, template
-        )
-    best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))
-    return FilterSelection(method=best, table=tables[best], auch_by_method=auch_by_method)
 
 
 def table_to_csv(table: FeatureScoreTable) -> str:

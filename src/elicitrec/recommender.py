@@ -16,6 +16,12 @@ Two orderings of balancing and splitting are supported:
 With `smote` None the balanced arm is the imbalanced one. A report row
 holds the two arms; it derives every comparison between them.
 
+`_arm_data` builds an arm's train and test rows, `_evaluate_arm` fits and
+scores its forest. `select_best_filter` ranks each method by the balanced
+arm of a balance-first run on its top-k features, the forest seeded from
+the imbalanced stream: a leak, as synthetic rows reach the test split
+that ranks the filters, whatever mode `run` uses.
+
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from .data_model import (
     Dataset,
     derive_seed,
     drop_constant_features,
+    select_features,
     split_train_test,
 )
 from .evaluation import (
@@ -51,7 +58,15 @@ from .evaluation import (
     precision,
     recall,
 )
-from .feature_scoring import METHODS, FeatureScoreTable, ScoreEntry
+from .feature_scoring import (
+    METHOD_ANOVA_F,
+    METHOD_CHI2,
+    METHOD_MUTUAL_INFO,
+    METHODS,
+    FeatureScoreTable,
+    ScoreEntry,
+    score_all,
+)
 from .forest import ForestParams, mean_split_entropy, predict_proba_many, train_forest
 from .sampler import SmoteConfig, smote_oversample
 
@@ -96,6 +111,23 @@ class PipelineConfig:
             raise ValueError("seed must be non-negative")
 
 
+def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
+    """SMOTE on `d`, seeded from the master `seed`'s SMOTE stream."""
+    return smote_oversample(d, replace(smote, seed=derive_seed(seed, STREAM_SMOTE)))
+
+
+def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset, Dataset]:
+    """One arm's (train, test) rows: the split of `d`, balanced before the
+    split (balance-first) or on its training rows (sound) for the balanced
+    arm."""
+    if balanced and cfg.mode == MODE_BALANCE_FIRST:
+        d = balance(d, cfg.smote, cfg.seed)
+    train, test = split_train_test(d, cfg.test_fraction, seed=derive_seed(cfg.seed, STREAM_SPLIT))
+    if balanced and cfg.mode == MODE_SOUND:
+        train = balance(train, cfg.smote, cfg.seed)
+    return train, test
+
+
 def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams, seed: int) -> ArmMetrics:
     model = train_forest(train, replace(params, seed=seed))
     scores = predict_proba_many(model, test.X)
@@ -126,22 +158,80 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
             f"or use --mode {MODE_BALANCE_FIRST}"
         )
     d = drop_constant_features(d)
-    split_seed = derive_seed(cfg.seed, STREAM_SPLIT)
-    train, test = split_train_test(d, cfg.test_fraction, seed=split_seed)
-    imb = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED))
+    imb = _evaluate_arm(
+        *_arm_data(d, cfg, False), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED)
+    )
     if cfg.smote is None:
         # with balancing off the arms are one experiment; reuse the
         # evaluation so the rows come out identical
         bal = imb
     else:
-        smote_cfg = replace(cfg.smote, seed=derive_seed(cfg.seed, STREAM_SMOTE))
-        if cfg.mode == MODE_BALANCE_FIRST:
-            balanced = smote_oversample(d, smote_cfg)
-            train, test = split_train_test(balanced, cfg.test_fraction, seed=split_seed)
-        else:
-            train = smote_oversample(train, smote_cfg)
-        bal = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED))
+        bal = _evaluate_arm(
+            *_arm_data(d, cfg, True), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED)
+        )
     return EvaluationReport(rows=(ReportRow(label=d.target_name, imbalanced=imb, balanced=bal),))
+
+
+# preference when areas tie exactly, strongest first
+_TIE_RANK = {METHOD_MUTUAL_INFO: 2, METHOD_CHI2: 1, METHOD_ANOVA_F: 0}
+
+
+@dataclass(frozen=True)
+class FilterSelection:
+    method: str
+    table: FeatureScoreTable
+    auch_by_method: dict[str, float]
+
+
+def select_best_filter(
+    d: Dataset,
+    methods: Sequence[str],
+    top_k: int,
+    forest_params: ForestParams,
+    eval_seed: int,
+    test_fraction: float = 0.2,
+    smote_template: Optional[SmoteConfig] = None,
+    tables: Optional[Mapping[str, FeatureScoreTable]] = None,
+) -> FilterSelection:
+    """Pick the filter whose top_k features yield the largest AUCH.
+
+    Each method's AUCH is that of the balanced arm of a balance-first run
+    with master seed `eval_seed` on the method's top_k features, its
+    forest seeded from the imbalanced stream. The features keep schema
+    order, so the run depends only on the selected set: methods that
+    select the same set get the same area, and exact ties fall back to the
+    canonical preference MutualInfo > Chi2 > AnovaF.
+
+    `tables` may hold `score_all(d, method)` tables already made, by
+    method; the methods it lacks are scored here.
+    """
+    if not methods:
+        raise ValueError("no candidate methods given")
+    if len(set(methods)) != len(methods):
+        raise ValueError("duplicate candidate methods")
+    if top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    if top_k > d.n_features:
+        raise ValueError(f"top_k {top_k} exceeds feature count {d.n_features}")
+    cfg = PipelineConfig(
+        target_name=d.target_name,
+        mode=MODE_BALANCE_FIRST,
+        test_fraction=test_fraction,
+        smote=smote_template if smote_template is not None else SmoteConfig(),
+        forest=forest_params,
+        seed=eval_seed,
+    )
+    forest_seed = derive_seed(eval_seed, STREAM_FOREST_IMBALANCED)
+    tables = dict(tables or {})
+    auch_by_method: dict[str, float] = {}
+    for method in methods:
+        if method not in tables:
+            tables[method] = score_all(d, method)
+        names = {e.feature_name for e in tables[method].entries[:top_k]}
+        sub = select_features(d, [f.name for f in d.schema if f.name in names])
+        auch_by_method[method] = _evaluate_arm(*_arm_data(sub, cfg, True), forest_params, forest_seed).auch
+    best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))
+    return FilterSelection(method=best, table=tables[best], auch_by_method=auch_by_method)
 
 
 def combine_reports(reports: Sequence[EvaluationReport]) -> EvaluationReport:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicitrec import feature_scoring, forest
+from elicitrec import feature_scoring, forest, recommender
 from elicitrec.cli import main, render_hulls_svg
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
@@ -338,7 +338,7 @@ class TestScore:
         cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5}, "filter": {"top_k": 4}})
         out = tmp_path / "once"
         scored, written = [], []
-        score_all, select = feature_scoring.score_all, feature_scoring.select_best_filter
+        score_all, select = feature_scoring.score_all, recommender.select_best_filter
 
         def counted(d, method):
             scored.append(method)
@@ -348,8 +348,10 @@ class TestScore:
             written.extend(sorted(p.name for p in out.glob("scores_*.csv")))
             return select(*args, **kwargs)
 
+        # the command scores through feature_scoring, selection through recommender
         monkeypatch.setattr(feature_scoring, "score_all", counted)
-        monkeypatch.setattr(feature_scoring, "select_best_filter", checked)
+        monkeypatch.setattr(recommender, "score_all", counted)
+        monkeypatch.setattr(recommender, "select_best_filter", checked)
         assert main(["score", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 0
         assert sorted(scored) == sorted(feature_scoring.METHODS)
         assert written == sorted(f"scores_{m}.csv" for m in feature_scoring.METHODS)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elicitrec import feature_scoring
+from elicitrec import recommender
 from elicitrec.forest import ForestParams
 from elicitrec.feature_scoring import (
     METHOD_ANOVA_F,
@@ -14,10 +14,10 @@ from elicitrec.feature_scoring import (
     chi2_score,
     mutual_info_score,
     score_all,
-    select_best_filter,
     table_from_csv,
     table_to_csv,
 )
+from elicitrec.recommender import select_best_filter
 
 from conftest import make_dataset, xor_dataset
 
@@ -254,7 +254,7 @@ class TestSelectBestFilter:
         def refuse(d, method):
             raise AssertionError(f"{method} scored again")
 
-        monkeypatch.setattr(feature_scoring, "score_all", refuse)
+        monkeypatch.setattr(recommender, "score_all", refuse)
         got = select_best_filter(
             d, list(METHODS), top_k=2, forest_params=SMALL_FOREST, eval_seed=3, tables=tables
         )

@@ -4,9 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from elicitrec.data_model import ROLE_CONTEXT, ROLE_TECHNIQUE
-from elicitrec.evaluation import report_to_dict, roc_analysis_to_csv, t_tests_for_rows
-from elicitrec.forest import ForestParams
+from elicitrec.data_model import (
+    ROLE_CONTEXT,
+    ROLE_TECHNIQUE,
+    STREAM_FOREST_IMBALANCED,
+    STREAM_SMOTE,
+    STREAM_SPLIT,
+    derive_seed,
+    select_features,
+    split_train_test,
+)
+from elicitrec.evaluation import analyze_scores, report_to_dict, roc_analysis_to_csv, t_tests_for_rows
+from elicitrec.feature_scoring import METHODS, score_all
+from elicitrec.forest import ForestParams, predict_proba_many, train_forest
 from elicitrec.recommender import (
     MODE_BALANCE_FIRST,
     MODE_SOUND,
@@ -18,8 +28,9 @@ from elicitrec.recommender import (
     form_recommendations,
     recommendation_set_to_dict,
     run_pipeline,
+    select_best_filter,
 )
-from elicitrec.sampler import SmoteConfig
+from elicitrec.sampler import SmoteConfig, smote_oversample
 
 from conftest import interviews_score_table
 
@@ -114,6 +125,20 @@ class TestRunPipeline:
         # produce synthetic provenance in the shared test subset
         rep = run_pipeline(skewed_dataset, config(mode=MODE_SOUND))
         assert rep.rows[0].balanced.n_train > rep.rows[0].imbalanced.n_train
+
+
+class TestFilterProtocol:
+    def test_each_area_is_the_balance_first_chain(self, skewed_dataset):
+        d, top_k, s = skewed_dataset, 5, 11
+        sel = select_best_filter(d, METHODS, top_k, FAST, eval_seed=s)
+        for method in METHODS:
+            names = {e.feature_name for e in score_all(d, method).entries[:top_k]}
+            sub = select_features(d, [f.name for f in d.schema if f.name in names])
+            balanced = smote_oversample(sub, SmoteConfig(seed=derive_seed(s, STREAM_SMOTE)))
+            train, test = split_train_test(balanced, 0.2, seed=derive_seed(s, STREAM_SPLIT))
+            params = dataclasses.replace(FAST, seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
+            scores = predict_proba_many(train_forest(train, params), test.X)
+            assert sel.auch_by_method[method] == analyze_scores(scores, test.y).auch
 
 
 class TestTTestAssembly:
