@@ -8,7 +8,6 @@ scoring, and threshold-based technique recommendations.
 
 from .data_model import (
     Dataset,
-    DatasetSummary,
     FeatureSchema,
     ROLE_CONTEXT,
     ROLE_TECHNIQUE,
@@ -20,7 +19,6 @@ from .data_model import (
     minority_label,
     select_features,
     split_train_test,
-    summarize,
     write_csv,
 )
 from .evaluation import (
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "DatasetSummary",
     "EvaluationReport",
     "FeatureSchema",
     "FeatureScoreTable",
@@ -111,7 +108,6 @@ __all__ = [
     "smote_details",
     "smote_oversample",
     "split_train_test",
-    "summarize",
     "train_forest",
     "write_csv",
 ]

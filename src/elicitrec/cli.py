@@ -122,8 +122,8 @@ def _load_settings(args: argparse.Namespace) -> Settings:
     for name, role in doc.get("roles", {}).items():
         if role not in (data_model.ROLE_CONTEXT, data_model.ROLE_TECHNIQUE):
             raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
-    for key in ("target", "positive_label", "mode", "seed"):  # a flag overrides the config
-        if getattr(args, key) not in (None, ""):
+    for key in ("target", "positive_label", "mode", "seed", "recommendation_threshold"):
+        if getattr(args, key, None) not in (None, ""):  # a flag overrides the config
             doc[key] = getattr(args, key)
     s = Settings(**doc)
     if s.mode not in recommender.MODES:
@@ -157,27 +157,18 @@ def _dump_json(doc, compact: bool = False) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs) + "\n"
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    return Path(args.out_dir)
-
-
 # --- model bundle: forest + the schema needed to score new rows ---------
 
 
-def _schema_to_doc(d: Dataset) -> dict:
+def _bundle_to_doc(m: forest.RandomForestModel, d: Dataset) -> dict:
     return {
+        **forest.model_to_dict(m),
         "schema": [
             {"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema
         ],
         "target_name": d.target_name,
         "target_levels": list(d.target_levels),
     }
-
-
-def _bundle_to_doc(m: forest.RandomForestModel, d: Dataset) -> dict:
-    doc = forest.model_to_dict(m)
-    doc.update(_schema_to_doc(d))
-    return doc
 
 
 @dataclass(frozen=True)
@@ -199,11 +190,13 @@ def _load_bundle(path: str) -> ModelBundle:
         if key not in doc:
             raise ValueError(f"model file lacks {key!r}")
     try:
-        schema = tuple(
-            FeatureSchema(f["name"], f["role"], tuple(f["levels"])) for f in doc["schema"]
-        )
+        entries = [(f["name"], f["role"], f["levels"]) for f in doc["schema"]]
     except (KeyError, TypeError):
         raise ValueError("model schema entries need 'name', 'role' and 'levels'") from None
+    for name, _, levels in entries:
+        if not isinstance(levels, list) or not all(isinstance(v, str) for v in [name, *levels]):
+            raise ValueError(f"model schema entry {name!r}: name must be a string, levels a list of strings")
+    schema = tuple(FeatureSchema(name, role, tuple(levels)) for name, role, levels in entries)
     levels = doc["target_levels"]
     if not isinstance(levels, list) or len(levels) != 2:
         raise ValueError("model target_levels must list exactly two values")
@@ -291,12 +284,12 @@ def cmd_balance(args: argparse.Namespace) -> int:
         raise ValueError('config "smote" is null, which turns balancing off; balance needs an object')
     d = _load_input(args, s)
     balanced = recommender.balance(d, s.smote, s.seed)
-    out = _out_dir(args) / "balanced.csv"
+    out = args.out_dir / "balanced.csv"
     _write_atomic(out, data_model.csv_text(balanced, include_provenance=True))
-    summary = data_model.summarize(balanced)
+    counts = np.bincount(balanced.y, minlength=2)
     print(
         f"balanced {d.n_rows} -> {balanced.n_rows} rows "
-        f"({summary.n_majority} majority / {summary.n_minority} minority) -> {out}"
+        f"({counts.max()} majority / {counts.min()} minority) -> {out}"
     )
     return 0
 
@@ -306,7 +299,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     d = _load_input(args, s)
     params = replace(s.forest, seed=s.seed)
     model = forest.train_forest(d, params)
-    out = _out_dir(args) / "model.json"
+    out = args.out_dir / "model.json"
     _write_atomic(out, _dump_json(_bundle_to_doc(model, d), compact=True))
     print(
         f"trained {model.n_trees} trees (mtry {model.mtry}, criterion {model.criterion}) "
@@ -340,7 +333,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "auch": analysis.auch,
         "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
     }
-    out = _out_dir(args) / "evaluation.json"
+    out = args.out_dir / "evaluation.json"
     _write_atomic(out, _dump_json(doc))
     print(
         f"evaluated {d.n_rows} rows: accuracy {doc['accuracy']:.4f}, "
@@ -355,7 +348,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     d = _load_input(args, s)
     report = recommender.run_pipeline(d, cfg)
     row = report.rows[0]
-    out_dir = _out_dir(args)
+    out_dir = args.out_dir
     report_doc = {
         "format_version": 1,
         "target": cfg.target_name,
@@ -391,7 +384,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     s = _load_settings(args)
     d = _load_input(args, s)
-    out_dir = _out_dir(args)
+    out_dir = args.out_dir
     tables = {method: feature_scoring.score_all(d, method) for method in s.filter.methods}
     for method, table in tables.items():
         _write_atomic(out_dir / f"scores_{method}.csv", feature_scoring.table_to_csv(table))
@@ -414,27 +407,21 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _method_from_scores_path(path: str) -> str:
-    stem = Path(path).stem
-    if stem.startswith("scores_") and stem[len("scores_"):] in feature_scoring.METHODS:
-        return stem[len("scores_"):]
-    return feature_scoring.METHOD_MUTUAL_INFO
-
-
 def cmd_recommend(args: argparse.Namespace) -> int:
     s = _load_settings(args)
-    threshold = args.threshold if args.threshold is not None else s.recommendation_threshold
-    if threshold is None:
+    if s.recommendation_threshold is None:
         raise ValueError(
             "a recommendation threshold is required (--threshold or config key)"
         )
     bundle = _load_bundle(args.model)
+    roles = {f.name: f.role for f in bundle.schema}
     scores_path = Path(args.scores)
     if not scores_path.exists():
         raise FileNotFoundError(f"no such scores file: {scores_path}")
-    table = feature_scoring.table_from_csv(
-        scores_path.read_text(encoding="utf-8"), _method_from_scores_path(args.scores)
-    )
+    table = feature_scoring.table_from_csv(scores_path.read_text(encoding="utf-8"))
+    unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
+    if unknown:
+        raise ValueError(f"scores file feature(s) not in the model with that role: {', '.join(unknown)}")
     row_path = Path(args.row)
     if not row_path.exists():
         raise FileNotFoundError(f"no such context row file: {row_path}")
@@ -448,14 +435,14 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         if f.name not in row_doc:
             raise ValueError(f"context row lacks feature {f.name!r}")
         values.append(f.encode(row_doc[f.name]))
-    extra = sorted(set(row_doc) - {f.name for f in bundle.schema})
+    extra = sorted(set(row_doc) - set(roles))
     if extra:
         raise ValueError(f"context row has unknown feature(s): {', '.join(extra)}")
     proba = forest.predict_proba(bundle.model, np.asarray(values, dtype=np.int64))
     prediction = Prediction(label=bundle.target_name, probability=proba)
-    rs = recommender.form_recommendations(table, prediction, float(threshold))
+    rs = recommender.form_recommendations(table, prediction, float(s.recommendation_threshold))
     doc = {"format_version": 1, **recommender.recommendation_set_to_dict(rs)}
-    out = _out_dir(args) / "recommendations.json"
+    out = args.out_dir / "recommendations.json"
     _write_atomic(out, _dump_json(doc))
 
     use = "use" if proba >= 0.5 else "do not use"
@@ -482,7 +469,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out-dir", default=".", help="output directory (default: .)")
+    common.add_argument("--out-dir", type=Path, default=".", help="output directory (default: .)")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
     common.add_argument(
         "--mode", choices=list(recommender.MODES), help="pipeline mode (overrides config)"
@@ -525,7 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--model", required=True, help="model.json from train")
     p_rec.add_argument("--scores", required=True, help="scores_<method>.csv from score")
     p_rec.add_argument("--row", required=True, help="JSON file with one context row")
-    p_rec.add_argument("--threshold", type=float, help="recommendation score threshold")
+    p_rec.add_argument(
+        "--threshold", type=float, dest="recommendation_threshold", help="recommendation score threshold"
+    )
     p_rec.set_defaults(func=cmd_recommend)
     return parser
 

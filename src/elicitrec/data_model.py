@@ -135,13 +135,6 @@ class Dataset:
         return [f.decode(int(c)) for f, c in zip(self.schema, self.X[i])]
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    n_majority: int
-    n_minority: int
-    imbalance_ratio: float
-
-
 def load_csv(
     path: str | Path,
     target_name: str,
@@ -351,15 +344,6 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     test_rows = np.sort(perm[:n_test])
     train_rows = np.sort(perm[n_test:])
     return _subset(d, train_rows), _subset(d, test_rows)
-
-
-def summarize(d: Dataset) -> DatasetSummary:
-    n_pos = int(d.y.sum())
-    n_neg = d.n_rows - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("single-class dataset")
-    n_maj, n_min = max(n_pos, n_neg), min(n_pos, n_neg)
-    return DatasetSummary(n_maj, n_min, n_maj / n_min)
 
 
 def minority_label(d: Dataset) -> int:

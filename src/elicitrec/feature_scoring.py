@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import ROLE_CONTEXT, ROLE_TECHNIQUE, Dataset
 
 METHOD_CHI2 = "Chi2"
 METHOD_ANOVA_F = "AnovaF"
@@ -39,13 +39,12 @@ class ScoreEntry:
 
 @dataclass(frozen=True)
 class FeatureScoreTable:
-    method: str
     entries: tuple[ScoreEntry, ...]
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         for e in self.entries:
+            if e.role not in (ROLE_CONTEXT, ROLE_TECHNIQUE):
+                raise ValueError(f"unknown role {e.role!r} for feature {e.feature_name!r}")
             if math.isnan(e.score) or e.score < 0:
                 raise ValueError(f"negative or NaN score for {e.feature_name!r}")
         keys = [(-e.score, e.feature_name) for e in self.entries]
@@ -127,7 +126,7 @@ def score_all(d: Dataset, method: str) -> FeatureScoreTable:
         for j, f in enumerate(d.schema)
     ]
     entries.sort(key=lambda e: (-e.score, e.feature_name))
-    return FeatureScoreTable(method=method, entries=tuple(entries))
+    return FeatureScoreTable(entries=tuple(entries))
 
 
 def table_to_csv(table: FeatureScoreTable) -> str:
@@ -139,7 +138,7 @@ def table_to_csv(table: FeatureScoreTable) -> str:
     return out.getvalue()
 
 
-def table_from_csv(text: str, method: str) -> FeatureScoreTable:
+def table_from_csv(text: str) -> FeatureScoreTable:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["feature", "role", "score"]:
         raise ValueError("expected header 'feature,role,score'")
@@ -149,4 +148,4 @@ def table_from_csv(text: str, method: str) -> FeatureScoreTable:
             raise ValueError(f"malformed score row: {row!r}")
         name, role, score = row
         entries.append(ScoreEntry(feature_name=name, role=role, score=float(score)))
-    return FeatureScoreTable(method=method, entries=tuple(entries))
+    return FeatureScoreTable(entries=tuple(entries))

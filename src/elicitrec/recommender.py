@@ -20,7 +20,8 @@ holds the two arms; it derives every comparison between them.
 scores its forest. `select_best_filter` ranks each method by the balanced
 arm of a balance-first run on its top-k features, the forest seeded from
 the imbalanced stream: a leak, as synthetic rows reach the test split
-that ranks the filters, whatever mode `run` uses.
+that ranks the filters, whatever mode `run` uses. With `smote` None it
+ranks them by the unbalanced arm, as `run` does.
 
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
@@ -179,7 +180,6 @@ _TIE_RANK = {METHOD_MUTUAL_INFO: 2, METHOD_CHI2: 1, METHOD_ANOVA_F: 0}
 @dataclass(frozen=True)
 class FilterSelection:
     method: str
-    table: FeatureScoreTable
     auch_by_method: dict[str, float]
 
 
@@ -190,48 +190,44 @@ def select_best_filter(
     forest_params: ForestParams,
     eval_seed: int,
     test_fraction: float = 0.2,
-    smote_template: Optional[SmoteConfig] = None,
+    smote_template: Optional[SmoteConfig] = SmoteConfig(),
     tables: Optional[Mapping[str, FeatureScoreTable]] = None,
 ) -> FilterSelection:
     """Pick the filter whose top_k features yield the largest AUCH.
 
     Each method's AUCH is that of the balanced arm of a balance-first run
     with master seed `eval_seed` on the method's top_k features, its
-    forest seeded from the imbalanced stream. The features keep schema
-    order, so the run depends only on the selected set: methods that
-    select the same set get the same area, and exact ties fall back to the
-    canonical preference MutualInfo > Chi2 > AnovaF.
+    forest seeded from the imbalanced stream; with `smote_template` None
+    it is the unbalanced arm's. The features keep schema order, so the run
+    depends only on the selected set: methods that select the same set get
+    the same area, and exact ties fall back to the canonical preference
+    MutualInfo > Chi2 > AnovaF.
 
     `tables` may hold `score_all(d, method)` tables already made, by
     method; the methods it lacks are scored here.
     """
-    if not methods:
-        raise ValueError("no candidate methods given")
-    if len(set(methods)) != len(methods):
-        raise ValueError("duplicate candidate methods")
-    if top_k < 1:
-        raise ValueError("top_k must be at least 1")
+    FilterConfig(methods, top_k)  # checks both
     if top_k > d.n_features:
         raise ValueError(f"top_k {top_k} exceeds feature count {d.n_features}")
     cfg = PipelineConfig(
         target_name=d.target_name,
         mode=MODE_BALANCE_FIRST,
         test_fraction=test_fraction,
-        smote=smote_template if smote_template is not None else SmoteConfig(),
+        smote=smote_template,
         forest=forest_params,
         seed=eval_seed,
     )
     forest_seed = derive_seed(eval_seed, STREAM_FOREST_IMBALANCED)
-    tables = dict(tables or {})
+    tables = tables or {}
     auch_by_method: dict[str, float] = {}
     for method in methods:
-        if method not in tables:
-            tables[method] = score_all(d, method)
-        names = {e.feature_name for e in tables[method].entries[:top_k]}
+        table = tables[method] if method in tables else score_all(d, method)
+        names = {e.feature_name for e in table.entries[:top_k]}
         sub = select_features(d, [f.name for f in d.schema if f.name in names])
-        auch_by_method[method] = _evaluate_arm(*_arm_data(sub, cfg, True), forest_params, forest_seed).auch
+        arm = _arm_data(sub, cfg, cfg.smote is not None)
+        auch_by_method[method] = _evaluate_arm(*arm, forest_params, forest_seed).auch
     best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))
-    return FilterSelection(method=best, table=tables[best], auch_by_method=auch_by_method)
+    return FilterSelection(method=best, auch_by_method=auch_by_method)
 
 
 def combine_reports(reports: Sequence[EvaluationReport]) -> EvaluationReport:

@@ -111,6 +111,5 @@ def interviews_score_table():
     ]
     rows.sort(key=lambda r: (-r[2], r[0]))
     return FeatureScoreTable(
-        method="MutualInfo",
         entries=tuple(ScoreEntry(n, r, s) for n, r, s in rows),
     )

@@ -150,6 +150,9 @@ MALFORMED_MODELS = {
     "missing_key": (lambda doc, tree: doc.pop("seed"), "lacks 'seed'"),
     "missing_node_array": (lambda doc, tree: tree.pop("n1"), "lacks the node array 'n1'"),
     "missing_schema_key": (lambda doc, tree: doc["schema"][0].pop("levels"), "'levels'"),
+    "levels_a_string": (lambda doc, tree: doc["schema"][0].update(levels="abc"), "list of strings"),
+    "level_not_a_string": (lambda doc, tree: doc["schema"][0]["levels"].append(7), "list of strings"),
+    "name_not_a_string": (lambda doc, tree: doc["schema"][0].update(name=["ctx00"]), "must be a string"),
     "unequal_lengths": (lambda doc, tree: tree["threshold"].pop(), "equal length"),
     "child_before_parent": (lambda doc, tree: setitem(tree["left"], 0, 0), "not after its parent"),
     "child_outside_tree": (
@@ -438,11 +441,11 @@ class TestRecommend:
     def test_infinite_score_written_as_string(self, trained):
         # AnovaF scores a feature whose classes each hold one code as +inf
         scores = trained["dir"] / "scores_AnovaF.csv"
-        scores.write_text("feature,role,score\nf0,context,inf\nf1,context,0.5\n", encoding="utf-8")
+        scores.write_text("feature,role,score\nctx00,context,inf\nctx01,context,0.5\n", encoding="utf-8")
         rc = main(self.base_args({**trained, "scores": str(scores)}) + ["--threshold", "1"])
         assert rc == 0
         text = (trained["dir"] / "recommendations.json").read_text()
-        assert json.loads(text)["content_based"] == [{"feature": "f0", "score": "inf"}]
+        assert json.loads(text)["content_based"] == [{"feature": "ctx00", "score": "inf"}]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_rejected(self, trained, capsys, value):
@@ -469,6 +472,34 @@ class TestRecommend:
         rc = main(self.base_args(trained))
         assert rc == 2
         assert "threshold" in capsys.readouterr().err
+
+    def test_threshold_flag_overrides_config(self, trained):
+        cfg = write_config(trained["dir"], {"recommendation_threshold": 1e9}, "thr.json")
+        assert main(self.base_args(trained) + ["--config", cfg, "--threshold", "0.01"]) == 0
+        doc = json.loads((trained["dir"] / "recommendations.json").read_text())
+        assert doc["threshold"] == 0.01
+
+    @pytest.mark.parametrize("role", ["ctx", "tech", "Context", ""])
+    def test_unknown_role_in_scores_rejected(self, trained, capsys, role):
+        scores = trained["dir"] / "scores_bad.csv"
+        scores.write_text(f"feature,role,score\nctx00,{role},0.5\n", encoding="utf-8")
+        rc = main(self.base_args({**trained, "scores": str(scores)}) + ["--threshold", "0.1"])
+        assert rc == 2
+        assert f"unknown role {role!r}" in capsys.readouterr().err
+        assert not (trained["dir"] / "recommendations.json").exists()
+
+    def test_scores_feature_not_in_model_rejected(self, trained, capsys):
+        # ctx01 is a context feature of the model, so a technique row for it is foreign too
+        scores = trained["dir"] / "scores_bad.csv"
+        scores.write_text(
+            "feature,role,score\nnot_in_model,technique,0.9\nctx00,context,0.5\n"
+            "ctx01,technique,0.3\nalso_absent,context,0.1\n",
+            encoding="utf-8",
+        )
+        rc = main(self.base_args({**trained, "scores": str(scores)}) + ["--threshold", "0.01"])
+        assert rc == 2
+        assert "not_in_model, ctx01, also_absent" in capsys.readouterr().err
+        assert not (trained["dir"] / "recommendations.json").exists()
 
     def test_unknown_level_names_feature(self, trained, capsys):
         row_path = Path(trained["row"])

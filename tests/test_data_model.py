@@ -19,7 +19,6 @@ from elicitrec.data_model import (
     minority_label,
     select_features,
     split_train_test,
-    summarize,
     csv_text,
     write_csv,
 )
@@ -250,21 +249,15 @@ class TestSplit:
 
 
 class TestSummaries:
-    def test_summarize_ratio(self, skewed_dataset):
-        s = summarize(skewed_dataset)
-        assert (s.n_majority, s.n_minority) == (282, 41)
-        assert s.imbalance_ratio == pytest.approx(6.9, abs=0.05)
-
-    def test_summarize_single_class(self):
-        d = make_dataset([[0], [1]], [1, 1])
-        with pytest.raises(ValueError, match="single-class"):
-            summarize(d)
-
     def test_minority_label(self):
         assert minority_label(make_dataset([[0], [1], [0]], [1, 1, 0])) == 0
         assert minority_label(make_dataset([[0], [1], [0]], [0, 0, 1])) == 1
         # tie goes to label 0
         assert minority_label(make_dataset([[0], [1]], [0, 1])) == 0
+
+    def test_minority_label_single_class(self):
+        with pytest.raises(ValueError, match="single-class"):
+            minority_label(make_dataset([[0], [1]], [1, 1]))
 
 
 class TestGenerateSynthetic:

@@ -183,7 +183,7 @@ class TestCsvRoundTrip:
     def test_preserves_entries(self):
         d = TestScoreAll().copy_dataset()
         table = score_all(d, METHOD_ANOVA_F)
-        again = table_from_csv(table_to_csv(table), METHOD_ANOVA_F)
+        again = table_from_csv(table_to_csv(table))
         assert again == table
 
     def test_infinite_score(self):
@@ -191,7 +191,7 @@ class TestCsvRoundTrip:
         y = np.array([0, 0, 1, 1], dtype=np.int8)
         table = score_all(make_dataset(x, y, levels=[4]), METHOD_ANOVA_F)
         assert table.entries[0].score == math.inf
-        assert table_from_csv(table_to_csv(table), METHOD_ANOVA_F) == table
+        assert table_from_csv(table_to_csv(table)) == table
 
     def test_comma_in_name(self):
         x = np.array([0, 1, 0, 1], dtype=np.int16).reshape(-1, 1)
@@ -211,7 +211,7 @@ class TestCsvRoundTrip:
             synthetic=d.synthetic,
         )
         table = score_all(d, METHOD_CHI2)
-        again = table_from_csv(table_to_csv(table), METHOD_CHI2)
+        again = table_from_csv(table_to_csv(table))
         assert again.entries[0].feature_name == "size, shape or count"
         assert again == table
 
@@ -238,7 +238,6 @@ class TestSelectBestFilter:
         assert auch[METHOD_CHI2] == auch[METHOD_MUTUAL_INFO]
         assert auch[METHOD_ANOVA_F] < auch[METHOD_MUTUAL_INFO]
         assert sel.method == METHOD_MUTUAL_INFO
-        assert sel.table.method == METHOD_MUTUAL_INFO
 
     def test_deterministic(self):
         d = xor_dataset()

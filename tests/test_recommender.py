@@ -140,6 +140,17 @@ class TestFilterProtocol:
             scores = predict_proba_many(train_forest(train, params), test.X)
             assert sel.auch_by_method[method] == analyze_scores(scores, test.y).auch
 
+    def test_smote_none_is_the_unbalanced_chain(self, skewed_dataset):
+        d, top_k, s = skewed_dataset, 5, 11
+        sel = select_best_filter(d, METHODS, top_k, FAST, eval_seed=s, smote_template=None)
+        for method in METHODS:
+            names = {e.feature_name for e in score_all(d, method).entries[:top_k]}
+            sub = select_features(d, [f.name for f in d.schema if f.name in names])
+            train, test = split_train_test(sub, 0.2, seed=derive_seed(s, STREAM_SPLIT))
+            params = dataclasses.replace(FAST, seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
+            scores = predict_proba_many(train_forest(train, params), test.X)
+            assert sel.auch_by_method[method] == analyze_scores(scores, test.y).auch
+
 
 class TestTTestAssembly:
     def test_needs_two_rows(self, skewed_dataset):
