@@ -68,8 +68,6 @@ _KEYS = {
 #: leaves out takes the dataclass default
 _SECTIONS = {"smote": SmoteConfig, "forest": ForestParams, "filter": FilterConfig}
 
-_PIPELINE_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
-
 
 def _checked(doc, level: str) -> dict:
     """`doc` once it is known to be an object holding only keys of config
@@ -95,17 +93,13 @@ def _checked(doc, level: str) -> dict:
 
 @dataclass(frozen=True)
 class Settings:
-    """Everything a subcommand might need, merged from config and flags."""
+    """Everything a subcommand might need, merged from config and flags.
+    `pipeline.target_name` is empty when no target is set."""
 
-    smote: Optional[SmoteConfig]
-    forest: ForestParams
+    pipeline: PipelineConfig
     filter: FilterConfig
-    target: Optional[str] = None
     positive_label: Optional[str] = None
     roles: dict[str, str] = field(default_factory=dict)
-    mode: str = _PIPELINE_DEFAULTS["mode"]
-    test_fraction: float = _PIPELINE_DEFAULTS["test_fraction"]
-    seed: int = _PIPELINE_DEFAULTS["seed"]
     recommendation_threshold: Optional[float] = None
 
 
@@ -120,32 +114,19 @@ def _load_settings(args: argparse.Namespace) -> Settings:
         if doc.get(name, {}) is not None:  # "smote": null stays None
             doc[name] = cls(**_checked(doc.get(name, {}), name))
     for name, role in doc.get("roles", {}).items():
-        if role not in (data_model.ROLE_CONTEXT, data_model.ROLE_TECHNIQUE):
+        if role not in data_model.ROLES:
             raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
     for key in ("target", "positive_label", "mode", "seed", "recommendation_threshold"):
         if getattr(args, key, None) not in (None, ""):  # a flag overrides the config
             doc[key] = getattr(args, key)
-    s = Settings(**doc)
-    if s.mode not in recommender.MODES:
-        raise ValueError(f"mode must be one of {recommender.MODES}, got {s.mode!r}")
-    return s
+    pipeline = {f.name: doc.pop(f.name) for f in fields(PipelineConfig) if f.name in doc}
+    return Settings(PipelineConfig(target_name=doc.pop("target", None) or "", **pipeline), **doc)
 
 
 def _target(s: Settings) -> str:
-    if not s.target:
+    if not s.pipeline.target_name:
         raise ValueError("a target column is required (config 'target' or --target)")
-    return s.target
-
-
-def _pipeline_config(s: Settings) -> PipelineConfig:
-    return PipelineConfig(
-        target_name=_target(s),
-        mode=s.mode,
-        test_fraction=s.test_fraction,
-        smote=s.smote,
-        forest=s.forest,
-        seed=s.seed,
-    )
+    return s.pipeline.target_name
 
 
 def _load_input(args: argparse.Namespace, s: Settings) -> Dataset:
@@ -216,15 +197,13 @@ def _load_bundle(path: str) -> ModelBundle:
 _PLOT_SIZE = 600
 
 
-def render_hulls_svg(
-    hull_imbalanced: np.ndarray, hull_balanced: np.ndarray, size: int = _PLOT_SIZE
-) -> str:
+def render_hulls_svg(hull_imbalanced: np.ndarray, hull_balanced: np.ndarray) -> str:
     """Both hulls (rows fpr, tpr, ...) as polylines in a square viewport.
 
-    A point maps to (fpr * size, (1 - tpr) * size) so (0,0) sits bottom
-    left and the perfect corner (fpr 0, tpr 1) top left.
+    A point maps to (fpr * _PLOT_SIZE, (1 - tpr) * _PLOT_SIZE) so (0,0)
+    sits bottom left and the perfect corner (fpr 0, tpr 1) top left.
     """
-    w = h = size
+    w = h = _PLOT_SIZE
 
     def poly(hull: np.ndarray) -> str:
         xs, ys = (hull[:, 0] * w).tolist(), ((1 - hull[:, 1]) * h).tolist()
@@ -280,10 +259,10 @@ def render_hulls_svg(
 
 def cmd_balance(args: argparse.Namespace) -> int:
     s = _load_settings(args)
-    if s.smote is None:
+    if s.pipeline.smote is None:
         raise ValueError('config "smote" is null, which turns balancing off; balance needs an object')
     d = _load_input(args, s)
-    balanced = recommender.balance(d, s.smote, s.seed)
+    balanced = recommender.balance(d, s.pipeline.smote, s.pipeline.seed)
     out = args.out_dir / "balanced.csv"
     _write_atomic(out, data_model.csv_text(balanced, include_provenance=True))
     counts = np.bincount(balanced.y, minlength=2)
@@ -297,7 +276,7 @@ def cmd_balance(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     s = _load_settings(args)
     d = _load_input(args, s)
-    params = replace(s.forest, seed=s.seed)
+    params = replace(s.pipeline.forest, seed=s.pipeline.seed)
     model = forest.train_forest(d, params)
     out = args.out_dir / "model.json"
     _write_atomic(out, _dump_json(_bundle_to_doc(model, d), compact=True))
@@ -309,7 +288,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    s = _load_settings(args)
+    _load_settings(args)  # checks the config, as every command does
     bundle = _load_bundle(args.model)
     positive = bundle.target_levels[1]
     d = load_csv(
@@ -318,10 +297,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         positive_label=positive,
         schema=bundle.schema,
     )
-    scores = forest.predict_proba_many(bundle.model, d.X)
-    preds = (scores >= 0.5).astype(np.int64)
-    conf = evaluation.confusion(d.y, preds)
-    analysis = evaluation.analyze_scores(scores, d.y)
+    conf, analysis = evaluation.judge(forest.predict_proba_many(bundle.model, d.X), d.y)
     tp, fp, tn, fn = conf
     doc = {
         "format_version": 1,
@@ -344,7 +320,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     s = _load_settings(args)
-    cfg = _pipeline_config(s)
+    cfg = s.pipeline
     d = _load_input(args, s)
     report = recommender.run_pipeline(d, cfg)
     row = report.rows[0]
@@ -394,10 +370,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             d,
             s.filter.methods,
             s.filter.top_k,
-            s.forest,
-            eval_seed=s.seed,
-            test_fraction=s.test_fraction,
-            smote_template=s.smote,
+            s.pipeline.forest,
+            eval_seed=s.pipeline.seed,
+            test_fraction=s.pipeline.test_fraction,
+            smote_template=s.pipeline.smote,
             tables=tables,
         )
         _write_atomic(out_dir / "best_method.txt", selection.method + "\n")
@@ -445,7 +421,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     out = args.out_dir / "recommendations.json"
     _write_atomic(out, _dump_json(doc))
 
-    use = "use" if proba >= 0.5 else "do not use"
+    use = "use" if proba >= evaluation.CUTOFF else "do not use"
     print(f"prediction: {use} {bundle.target_name} (probability {proba:.3f})")
     if rs.collaborative:
         print("also consider (technique features above threshold):")
@@ -523,7 +499,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError) as e:
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure distinct from bad input

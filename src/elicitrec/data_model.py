@@ -21,7 +21,7 @@ import numpy as np
 
 ROLE_CONTEXT = "context"
 ROLE_TECHNIQUE = "technique"
-_ROLES = (ROLE_CONTEXT, ROLE_TECHNIQUE)
+ROLES = (ROLE_CONTEXT, ROLE_TECHNIQUE)
 
 #: Reserved CSV column carrying row provenance ("1" = synthetic).
 PROVENANCE_COLUMN = "_synthetic"
@@ -50,7 +50,7 @@ class FeatureSchema:
     levels: tuple[str, ...]
 
     def __post_init__(self):
-        if self.role not in _ROLES:
+        if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r} for feature {self.name!r}")
         if not self.levels:
             raise ValueError(f"feature {self.name!r} has no levels")
@@ -359,20 +359,13 @@ def minority_label(d: Dataset) -> int:
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape of a generated dataset: class counts, feature count, how many
-    features carry class signal, levels per feature, and the RNG seed.
-
-    `informative_skew` sets how much probability mass each informative
-    feature concentrates on its class-specific anchor level; the rest is
-    spread uniformly. Non-informative features are class-independent.
-    """
+    features carry class signal, and the RNG seed."""
 
     n_majority: int
     n_minority: int
     p: int
     n_informative: int
-    levels_per_feature: int = 4
     seed: int = 0
-    informative_skew: float = 0.5
 
     def __post_init__(self):
         if self.n_majority < 1 or self.n_minority < 1:
@@ -381,35 +374,32 @@ class SyntheticSpec:
             raise ValueError("n_minority must not exceed n_majority")
         if not 0 <= self.n_informative <= self.p:
             raise ValueError("n_informative must be between 0 and p")
-        if self.levels_per_feature < 2:
-            raise ValueError("levels_per_feature must be at least 2")
-        if not 1.0 / self.levels_per_feature <= self.informative_skew < 1.0:
-            raise ValueError("informative_skew must be in [1/levels, 1)")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic synthetic dataset: majority class is positive (label 1).
 
-    The first `n_informative` features draw their level from a
-    class-conditional distribution whose anchor level differs per class;
-    remaining features are uniform noise. First half of the features get
-    the context role, the rest the technique role.
+    Every feature has four levels. The first `n_informative` features
+    draw their level from a class-conditional distribution that puts half
+    its mass on an anchor level, which differs per class, and spreads the
+    rest uniformly; remaining features are uniform noise. First half of
+    the features get the context role, the rest the technique role.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_majority + spec.n_minority
-    L = spec.levels_per_feature
+    L, skew = 4, 0.5
     y = np.concatenate([np.ones(spec.n_majority, np.int64), np.zeros(spec.n_minority, np.int64)])
 
     X = np.empty((n, spec.p), dtype=np.int64)
-    base = (1.0 - spec.informative_skew) / (L - 1)
+    base = (1.0 - skew) / (L - 1)
     for j in range(spec.p):
         if j < spec.n_informative:
             anchor1 = j % L
             anchor0 = (j + 1) % L
             probs1 = np.full(L, base)
-            probs1[anchor1] = spec.informative_skew
+            probs1[anchor1] = skew
             probs0 = np.full(L, base)
-            probs0[anchor0] = spec.informative_skew
+            probs0[anchor0] = skew
             col = np.where(
                 y == 1,
                 rng.choice(L, size=n, p=probs1),

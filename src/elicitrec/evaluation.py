@@ -8,6 +8,9 @@ the Mann-Whitney rank statistic with ties counted as one half. A boolean
 mask over the rows marks the curve's upper convex hull, whose area is
 AUCH, and two hulls can be compared for dominance (one curve at least as
 high everywhere and strictly higher somewhere).
+
+`judge` is the one place a fitted model's test scores become confusion
+counts (at `CUTOFF`) and a ROC analysis.
 """
 
 from __future__ import annotations
@@ -144,6 +147,17 @@ def analyze_scores(scores: Sequence[float], y_true: Sequence[int]) -> RocAnalysi
     return RocAnalysis(curve=curve, on_hull=on_hull, auc=auc(curve), auch=auc(curve[on_hull]))
 
 
+#: a row whose positive-class score reaches the cut-off is predicted positive
+CUTOFF = 0.5
+
+
+def judge(scores: Sequence[float], y_true: Sequence[int]) -> tuple[tuple[int, int, int, int], RocAnalysis]:
+    """A fitted model's test scores judged against the labels: the
+    (tp, fp, tn, fn) counts at `CUTOFF` and the ROC analysis."""
+    preds = (np.asarray(scores) >= CUTOFF).astype(np.int64)
+    return confusion(y_true, preds), analyze_scores(scores, y_true)
+
+
 def _hull_heights(hull: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # rows ascend in (fpr, tpr), so the last row of each fpr is the top of
     # a vertical segment
@@ -272,15 +286,30 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 
 @dataclass(frozen=True)
 class ArmMetrics:
-    """Test-set metrics of one pipeline arm (with or without balancing)."""
+    """Test-set metrics of one pipeline arm (with or without balancing):
+    what `judge` found on its test rows, the forest's mean split entropy
+    and the training row count. The other metrics derive from these."""
 
-    accuracy: float
-    precision: Optional[float]
-    recall: Optional[float]
+    confusion: tuple[int, int, int, int]  # (tp, fp, tn, fn) at CUTOFF
     roc: RocAnalysis
     mean_split_entropy: Optional[float]  # None when the forest has no split
     n_train: int
-    n_test: int
+
+    @property
+    def accuracy(self) -> float:
+        return accuracy(self.confusion)
+
+    @property
+    def precision(self) -> Optional[float]:
+        return precision(self.confusion)
+
+    @property
+    def recall(self) -> Optional[float]:
+        return recall(self.confusion)
+
+    @property
+    def n_test(self) -> int:
+        return sum(self.confusion)
 
     @property
     def auch(self) -> float:

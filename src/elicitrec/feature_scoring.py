@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ROLE_CONTEXT, ROLE_TECHNIQUE, Dataset
+from .data_model import ROLES, Dataset
 
 METHOD_CHI2 = "Chi2"
 METHOD_ANOVA_F = "AnovaF"
@@ -43,7 +43,7 @@ class FeatureScoreTable:
 
     def __post_init__(self):
         for e in self.entries:
-            if e.role not in (ROLE_CONTEXT, ROLE_TECHNIQUE):
+            if e.role not in ROLES:
                 raise ValueError(f"unknown role {e.role!r} for feature {e.feature_name!r}")
             if math.isnan(e.score) or e.score < 0:
                 raise ValueError(f"negative or NaN score for {e.feature_name!r}")

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from .data_model import (
     PROVENANCE_COLUMN,
     ROLE_CONTEXT,
@@ -49,16 +47,7 @@ from .data_model import (
     select_features,
     split_train_test,
 )
-from .evaluation import (
-    ArmMetrics,
-    EvaluationReport,
-    ReportRow,
-    accuracy,
-    analyze_scores,
-    confusion,
-    precision,
-    recall,
-)
+from .evaluation import ArmMetrics, EvaluationReport, ReportRow, judge
 from .feature_scoring import (
     METHOD_ANOVA_F,
     METHOD_CHI2,
@@ -131,17 +120,12 @@ def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset,
 
 def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams, seed: int) -> ArmMetrics:
     model = train_forest(train, replace(params, seed=seed))
-    scores = predict_proba_many(model, test.X)
-    preds = (scores >= 0.5).astype(np.int64)
-    conf = confusion(test.y, preds)
+    conf, roc = judge(predict_proba_many(model, test.X), test.y)
     return ArmMetrics(
-        accuracy=accuracy(conf),
-        precision=precision(conf),
-        recall=recall(conf),
-        roc=analyze_scores(scores, test.y),
+        confusion=conf,
+        roc=roc,
         mean_split_entropy=mean_split_entropy(model) if (model.feature >= 0).any() else None,
         n_train=train.n_rows,
-        n_test=test.n_rows,
     )
 
 

@@ -96,6 +96,17 @@ class TestBalance:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["is_a_file", "under_a_file"])
+    def test_out_dir_blocked_by_a_file_exits_2(self, tmp_path, input_csv, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / under if under else blocker
+        rc = main(["balance", "--config", fast_config(tmp_path), "--input", input_csv, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error:") and str(blocker) in err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
 
 class TestTrainEvaluate:
     def test_train_writes_model(self, tmp_path, input_csv):
@@ -610,6 +621,17 @@ class TestConfigErrors:
         rc = main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "ntrees" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", [0, 1.5])
+    def test_test_fraction_out_of_range_exits_2(self, tmp_path, input_csv, capsys, fraction):
+        cfg = write_config(tmp_path, config_with(None, "test_fraction", fraction))
+        for command in ("run", "score", "train", "balance"):
+            out = tmp_path / command
+            rc = main([command, "--config", cfg, "--input", input_csv, "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2, err
+            assert "test_fraction" in err
+            assert not out.exists()
 
     def test_bad_mode(self, tmp_path, input_csv):
         cfg = write_config(tmp_path, {"target": "target", "mode": "fast"})

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from elicitrec.evaluation import (
+    CUTOFF,
+    ArmMetrics,
     RocAnalysis,
     accuracy,
     analyze_scores,
     auc,
     confusion,
     dominates,
+    judge,
     paired_t_test,
     precision,
     recall,
@@ -60,6 +63,16 @@ class TestConfusion:
     def test_non_binary(self):
         with pytest.raises(ValueError):
             confusion([1, 2], [1, 0])
+
+    def test_judge_counts_a_score_at_the_cutoff_as_positive(self):
+        y = [1, 0, 1, 0, 1]
+        scores = [CUTOFF, CUTOFF, np.nextafter(CUTOFF, 0.0), 0.1, 0.9]
+        conf, roc = judge(scores, y)
+        assert conf == (2, 1, 1, 1)
+        assert roc.auc == analyze_scores(scores, y).auc
+        arm = ArmMetrics(confusion=conf, roc=roc, mean_split_entropy=None, n_train=0)
+        assert arm.n_test == sum(conf) == len(y)
+        assert (arm.accuracy, arm.precision, arm.recall) == (0.6, 2 / 3, 2 / 3)
 
 
 class TestRates:

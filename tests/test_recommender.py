@@ -165,9 +165,11 @@ class TestTTestAssembly:
     def test_skips_undefined_rows(self, skewed_dataset):
         rep = run_pipeline(skewed_dataset, config(seed=1))
         row = rep.rows[0]
-        broken = dataclasses.replace(
-            row, imbalanced=dataclasses.replace(row.imbalanced, precision=None)
-        )
+        tp, fp, tn, fn = row.imbalanced.confusion
+        # no positive predictions: precision is undefined
+        no_positives = dataclasses.replace(row.imbalanced, confusion=(0, 0, tn + fp, fn + tp))
+        assert no_positives.precision is None
+        broken = dataclasses.replace(row, imbalanced=no_positives)
         out = t_tests_for_rows([broken, row, row])
         assert out["precision"] is not None
         assert out["precision"].df == 1  # only the two intact rows pair up
