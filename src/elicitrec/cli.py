@@ -91,6 +91,14 @@ def _checked(doc, level: str) -> dict:
     return doc
 
 
+def _read_file(path: str, kind: str) -> str:
+    """The text of the `kind` file at `path`."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"no such {kind} file: {p}")
+    return p.read_text(encoding="utf-8")
+
+
 @dataclass(frozen=True)
 class Settings:
     """Everything a subcommand might need, merged from config and flags.
@@ -106,19 +114,15 @@ class Settings:
 def _load_settings(args: argparse.Namespace) -> Settings:
     doc: dict = {}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"no such config file: {path}")
-        doc = _checked(json.loads(path.read_text(encoding="utf-8")), "config")
+        doc = _checked(json.loads(_read_file(args.config, "config")), "config")
     for name, cls in _SECTIONS.items():
         if doc.get(name, {}) is not None:  # "smote": null stays None
             doc[name] = cls(**_checked(doc.get(name, {}), name))
     for name, role in doc.get("roles", {}).items():
         if role not in data_model.ROLES:
             raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
-    for key in ("target", "positive_label", "mode", "seed", "recommendation_threshold"):
-        if getattr(args, key, None) not in (None, ""):  # a flag overrides the config
-            doc[key] = getattr(args, key)
+    # a flag overrides the config key its dest names
+    doc.update((k, v) for k, v in vars(args).items() if k in _KEYS["config"] and v is not None)
     pipeline = {f.name: doc.pop(f.name) for f in fields(PipelineConfig) if f.name in doc}
     return Settings(PipelineConfig(target_name=doc.pop("target", None) or "", **pipeline), **doc)
 
@@ -161,10 +165,7 @@ class ModelBundle:
 
 
 def _load_bundle(path: str) -> ModelBundle:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such model file: {p}")
-    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc = json.loads(_read_file(path, "model"))
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     for key in ("schema", "target_name", "target_levels"):
@@ -190,6 +191,19 @@ def _load_bundle(path: str) -> ModelBundle:
         target_name=str(doc["target_name"]),
         target_levels=(str(levels[0]), str(levels[1])),
     )
+
+
+def _load_model(args: argparse.Namespace, s: Settings) -> ModelBundle:
+    """The bundle at --model, once the config's target and positive label,
+    where set, are known to be the model's own."""
+    bundle = _load_bundle(args.model)
+    for key, given, own in (
+        ("target", s.pipeline.target_name or None, bundle.target_name),
+        ("positive_label", s.positive_label, bundle.target_levels[1]),
+    ):
+        if given is not None and given != own:
+            raise ValueError(f"config {key} {given!r} differs from the model's {own!r}")
+    return bundle
 
 
 # --- SVG hull plot -------------------------------------------------------
@@ -264,7 +278,7 @@ def cmd_balance(args: argparse.Namespace) -> int:
     d = _load_input(args, s)
     balanced = recommender.balance(d, s.pipeline.smote, s.pipeline.seed)
     out = args.out_dir / "balanced.csv"
-    _write_atomic(out, data_model.csv_text(balanced, include_provenance=True))
+    data_model.write_csv(balanced, out, include_provenance=True)
     counts = np.bincount(balanced.y, minlength=2)
     print(
         f"balanced {d.n_rows} -> {balanced.n_rows} rows "
@@ -288,15 +302,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _load_settings(args)  # checks the config, as every command does
-    bundle = _load_bundle(args.model)
+    bundle = _load_model(args, _load_settings(args))
     positive = bundle.target_levels[1]
-    d = load_csv(
-        args.input,
-        bundle.target_name,
-        positive_label=positive,
-        schema=bundle.schema,
-    )
+    d = load_csv(args.input, bundle.target_name, positive_label=positive, schema=bundle.schema)
+    if d.target_levels != bundle.target_levels:
+        raise ValueError(
+            f"{args.input}: target values {list(d.target_levels)} differ from the model's "
+            f"{list(bundle.target_levels)}"
+        )
     conf, analysis = evaluation.judge(forest.predict_proba_many(bundle.model, d.X), d.y)
     tp, fp, tn, fn = conf
     doc = {
@@ -389,19 +402,13 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise ValueError(
             "a recommendation threshold is required (--threshold or config key)"
         )
-    bundle = _load_bundle(args.model)
+    bundle = _load_model(args, s)
     roles = {f.name: f.role for f in bundle.schema}
-    scores_path = Path(args.scores)
-    if not scores_path.exists():
-        raise FileNotFoundError(f"no such scores file: {scores_path}")
-    table = feature_scoring.table_from_csv(scores_path.read_text(encoding="utf-8"))
+    table = feature_scoring.table_from_csv(_read_file(args.scores, "scores"))
     unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
     if unknown:
         raise ValueError(f"scores file feature(s) not in the model with that role: {', '.join(unknown)}")
-    row_path = Path(args.row)
-    if not row_path.exists():
-        raise FileNotFoundError(f"no such context row file: {row_path}")
-    row_doc = json.loads(row_path.read_text(encoding="utf-8"))
+    row_doc = json.loads(_read_file(args.row, "context row"))
     if not isinstance(row_doc, dict) or not all(
         isinstance(v, str) for v in row_doc.values()
     ):
@@ -443,15 +450,16 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads. A flag whose dest is
+    a config key overrides that key (see `_load_settings`)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out-dir", type=Path, default=".", help="output directory (default: .)")
-    common.add_argument("--seed", type=int, help="master seed (overrides config)")
-    common.add_argument(
-        "--mode", choices=list(recommender.MODES), help="pipeline mode (overrides config)"
-    )
-    common.add_argument("--target", help="target column (overrides config)")
-    common.add_argument("--positive-label", help="positive target value (overrides config)")
+    data = argparse.ArgumentParser(add_help=False, parents=[common])
+    data.add_argument("--input", required=True, help="input CSV")
+    data.add_argument("--seed", type=int, help="master seed (overrides config)")
+    data.add_argument("--target", help="target column (overrides config)")
+    data.add_argument("--positive-label", help="positive target value (overrides config)")
 
     parser = argparse.ArgumentParser(
         prog="elicitrec",
@@ -459,39 +467,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_input(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--input", required=True, help="input CSV")
+    def add(name: str, parent: argparse.ArgumentParser, func, help_text: str):
+        # no abbreviations: "--mode" would pass for "--model" on evaluate
+        p = sub.add_parser(name, parents=[parent], help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
         return p
 
-    with_input(
-        sub.add_parser("balance", parents=[common], help="oversample the minority class")
-    ).set_defaults(func=cmd_balance)
-    with_input(
-        sub.add_parser("train", parents=[common], help="train a forest on the input as-is")
-    ).set_defaults(func=cmd_train)
-    p_eval = with_input(
-        sub.add_parser("evaluate", parents=[common], help="evaluate a trained model")
-    )
-    p_eval.add_argument("--model", required=True, help="model.json from train")
-    p_eval.set_defaults(func=cmd_evaluate)
-    with_input(
-        sub.add_parser(
-            "run", parents=[common], help="full two-arm pipeline with report and plots"
-        )
-    ).set_defaults(func=cmd_run)
-    with_input(
-        sub.add_parser("score", parents=[common], help="filter-score features")
-    ).set_defaults(func=cmd_score)
-    p_rec = sub.add_parser(
-        "recommend", parents=[common], help="recommend techniques for a context row"
-    )
-    p_rec.add_argument("--model", required=True, help="model.json from train")
+    add("balance", data, cmd_balance, "oversample the minority class")
+    add("train", data, cmd_train, "train a forest on the input as-is")
+    p_eval = add("evaluate", common, cmd_evaluate, "evaluate a trained model on a holdout")
+    p_eval.add_argument("--input", required=True, help="holdout CSV, read with the model's schema")
+    p_run = add("run", data, cmd_run, "full two-arm pipeline with report and plots")
+    p_run.add_argument("--mode", choices=list(recommender.MODES), help="pipeline mode (overrides config)")
+    add("score", data, cmd_score, "filter-score features")
+    p_rec = add("recommend", common, cmd_recommend, "recommend techniques for a context row")
+    for p in (p_eval, p_rec):
+        p.add_argument("--model", required=True, help="model.json from train")
     p_rec.add_argument("--scores", required=True, help="scores_<method>.csv from score")
     p_rec.add_argument("--row", required=True, help="JSON file with one context row")
-    p_rec.add_argument(
-        "--threshold", type=float, dest="recommendation_threshold", help="recommendation score threshold"
-    )
-    p_rec.set_defaults(func=cmd_recommend)
+    p_rec.add_argument("--threshold", type=float, dest="recommendation_threshold", metavar="THRESHOLD",
+                       help="recommendation score threshold (overrides config)")
     return parser
 
 

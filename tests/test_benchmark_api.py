@@ -2,8 +2,9 @@
 
 Its own test (benchmarks/test_smoke.py) lies outside the tier-1 suite, so
 these tests guard what the harness uses: its modules import cleanly, every
-`cli_module.X` and `recommender.X` that traced.py reads exists, and every
-library call in the harness binds to the callee's signature.
+`cli_module.X` and `recommender.X` that traced.py reads exists, every
+library call in the harness binds to the callee's signature, and every
+command line that run.py builds parses.
 """
 
 import ast
@@ -11,8 +12,11 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from elicitrec import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 MODULES = ("workloads", "checks", "traced")
@@ -74,3 +78,22 @@ def test_library_calls_bind(bench, name):
         inspect.signature(fn).bind_partial(*node.args, **{k.arg: k.value for k in node.keywords})
         checked += 1
     assert checked > 0
+
+
+def test_benchmark_command_lines_parse(bench):
+    run = importlib.import_module("run")
+    parser = cli._build_parser()
+    inputs = SimpleNamespace(
+        data_csv=Path("data.csv"),
+        holdout_csv=Path("holdout.csv"),
+        config=Path("config.json"),
+        train_config=Path("train_config.json"),
+        rows=(Path("row_00.json"), Path("row_01.json")),
+        thresholds=(0.01, 0.02),
+        master_seeds=(11, 12),
+    )
+    for w in bench["workloads"].FULL.values():
+        commands = run.plan_pass(w, inputs, pass_index=1, work=Path("work"), first_command=0)
+        assert sorted({c.kind for c in commands}) == sorted(set(w.pass_plan))
+        for c in commands:
+            parser.parse_args(c.argv)  # exits 2 on a flag the command does not take

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -154,6 +155,26 @@ class TestTrainEvaluate:
         assert rc == 2
         assert "model" in capsys.readouterr().err
 
+    def test_evaluate_rejects_holdout_with_other_target_values(self, tmp_path, input_csv, capsys):
+        header, *rows = read_rows(input_csv)
+
+        def relabel(name, negative):
+            path = tmp_path / name
+            text = [",".join(header)] + [",".join(r[:-1] + [negative if r[-1] == "0" else "yes"]) for r in rows]
+            path.write_text("\n".join(text) + "\n", encoding="utf-8")
+            return str(path)
+
+        cfg = write_config(tmp_path, {"target": "target", "positive_label": "yes", "forest": {"n_trees": 3}})
+        assert main(["train", "--config", cfg, "--input", relabel("train.csv", "no"), "--out-dir", str(tmp_path)]) == 0
+        rc = main([
+            "evaluate", "--input", relabel("holdout.csv", "maybe"),
+            "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "['maybe', 'yes']" in err and "['no', 'yes']" in err
+        assert not (tmp_path / "evaluation.json").exists()
+
 
 # each case breaks a model.json (doc) or its first tree (tree) in place
 MALFORMED_MODELS = {
@@ -202,7 +223,7 @@ class TestModelFile:
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc), encoding="utf-8")
         rc = main([
-            "evaluate", "--target", "target", "--input", input_csv,
+            "evaluate", "--input", input_csv,
             "--model", str(model), "--out-dir", str(tmp_path),
         ])
         assert rc == 2
@@ -484,6 +505,19 @@ class TestRecommend:
         assert rc == 2
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,other,own", [("target", "other", "target"), ("positive_label", "0", "1")])
+    def test_config_target_must_be_the_models(self, trained, input_csv, capsys, key, other, own):
+        evaluate = [
+            "evaluate", "--input", input_csv, "--model", trained["model"], "--out-dir", str(trained["dir"]),
+        ]
+        for argv in (self.base_args(trained), evaluate):
+            cfg = write_config(trained["dir"], {key: other, "recommendation_threshold": 0.01}, "other.json")
+            assert main(argv + ["--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert f"config {key} {other!r}" in err and repr(own) in err
+            cfg = write_config(trained["dir"], {key: own, "recommendation_threshold": 0.01}, "own.json")
+            assert main(argv + ["--config", cfg]) == 0, capsys.readouterr().err
+
     def test_threshold_flag_overrides_config(self, trained):
         cfg = write_config(trained["dir"], {"recommendation_threshold": 1e9}, "thr.json")
         assert main(self.base_args(trained) + ["--config", cfg, "--threshold", "0.01"]) == 0
@@ -678,6 +712,57 @@ class TestConfigErrors:
         report = json.loads((out / "report.json").read_text())
         assert report["comparison"]["hull_verdict"] == "neither"
         assert report["comparison"]["auc_delta"] == 0.0
+
+
+#: the flags of each subcommand, as in README's table
+DATA_FLAGS = {"--config", "--out-dir", "--input", "--seed", "--target", "--positive-label"}
+FLAGS = {
+    "balance": DATA_FLAGS,
+    "train": DATA_FLAGS,
+    "evaluate": {"--config", "--out-dir", "--input", "--model"},
+    "run": DATA_FLAGS | {"--mode"},
+    "score": DATA_FLAGS,
+    "recommend": {"--config", "--out-dir", "--model", "--scores", "--row", "--threshold"},
+}
+#: (command, flag, value) for each flag a command once took and never read
+REMOVED = [
+    *((cmd, flag, value) for cmd in ("evaluate", "recommend")
+      for flag, value in (("--seed", "5"), ("--mode", "sound"), ("--target", "t"), ("--positive-label", "q"))),
+    *((cmd, "--mode", "sound") for cmd in ("balance", "train", "score")),
+]
+#: every flag a command requires, with a placeholder value
+REQUIRED = {
+    "evaluate": ["--input", "x.csv", "--model", "m.json"],
+    "recommend": ["--model", "m.json", "--scores", "s.csv", "--row", "r.json"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_help_lists_exactly_the_commands_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"} == FLAGS[command]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        row = next(line for line in readme.splitlines() if line.startswith(f"| `{command}` | `--"))
+        assert set(re.findall(r"--[a-z][a-z-]*", row)) == FLAGS[command]
+
+    @pytest.mark.parametrize("command,flag,value", REMOVED, ids=[f"{c}{f}" for c, f, _ in REMOVED])
+    def test_removed_flag_exits_2(self, tmp_path, command, flag, value, capsys):
+        assert len(REMOVED) == 11
+        argv = [command, *REQUIRED.get(command, ["--input", "x.csv"]), flag, value, "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_empty_target_flag_is_no_target(self, tmp_path, input_csv, capsys):
+        rc = main(["run", "--config", fast_config(tmp_path), "--input", input_csv,
+                   "--target", "", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "a target column is required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSvgRendering:
