@@ -96,7 +96,7 @@ def _read_file(path: str, kind: str) -> str:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such {kind} file: {p}")
-    return p.read_text(encoding="utf-8")
+    return p.read_text(encoding="utf-8-sig")
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -169,8 +169,9 @@ def load_csv(
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        if any(cell == "" for cell in row):
+        if "" in row:
             raise ValueError(f"{path}: missing value in row {r + 2}")
+    columns = list(zip(*rows))
 
     target_idx = header.index(target_name)
     prov_idx = header.index(PROVENANCE_COLUMN) if PROVENANCE_COLUMN in header else None
@@ -178,7 +179,7 @@ def load_csv(
     if not col_of:
         raise ValueError(f"{path}: no feature columns")
 
-    target_values = [row[target_idx] for row in rows]
+    target_values = columns[target_idx]
     distinct_targets = sorted(set(target_values))
     if len(distinct_targets) != 2:
         raise ValueError(
@@ -196,7 +197,7 @@ def load_csv(
             f"{path}: positive label {positive_label!r} not among target values {distinct_targets}"
         )
     negative_label = next(v for v in distinct_targets if v != positive_label)
-    y = np.fromiter((1 if v == positive_label else 0 for v in target_values), dtype=np.int64)
+    y = np.fromiter(map(positive_label.__eq__, target_values), np.int64, len(rows))
 
     if schema is None:
         role_map = role_map or {}
@@ -205,26 +206,25 @@ def load_csv(
             raise ValueError(f"{path}: roles given for columns that are not features: {stray}")
         schema = []
         for name, j in col_of.items():
-            levels = tuple(dict.fromkeys(row[j] for row in rows))  # first-appearance order
+            levels = tuple(dict.fromkeys(columns[j]))  # first-appearance order
             schema.append(FeatureSchema(name, role_map.get(name, ROLE_CONTEXT), levels))
     missing = [f.name for f in schema if f.name not in col_of]
     if missing:
         raise ValueError(f"{path}: missing feature columns {missing}")
     X = np.empty((len(rows), len(schema)), dtype=np.int64)
     for k, feat in enumerate(schema):
-        j = col_of[feat.name]
         code_of = {v: c for c, v in enumerate(feat.levels)}
         try:
-            X[:, k] = [code_of[row[j]] for row in rows]
+            X[:, k] = np.fromiter(map(code_of.__getitem__, columns[col_of[feat.name]]), np.int64, len(rows))
         except KeyError as e:
             raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
 
     if prov_idx is not None:
-        flags = [row[prov_idx] for row in rows]
+        flags = columns[prov_idx]
         bad = sorted(set(flags) - {"0", "1"})
         if bad:
             raise ValueError(f"{path}: bad {PROVENANCE_COLUMN} values {bad}")
-        synthetic = np.array([f == "1" for f in flags], dtype=bool)
+        synthetic = np.fromiter(map("1".__eq__, flags), bool, len(rows))
     else:
         synthetic = np.zeros(len(rows), dtype=bool)
 

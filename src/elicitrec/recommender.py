@@ -183,9 +183,9 @@ def select_best_filter(
     with master seed `eval_seed` on the method's top_k features, its
     forest seeded from the imbalanced stream; with `smote_template` None
     it is the unbalanced arm's. The features keep schema order, so the run
-    depends only on the selected set: methods that select the same set get
-    the same area, and exact ties fall back to the canonical preference
-    MutualInfo > Chi2 > AnovaF.
+    depends only on the selected set: methods that select the same set
+    share one evaluated arm and its area, and exact ties fall back to the
+    canonical preference MutualInfo > Chi2 > AnovaF.
 
     `tables` may hold `score_all(d, method)` tables already made, by
     method; the methods it lacks are scored here.
@@ -203,13 +203,16 @@ def select_best_filter(
     )
     forest_seed = derive_seed(eval_seed, STREAM_FOREST_IMBALANCED)
     tables = tables or {}
+    auch_by_subset: dict[tuple[str, ...], float] = {}  # one arm per distinct set
     auch_by_method: dict[str, float] = {}
     for method in methods:
         table = tables[method] if method in tables else score_all(d, method)
         names = {e.feature_name for e in table.entries[:top_k]}
-        sub = select_features(d, [f.name for f in d.schema if f.name in names])
-        arm = _arm_data(sub, cfg, cfg.smote is not None)
-        auch_by_method[method] = _evaluate_arm(*arm, forest_params, forest_seed).auch
+        subset = tuple(f.name for f in d.schema if f.name in names)
+        if subset not in auch_by_subset:
+            arm = _arm_data(select_features(d, subset), cfg, cfg.smote is not None)
+            auch_by_subset[subset] = _evaluate_arm(*arm, forest_params, forest_seed).auch
+        auch_by_method[method] = auch_by_subset[subset]
     best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))
     return FilterSelection(method=best, auch_by_method=auch_by_method)
 

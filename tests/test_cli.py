@@ -714,6 +714,31 @@ class TestConfigErrors:
         assert report["comparison"]["auc_delta"] == 0.0
 
 
+class TestByteOrderMark:
+    """Files saved with a UTF-8 byte order mark read as they would without it."""
+
+    @pytest.mark.parametrize("target_first", [True, False])
+    def test_csv_with_a_bom(self, tmp_path, input_csv, target_first):
+        rows = read_rows(input_csv)
+        if target_first:
+            rows = [[r[-1]] + r[:-1] for r in rows]
+        first_feature = rows[0][1] if target_first else rows[0][0]
+        data = tmp_path / "bom.csv"
+        data.write_text("\ufeff" + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+        cfg = fast_config(tmp_path, roles={first_feature: "technique"})
+        rc = main(["train", "--config", cfg, "--input", str(data), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        schema = json.loads((tmp_path / "model.json").read_text())["schema"]
+        assert {"name": first_feature, "role": "technique"}.items() <= schema[0].items()
+
+    def test_config_with_a_bom(self, tmp_path, input_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("\ufeff" + json.dumps({"target": "target", "forest": {"n_trees": 3}}), encoding="utf-8")
+        rc = main(["train", "--config", str(cfg), "--input", input_csv, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "model.json").read_text())["n_trees"] == 3
+
+
 #: the flags of each subcommand, as in README's table
 DATA_FLAGS = {"--config", "--out-dir", "--input", "--seed", "--target", "--positive-label"}
 FLAGS = {

@@ -78,6 +78,19 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing value"):
             load_csv(write(tmp_path, "a,target\nx,1\n,0\n"), "target")
 
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # row 3 lacks a value and row 4 a cell: the earlier row is named
+        with pytest.raises(ValueError, match="missing value in row 3"):
+            load_csv(write(tmp_path, "a,target\nx,1\n,0\ny\n"), "target")
+
+    @pytest.mark.parametrize("header", ["a,target", "target,a"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, header):
+        rows = {"a,target": "x,1\ny,0\n", "target,a": "1,x\n0,y\n"}[header]
+        d = load_csv(write(tmp_path, "\ufeff" + header + "\n" + rows), "target", role_map={"a": ROLE_TECHNIQUE})
+        assert d.feature_names == ("a",)
+        assert d.schema[0].role == ROLE_TECHNIQUE
+        assert d.y.tolist() == [1, 0]
+
     def test_non_binary_target(self, tmp_path):
         with pytest.raises(ValueError, match="non-binary"):
             load_csv(write(tmp_path, "a,target\nx,1\ny,2\nz,3\n"), "target")

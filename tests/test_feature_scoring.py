@@ -20,6 +20,7 @@ from elicitrec.feature_scoring import (
 from elicitrec.recommender import select_best_filter
 
 from conftest import make_dataset, xor_dataset
+from test_recommender import balance_first_chain_auch
 
 SMALL_FOREST = ForestParams(n_trees=25)
 
@@ -258,6 +259,27 @@ class TestSelectBestFilter:
             d, list(METHODS), top_k=2, forest_params=SMALL_FOREST, eval_seed=3, tables=tables
         )
         assert got == expected
+
+    def test_one_arm_per_distinct_subset(self, monkeypatch):
+        d = xor_dataset()
+        evaluate, calls = recommender._evaluate_arm, []
+
+        def counted(train, *rest):
+            calls.append(train.feature_names)
+            return evaluate(train, *rest)
+
+        monkeypatch.setattr(recommender, "_evaluate_arm", counted)
+        # every method keeps every feature: one arm serves all three
+        sel = select_best_filter(d, list(METHODS), top_k=d.n_features, forest_params=SMALL_FOREST, eval_seed=0)
+        assert len(calls) == 1
+        assert len(set(sel.auch_by_method.values())) == 1
+        assert sel.method == METHOD_MUTUAL_INFO
+        # chi2 and mutual information pick the same pair, AnovaF another
+        calls.clear()
+        sel = select_best_filter(d, list(METHODS), top_k=2, forest_params=SMALL_FOREST, eval_seed=0)
+        assert len(calls) == 2
+        for method in METHODS:
+            assert sel.auch_by_method[method] == balance_first_chain_auch(d, method, 2, 0, SMALL_FOREST)
 
     def test_top_k_too_large(self):
         d = xor_dataset()

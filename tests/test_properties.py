@@ -1,8 +1,12 @@
 """Property tests over generated data: SMOTE's neighbour search against a
 brute-force oracle and the shape of its output; the ROC hull and hull
 dominance over tied scores; grown trees against the per-node split oracle
-on data full of repeated rows."""
+on data full of repeated rows; `load_csv` against a row-by-row reader."""
 
+import csv
+import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +17,15 @@ from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from elicitrec import sampler
-from elicitrec.data_model import minority_label
+from elicitrec.data_model import (
+    PROVENANCE_COLUMN,
+    ROLE_CONTEXT,
+    ROLE_TECHNIQUE,
+    Dataset,
+    FeatureSchema,
+    load_csv,
+    minority_label,
+)
 from elicitrec.evaluation import analyze_scores, dominates
 from elicitrec.forest import ForestParams, train_forest
 from elicitrec.sampler import SmoteConfig, smote_details
@@ -159,3 +171,111 @@ def repeated_rows(draw):
 def test_grown_trees_match_oracle_on_repeated_rows(case):
     d, params = case
     check_against_oracle(d, train_forest(d, params), params)
+
+
+def rowwise_load_csv(path, target_name, role_map=None, positive_label=None, schema=None):
+    """Reference for `load_csv`: the same checks and coding, cell by cell
+    in Python, with the cell checks made row by row in file order."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = list(csv.reader(fh))
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
+        if any(cell == "" for cell in row):
+            raise ValueError(f"{path}: missing value in row {r + 2}")
+    target_idx = header.index(target_name)
+    prov_idx = header.index(PROVENANCE_COLUMN) if PROVENANCE_COLUMN in header else None
+    col_of = {name: j for j, name in enumerate(header) if j not in (target_idx, prov_idx)}
+    target_values = [row[target_idx] for row in rows]
+    distinct_targets = sorted(set(target_values))
+    if len(distinct_targets) != 2:
+        raise ValueError(f"{path}: non-binary target ({len(distinct_targets)} distinct values)")
+    positive_label = positive_label or "1"
+    negative_label = next(v for v in distinct_targets if v != positive_label)
+    y = [1 if v == positive_label else 0 for v in target_values]
+    if schema is None:
+        schema = []
+        for name, j in col_of.items():
+            levels = tuple(dict.fromkeys(row[j] for row in rows))
+            schema.append(FeatureSchema(name, (role_map or {}).get(name, ROLE_CONTEXT), levels))
+    X = np.empty((len(rows), len(schema)), dtype=np.int64)
+    for k, feat in enumerate(schema):
+        j = col_of[feat.name]
+        code_of = {v: c for c, v in enumerate(feat.levels)}
+        try:
+            X[:, k] = [code_of[row[j]] for row in rows]
+        except KeyError as e:
+            raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
+    synthetic = None
+    if prov_idx is not None:
+        flags = [row[prov_idx] for row in rows]
+        bad = sorted(set(flags) - {"0", "1"})
+        if bad:
+            raise ValueError(f"{path}: bad {PROVENANCE_COLUMN} values {bad}")
+        synthetic = np.array([f == "1" for f in flags], dtype=bool)
+    return Dataset(tuple(schema), target_name, X, y, synthetic, (negative_label, positive_label))
+
+
+#: levels that need quoting or could be trimmed by a careless reader
+LEVELS = ["a", "b", "x,y", 'say "hi"', "two\nlines", " lead", "tail ", "é"]
+FAULTS = ("none", "empty cell", "short row", "both", "unknown level")
+
+
+@st.composite
+def csv_tables(draw):
+    """(file text, load_csv keyword arguments) for a table of quoted and
+    repeated levels, with a target column anywhere, maybe a provenance
+    column and a byte order mark, and maybe one fault the loader must
+    report."""
+    n_features = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    names = [f"f{j}" for j in range(n_features)]
+    columns = {name: draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n)) for name in names}
+    labels = draw(st.sampled_from([("0", "1"), ("no", "yes")]))
+    columns["target"] = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    columns["target"][:2] = labels[:n]  # both classes, unless there is one row
+    if draw(st.booleans()):
+        columns[PROVENANCE_COLUMN] = draw(st.lists(st.sampled_from(["0", "1"]), min_size=n, max_size=n))
+    header = draw(st.permutations(list(columns)))
+    rows = [[columns[h][i] for h in header] for i in range(n)]
+    kwargs = {"positive_label": None if labels == ("0", "1") else "yes"}
+    if draw(st.booleans()):
+        kwargs["role_map"] = {name: ROLE_TECHNIQUE for name in names if draw(st.booleans())}
+    else:
+        # a given schema, in any feature order, may hold levels the file lacks
+        order = draw(st.permutations(names))
+        kwargs["schema"] = tuple(
+            FeatureSchema(name, ROLE_CONTEXT, tuple(dict.fromkeys(columns[name] + ["spare"]))) for name in order
+        )
+    fault = draw(st.sampled_from(FAULTS))
+    row = st.integers(0, n - 1)
+    if fault in ("empty cell", "both"):
+        rows[draw(row)][draw(st.integers(0, len(header) - 1))] = ""
+    if fault in ("short row", "both"):
+        r = draw(row)
+        rows[r] = rows[r][: draw(st.integers(1, len(header) - 1))]
+    if fault == "unknown level":
+        rows[draw(row)][header.index(draw(st.sampled_from(names)))] = "never seen"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + buf.getvalue(), kwargs
+
+
+def load_outcome(load, path, kwargs):
+    """What `load` makes of the file: the dataset's contents, or the
+    message it raises."""
+    try:
+        d = load(path, "target", **kwargs)
+    except ValueError as e:
+        return str(e)
+    return d.schema, d.X.tolist(), d.y.tolist(), d.synthetic.tolist(), d.target_levels
+
+
+@given(csv_tables())
+def test_load_csv_matches_the_rowwise_reader(case):
+    text, kwargs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        assert load_outcome(load_csv, path, kwargs) == load_outcome(rowwise_load_csv, path, kwargs)

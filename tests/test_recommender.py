@@ -127,18 +127,25 @@ class TestRunPipeline:
         assert rep.rows[0].balanced.n_train > rep.rows[0].imbalanced.n_train
 
 
+def balance_first_chain_auch(d, method, top_k, s, forest=FAST):
+    """One method's area in filter selection, step by step: its top_k
+    features in schema order, SMOTE, the split, and a forest on the
+    imbalanced arm's stream, all from master seed `s`."""
+    names = {e.feature_name for e in score_all(d, method).entries[:top_k]}
+    sub = select_features(d, [f.name for f in d.schema if f.name in names])
+    balanced = smote_oversample(sub, SmoteConfig(seed=derive_seed(s, STREAM_SMOTE)))
+    train, test = split_train_test(balanced, 0.2, seed=derive_seed(s, STREAM_SPLIT))
+    params = dataclasses.replace(forest, seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
+    scores = predict_proba_many(train_forest(train, params), test.X)
+    return analyze_scores(scores, test.y).auch
+
+
 class TestFilterProtocol:
     def test_each_area_is_the_balance_first_chain(self, skewed_dataset):
         d, top_k, s = skewed_dataset, 5, 11
         sel = select_best_filter(d, METHODS, top_k, FAST, eval_seed=s)
         for method in METHODS:
-            names = {e.feature_name for e in score_all(d, method).entries[:top_k]}
-            sub = select_features(d, [f.name for f in d.schema if f.name in names])
-            balanced = smote_oversample(sub, SmoteConfig(seed=derive_seed(s, STREAM_SMOTE)))
-            train, test = split_train_test(balanced, 0.2, seed=derive_seed(s, STREAM_SPLIT))
-            params = dataclasses.replace(FAST, seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
-            scores = predict_proba_many(train_forest(train, params), test.X)
-            assert sel.auch_by_method[method] == analyze_scores(scores, test.y).auch
+            assert sel.auch_by_method[method] == balance_first_chain_auch(d, method, top_k, s)
 
     def test_smote_none_is_the_unbalanced_chain(self, skewed_dataset):
         d, top_k, s = skewed_dataset, 5, 11
