@@ -9,8 +9,10 @@ existing schema is supplied (the train/evaluate round trip).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -149,29 +151,43 @@ def load_csv(
     error). `role_map` may name feature columns only. A `_synthetic`
     column, if present, is read as row provenance rather than a feature.
     Missing (empty) cells are rejected.
+
+    A file with no `"` and no CR byte is split into cells with numpy
+    (`_byte_table`); any other file goes through `csv.reader`
+    (`_csv_table`). Both give the same table, so everything after the
+    split is shared. Bytes that are not UTF-8, and a cell longer than
+    `csv.field_size_limit()` characters, are errors on both.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise ValueError(f"{path}: line {line} is not valid UTF-8") from None
+    if not data:
+        raise ValueError(f"{path}: empty file")
+    if b'"' in data or b"\r" in data:
+        header, widths, empty, read_columns = _csv_table(path, text)
+    else:
+        header, widths, empty, read_columns = _byte_table(path, data)
+    n_rows = len(widths)
+    if not n_rows:
         raise ValueError(f"{path}: no data rows")
     if target_name not in header:
         raise ValueError(f"{path}: target column {target_name!r} not found")
     if len(set(header)) != len(header):
         raise ValueError(f"{path}: duplicate column names")
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        if "" in row:
-            raise ValueError(f"{path}: missing value in row {r + 2}")
-    columns = list(zip(*rows))
+    bad = np.flatnonzero((widths != len(header)) | empty)
+    if len(bad):
+        r = int(bad[0])
+        if widths[r] != len(header):
+            raise ValueError(f"{path}: row {r + 2} has {widths[r]} cells, expected {len(header)}")
+        raise ValueError(f"{path}: missing value in row {r + 2}")
+    columns = read_columns()
 
     target_idx = header.index(target_name)
     prov_idx = header.index(PROVENANCE_COLUMN) if PROVENANCE_COLUMN in header else None
@@ -179,8 +195,8 @@ def load_csv(
     if not col_of:
         raise ValueError(f"{path}: no feature columns")
 
-    target_values = columns[target_idx]
-    distinct_targets = sorted(set(target_values))
+    target_values, target_codes = columns[target_idx]
+    distinct_targets = sorted(target_values)
     if len(distinct_targets) != 2:
         raise ValueError(
             f"{path}: non-binary target ({len(distinct_targets)} distinct values)"
@@ -197,36 +213,39 @@ def load_csv(
             f"{path}: positive label {positive_label!r} not among target values {distinct_targets}"
         )
     negative_label = next(v for v in distinct_targets if v != positive_label)
-    y = np.fromiter(map(positive_label.__eq__, target_values), np.int64, len(rows))
+    y = np.array([v == positive_label for v in target_values], dtype=np.int64)[target_codes]
 
     if schema is None:
         role_map = role_map or {}
         stray = sorted(set(role_map) - set(col_of))
         if stray:
             raise ValueError(f"{path}: roles given for columns that are not features: {stray}")
-        schema = []
-        for name, j in col_of.items():
-            levels = tuple(dict.fromkeys(columns[j]))  # first-appearance order
-            schema.append(FeatureSchema(name, role_map.get(name, ROLE_CONTEXT), levels))
+        schema = [
+            FeatureSchema(name, role_map.get(name, ROLE_CONTEXT), tuple(columns[j][0]))
+            for name, j in col_of.items()
+        ]
     missing = [f.name for f in schema if f.name not in col_of]
     if missing:
         raise ValueError(f"{path}: missing feature columns {missing}")
-    X = np.empty((len(rows), len(schema)), dtype=np.int64)
+    X = np.empty((n_rows, len(schema)), dtype=np.int64)
     for k, feat in enumerate(schema):
+        levels, codes = columns[col_of[feat.name]]
         code_of = {v: c for c, v in enumerate(feat.levels)}
         try:
-            X[:, k] = np.fromiter(map(code_of.__getitem__, columns[col_of[feat.name]]), np.int64, len(rows))
+            # the file's levels come in first-appearance order, so the
+            # first unknown one is the first in the file
+            X[:, k] = np.array([code_of[v] for v in levels], dtype=np.int64)[codes]
         except KeyError as e:
             raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
 
     if prov_idx is not None:
-        flags = columns[prov_idx]
-        bad = sorted(set(flags) - {"0", "1"})
-        if bad:
-            raise ValueError(f"{path}: bad {PROVENANCE_COLUMN} values {bad}")
-        synthetic = np.fromiter(map("1".__eq__, flags), bool, len(rows))
+        flags, codes = columns[prov_idx]
+        bad_flags = sorted(set(flags) - {"0", "1"})
+        if bad_flags:
+            raise ValueError(f"{path}: bad {PROVENANCE_COLUMN} values {bad_flags}")
+        synthetic = np.array([f == "1" for f in flags], dtype=bool)[codes]
     else:
-        synthetic = np.zeros(len(rows), dtype=bool)
+        synthetic = np.zeros(n_rows, dtype=bool)
 
     return Dataset(
         schema=tuple(schema),
@@ -236,6 +255,109 @@ def load_csv(
         synthetic=synthetic,
         target_levels=(negative_label, positive_label),
     )
+
+
+def _csv_table(path: Path, text: str):
+    """The table as `csv.reader` splits non-empty `text`, for any file: the
+    header, each data row's cell count, whether each data row has an
+    empty cell, and a function that gives every column's levels, in
+    first-appearance order, and codes. `load_csv` calls that function
+    only once every data row has the header's width and no empty cell.
+    A cell over `csv.field_size_limit()` is an error."""
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as e:
+        raise ValueError(f"{path}: row {len(rows) + 1}: {e}") from None
+    header, rows = rows[0], rows[1:]
+
+    def columns():
+        out = []
+        for values in zip(*rows):
+            levels = list(dict.fromkeys(values))
+            code_of = dict(zip(levels, range(len(levels))))
+            out.append((levels, np.fromiter(map(code_of.__getitem__, values), np.int64, len(rows))))
+        return out
+
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    empty = np.fromiter(map(list.__contains__, rows, itertools.repeat("")), bool, len(rows))
+    return header, widths, empty, columns
+
+
+def _byte_table(path: Path, data: bytes):
+    """`_csv_table` for non-empty UTF-8 `data` with no `"` and no CR byte,
+    split at the `,` and `\n` bytes with numpy.
+
+    The cells of each byte length are told apart by one `np.unique` over
+    their (column, bytes) keys: an int64 where it fits, else the key's
+    bytes. So no Python object is made per cell, only the distinct levels
+    are decoded, and no array is wider than the cells it holds."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    # the index of each line's last cell; a blank line has one cell of
+    # length 0 here, where csv.reader sees a row of none
+    last = np.flatnonzero(buf[ends] == ord("\n"))
+    widths = np.diff(last, prepend=-1)
+    widths[(widths == 1) & (lengths[last] == 0)] = 0
+    limit = csv.field_size_limit()
+    for i in np.flatnonzero(lengths > limit).tolist():  # no more characters than bytes
+        if len(data[starts[i]:ends[i]].decode()) > limit:
+            row = int(np.searchsorted(last, i)) + 1
+            raise ValueError(f"{path}: row {row}: field larger than field limit ({limit})")
+    empty = np.zeros(len(last), dtype=bool)
+    empty[np.searchsorted(last, np.flatnonzero(lengths == 0))] = True
+    empty[widths == 0] = False
+    header = [data[s:e].decode() for s, e in zip(starts[: widths[0]].tolist(), ends[: widths[0]].tolist())]
+
+    def columns():
+        n_cols = len(header)
+        body = int(last[0]) + 1  # the first cell after the header
+        cell_starts, cell_lengths = starts[body:], lengths[body:]
+        level = np.empty(len(cell_starts), dtype=np.int64)  # a level id per cell
+        firsts = []  # per cell length, the first cell of each of its level ids
+        by_length = np.argsort(cell_lengths)
+        counts = np.bincount(cell_lengths)
+        lo = n_ids = 0
+        for length in np.flatnonzero(counts).tolist():
+            cells = by_length[lo : lo + counts[length]]
+            lo += counts[length]
+            col = cells % n_cols
+            raw = buf[cell_starts[cells, None] + np.arange(length)]
+            if n_cols << 8 * length <= 1 << 63:  # (column, bytes) fits one int64
+                key = np.zeros((len(cells), 8), dtype=np.uint8)
+                key[:, :length] = raw
+                key = key.view("<i8")[:, 0] | col << 8 * length
+            else:  # compared as bytes, which sorts several times slower
+                key = np.concatenate((col[:, None].view(np.uint8), raw), axis=1)
+                key = key.view(np.dtype((np.void, 8 + length)))[:, 0]
+            distinct, inverse = np.unique(key, return_inverse=True)
+            first = np.full(len(distinct), len(cell_starts))
+            np.minimum.at(first, inverse, cells)
+            firsts.append(first)
+            level[cells] = n_ids + inverse
+            n_ids += len(distinct)
+        firsts = np.concatenate(firsts)
+        col = firsts % n_cols
+        order = np.lexsort((firsts, col))  # by column, then first appearance
+        n_levels = np.bincount(col, minlength=n_cols)
+        col_start = np.cumsum(n_levels) - n_levels
+        code = np.empty(len(firsts), dtype=np.int64)
+        code[order] = np.arange(len(firsts)) - np.repeat(col_start, n_levels)
+        codes = code[level].reshape(-1, n_cols)
+        out = []
+        for j in range(n_cols):
+            cells = firsts[order[col_start[j] : col_start[j] + n_levels[j]]]
+            levels = [data[s : s + n].decode() for s, n in zip(cell_starts[cells].tolist(), cell_lengths[cells].tolist())]
+            out.append((levels, codes[:, j]))
+        return out
+
+    return header, widths[1:], empty[1:], columns
 
 
 def _csv_fields(values: Sequence[str]) -> list[str]:
@@ -295,7 +417,7 @@ def write_csv(d: Dataset, path: str | Path, include_provenance: bool = False) ->
 
 def drop_constant_features(d: Dataset) -> Dataset:
     """Remove every feature with a single distinct observed value."""
-    keep = [j for j in range(d.n_features) if len(np.unique(d.X[:, j])) > 1]
+    keep = np.flatnonzero(d.X.min(axis=0) < d.X.max(axis=0)).tolist()
     if not keep:
         raise ValueError("no informative features: every column is constant")
     if len(keep) == d.n_features:

@@ -347,7 +347,7 @@ def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
     `default_rng([params.seed, t])` draws. The model is a pure function of
     (dataset, params) no matter how training is scheduled: tree t is the
     same in every forest of more than t trees, whatever the chunking."""
-    if len(np.unique(d.y)) < 2:
+    if d.y.min() == d.y.max():
         raise ValueError("single-class dataset")
     n = d.n_rows
     rngs = (np.random.default_rng([params.seed, t]) for t in range(params.n_trees))

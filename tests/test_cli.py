@@ -424,6 +424,45 @@ class TestThreadCounts:
         assert len(files[0]) >= 4 and files[0] == files[1]
 
 
+#: runs every subcommand in one interpreter, on a quote-free file that
+#: `load_csv` reads as bytes, then reports whether numpy.ma was imported;
+#: argv[1] is a scratch directory
+ALL_COMMANDS_SCRIPT = """
+import json, sys
+from pathlib import Path
+from elicitrec.cli import main
+from elicitrec.data_model import SyntheticSpec, generate_synthetic, write_csv
+
+tmp = Path(sys.argv[1])
+d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
+write_csv(d, tmp / "data.csv")
+(tmp / "cfg.json").write_text(json.dumps({"target": "target", "forest": {"n_trees": 3}, "filter": {"top_k": 2}}))
+(tmp / "row.json").write_text(json.dumps(dict(zip(d.feature_names, d.decode_row(0)))))
+common = ["--config", str(tmp / "cfg.json"), "--out-dir", str(tmp)]
+data = ["--input", str(tmp / "data.csv")]
+model = ["--model", str(tmp / "model.json")]
+for argv in (
+    ["run", *common, *data], ["score", *common, *data], ["train", *common, *data], ["balance", *common, *data],
+    ["evaluate", *common, *data, *model],
+    ["recommend", *common, *model, "--scores", str(tmp / "scores_MutualInfo.csv"), "--row", str(tmp / "row.json"),
+     "--threshold", "0.01"],
+):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """A plain `np.unique` (no `return_*` flag) imports numpy.ma, which
+    costs a command 20-30 ms of start-up; no command needs it."""
+    src = str(Path(forest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", ALL_COMMANDS_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 class TestRecommend:
     @pytest.fixture()
     def trained(self, tmp_path, input_csv):
@@ -700,6 +739,18 @@ class TestConfigErrors:
         rc = main(["train", "--input", input_csv, "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", [
+        b"x" * (csv.field_size_limit() + 1),
+        b'"' + b"x" * (csv.field_size_limit() + 1) + b'"',
+        b"y\xff",
+    ], ids=["long", "long quoted", "not utf-8"])
+    def test_unreadable_cell_exits_2_naming_the_file(self, tmp_path, capsys, cell):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"a,target\nx,1\n" + cell + b",0\n")
+        rc = main(["train", "--config", fast_config(tmp_path), "--input", str(data), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert re.search(r"^error: .*bad\.csv: (row|line) 3", capsys.readouterr().err)
 
     def test_smote_null_disables_balancing(self, tmp_path, input_csv):
         cfg = write_config(

@@ -91,6 +91,32 @@ class TestLoadCsv:
         assert d.schema[0].role == ROLE_TECHNIQUE
         assert d.y.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_cell_over_the_field_limit_names_the_row(self, tmp_path, quoted):
+        limit = csv.field_size_limit()
+        cell = '"' + "x" * (limit + 1) + '"' if quoted else "x" * (limit + 1)
+        with pytest.raises(ValueError, match=r"data\.csv: row 3: field larger than field limit"):
+            load_csv(write(tmp_path, f"a,target\nx,1\n{cell},0\n"), "target")
+
+    def test_field_limit_counts_characters(self, tmp_path):
+        # at the limit in characters but twice it in bytes
+        d = load_csv(write(tmp_path, "a,target\n" + "é" * csv.field_size_limit() + ",1\ny,0\n"), "target")
+        assert [len(v) for v in d.schema[0].levels] == [csv.field_size_limit(), 1]
+
+    @pytest.mark.parametrize("text", [b"a,target\nx,1\ny\xff,0\n", b'a,target\r\nx,1\r\n"y\xff",0\r\n'])
+    def test_invalid_utf8_names_the_file_and_line(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=r"data\.csv: line 3 is not valid UTF-8"):
+            load_csv(path, "target")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_a_cell_and_the_same_cell_with_a_nul_are_two_levels(self, tmp_path, ending):
+        text = ending.join(["a,target", "x,1", "x\0,0", "x,1", "x\0\0,0", ""])
+        d = load_csv(write(tmp_path, text), "target")
+        assert d.schema[0].levels == ("x", "x\0", "x\0\0")
+        assert d.X[:, 0].tolist() == [0, 1, 0, 2]
+
     def test_non_binary_target(self, tmp_path):
         with pytest.raises(ValueError, match="non-binary"):
             load_csv(write(tmp_path, "a,target\nx,1\ny,2\nz,3\n"), "target")

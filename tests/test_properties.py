@@ -217,20 +217,26 @@ def rowwise_load_csv(path, target_name, role_map=None, positive_label=None, sche
 
 
 #: levels that need quoting or could be trimmed by a careless reader
-LEVELS = ["a", "b", "x,y", 'say "hi"', "two\nlines", " lead", "tail ", "é"]
+QUOTED_LEVELS = ["a", "b", "x,y", 'say "hi"', "two\nlines", " lead", "tail ", "é"]
+#: levels of a quote-free file: some told apart only by a NUL or by a
+#: byte past the eighth
+PLAIN_LEVELS = ["a", "a\0", "\0", "b", "é", "level over 8", "level over 9", " lead", "tail "]
 FAULTS = ("none", "empty cell", "short row", "both", "unknown level")
 
 
 @st.composite
 def csv_tables(draw):
-    """(file text, load_csv keyword arguments) for a table of quoted and
-    repeated levels, with a target column anywhere, maybe a provenance
-    column and a byte order mark, and maybe one fault the loader must
-    report."""
+    """(file text, load_csv keyword arguments) for a table of repeated
+    levels, with a target column anywhere, maybe a provenance column and a
+    byte order mark, and maybe one fault the loader must report. The
+    levels either need quoting or are quote-free; lines end in LF or CRLF,
+    blank lines may follow the header, and the final line ending may be
+    missing."""
+    levels = draw(st.sampled_from([QUOTED_LEVELS, PLAIN_LEVELS]))
     n_features = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12))
     names = [f"f{j}" for j in range(n_features)]
-    columns = {name: draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n)) for name in names}
+    columns = {name: draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)) for name in names}
     labels = draw(st.sampled_from([("0", "1"), ("no", "yes")]))
     columns["target"] = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
     columns["target"][:2] = labels[:n]  # both classes, unless there is one row
@@ -256,10 +262,17 @@ def csv_tables(draw):
         rows[r] = rows[r][: draw(st.integers(1, len(header) - 1))]
     if fault == "unknown level":
         rows[draw(row)][header.index(draw(st.sampled_from(names)))] = "never seen"
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    lines = []
+    for cells in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(cells)
+        lines.append(buf.getvalue())
+    for at in draw(st.lists(st.integers(1, len(lines)), max_size=2)):
+        lines.insert(at, "")
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    final = ending if draw(st.booleans()) else ""
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return bom + buf.getvalue(), kwargs
+    return bom + ending.join(lines) + final, kwargs
 
 
 def load_outcome(load, path, kwargs):
@@ -277,5 +290,5 @@ def test_load_csv_matches_the_rowwise_reader(case):
     text, kwargs = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         assert load_outcome(load_csv, path, kwargs) == load_outcome(rowwise_load_csv, path, kwargs)
