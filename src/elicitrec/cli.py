@@ -404,10 +404,13 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         )
     bundle = _load_model(args, s)
     roles = {f.name: f.role for f in bundle.schema}
-    table = feature_scoring.table_from_csv(_read_file(args.scores, "scores"))
+    try:
+        table = feature_scoring.table_from_csv(_read_file(args.scores, "scores"))
+    except ValueError as e:
+        raise ValueError(f"scores file {args.scores}: {e}") from None
     unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
     if unknown:
-        raise ValueError(f"scores file feature(s) not in the model with that role: {', '.join(unknown)}")
+        raise ValueError(f"scores file {args.scores}: feature(s) not in the model with that role: {', '.join(unknown)}")
     row_doc = json.loads(_read_file(args.row, "context row"))
     if not isinstance(row_doc, dict) or not all(
         isinstance(v, str) for v in row_doc.values()

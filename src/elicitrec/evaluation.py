@@ -190,79 +190,33 @@ class TTestResult:
     mean_diff: float
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    max_iter = 300
-    eps = 3e-16
-    fpmin = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_p_two_tailed(t: float, df: int) -> float:
-    """Two-tailed tail mass of Student's t via the incomplete beta."""
-    if df < 1:
-        raise ValueError("df must be at least 1")
-    if math.isinf(t):
-        return 0.0
-    p = _reg_inc_beta(df / 2.0, 0.5, df / (df + t * t))
-    return min(1.0, max(0.0, p))
+    """Two-tailed tail mass of Student's t for a whole-number df, as the
+    finite sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even
+    df) in theta = atan(|t| / sqrt(df))."""
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
+    if not (df >= 1 and float(df).is_integer()):
+        raise ValueError(f"df must be a whole number of at least 1, got {df!r}")
+    n = int(df)
+    odd = n % 2
+    theta = math.atan2(abs(t), math.sqrt(n))
+    sin, cos = math.sin(theta), math.cos(theta)
+    # term k is term k-1 times (2k-1)/(2k) cos^2 (even df) or (2k)/(2k+1)
+    # cos^2 (odd df); there are n // 2 terms, so none for df = 1
+    k = np.arange(1, n // 2)
+    terms = np.cumprod(np.r_[1.0, (2 * k - 1 + odd) / (2 * k + odd) * cos * cos])[: n // 2]
+    total = float(terms.sum())
+    central = 2 * (theta + sin * cos * total) / math.pi if odd else sin * total
+    return min(1.0, max(0.0, 1.0 - central))
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
-    """Paired two-tailed t-test of matched samples.
+    """Paired two-tailed t-test of matched finite samples.
 
     t = mean(d) / (sd(d)/sqrt(n)) with the n-1 sample deviation and
-    df = n - 1. A zero deviation yields p = 1 when the means agree and
-    p = 0 otherwise.
+    df = n - 1. A zero deviation makes t 0 when the means agree (p = 1)
+    and infinite otherwise (p = 0).
     """
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
@@ -272,16 +226,15 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     if n < 2:
         raise ValueError("need at least 2 paired values")
     d = xa - xb
+    if not np.isfinite(d).all():
+        raise ValueError("paired samples must be finite (no NaN or infinity)")
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
-    df = n - 1
-    if sd == 0.0:
-        if mean == 0.0:
-            return TTestResult(t=0.0, df=df, p_two_tailed=1.0, mean_diff=mean)
-        t = math.copysign(math.inf, mean)
-        return TTestResult(t=t, df=df, p_two_tailed=0.0, mean_diff=mean)
-    t = mean / (sd / math.sqrt(n))
-    return TTestResult(t=t, df=df, p_two_tailed=student_t_p_two_tailed(t, df), mean_diff=mean)
+    if sd > 0.0:
+        t = mean / (sd / math.sqrt(n))
+    else:
+        t = math.copysign(math.inf, mean) if mean else 0.0
+    return TTestResult(t=t, df=n - 1, p_two_tailed=student_t_p_two_tailed(t, n - 1), mean_diff=mean)
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,12 @@ def table_from_csv(text: str) -> FeatureScoreTable:
     if not rows or rows[0] != ["feature", "role", "score"]:
         raise ValueError("expected header 'feature,role,score'")
     entries = []
-    for row in rows[1:]:
+    for i, row in enumerate(rows[1:], start=1):
         if len(row) != 3:
-            raise ValueError(f"malformed score row: {row!r}")
+            raise ValueError(f"data row {i} is not 'feature,role,score': {row!r}")
         name, role, score = row
-        entries.append(ScoreEntry(feature_name=name, role=role, score=float(score)))
+        try:
+            entries.append(ScoreEntry(feature_name=name, role=role, score=float(score)))
+        except ValueError:
+            raise ValueError(f"data row {i}: score {score!r} of {name!r} is not a number") from None
     return FeatureScoreTable(entries=tuple(entries))

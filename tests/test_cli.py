@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicitrec import feature_scoring, forest, recommender
+from elicitrec import cli, feature_scoring, forest, recommender
 from elicitrec.cli import main, render_hulls_svg
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
@@ -585,6 +586,20 @@ class TestRecommend:
         assert "not_in_model, ctx01, also_absent" in capsys.readouterr().err
         assert not (trained["dir"] / "recommendations.json").exists()
 
+    @pytest.mark.parametrize("body,message", [
+        ("ctx00,context,0.5\nctx01,context,abc\n", "data row 2: score 'abc' of 'ctx01' is not a number"),
+        ("ctx00,context\n", "data row 1 is not 'feature,role,score': ['ctx00', 'context']"),
+        ("ctx00,context,nan\n", "negative or NaN score for 'ctx00'"),
+        ("ctx00,context,-0.5\n", "negative or NaN score for 'ctx00'"),
+    ], ids=["not_a_number", "short_row", "nan", "negative"])
+    def test_bad_score_row_names_the_file(self, trained, capsys, body, message):
+        scores = trained["dir"] / "scores_bad.csv"
+        scores.write_text("feature,role,score\n" + body, encoding="utf-8")
+        rc = main(self.base_args({**trained, "scores": str(scores)}) + ["--threshold", "0.1"])
+        assert rc == 2
+        assert f"error: scores file {scores}: {message}" in capsys.readouterr().err
+        assert not (trained["dir"] / "recommendations.json").exists()
+
     def test_unknown_level_names_feature(self, trained, capsys):
         row_path = Path(trained["row"])
         row = json.loads(row_path.read_text(encoding="utf-8"))
@@ -839,6 +854,30 @@ class TestFlags:
         assert rc == 2
         assert "a target column is required" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestReadmeConfigBlock:
+    """README's "Config keys" JSON block is a config `_load_settings`
+    accepts, names every key, and shows the library defaults."""
+
+    @pytest.fixture()
+    def block(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config keys", 1)[1]
+        return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+    def test_block_names_every_key(self, block):
+        doc = json.loads(block)
+        assert set(doc) == set(cli._KEYS["config"])
+        for level in cli._KEYS.keys() - {"config"}:
+            assert set(doc[level]) == set(cli._KEYS[level]), level
+
+    def test_block_loads_with_the_defaults(self, tmp_path, block):
+        # mode, test_fraction, seed, smote and forest make up the pipeline
+        doc = json.loads(block)
+        s = cli._load_settings(argparse.Namespace(config=write_config(tmp_path, doc)))
+        assert s.pipeline == recommender.PipelineConfig(target_name=doc["target"])
+        assert s.filter == recommender.FilterConfig()
 
 
 class TestSvgRendering:

@@ -270,6 +270,30 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match="mismatch"):
             paired_t_test([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([bad, 1.0, 2.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([0.0, 0.0, 0.0], [1.0, bad, 2.0])
+
+    def test_nan_t_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            student_t_p_two_tailed(math.nan, 3)
+
+    def test_df_must_be_a_whole_number_of_at_least_1(self):
+        for df in (0, 2.5, -1):
+            with pytest.raises(ValueError, match="whole number"):
+                student_t_p_two_tailed(1.0, df)
+        assert student_t_p_two_tailed(1.0, 3.0) == student_t_p_two_tailed(1.0, 3)
+
+    def test_closed_forms_at_df_1_and_2(self):
+        for t in (0.0, 0.1, 0.5, 1.0, -1.7, 3.0, 12.0, 100.0, 1e6, math.inf):
+            a = abs(t)
+            assert student_t_p_two_tailed(t, 1) == pytest.approx(1 - 2 * math.atan(a) / math.pi, abs=1e-15)
+            two = 0.0 if math.isinf(a) else 1 - a / math.sqrt(2 + a * a)
+            assert student_t_p_two_tailed(t, 2) == pytest.approx(two, abs=1e-15)
+
     def test_cdf_against_integration_oracle(self):
         for t, df in [(-4.71832, 3), (-2.506033, 3), (1.0, 1), (2.5, 7), (0.3, 30)]:
             assert student_t_p_two_tailed(t, df) == pytest.approx(
@@ -301,6 +325,15 @@ class TestScipyOracles:
             assert ours.df == n - 1
             assert ours.t == pytest.approx(ref.statistic, rel=1e-9)
             assert ours.p_two_tailed == pytest.approx(ref.pvalue, rel=1e-7, abs=1e-12)
+
+    def test_t_tail_matches_t_sf(self):
+        stats = pytest.importorskip("scipy.stats")
+        ts = [0.0, 0.01, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 3.3, 4.7, 6.0, 8.0, 12.0, 20.0, 40.0]
+        for df in [*range(1, 61), 200, 1000]:
+            for t in ts:
+                ref = 2 * stats.t.sf(t, df)
+                assert student_t_p_two_tailed(t, df) == pytest.approx(ref, rel=1e-7, abs=1e-12), (t, df)
+                assert student_t_p_two_tailed(-t, df) == student_t_p_two_tailed(t, df)
 
     def test_auc_matches_mannwhitneyu(self):
         stats = pytest.importorskip("scipy.stats")
