@@ -7,7 +7,8 @@ instead of silently using a default or crashing later. Every output file is
 written atomically (temp file + rename), and a fixed seed makes each
 subcommand's outputs byte-identical across runs.
 
-Exit codes: 0 success, 1 runtime failure, 2 validation or config error.
+Exit codes: 0 success, 1 runtime failure, 2 validation or config error
+or a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -96,7 +97,18 @@ def _read_file(path: str, kind: str) -> str:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such {kind} file: {p}")
-    return p.read_text(encoding="utf-8-sig")
+    try:
+        return p.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise ValueError(f"{kind} file {p} is not valid UTF-8") from None
+
+
+def _read_json(path: str, kind: str):
+    """The JSON document of the `kind` file at `path`."""
+    try:
+        return json.loads(_read_file(path, kind))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{kind} file {path}: not valid JSON: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ class Settings:
 def _load_settings(args: argparse.Namespace) -> Settings:
     doc: dict = {}
     if args.config is not None:
-        doc = _checked(json.loads(_read_file(args.config, "config")), "config")
+        doc = _checked(_read_json(args.config, "config"), "config")
     for name, cls in _SECTIONS.items():
         if doc.get(name, {}) is not None:  # "smote": null stays None
             doc[name] = cls(**_checked(doc.get(name, {}), name))
@@ -165,7 +177,7 @@ class ModelBundle:
 
 
 def _load_bundle(path: str) -> ModelBundle:
-    doc = json.loads(_read_file(path, "model"))
+    doc = _read_json(path, "model")
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     for key in ("schema", "target_name", "target_levels"):
@@ -231,41 +243,23 @@ def render_hulls_svg(hull_imbalanced: np.ndarray, hull_balanced: np.ndarray) -> 
     ]
     for i in range(6):
         t = i / 5
-        x = t * w
-        y = (1 - t) * h
-        label = f"{t:g}"
+        x, y, label = t * w, (1 - t) * h, f"{t:g}"
         lines.append(f'<line x1="{x!r}" y1="{h}" x2="{x!r}" y2="{h + 6}" stroke="#444"/>')
-        lines.append(
-            f'<text x="{x!r}" y="{h + 24}" text-anchor="middle">{label}</text>'
-        )
+        lines.append(f'<text x="{x!r}" y="{h + 24}" text-anchor="middle">{label}</text>')
         lines.append(f'<line x1="-6" y1="{y!r}" x2="0" y2="{y!r}" stroke="#444"/>')
         lines.append(f'<text x="-12" y="{y + 5!r}" text-anchor="end">{label}</text>')
-    lines.append(
-        f'<text x="{w / 2!r}" y="{h + 56}" text-anchor="middle">false positive rate</text>'
-    )
-    lines.append(
-        f'<text x="{-h / 2!r}" y="-48" transform="rotate(-90)" text-anchor="middle">'
-        "true positive rate</text>"
-    )
-    lines.append(
-        f'<polyline id="hull-imbalanced" fill="none" stroke="#767676" stroke-width="2"'
-        f' points="{poly(hull_imbalanced)}"/>'
-    )
-    lines.append(
-        f'<polyline id="hull-balanced" fill="none" stroke="#c0392b" stroke-width="2"'
-        f' points="{poly(hull_balanced)}"/>'
-    )
-    legend_y = h + 84
-    lines.append(
-        f'<line x1="0" y1="{legend_y}" x2="28" y2="{legend_y}" stroke="#767676" stroke-width="2"/>'
-    )
-    lines.append(f'<text x="34" y="{legend_y + 5}">imbalanced</text>')
-    lines.append(
-        f'<line x1="160" y1="{legend_y}" x2="188" y2="{legend_y}" stroke="#c0392b" stroke-width="2"/>'
-    )
-    lines.append(f'<text x="194" y="{legend_y + 5}">balanced (oversampled)</text>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append(f'<text x="{w / 2!r}" y="{h + 56}" text-anchor="middle">false positive rate</text>')
+    lines.append(f'<text x="{-h / 2!r}" y="-48" transform="rotate(-90)" text-anchor="middle">true positive rate</text>')
+    legend, legend_y = [], h + 84
+    for arm, hull, colour, x, text in (
+        ("imbalanced", hull_imbalanced, "#767676", 0, "imbalanced"),
+        ("balanced", hull_balanced, "#c0392b", 160, "balanced (oversampled)"),
+    ):
+        pen = f'stroke="{colour}" stroke-width="2"'
+        lines.append(f'<polyline id="hull-{arm}" fill="none" {pen} points="{poly(hull)}"/>')
+        legend.append(f'<line x1="{x}" y1="{legend_y}" x2="{x + 28}" y2="{legend_y}" {pen}/>')
+        legend.append(f'<text x="{x + 34}" y="{legend_y + 5}">{text}</text>')
+    return "\n".join(lines + legend + ["</svg>"]) + "\n"
 
 
 # --- subcommands ----------------------------------------------------------
@@ -352,12 +346,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "report": evaluation.report_to_dict(report),
     }
     _write_atomic(out_dir / "report.json", _dump_json(report_doc))
-    _write_atomic(
-        out_dir / "roc_imbalanced.csv", evaluation.roc_analysis_to_csv(row.imbalanced.roc)
-    )
-    _write_atomic(
-        out_dir / "roc_balanced.csv", evaluation.roc_analysis_to_csv(row.balanced.roc)
-    )
+    for arm in ("imbalanced", "balanced"):
+        _write_atomic(out_dir / f"roc_{arm}.csv", evaluation.roc_analysis_to_csv(getattr(row, arm).roc))
     _write_atomic(
         out_dir / "roc_hulls.svg",
         render_hulls_svg(row.imbalanced.roc.hull, row.balanced.roc.hull),
@@ -404,14 +394,15 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         )
     bundle = _load_model(args, s)
     roles = {f.name: f.role for f in bundle.schema}
+    text = _read_file(args.scores, "scores")
     try:
-        table = feature_scoring.table_from_csv(_read_file(args.scores, "scores"))
+        table = feature_scoring.table_from_csv(text)
     except ValueError as e:
         raise ValueError(f"scores file {args.scores}: {e}") from None
     unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
     if unknown:
         raise ValueError(f"scores file {args.scores}: feature(s) not in the model with that role: {', '.join(unknown)}")
-    row_doc = json.loads(_read_file(args.row, "context row"))
+    row_doc = _read_json(args.row, "context row")
     if not isinstance(row_doc, dict) or not all(
         isinstance(v, str) for v in row_doc.values()
     ):
@@ -497,7 +488,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure distinct from bad input

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -67,19 +67,6 @@ def _quality(left, right, criterion: str):
     n_left, n_right = left[0] + left[1], right[0] + right[1]
     m = n_left + n_right
     return (n_left / m) * impurity(left) + (n_right / m) * impurity(right)
-
-
-@dataclass(frozen=True)
-class SplitCandidate:
-    feature_index: int
-    threshold: float
-    n_left: int
-    n_right: int
-    quality: float
-
-    def __post_init__(self):
-        if self.n_left < 1 or self.n_right < 1:
-            raise ValueError("split produces an empty child")
 
 
 #: the node arrays of a tree, with their dtypes
@@ -175,9 +162,9 @@ def _best_splits(codes, node, weight, width, counts, criterion, min_child):
     class as 2 * code + class, and `weight[r]` is how many sample rows it
     stands for. Slot s of node c has `width[c, s]` code cells, and
     `counts[c]` are its sample rows per class. Returns per node the slot
-    (-1: no threshold leaves `min_child` rows on each side), threshold, rows
-    per class going left, and quality; of the cells within `_TIE` of a
-    node's minimum the first wins."""
+    (-1: no threshold leaves `min_child` rows on each side), threshold and
+    rows per class going left; of the cells within `_TIE` of a node's
+    minimum quality the first wins."""
     n_nodes, k = width.shape
     size = width.ravel()
     start = np.cumsum(size) - size  # first cell of each (node, slot) block
@@ -196,7 +183,7 @@ def _best_splits(codes, node, weight, width, counts, criterion, min_child):
     m = counts.sum(axis=1)[block // k]
     ok = present & (nxt < (start + size)[block]) & (n_left >= min_child) & (m - n_left >= min_child)
     slot, threshold = np.full(n_nodes, -1), np.zeros(n_nodes)
-    left_rows, quality = np.zeros((n_nodes, 2), dtype=np.int64), np.zeros(n_nodes)
+    left_rows = np.zeros((n_nodes, 2), dtype=np.int64)
     v = np.flatnonzero(ok)
     if v.size:
         b, c = block[v], block[v] // k
@@ -208,30 +195,7 @@ def _best_splits(codes, node, weight, width, counts, criterion, min_child):
         slot[won] = b % k
         threshold[won] = (cell + nxt[cell] - 2 * start[b]) / 2.0
         left_rows[won] = left[cell]
-        quality[won] = q[best]
-    return slot, threshold, left_rows, quality
-
-
-def best_split(
-    X: np.ndarray, y: np.ndarray, feature_subset: Sequence[int], criterion: str, min_child: int = 1
-) -> Optional[SplitCandidate]:
-    """Best candidate over the subset's features, or None if nothing splits:
-    the forest's split search on one node, every row weighing 1. Thresholds
-    sit at midpoints between consecutive distinct codes present in the rows."""
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    feats = sorted(set(int(f) for f in feature_subset))
-    if len(y) < 2 or not feats:
-        return None
-    codes, y = np.asarray(X, dtype=np.int64)[:, feats], np.asarray(y, dtype=np.int64)
-    (slot,), (threshold,), (left,), (quality,) = _best_splits(
-        2 * codes + y[:, None], np.zeros(len(y), dtype=np.int64), np.ones(len(y)),
-        codes.max(axis=0, keepdims=True) + 1, np.array([[len(y) - y.sum(), y.sum()]]), criterion, min_child,
-    )
-    if slot < 0:
-        return None
-    n_left = int(left.sum())
-    return SplitCandidate(feats[slot], float(threshold), n_left, len(y) - n_left, float(quality))
+    return slot, threshold, left_rows
 
 
 def _distinct_samples(X, y, boots, width):
@@ -308,7 +272,7 @@ def grow_forest(X, y, boots, params: ForestParams) -> RandomForestModel:
         if not tree.size:
             break
         feats = _draw_features(key, p, mtry)
-        slot, threshold, left, _ = _frontier_splits(codes, rows, weight, feats, width[feats], counts, size, params)
+        slot, threshold, left = _frontier_splits(codes, rows, weight, feats, width[feats], counts, size, params)
         split = slot >= 0
         sp, t = np.flatnonzero(split), tree[split]
         first = n_nodes[t] + 2 * (np.arange(sp.size) - np.searchsorted(t, t))  # left child's index

@@ -30,7 +30,7 @@ from elicitrec.evaluation import (
     roc_curve,
 )
 from elicitrec.feature_scoring import anova_f_score, chi2_score, mutual_info_score
-from elicitrec.forest import ForestParams, best_split, entropy, gini
+from elicitrec.forest import ForestParams, entropy, gini, grow_forest
 from elicitrec.recommender import MODE_BALANCE_FIRST, PipelineConfig, Prediction, form_recommendations, run_pipeline
 from elicitrec.sampler import SmoteConfig, smote_details
 
@@ -111,17 +111,25 @@ def test_criterion_03_best_split_matches_brute_force():
         X = rng.integers(0, int(rng.integers(2, 5)), (n, p)).astype(np.int64)
         y = rng.integers(0, 2, n).astype(np.int64)
         criterion = ("gini", "entropy")[int(rng.integers(0, 2))]
-        cand = best_split(X, y, range(p), criterion)
+        # the split search on every row and feature: the root of a depth-1
+        # tree grown on every row once with mtry = p
+        params = ForestParams(mtry=p, max_depth=1, criterion=criterion)
+        m = grow_forest(X, y, np.arange(n)[None, :], params)
         oracle = _oracle_splits(X, y, criterion)
-        if not oracle:
-            assert cand is None
+        if not oracle or y.min() == y.max():  # nothing to split, or pure
+            assert m.feature.tolist() == [-1]
             checked += 1
             continue
         q_min = min(q for q, _, _ in oracle)
-        assert cand is not None
-        assert abs(cand.quality - q_min) <= 1e-12
+        feature, threshold = int(m.feature[0]), float(m.threshold[0])
+        assert feature >= 0
+        left, right = y[X[:, feature] <= threshold], y[X[:, feature] > threshold]
+        for child, labels in ((m.left[0], left), (m.right[0], right)):
+            assert (m.n0[child], m.n1[child]) == (len(labels) - labels.sum(), labels.sum())
+        quality = sum(len(labels) / n * _oracle_impurity(labels, criterion) for labels in (left, right))
+        assert abs(quality - q_min) <= 1e-12
         optimal = {(j, thr) for q, j, thr in oracle if q <= q_min + 1e-12}
-        assert (cand.feature_index, cand.threshold) in optimal
+        assert (feature, threshold) in optimal
         checked += 1
     assert time.perf_counter() - start < 5.0
 

@@ -240,6 +240,15 @@ class TestModelFile:
         assert rc == 1
         assert "runtime error: KeyError" in capsys.readouterr().err
 
+    def test_permission_error_exits_2(self, tmp_path, input_csv, monkeypatch, capsys):
+        def denied(path, text):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "_write_atomic", denied)
+        rc = main(["train", "--config", fast_config(tmp_path), "--input", input_csv, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{tmp_path / 'model.json'}'\n"
+
     def test_deep_tree_trains_evaluates_and_recommends(self, tmp_path):
         # 1500 levels with alternating labels, each row 8 times: the single
         # tree peels off a few levels per split and grows hundreds deep
@@ -619,6 +628,25 @@ class TestRecommend:
         rc = main(self.base_args(trained) + ["--threshold", "0.1"])
         assert rc == 2
         assert removed in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,kind,text,detail", [
+        ("config", "config", b'{"target": "target",}',
+         ": not valid JSON: Expecting property name enclosed in double quotes: line 1 column 21 (char 20)"),
+        ("config", "config", b"\xff{}", " is not valid UTF-8"),
+        ("model", "model", None, ": not valid JSON: "),
+        ("row", "context row", None, ": not valid JSON: "),
+    ], ids=["config_comma", "config_not_utf8", "model_truncated", "row_truncated"])
+    def test_bad_json_file_is_named(self, trained, capsys, flag, kind, text, detail):
+        path = trained["dir"] / f"bad_{flag}.json"
+        if text is None:  # the first half of the good file
+            good = Path(trained[flag]).read_bytes()
+            text = good[: len(good) // 2]
+        path.write_bytes(text)
+        args = self.base_args({**trained, flag: str(path)}) + ["--threshold", "0.1"]
+        if flag == "config":
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {kind} file {path}{detail}")
 
 
 # every config key as (section, key): whether null is accepted, and a

@@ -11,8 +11,6 @@ from elicitrec.data_model import SyntheticSpec, generate_synthetic
 from elicitrec.forest import (
     NODE_FIELDS,
     ForestParams,
-    SplitCandidate,
-    best_split,
     entropy,
     gini,
     grow_forest,
@@ -79,67 +77,90 @@ class TestImpurity:
             assert entropy((0, k)) == 0.0
 
 
+def split_quality(left, right, criterion):
+    """Child-size-weighted impurity of a split, from each child's (n0, n1)."""
+    impurity = gini if criterion == "gini" else entropy
+    n_left, n_right = sum(left), sum(right)
+    n = n_left + n_right
+    return n_left / n * impurity(left) + n_right / n * impurity(right)
+
+
+def grow_one(X, y, params):
+    """The grower on one tree whose sample is every row once."""
+    m = grow_forest(np.asarray(X), np.asarray(y), np.arange(len(y))[None, :], params)
+    return {f: getattr(m, f) for f in NODE_FIELDS}
+
+
+def root_split(X, y, criterion):
+    """The split search on every row and feature: the root of a depth-1
+    tree grown on every row once with mtry = p. Its feature and threshold,
+    each child's (n0, n1), and the quality those counts give; None when
+    the root is a leaf."""
+    t = grow_one(X, y, ForestParams(mtry=X.shape[1], max_depth=1, criterion=criterion))
+    if t["feature"][0] < 0:
+        return None
+    left, right = ((int(t["n0"][c]), int(t["n1"][c])) for c in (t["left"][0], t["right"][0]))
+    return dict(feature=int(t["feature"][0]), threshold=float(t["threshold"][0]), left=left, right=right,
+                quality=split_quality(left, right, criterion))
+
+
 class TestSplitQuality:
     def test_pure_children(self):
         X = np.array([[0], [0], [0], [0], [1], [1], [1], [1]])
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        assert best_split(X, y, [0], "gini").quality == 0.0
-        assert best_split(X, y, [0], "entropy").quality == 0.0
+        assert root_split(X, y, "gini")["quality"] == 0.0
+        assert root_split(X, y, "entropy")["quality"] == 0.0
 
     def test_uninformative_split(self):
         X = np.array([[0], [0], [0], [0], [1], [1], [1], [1]])
         y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        assert best_split(X, y, [0], "entropy").quality == 1.0
+        assert root_split(X, y, "entropy")["quality"] == 1.0
 
     def test_pure_children_from_impure_parent(self):
         X = np.array([[0], [0], [0], [1]])
         y = np.array([0, 0, 0, 1])
-        cand = best_split(X, y, [0], "gini")
-        assert (cand.threshold, cand.quality) == (0.5, 0.0)
-
-    def test_empty_child(self):
-        with pytest.raises(ValueError, match="empty child"):
-            SplitCandidate(feature_index=0, threshold=5.0, n_left=2, n_right=0, quality=0.0)
+        split = root_split(X, y, "gini")
+        assert (split["threshold"], split["quality"]) == (0.5, 0.0)
 
 
 class TestBestSplit:
     def test_separable_single_feature(self):
         X = np.array([[0], [0], [1], [1]])
         y = np.array([0, 0, 1, 1])
-        cand = best_split(X, y, [0], "gini")
-        assert cand.threshold == 0.5
-        assert cand.quality == 0.0
-        assert (cand.n_left, cand.n_right) == (2, 2)
+        split = root_split(X, y, "gini")
+        assert split["threshold"] == 0.5
+        assert split["quality"] == 0.0
+        assert (sum(split["left"]), sum(split["right"])) == (2, 2)
 
     def test_no_valid_threshold(self):
         X = np.array([[2], [2], [2]])
         y = np.array([0, 1, 0])
-        assert best_split(X, y, [0], "gini") is None
+        assert root_split(X, y, "gini") is None
 
     def test_tie_prefers_lower_feature(self):
         X = np.array([[0, 1], [0, 1], [1, 0], [1, 0]])
         y = np.array([0, 0, 1, 1])
-        cand = best_split(X, y, [1, 0], "gini")
-        assert cand.feature_index == 0
-        assert cand.quality == 0.0
+        split = root_split(X, y, "gini")
+        assert split["feature"] == 0
+        assert split["quality"] == 0.0
 
     def test_tie_prefers_lower_threshold(self):
         # palindromic labels: thresholds 0.5 and 1.5 give mirror-image
         # children with identical class ratios, an exact quality tie
         X = np.array([[0], [1], [1], [2]])
         y = np.array([1, 0, 0, 1])
-        cand = best_split(X, y, [0], "gini")
+        split = root_split(X, y, "gini")
         (q_low, _, thr_low), (q_high, _, thr_high) = brute_best_quality(X, y, [0], "gini")
         assert (thr_low, thr_high) == (0.5, 1.5)
         assert q_low == q_high
-        assert cand.threshold == 0.5
-        assert cand.quality == q_low
+        assert split["threshold"] == 0.5
+        assert split["quality"] == q_low
 
     def test_midpoints_skip_absent_codes(self):
         X = np.array([[0], [0], [4], [4]])
         y = np.array([0, 0, 1, 1])
-        cand = best_split(X, y, [0], "entropy")
-        assert cand.threshold == 2.0  # midpoint of the two present codes
+        split = root_split(X, y, "entropy")
+        assert split["threshold"] == 2.0  # midpoint of the two present codes
 
     def test_quality_never_exceeds_parent(self):
         rng = np.random.default_rng(3)
@@ -148,12 +169,13 @@ class TestBestSplit:
             X = rng.integers(0, 4, size=(n, 3))
             y = rng.integers(0, 2, size=n)
             for criterion, parent_fn in (("gini", gini), ("entropy", entropy)):
-                cand = best_split(X, y, [0, 1, 2], criterion)
-                if cand is None:
+                split = root_split(X, y, criterion)
+                if split is None:  # pure labels, or no threshold separates the rows
+                    assert y.min() == y.max() or not brute_best_quality(X, y, range(3), criterion)
                     continue
                 n1 = int(y.sum())
                 parent = parent_fn((n - n1, n1))
-                assert cand.quality <= parent + 1e-12
+                assert split["quality"] <= parent + 1e-12
 
     def test_matches_brute_force_small(self):
         rng = np.random.default_rng(17)
@@ -163,22 +185,9 @@ class TestBestSplit:
             X = rng.integers(0, rng.integers(2, 5), size=(n, p))
             y = rng.integers(0, 2, size=n)
             criterion = "gini" if rng.random() < 0.5 else "entropy"
-            cand = best_split(X, y, range(p), criterion)
-            oracle = brute_best_quality(X, y, range(p), criterion)
-            if not oracle:
-                assert cand is None
-                continue
-            q_min = min(q for q, _, _ in oracle)
-            assert cand is not None
-            assert abs(cand.quality - q_min) <= 1e-12
-            optimal = {(f, t) for q, f, t in oracle if q <= q_min + 1e-12}
-            assert (cand.feature_index, cand.threshold) in optimal
-
-
-def grow_one(X, y, params):
-    """The grower on one tree whose sample is every row once."""
-    m = grow_forest(np.asarray(X), np.asarray(y), np.arange(len(y))[None, :], params)
-    return {f: getattr(m, f) for f in NODE_FIELDS}
+            params = ForestParams(n_trees=1, mtry=p, max_depth=1, criterion=criterion)
+            boots = np.arange(n)[None, :]
+            check_against_oracle(make_dataset(X, y), grow_forest(X, y, boots, params), params, boots)
 
 
 class TestGrowTree:
@@ -239,19 +248,18 @@ def splitmix64(key, i):
     return z ^ (z >> 31)
 
 
-def replay(d, m, params):
-    """Every node of every tree of `m`, with the bootstrap rows that reach
-    it, its depth and its drawn features, found by walking each tree's
-    bootstrap down from the root (documented draw: a root's key is
+def replay(d, m, params, boots):
+    """Every node of every tree of `m`, with the sample rows that reach it,
+    its depth and its drawn features, found by walking each tree's sample
+    `boots[t]` down from the root (documented draw: a root's key is
     SeedSequence([seed, t])'s first uint64, a node's features the mtry
     lowest-ranked of its stream's outputs 1..p, its children's keys
     outputs p + 1 and p + 2)."""
-    n, p = d.X.shape
+    p = d.X.shape[1]
     mtry = params.resolve_mtry(p)
     for t, start in enumerate(m.offsets[:-1]):
-        boot = np.random.default_rng([params.seed, t]).integers(0, n, size=n)
         root_key = int(np.random.SeedSequence([params.seed, t]).generate_state(1, np.uint64)[0])
-        todo = [(0, boot, 0, root_key)]
+        todo = [(0, boots[t], 0, root_key)]
         while todo:
             i, rows, depth, key = todo.pop()
             ranked = sorted(range(p), key=lambda f: splitmix64(key, f + 1))
@@ -263,13 +271,18 @@ def replay(d, m, params):
                 todo.append((m.right[start + i], rows[~go_left], depth + 1, splitmix64(key, p + 2)))
 
 
-def check_against_oracle(d, m, params):
-    """Every node of `m`, replayed on its bootstrap rows: its class counts,
-    and its split or leaf against `brute_best_quality` and the leaf rules.
-    Returns each node's depth by global index."""
+def check_against_oracle(d, m, params, boots=None):
+    """Every node of `m`, replayed on its sample rows (by default the
+    bootstrap samples of `train_forest`): its class counts, and its split
+    or leaf against `brute_best_quality` and the leaf rules; a split's
+    quality is recomputed from its children's counts. Returns each node's
+    depth by global index."""
     criterion, min_samples_leaf, max_depth = params.criterion, params.min_samples_leaf, params.max_depth
+    if boots is None:
+        n = len(d.y)
+        boots = [np.random.default_rng([params.seed, t]).integers(0, n, size=n) for t in range(m.n_trees)]
     depths = {}
-    for start, i, rows, depth, feats in replay(d, m, params):
+    for start, i, rows, depth, feats in replay(d, m, params, boots):
         g = start + i
         depths[g] = depth
         Xs, ys = d.X[rows], d.y[rows]
@@ -292,6 +305,8 @@ def check_against_oracle(d, m, params):
         q_min = min(q for q, _, _ in oracle)
         first_best = min((f, thr) for q, f, thr in oracle if q <= q_min + 1e-12)
         assert (m.feature[g], m.threshold[g]) == first_best
+        kids = ((m.n0[start + c], m.n1[start + c]) for c in (m.left[g], m.right[g]))
+        assert split_quality(*kids, criterion) == pytest.approx(q_min, abs=1e-12)
         left = Xs[:, first_best[0]] <= first_best[1]
         split_entropy = brute_best_quality(left[:, None].astype(int), ys, [0], "entropy")[0][0]
         assert m.split_entropy[g] == pytest.approx(split_entropy, abs=1e-12)
