@@ -157,15 +157,36 @@ def _dump_json(doc, compact: bool = False) -> str:
 # --- model bundle: forest + the schema needed to score new rows ---------
 
 
-def _bundle_to_doc(m: forest.RandomForestModel, d: Dataset) -> dict:
+def _bundle_head(m: forest.RandomForestModel, d: Dataset) -> dict:
+    """The bundle document without its trees."""
     return {
-        **forest.model_to_dict(m),
+        **forest._model_head(m),
         "schema": [
             {"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema
         ],
         "target_name": d.target_name,
         "target_levels": list(d.target_levels),
     }
+
+
+def _bundle_to_doc(m: forest.RandomForestModel, d: Dataset) -> dict:
+    return {**_bundle_head(m, d), "trees": forest.model_to_dict(m)["trees"]}
+
+
+def _bundle_pieces(m: forest.RandomForestModel, d: Dataset):
+    """`_dump_json(_bundle_to_doc(m, d), compact=True)` one node array of
+    one tree at a time. "trees" sorts after every other key, so the text
+    is the head's up to its closing brace, then the trees, each with its
+    arrays in key order."""
+    yield _dump_json(_bundle_head(m, d), compact=True)[:-2] + ',"trees":['
+    cut = m.offsets.tolist()
+    for t, (a, b) in enumerate(zip(cut, cut[1:])):
+        opening = ",{" if t else "{"
+        for f in sorted(forest.NODE_FIELDS):
+            yield f'{opening}"{f}":' + _dump_json(getattr(m, f)[a:b].tolist(), compact=True)[:-1]
+            opening = ","
+        yield "}"
+    yield "]}\n"
 
 
 @dataclass(frozen=True)
@@ -287,7 +308,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = replace(s.pipeline.forest, seed=s.pipeline.seed)
     model = forest.train_forest(d, params)
     out = args.out_dir / "model.json"
-    _write_atomic(out, _dump_json(_bundle_to_doc(model, d), compact=True))
+    _write_atomic(out, _bundle_pieces(model, d))
     print(
         f"trained {model.n_trees} trees (mtry {model.mtry}, criterion {model.criterion}) "
         f"on {d.n_rows} rows -> {out}"
@@ -328,8 +349,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     s = _load_settings(args)
     cfg = s.pipeline
-    d = _load_input(args, s)
-    report = recommender.run_pipeline(d, cfg)
+    report = recommender.run_pipeline(_load_input(args, s), cfg)
     row = report.rows[0]
     out_dir = args.out_dir
     report_doc = {

@@ -72,7 +72,27 @@ class FeatureSchema:
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """`values` as a read-only C-contiguous array of `dtype`. An array that
+    already is one and owns its memory is kept as is: the producers in this
+    package hand over fresh arrays that way (`_handed`), so a Dataset costs
+    them no copy. Anything else is copied, so that writes to a caller's
+    array never reach the Dataset."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and values.flags.c_contiguous
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _handed(arr: np.ndarray) -> np.ndarray:
+    """`arr`, made read-only, for a Dataset to keep without a copy; only for
+    a fresh array that nothing else writes."""
     arr.setflags(write=False)
     return arr
 
@@ -137,6 +157,20 @@ class Dataset:
         return [f.decode(int(c)) for f, c in zip(self.schema, self.X[i])]
 
 
+#: the byte reader codes the levels of consecutive columns together while
+#: their cells number at most this many (one column at the least): its
+#: temporaries stay under 1 MB whatever the file's size, and a survey of
+#: a few hundred rows is one group
+_GROUP_CELLS = 10_000
+#: bytes the byte reader scans for cell ends in one step
+_SCAN_BYTES = 1 << 16
+#: a file of at least this many bytes keeps its cell ends as int64, a
+#: smaller one as int32
+_INT64_ENDS_BYTES = 1 << 31
+#: rows that `write_csv` renders and writes in one piece
+_WRITE_ROWS = 1024
+
+
 def load_csv(
     path: str | Path,
     target_name: str,
@@ -162,16 +196,17 @@ def load_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        before = data[: e.start]
-        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        raise ValueError(f"{path}: line {line} is not valid UTF-8") from None
+    if not data.isascii():  # an ASCII file is UTF-8; the byte path decodes only its levels
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            before = data[: e.start]
+            line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+            raise ValueError(f"{path}: line {line} is not valid UTF-8") from None
     if not data:
         raise ValueError(f"{path}: empty file")
     if b'"' in data or b"\r" in data:
-        header, widths, empty, read_columns = _csv_table(path, text)
+        header, widths, empty, read_columns = _csv_table(path, data.decode("utf-8"))
     else:
         header, widths, empty, read_columns = _byte_table(path, data)
     n_rows = len(widths)
@@ -187,7 +222,6 @@ def load_csv(
         if widths[r] != len(header):
             raise ValueError(f"{path}: row {r + 2} has {widths[r]} cells, expected {len(header)}")
         raise ValueError(f"{path}: missing value in row {r + 2}")
-    columns = read_columns()
 
     target_idx = header.index(target_name)
     prov_idx = header.index(PROVENANCE_COLUMN) if PROVENANCE_COLUMN in header else None
@@ -195,7 +229,35 @@ def load_csv(
     if not col_of:
         raise ValueError(f"{path}: no feature columns")
 
-    target_values, target_codes = columns[target_idx]
+    # one pass over the columns in file order fills X; its errors are
+    # raised after the target's and the header's
+    names = list(col_of) if schema is None else [f.name for f in schema]
+    ks_of = {}  # the X columns of each file column
+    for k, name in enumerate(names):
+        if name in col_of:
+            ks_of.setdefault(col_of[name], []).append(k)
+    X = np.empty((n_rows, len(names)), dtype=np.int64)
+    levels_of, unknown = {}, {}  # by X column: the file's levels, its first unknown level
+    other = {}  # the target and provenance columns
+    js = sorted([*ks_of, target_idx] + ([] if prov_idx is None else [prov_idx]))
+    for j, (levels, codes) in zip(js, read_columns(js)):
+        if j not in ks_of:
+            other[j] = levels, codes
+        for k in ks_of.get(j, ()):
+            if schema is None:
+                levels_of[k] = levels
+                X[:, k] = codes
+                continue
+            code_of = {v: c for c, v in enumerate(schema[k].levels)}
+            known = [code_of.get(v, -1) for v in levels]
+            if -1 in known:
+                # the file's levels come in first-appearance order, so the
+                # first unknown one is the first in the file
+                unknown[k] = levels[known.index(-1)]
+            else:
+                X[:, k] = np.array(known, dtype=np.int64)[codes]
+
+    target_values, target_codes = other[target_idx]
     distinct_targets = sorted(target_values)
     if len(distinct_targets) != 2:
         raise ValueError(
@@ -221,37 +283,29 @@ def load_csv(
         if stray:
             raise ValueError(f"{path}: roles given for columns that are not features: {stray}")
         schema = [
-            FeatureSchema(name, role_map.get(name, ROLE_CONTEXT), tuple(columns[j][0]))
-            for name, j in col_of.items()
+            FeatureSchema(name, role_map.get(name, ROLE_CONTEXT), tuple(levels_of[k]))
+            for k, name in enumerate(names)
         ]
-    missing = [f.name for f in schema if f.name not in col_of]
+    missing = [name for name in names if name not in col_of]
     if missing:
         raise ValueError(f"{path}: missing feature columns {missing}")
-    X = np.empty((n_rows, len(schema)), dtype=np.int64)
-    for k, feat in enumerate(schema):
-        levels, codes = columns[col_of[feat.name]]
-        code_of = {v: c for c, v in enumerate(feat.levels)}
-        try:
-            # the file's levels come in first-appearance order, so the
-            # first unknown one is the first in the file
-            X[:, k] = np.array([code_of[v] for v in levels], dtype=np.int64)[codes]
-        except KeyError as e:
-            raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
+    if unknown:
+        k = min(unknown)
+        raise ValueError(f"unknown level {unknown[k]!r} for feature {names[k]!r}")
 
+    synthetic = None
     if prov_idx is not None:
-        flags, codes = columns[prov_idx]
+        flags, codes = other[prov_idx]
         bad_flags = sorted(set(flags) - {"0", "1"})
         if bad_flags:
             raise ValueError(f"{path}: bad {PROVENANCE_COLUMN} values {bad_flags}")
-        synthetic = np.array([f == "1" for f in flags], dtype=bool)[codes]
-    else:
-        synthetic = np.zeros(n_rows, dtype=bool)
+        synthetic = _handed(np.array([f == "1" for f in flags], dtype=bool)[codes])
 
     return Dataset(
         schema=tuple(schema),
         target_name=target_name,
-        X=X,
-        y=y,
+        X=_handed(X),
+        y=_handed(y),
         synthetic=synthetic,
         target_levels=(negative_label, positive_label),
     )
@@ -260,10 +314,11 @@ def load_csv(
 def _csv_table(path: Path, text: str):
     """The table as `csv.reader` splits non-empty `text`, for any file: the
     header, each data row's cell count, whether each data row has an
-    empty cell, and a function that gives every column's levels, in
-    first-appearance order, and codes. `load_csv` calls that function
-    only once every data row has the header's width and no empty cell.
-    A cell over `csv.field_size_limit()` is an error."""
+    empty cell, and a function that gives, for each of the column indices
+    it is given in turn, the column's levels in first-appearance order and
+    its codes. `load_csv` calls that function only once every data row has
+    the header's width and no empty cell. A cell over
+    `csv.field_size_limit()` is an error."""
     rows = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -273,13 +328,12 @@ def _csv_table(path: Path, text: str):
         raise ValueError(f"{path}: row {len(rows) + 1}: {e}") from None
     header, rows = rows[0], rows[1:]
 
-    def columns():
-        out = []
-        for values in zip(*rows):
+    def columns(js):
+        for j in js:
+            values = [row[j] for row in rows]
             levels = list(dict.fromkeys(values))
             code_of = dict(zip(levels, range(len(levels))))
-            out.append((levels, np.fromiter(map(code_of.__getitem__, values), np.int64, len(rows))))
-        return out
+            yield levels, np.fromiter(map(code_of.__getitem__, values), np.int64, len(rows))
 
     widths = np.fromiter(map(len, rows), np.int64, len(rows))
     empty = np.fromiter(map(list.__contains__, rows, itertools.repeat("")), bool, len(rows))
@@ -290,74 +344,111 @@ def _byte_table(path: Path, data: bytes):
     """`_csv_table` for non-empty UTF-8 `data` with no `"` and no CR byte,
     split at the `,` and `\n` bytes with numpy.
 
-    The cells of each byte length are told apart by one `np.unique` over
-    their (column, bytes) keys: an int64 where it fits, else the key's
-    bytes. So no Python object is made per cell, only the distinct levels
-    are decoded, and no array is wider than the cells it holds."""
+    The whole file keeps one array, the offset of each cell's end (int32
+    below `_INT64_ENDS_BYTES`); a cell starts one byte after the cell
+    before it ends. Columns are coded by `_group_levels` in groups of at
+    most `_GROUP_CELLS` cells, so no other array spans the file."""
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts
-    # the index of each line's last cell; a blank line has one cell of
-    # length 0 here, where csv.reader sees a row of none
-    last = np.flatnonzero(buf[ends] == ord("\n"))
-    widths = np.diff(last, prepend=-1)
-    widths[(widths == 1) & (lengths[last] == 0)] = 0
     limit = csv.field_size_limit()
-    for i in np.flatnonzero(lengths > limit).tolist():  # no more characters than bytes
-        if len(data[starts[i]:ends[i]].decode()) > limit:
+    ends = np.empty(data.count(b",") + data.count(b"\n"), np.int32 if len(data) < _INT64_ENDS_BYTES else np.int64)
+    last, zero, long = [], [], []  # per step, its cells that end a line, are empty, or pass the field limit
+    n = 0  # cells before this step
+    for lo in range(0, len(buf), _SCAN_BYTES):
+        part = buf[lo : lo + _SCAN_BYTES]
+        at = np.flatnonzero((part == ord(",")) | (part == ord("\n")))
+        at += lo
+        lengths = np.diff(at, prepend=ends[n - 1] if n else -1) - 1
+        ends[n : n + len(at)] = at
+        for out, cells in ((last, buf[at] == ord("\n")), (zero, lengths == 0), (long, lengths > limit)):
+            out.append(np.flatnonzero(cells) + n)
+        n += len(at)
+    last, zero = np.concatenate(last), np.concatenate(zero)
+
+    # a blank line has one cell of length 0 here, where csv.reader sees a
+    # row of none
+    widths = np.diff(last, prepend=-1)
+    widths[np.diff(ends[last], prepend=-1) == 1] = 0
+    for i in np.concatenate(long).tolist():  # no more characters than bytes
+        if len(data[ends[i - 1] + 1 if i else 0 : ends[i]].decode()) > limit:
             row = int(np.searchsorted(last, i)) + 1
             raise ValueError(f"{path}: row {row}: field larger than field limit ({limit})")
     empty = np.zeros(len(last), dtype=bool)
-    empty[np.searchsorted(last, np.flatnonzero(lengths == 0))] = True
+    empty[np.searchsorted(last, zero)] = True
     empty[widths == 0] = False
-    header = [data[s:e].decode() for s, e in zip(starts[: widths[0]].tolist(), ends[: widths[0]].tolist())]
+    bounds = [-1, *ends[: widths[0]].tolist()]
+    header = [data[a + 1 : b].decode() for a, b in zip(bounds, bounds[1:])]
 
-    def columns():
-        n_cols = len(header)
-        body = int(last[0]) + 1  # the first cell after the header
-        cell_starts, cell_lengths = starts[body:], lengths[body:]
-        level = np.empty(len(cell_starts), dtype=np.int64)  # a level id per cell
-        firsts = []  # per cell length, the first cell of each of its level ids
-        by_length = np.argsort(cell_lengths)
-        counts = np.bincount(cell_lengths)
-        lo = n_ids = 0
-        for length in np.flatnonzero(counts).tolist():
-            cells = by_length[lo : lo + counts[length]]
-            lo += counts[length]
-            col = cells % n_cols
-            raw = buf[cell_starts[cells, None] + np.arange(length)]
-            if n_cols << 8 * length <= 1 << 63:  # (column, bytes) fits one int64
-                key = np.zeros((len(cells), 8), dtype=np.uint8)
-                key[:, :length] = raw
-                key = key.view("<i8")[:, 0] | col << 8 * length
-            else:  # compared as bytes, which sorts several times slower
-                key = np.concatenate((col[:, None].view(np.uint8), raw), axis=1)
-                key = key.view(np.dtype((np.void, 8 + length)))[:, 0]
-            distinct, inverse = np.unique(key, return_inverse=True)
-            first = np.full(len(distinct), len(cell_starts))
-            np.minimum.at(first, inverse, cells)
-            firsts.append(first)
-            level[cells] = n_ids + inverse
-            n_ids += len(distinct)
-        firsts = np.concatenate(firsts)
-        col = firsts % n_cols
-        order = np.lexsort((firsts, col))  # by column, then first appearance
-        n_levels = np.bincount(col, minlength=n_cols)
-        col_start = np.cumsum(n_levels) - n_levels
-        code = np.empty(len(firsts), dtype=np.int64)
-        code[order] = np.arange(len(firsts)) - np.repeat(col_start, n_levels)
-        codes = code[level].reshape(-1, n_cols)
-        out = []
-        for j in range(n_cols):
-            cells = firsts[order[col_start[j] : col_start[j] + n_levels[j]]]
-            levels = [data[s : s + n].decode() for s, n in zip(cell_starts[cells].tolist(), cell_lengths[cells].tolist())]
-            out.append((levels, codes[:, j]))
-        return out
+    body = int(last[0]) + 1  # the first cell after the header
+
+    def columns(js):
+        cell_ends = ends[body:].reshape(-1, len(header))
+        cell_starts = ends[body - 1 : -1].reshape(-1, len(header))  # one byte before each cell
+        step = max(1, _GROUP_CELLS // len(cell_ends))
+        for a in range(0, len(js), step):
+            group = js[a : a + step]
+            starts = cell_starts[:, group] + 1
+            yield from _group_levels(data, buf, starts, cell_ends[:, group] - starts)
 
     return header, widths[1:], empty[1:], columns
+
+
+def _group_levels(data: bytes, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The levels, in first-appearance order, and codes of each column of
+    a block of cells, given as the (rows x columns) offsets in `data` (and
+    its bytes `buf`) where each cell starts, and their byte lengths.
+
+    The cells of each byte length are told apart by one sort of their
+    (column, bytes) keys: an int64 where it fits, else the key's bytes. So
+    no Python object is made per cell, only the distinct levels are
+    decoded, and no array is wider than the cells it holds."""
+    n_rows, n_cols = starts.shape
+    starts, lengths = starts.ravel(), lengths.ravel()
+    level = np.empty(len(starts), dtype=np.int32)  # a level id per cell
+    firsts = []  # per cell length, the first cell of each of its level ids
+    by_length = np.argsort(lengths, kind="stable")  # a run of equal lengths sorts in one pass
+    counts = np.bincount(lengths)
+    lo = n_ids = 0
+    for length in np.flatnonzero(counts).tolist():
+        cells = by_length[lo : lo + counts[length]]
+        lo += counts[length]
+        if len(cells) == 1:  # a length of one cell is one level
+            level[cells] = n_ids
+            firsts.append(cells)
+            n_ids += 1
+            continue
+        raw = buf[starts[cells, None] + np.arange(length, dtype=starts.dtype)]
+        if n_cols << 8 * length <= 1 << 63:  # (column, bytes) fits one int64
+            key = np.zeros((len(cells), 8), dtype=np.uint8)
+            key[:, :length] = raw
+            key = key.view("<i8")[:, 0]
+            key |= cells % n_cols << 8 * length
+        else:  # compared as bytes, which sorts several times slower
+            key = np.concatenate(((cells % n_cols)[:, None].view(np.uint8), raw), axis=1)
+            key = key.view(np.dtype((np.void, 8 + length)))[:, 0]
+        by_key = np.argsort(key)
+        key, cells = key[by_key], cells[by_key]
+        new = np.empty(len(key), dtype=bool)  # where each level's run of cells starts
+        new[0] = True
+        new[1:] = key[1:] != key[:-1]
+        ids = np.cumsum(new, dtype=np.int32)
+        ids += n_ids - 1
+        level[cells] = ids
+        firsts.append(np.minimum.reduceat(cells, np.flatnonzero(new)))
+        n_ids = int(ids[-1]) + 1
+    firsts = np.concatenate(firsts)
+    col = firsts % n_cols
+    order = np.lexsort((firsts, col))  # by column, then first appearance
+    n_levels = np.bincount(col, minlength=n_cols)
+    col_start = np.cumsum(n_levels) - n_levels
+    code = np.empty(len(firsts), dtype=np.int32)
+    code[order] = np.arange(len(firsts)) - np.repeat(col_start, n_levels)
+    codes = code[level].reshape(n_rows, n_cols)
+    cells = firsts[order]  # each column's levels in turn, as their first cells
+    levels = [data[s : s + n].decode() for s, n in zip(starts[cells].tolist(), lengths[cells].tolist())]
+    for j, (a, b) in enumerate(zip(col_start.tolist(), (col_start + n_levels).tolist())):
+        yield levels[a:b], codes[:, j]
 
 
 def _csv_fields(values: Sequence[str]) -> list[str]:
@@ -374,25 +465,28 @@ def _csv_fields(values: Sequence[str]) -> list[str]:
     return out
 
 
-def csv_text(d: Dataset, include_provenance: bool = False) -> str:
-    """The dataset as CSV text: features in schema order, target last,
-    then the provenance column when requested. Each level is rendered
-    once and indexed by the codes, column by column."""
+def _csv_pieces(d: Dataset, include_provenance: bool):
+    """The dataset as CSV text, `_WRITE_ROWS` rows a piece: features in
+    schema order, target last, then the provenance column when requested.
+    Each level is rendered once and indexed by the codes, column by
+    column."""
     header = list(d.feature_names) + [d.target_name]
     columns = [(f.levels, d.X[:, j]) for j, f in enumerate(d.schema)]
     columns.append((d.target_levels, d.y))
     if include_provenance:
         header.append(PROVENANCE_COLUMN)
-        columns.append((("0", "1"), d.synthetic.astype(np.int64)))
-    cells = [np.array(_csv_fields(levels), dtype=object)[codes].tolist() for levels, codes in columns]
-    lines = [",".join(_csv_fields(header))]
-    lines.extend(",".join(row) for row in zip(*cells))
-    return "\n".join(lines) + "\n"
+        columns.append((("0", "1"), d.synthetic.view(np.uint8)))
+    fields = [(np.array(_csv_fields(levels), dtype=object), codes) for levels, codes in columns]
+    yield ",".join(_csv_fields(header)) + "\n"
+    for lo in range(0, d.n_rows, _WRITE_ROWS):
+        cells = [rendered[codes[lo : lo + _WRITE_ROWS]].tolist() for rendered, codes in fields]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write `text` to `path` through a temporary file and a rename, so a
-    reader never sees a partial file; the mode is what a plain open gives."""
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, a string or strings in turn, to `path` through a
+    temporary file and a rename, so a reader never sees a partial file;
+    the mode is what a plain open gives."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -402,7 +496,7 @@ def write_atomic(path: Path, text: str) -> None:
             umask = os.umask(0o022)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -411,8 +505,9 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def write_csv(d: Dataset, path: str | Path, include_provenance: bool = False) -> None:
-    """Write `csv_text(d, include_provenance)` to `path` atomically."""
-    write_atomic(Path(path), csv_text(d, include_provenance))
+    """Write the dataset as CSV to `path` atomically: features in schema
+    order, target last, then the provenance column when requested."""
+    write_atomic(Path(path), _csv_pieces(d, include_provenance))
 
 
 def drop_constant_features(d: Dataset) -> Dataset:
@@ -425,7 +520,7 @@ def drop_constant_features(d: Dataset) -> Dataset:
     return replace(
         d,
         schema=tuple(d.schema[j] for j in keep),
-        X=d.X[:, keep],
+        X=_handed(d.X.take(keep, axis=1)),
     )
 
 
@@ -442,12 +537,12 @@ def select_features(d: Dataset, names: Iterable[str]) -> Dataset:
     return replace(
         d,
         schema=tuple(d.schema[j] for j in cols),
-        X=d.X[:, cols],
+        X=_handed(d.X.take(cols, axis=1)),
     )
 
 
 def _subset(d: Dataset, rows: np.ndarray) -> Dataset:
-    return replace(d, X=d.X[rows], y=d.y[rows], synthetic=d.synthetic[rows])
+    return replace(d, X=_handed(d.X[rows]), y=_handed(d.y[rows]), synthetic=_handed(d.synthetic[rows]))
 
 
 def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -540,4 +635,4 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         )
         for j in range(spec.p)
     )
-    return Dataset(schema=schema, target_name="target", X=X, y=y)
+    return Dataset(schema=schema, target_name="target", X=_handed(X), y=_handed(y))

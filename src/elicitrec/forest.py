@@ -167,26 +167,32 @@ def _best_splits(codes, node, weight, width, counts, criterion, min_child):
     minimum quality the first wins."""
     n_nodes, k = width.shape
     size = width.ravel()
-    start = np.cumsum(size) - size  # first cell of each (node, slot) block
+    end = np.cumsum(size)  # one past the last cell of each (node, slot) block
+    start = end - size  # its first cell
     n_cells = int(size.sum())
-    flat = 2 * start.reshape(n_nodes, k)[node] + codes
-    # the weights are whole numbers, so the float sums are exact
-    hist = np.bincount(flat.ravel(), np.repeat(weight, k), 2 * n_cells).astype(np.int64).reshape(n_cells, 2)
-    block = np.repeat(np.arange(n_nodes * k), size)
-    cum = hist.cumsum(axis=0)
-    left = cum - (cum[start] - hist[start])[block]  # class counts at codes <= the cell's
-    n_left = left.sum(axis=1)
+    flat = start.reshape(n_nodes, k)[node]
+    flat *= 2
+    flat += codes
+    # the weights are whole numbers, so the float sums (and all counts
+    # made from them) are exact
+    hist = np.bincount(flat.ravel(), np.repeat(weight, k), 2 * n_cells).reshape(n_cells, 2)
+    del flat
     present = hist.any(axis=1)
+    left = hist.cumsum(axis=0)
+    left -= np.repeat(left[start] - hist[start], size, axis=0)  # class counts at codes <= the cell's
+    del hist
+    n_left = left.sum(axis=1)
     # the threshold's upper code: the next present cell, if in the same block
     nxt = np.minimum.accumulate(np.where(present, np.arange(n_cells), n_cells)[::-1])[::-1]
     nxt = np.append(nxt[1:], n_cells)
-    m = counts.sum(axis=1)[block // k]
-    ok = present & (nxt < (start + size)[block]) & (n_left >= min_child) & (m - n_left >= min_child)
+    ok = present & (nxt < np.repeat(end, size)) & (n_left >= min_child)
+    ok &= np.repeat(counts.sum(axis=1), width.sum(axis=1)) - n_left >= min_child
     slot, threshold = np.full(n_nodes, -1), np.zeros(n_nodes)
     left_rows = np.zeros((n_nodes, 2), dtype=np.int64)
     v = np.flatnonzero(ok)
     if v.size:
-        b, c = block[v], block[v] // k
+        b = np.searchsorted(end, v, "right")  # each valid cell's block
+        c = b // k
         q = _quality(left[v].T, (counts[c] - left[v]).T, criterion)
         first = np.flatnonzero(np.diff(c, prepend=-1))  # each node's first valid cell
         q_min = np.repeat(np.minimum.reduceat(q, first), np.diff(first, append=v.size))
@@ -214,9 +220,14 @@ def _distinct_samples(X, y, boots, width):
         key, span = key * w + col, span * w
     _, rep, ids = np.unique(key, return_index=True, return_inverse=True)
     n = len(rep)
-    drawn = np.bincount((ids[boots] + n * np.arange(len(boots))[:, None]).ravel(), minlength=len(boots) * n)
+    drawn = ids[boots]
+    drawn += n * np.arange(len(boots))[:, None]  # tree t's ids from t * n
+    drawn = np.bincount(drawn.ravel(), minlength=len(boots) * n)
     pair = np.flatnonzero(drawn)
-    codes = 2 * X[rep] + y[rep, None]
+    # int16 holds 2 * code + class for codes below 2**14
+    codes = X.astype(np.int16 if width.max() <= 1 << 14 else np.int64)[rep]
+    codes *= 2
+    codes += y[rep, None]
     return codes, pair % n, drawn[pair].astype(np.float64), np.bincount(pair // n, minlength=len(boots))
 
 
@@ -233,9 +244,11 @@ def _frontier_splits(codes, rows, weight, feats, width, counts, size, params: Fo
         b = max(a + 1, int(np.searchsorted(cum, cum[a] - cost[a] + _CELLS, "right")))
         lo, hi = end[a] - size[a], end[b - 1]
         node = np.repeat(np.arange(b - a), size[a:b])
+        drawn = feats[a:b][node]  # where each row's drawn codes sit in `codes`, then the codes
+        drawn += rows[lo:hi, None] * p
+        drawn = codes.take(drawn)
         parts.append(_best_splits(
-            codes.take(rows[lo:hi, None] * p + feats[a:b][node]), node, weight[lo:hi], width[a:b],
-            counts[a:b], params.criterion, params.min_samples_leaf,
+            drawn, node, weight[lo:hi], width[a:b], counts[a:b], params.criterion, params.min_samples_leaf,
         ))
         a = b
     return [np.concatenate(column) for column in zip(*parts)]
@@ -314,8 +327,10 @@ def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
     if d.y.min() == d.y.max():
         raise ValueError("single-class dataset")
     n = d.n_rows
-    rngs = (np.random.default_rng([params.seed, t]) for t in range(params.n_trees))
-    return grow_forest(d.X, d.y, np.stack([rng.integers(0, n, size=n) for rng in rngs]), params)
+    boots = np.empty((params.n_trees, n), dtype=np.int64)
+    for t, row in enumerate(boots):
+        row[:] = np.random.default_rng([params.seed, t]).integers(0, n, size=n)
+    return grow_forest(d.X, d.y, boots, params)
 
 
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
@@ -356,11 +371,16 @@ def mean_split_entropy(m: RandomForestModel) -> float:
 MODEL_FORMAT_VERSION = 2
 
 
+def _model_head(m: RandomForestModel) -> dict:
+    """`model_to_dict` without its trees."""
+    head = {"n_trees": m.n_trees, "mtry": m.mtry, "criterion": m.criterion, "seed": m.seed}
+    return {"format_version": MODEL_FORMAT_VERSION, **head}
+
+
 def model_to_dict(m: RandomForestModel) -> dict:
     cut = m.offsets.tolist()
     trees = [{f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS} for a, b in zip(cut, cut[1:])]
-    head = {"n_trees": m.n_trees, "mtry": m.mtry, "criterion": m.criterion, "seed": m.seed}
-    return {"format_version": MODEL_FORMAT_VERSION, **head, "trees": trees}
+    return {**_model_head(m), "trees": trees}
 
 
 def _tree_from_dict(doc, where: str) -> dict[str, np.ndarray]:

@@ -143,6 +143,7 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
             f"or use --mode {MODE_BALANCE_FIRST}"
         )
     d = drop_constant_features(d)
+    label = d.target_name
     imb = _evaluate_arm(
         *_arm_data(d, cfg, False), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED)
     )
@@ -151,10 +152,10 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
         # evaluation so the rows come out identical
         bal = imb
     else:
-        bal = _evaluate_arm(
-            *_arm_data(d, cfg, True), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED)
-        )
-    return EvaluationReport(rows=(ReportRow(label=d.target_name, imbalanced=imb, balanced=bal),))
+        train, test = _arm_data(d, cfg, True)
+        d = None  # unless the caller holds the input, it is freed before the balanced forest grows
+        bal = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED))
+    return EvaluationReport(rows=(ReportRow(label=label, imbalanced=imb, balanced=bal),))
 
 
 # preference when areas tie exactly, strongest first

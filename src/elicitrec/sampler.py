@@ -16,13 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_model import Dataset, minority_label
+from .data_model import Dataset, _handed, minority_label
 
 #: parent rows per block of the neighbour search; one block holds a
-#: (rows x minority count) key matrix and its partitioned copy. On 2000
+#: (rows x minority count) key matrix, partitioned in place. On 2000
 #: minority rows, blocks of 32 and 64 rows ran alike and 128 about 20 %
 #: slower
 _BLOCK_ROWS = 32
+#: synthetic rows interpolated in one step
+_SYNTH_ROWS = 256
 
 #: float64 holds every integer of smaller magnitude exactly
 _F64_EXACT = 2**53
@@ -60,19 +62,21 @@ def _neighbors(Xm: np.ndarray, n_parents: int, k: int) -> np.ndarray:
     summation; otherwise in Python integers.
     """
     m, p = Xm.shape
-    X = Xm - Xm.min(axis=0)  # a shift keeps every distance
-    span = int(X.max())
+    low = Xm.min(axis=0)  # a shift keeps every distance
+    span = int((Xm.max(axis=0) - low).max())
     # |partial sum| <= p * 2m span**2 (products) + m p span**2 + m - 1 (last column)
     dtype = np.float64 if m * (3 * p * span**2 + 1) < _F64_EXACT else object
-    X = X.astype(dtype)
-    rows = np.hstack([X[:n_parents], np.ones((n_parents, 1), dtype)])
-    cols = np.vstack([-2 * m * X.T, m * (X * X).sum(axis=1) + np.arange(m).astype(dtype)])
+    X = np.subtract(Xm, low, dtype=dtype)
+    cols = np.empty((p + 1, m), dtype)
+    np.multiply(X.T, -2 * m, out=cols[:p])
+    cols[p] = m * (X * X).sum(axis=1) + np.arange(m).astype(dtype)
     out = np.empty((n_parents, k), dtype=np.int64)
     for lo in range(0, n_parents, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_parents)
-        key = rows[lo:hi] @ cols
+        key = np.hstack([X[lo:hi], np.ones((hi - lo, 1), dtype)]) @ cols
         key[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never its own neighbour
-        near = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
+        key.partition(k - 1, axis=1)
+        near = np.sort(key[:, :k], axis=1)
         out[lo:hi] = near % m
     return out
 
@@ -111,11 +115,16 @@ def smote_details(
     neighbor = minority_rows[near[slot, pick]]
 
     limits = np.array([len(f.levels) - 1 for f in d.schema], dtype=np.int64)
-    new_X = _interpolate(d.X[parent], d.X[neighbor], draw, limits)
-    X = np.vstack([d.X, new_X])
+    n = d.n_rows
+    X = np.empty((n + needed, d.n_features), dtype=np.int64)
+    X[:n] = d.X
+    for lo in range(0, needed, _SYNTH_ROWS):
+        hi = min(lo + _SYNTH_ROWS, needed)
+        X[n + lo : n + hi] = _interpolate(d.X[parent[lo:hi]], d.X[neighbor[lo:hi]], draw[lo:hi], limits)
     y = np.concatenate([d.y, np.full(needed, label, dtype=np.int64)])
     synthetic = np.concatenate([d.synthetic, np.ones(needed, dtype=bool)])
-    return replace(d, X=X, y=y, synthetic=synthetic), parent, neighbor, draw
+    balanced = replace(d, X=_handed(X), y=_handed(y), synthetic=_handed(synthetic))
+    return balanced, parent, neighbor, draw
 
 
 def smote_oversample(d: Dataset, cfg: SmoteConfig) -> Dataset:

@@ -18,6 +18,7 @@ from elicitrec.data_model import (
     PROVENANCE_COLUMN,
     SyntheticSpec,
     generate_synthetic,
+    load_csv,
     write_csv,
 )
 
@@ -248,6 +249,26 @@ class TestModelFile:
         rc = main(["train", "--config", fast_config(tmp_path), "--input", input_csv, "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{tmp_path / 'model.json'}'\n"
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("shape", ["survey", "deep"])
+    def test_model_file_is_one_dump_of_the_bundle(self, tmp_path, criterion, shape):
+        # train writes model.json a node array at a time; the bytes are those of
+        # one dump of the whole bundle document
+        data = tmp_path / "data.csv"
+        if shape == "survey":
+            write_csv(generate_synthetic(SyntheticSpec(282, 41, p=27, n_informative=6, seed=7)), data)
+        else:  # alternating labels over 300 levels grow trees about a hundred deep
+            rows = "".join(f"v{k:03d},{k % 2}\n" for _ in range(4) for k in range(300))
+            data.write_text("x,target\n" + rows, encoding="utf-8")
+        params = {"n_trees": 5, "criterion": criterion}
+        cfg = write_config(tmp_path, {"target": "target", "forest": params, "seed": 3})
+        assert main(["train", "--config", cfg, "--input", str(data), "--out-dir", str(tmp_path)]) == 0
+        d = load_csv(data, "target")
+        m = forest.train_forest(d, forest.ForestParams(**params, seed=3))
+        assert (m.feature >= 0).sum() > (100 if shape == "deep" else 20)
+        expected = cli._dump_json(cli._bundle_to_doc(m, d), compact=True)
+        assert (tmp_path / "model.json").read_bytes().decode("utf-8") == expected
 
     def test_deep_tree_trains_evaluates_and_recommends(self, tmp_path):
         # 1500 levels with alternating labels, each row 8 times: the single

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,9 @@ from elicitrec.data_model import (
     minority_label,
     select_features,
     split_train_test,
-    csv_text,
     write_csv,
 )
+from elicitrec.sampler import SmoteConfig, smote_oversample
 
 from conftest import make_dataset
 
@@ -117,6 +118,25 @@ class TestLoadCsv:
         assert d.schema[0].levels == ("x", "x\0", "x\0\0")
         assert d.X[:, 0].tolist() == [0, 1, 0, 2]
 
+    def test_memory_bounded(self, tmp_path):
+        # a 6000 x 30 file: the reader keeps its bytes, one end offset per
+        # cell and X, and codes the levels a column group at a time
+        d = generate_synthetic(SyntheticSpec(n_majority=4000, n_minority=2000, p=30, n_informative=8, seed=3))
+        path = tmp_path / "data.csv"
+        write_csv(d, path)
+        load_csv(path, "target")  # lazy set-up of numpy's first calls is not the reader's
+        tracemalloc.start()
+        try:
+            back = load_csv(path, "target")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * path.stat().st_size
+        for j in range(d.n_features):
+            decoded = np.array(back.schema[j].levels)[back.X[:, j]]
+            assert (decoded == np.array(d.schema[j].levels)[d.X[:, j]]).all()
+        assert back.y.tolist() == d.y.tolist()
+
     def test_non_binary_target(self, tmp_path):
         with pytest.raises(ValueError, match="non-binary"):
             load_csv(write(tmp_path, "a,target\nx,1\ny,2\nz,3\n"), "target")
@@ -157,6 +177,15 @@ class TestLoadCsv:
         text = "color,size,target\ngreen,small,1\nred,large,0\n"
         with pytest.raises(ValueError, match="green"):
             load_csv(write(tmp_path, text, "other.csv"), "target", schema=d1.schema)
+
+    def test_schema_naming_a_column_twice_codes_it_twice(self, tmp_path):
+        schema = (
+            FeatureSchema("color", ROLE_CONTEXT, ("red", "blue")),
+            FeatureSchema("color", ROLE_CONTEXT, ("blue", "red")),
+            FeatureSchema("size", ROLE_CONTEXT, ("small", "large")),
+        )
+        d = load_csv(write(tmp_path, BASIC), "target", schema=schema)
+        assert d.X.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 1]]
 
     def test_schema_reuse_missing_column(self, tmp_path):
         d1 = load_csv(write(tmp_path, BASIC), "target")
@@ -203,7 +232,8 @@ class TestWriteCsv:
             ]
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows([header] + rows)
-            text = csv_text(d, include_provenance=provenance)
+            write_csv(d, tmp_path / "levels.csv", include_provenance=provenance)
+            text = (tmp_path / "levels.csv").read_bytes().decode("utf-8")
             assert text == buf.getvalue()
             assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
         # load_csv rejects empty cells; every other level loads back as written
@@ -229,6 +259,33 @@ class TestDatasetValidation:
         d = make_dataset([[0], [1]], [0, 1])
         with pytest.raises(ValueError):
             d.X[0, 0] = 1
+
+
+class TestOwnership:
+    def test_caller_arrays_are_copied(self):
+        X, y, synthetic = np.array([[0], [1]]), np.array([0, 1]), np.array([False, True])
+        d = Dataset((FeatureSchema("f", ROLE_CONTEXT, ("a", "b")),), "t", X, y, synthetic)
+        X[0, 0], y[0], synthetic[0] = 1, 1, True
+        assert d.X.tolist() == [[0], [1]]
+        assert d.y.tolist() == [0, 1]
+        assert d.synthetic.tolist() == [False, True]
+        assert not d.X.flags.writeable
+
+    def test_producers_hand_over_fresh_read_only_arrays(self, skewed_dataset):
+        d = skewed_dataset
+        train, test = split_train_test(d, 0.2, seed=1)
+        selected = select_features(d, d.feature_names[:3])
+        balanced = smote_oversample(d, SmoteConfig(seed=1))
+        for out in (train, test, selected, balanced):
+            for name in ("X", "y", "synthetic"):
+                assert not getattr(out, name).flags.writeable
+            assert not np.shares_memory(out.X, d.X)
+        for out in (train, test, balanced):
+            assert not np.shares_memory(out.y, d.y)
+            assert not np.shares_memory(out.synthetic, d.synthetic)
+        # a Dataset's own arrays are read-only, so a new one keeps them as they are
+        assert selected.y is d.y and selected.synthetic is d.synthetic
+        assert replace(train, target_name="other").X is train.X
 
 
 class TestPreprocessing:

@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from elicitrec import sampler
+from elicitrec import data_model, sampler
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
     ROLE_CONTEXT,
@@ -292,3 +292,45 @@ def test_load_csv_matches_the_rowwise_reader(case):
         path = Path(tmp) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         assert load_outcome(load_csv, path, kwargs) == load_outcome(rowwise_load_csv, path, kwargs)
+
+
+@given(csv_tables())
+def test_load_csv_in_one_column_groups_matches_the_rowwise_reader(case):
+    # the byte reader codes each column on its own once a group holds one
+    text, kwargs = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data_model, "_GROUP_CELLS", 1):
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_outcome(load_csv, path, kwargs) == load_outcome(rowwise_load_csv, path, kwargs)
+
+
+def wide_table() -> str:
+    """2000 feature columns of 4 rows: one column group."""
+    header = [f"f{j}" for j in range(2000)] + ["target"]
+    rows = [[f"{j % 7}:{(r * j) % 3}" * (1 + j % 3) for j in range(2000)] + [str(r % 2)] for r in range(4)]
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+def long_cells_table() -> str:
+    """One feature column of 2000 cells, each of its own byte length."""
+    rows = "".join(f"{'x' * (1 + i)}{i % 10},{i % 2}\n" for i in range(2000))
+    return "f,target\n" + rows
+
+
+@pytest.mark.parametrize("ends", [np.int32, np.int64])
+@pytest.mark.parametrize("table", [wide_table, long_cells_table])
+def test_load_csv_shapes_match_the_rowwise_reader(tmp_path, table, ends):
+    path = tmp_path / "data.csv"
+    path.write_text(table(), encoding="utf-8")
+    dtypes, original = set(), data_model._group_levels
+
+    def group_levels(data, buf, starts, lengths):
+        dtypes.add(starts.dtype)
+        return original(data, buf, starts, lengths)
+
+    # a limit of 0 bytes takes every file down the int64 path of files of 2 GiB and more
+    limit = 0 if ends is np.int64 else data_model._INT64_ENDS_BYTES
+    with mock.patch.object(data_model, "_INT64_ENDS_BYTES", limit), \
+            mock.patch.object(data_model, "_group_levels", group_levels):
+        assert load_outcome(load_csv, path, {}) == load_outcome(rowwise_load_csv, path, {})
+    assert dtypes == {np.dtype(ends)}
