@@ -10,8 +10,10 @@ entropy can be compared between imbalanced and balanced training sets.
 
 All trees grow together, breadth-first: per level, one `bincount` builds
 the (node, drawn feature, code, class) histogram of the whole frontier, in
-chunks of at most `_CELLS` cells, and one cumulative pass picks every
-node's split. A node draws its features from a splitmix64 hash of its key.
+chunks of at most `_CELLS` cells, and one cumulative pass over the cells
+some row reaches picks every node's split. The rows of split nodes then
+move to their children, kept in order, by counting the rows that go right.
+A node draws its features from a splitmix64 hash of its key.
 Each tree works on its distinct rows: rows equal in X and y share one
 content id, a tree's repeated bootstrap draws of one id become one entry
 weighted by its count, and the histogram sums those weights. Splits and
@@ -60,13 +62,13 @@ def entropy(counts):
     return h
 
 
-def _quality(left, right, criterion: str):
-    """Child-size-weighted impurity of splits, from the (class 0, class 1)
-    row counts of each side."""
-    impurity = gini if criterion == "gini" else entropy
-    n_left, n_right = left[0] + left[1], right[0] + right[1]
-    m = n_left + n_right
-    return (n_left / m) * impurity(left) + (n_right / m) * impurity(right)
+def _quality(sides, criterion: str):
+    """Child-size-weighted impurity of splits, from the (left, right) x
+    (class 0, class 1) row counts `sides`."""
+    impurity = (gini if criterion == "gini" else entropy)((sides[:, 0], sides[:, 1]))
+    n = sides[:, 0] + sides[:, 1]
+    w = n / (n[0] + n[1])
+    return w[0] * impurity[0] + w[1] * impurity[1]
 
 
 #: the node arrays of a tree, with their dtypes
@@ -143,75 +145,93 @@ def _stream(keys: np.ndarray, first: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _draw_features(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
-    """Each node's mtry features, ascending: those whose outputs 1..p of its
-    key's stream rank lowest. Outputs p + 1 and p + 2 key its children."""
+def _draw_features(keys: np.ndarray, p: int, mtry: int):
+    """Each node's mtry features, ascending, and its children's keys.
+
+    The features are those whose outputs 1..p of the node key's stream
+    rank lowest; outputs p + 1 and p + 2 key its children. The outputs
+    1..p of one key are distinct (splitmix64 maps distinct counters to
+    distinct outputs), so a partition finds the lowest set."""
     feats = np.empty((len(keys), mtry), dtype=np.int64)
-    step = max(1, _CELLS // p)
+    kids = np.empty((len(keys), 2), dtype=np.uint64)
+    step = max(1, _CELLS // (p + 2))
     for a in range(0, len(keys), step):
-        rank = np.argsort(_stream(keys[a:a + step], 1, p), axis=1, kind="stable")
-        feats[a:a + step] = np.sort(rank[:, :mtry], axis=1)
-    return feats
+        z = _stream(keys[a:a + step], 1, p + 2)
+        lowest = z[:, :p].argpartition(mtry - 1, axis=1)[:, :mtry]
+        lowest.sort(axis=1)
+        feats[a:a + step] = lowest
+        kids[a:a + step] = z[:, p:]
+    return feats, kids
 
 
-def _best_splits(codes, node, weight, width, counts, criterion, min_child):
+def _best_splits(codes, rows, weight, size, feats, width, counts, criterion, min_child):
     """Every node's best split over its drawn features, from one histogram.
 
-    Row r of `codes` holds a distinct row's codes at the k drawn features
-    (slots, ascending) of its node `node[r]`, each folded with the row's
-    class as 2 * code + class, and `weight[r]` is how many sample rows it
-    stands for. Slot s of node c has `width[c, s]` code cells, and
-    `counts[c]` are its sample rows per class. Returns per node the slot
-    (-1: no threshold leaves `min_child` rows on each side), threshold and
-    rows per class going left; of the cells within `_TIE` of a node's
-    minimum quality the first wins."""
-    n_nodes, k = width.shape
-    size = width.ravel()
-    end = np.cumsum(size)  # one past the last cell of each (node, slot) block
-    start = end - size  # its first cell
-    n_cells = int(size.sum())
-    flat = start.reshape(n_nodes, k)[node]
-    flat *= 2
-    flat += codes
+    `codes[f, i]` is distinct row i's code at feature f folded with its
+    class as 2 * code + class. The nodes list their distinct rows `rows`
+    node by node, `size[c]` of them for node c, each standing for
+    `weight` sample rows. Node c drew the features `feats[c]` (slots,
+    ascending); slot s has `width[c, s]` code cells, and `counts[:, c]`
+    are its sample rows per class. Returns the nodes that split and, for
+    each, the slot, threshold and rows per class going left. A threshold
+    lies between two codes present in the node that leave `min_child`
+    rows on each side; of those within `_TIE` of a node's minimum quality
+    the first wins."""
+    k = feats.shape[1]
+    end = width.ravel().cumsum()  # one past the last cell of each (node, slot) block
+    start = end - width.ravel()
+    # per slot and row: where its code sits in `codes`, then its histogram
+    # cell; each per-row array is freed once used, as they set the peak
+    at = (feats.T * codes.shape[1]).repeat(size, axis=1)
+    at += rows
+    drawn = codes.take(at)
+    cell = (2 * start.reshape(-1, k).T).repeat(size, axis=1)
+    del at
+    cell += drawn
+    del drawn
     # the weights are whole numbers, so the float sums (and all counts
     # made from them) are exact
-    hist = np.bincount(flat.ravel(), np.repeat(weight, k), 2 * n_cells).reshape(n_cells, 2)
-    del flat
-    present = hist.any(axis=1)
-    left = hist.cumsum(axis=0)
-    left -= np.repeat(left[start] - hist[start], size, axis=0)  # class counts at codes <= the cell's
-    del hist
-    n_left = left.sum(axis=1)
-    # the threshold's upper code: the next present cell, if in the same block
-    nxt = np.minimum.accumulate(np.where(present, np.arange(n_cells), n_cells)[::-1])[::-1]
-    nxt = np.append(nxt[1:], n_cells)
-    ok = present & (nxt < np.repeat(end, size)) & (n_left >= min_child)
-    ok &= np.repeat(counts.sum(axis=1), width.sum(axis=1)) - n_left >= min_child
-    slot, threshold = np.full(n_nodes, -1), np.zeros(n_nodes)
-    left_rows = np.zeros((n_nodes, 2), dtype=np.int64)
-    v = np.flatnonzero(ok)
-    if v.size:
-        b = np.searchsorted(end, v, "right")  # each valid cell's block
-        c = b // k
-        q = _quality(left[v].T, (counts[c] - left[v]).T, criterion)
-        first = np.flatnonzero(np.diff(c, prepend=-1))  # each node's first valid cell
-        q_min = np.repeat(np.minimum.reduceat(q, first), np.diff(first, append=v.size))
-        best = np.minimum.reduceat(np.where(q <= q_min + _TIE, np.arange(v.size), v.size), first)
-        won, cell, b = c[best], v[best], b[best]
-        slot[won] = b % k
-        threshold[won] = (cell + nxt[cell] - 2 * start[b]) / 2.0
-        left_rows[won] = left[cell]
-    return slot, threshold, left_rows
+    hist = np.bincount(cell.ravel(), np.concatenate([weight] * k), 2 * int(end[-1]))
+    del cell
+    seen = (hist[0::2] + hist[1::2]) > 0
+    present = seen.nonzero()[0]
+    # every block has a present cell; each but its last is a candidate,
+    # whose left rows are the block's counts up to it
+    n_in = np.add.reduceat(seen, start, dtype=np.int64)
+    block = np.arange(width.size).repeat(n_in - 1)
+    j = np.arange(block.size) + block  # candidates, by place among the present cells
+    below = np.zeros((2, present.size + 1))  # per class, the counts of the present cells before each
+    hist.reshape(-1, 2).take(present, axis=0).T.cumsum(axis=1, out=below[:, 1:])
+    c = block // k
+    sides = np.empty((2, 2, j.size))
+    np.subtract(below.take(j + 1, axis=1), below.take((n_in.cumsum() - n_in).take(block), axis=1), out=sides[0])
+    np.subtract(counts.take(c, axis=1), sides[0], out=sides[1])
+    if min_child > 1:  # else every candidate leaves a present cell on each side
+        ok = np.flatnonzero((sides.sum(axis=1) >= min_child).all(axis=0))
+        j, block, c, sides = j[ok], block[ok], c[ok], sides[:, :, ok]
+    if not j.size:
+        return c, c, np.zeros(0), np.zeros((2, 0), dtype=np.int64)
+    q = _quality(sides, criterion)
+    new = np.empty(j.size, dtype=bool)  # each node's first candidate
+    new[0] = True
+    np.not_equal(c[1:], c[:-1], out=new[1:])
+    first = new.nonzero()[0]
+    q_min = np.minimum.reduceat(q, first)[new.cumsum() - 1]
+    best = np.minimum.reduceat(np.where(q <= q_min + _TIE, np.arange(j.size), j.size), first)
+    j, b = j[best], block[best]
+    threshold = (present[j] + present[j + 1] - 2 * start[b]) / 2.0
+    return c[best], b % k, threshold, sides[0].take(best, axis=1).astype(np.int64)
 
 
 def _distinct_samples(X, y, boots, width):
-    """The distinct rows of (X, y), with the class folded in as 2 * code +
-    class, and each tree's sample as distinct rows: the rows, tree by tree,
-    how often the sample draws each, and how many each tree has.
+    """The distinct rows of (X, y), column by column, with the class folded
+    in as 2 * code + class, and each tree's sample as distinct rows: the
+    rows, tree by tree, how often the sample draws each, how many each
+    tree has, and each tree's class-1 sample rows.
 
     Rows are told apart by a key, mixed-radix over the class and the
     columns, that is re-ranked to its distinct values before it could pass
-    2**62."""
+    2**62. Each n_trees x rows temporary is freed once used."""
     key, span = y, 2
     for col, w in zip(X.T, width.tolist()):
         if span * w > 1 << 62:
@@ -223,92 +243,138 @@ def _distinct_samples(X, y, boots, width):
     drawn = ids[boots]
     drawn += n * np.arange(len(boots))[:, None]  # tree t's ids from t * n
     drawn = np.bincount(drawn.ravel(), minlength=len(boots) * n)
-    pair = np.flatnonzero(drawn)
+    size = np.count_nonzero(drawn.reshape(-1, n), axis=1)
+    n1 = drawn.reshape(-1, n) @ y[rep]
+    pair = drawn.nonzero()[0]
+    weight = drawn.take(pair)
+    del drawn
+    weight = weight.astype(np.float64)
+    pair %= n
     # int16 holds 2 * code + class for codes below 2**14
-    codes = X.astype(np.int16 if width.max() <= 1 << 14 else np.int64)[rep]
+    codes = np.ascontiguousarray(X.astype(np.int16 if width.max() <= 1 << 14 else np.int64).take(rep, axis=0).T)
     codes *= 2
-    codes += y[rep, None]
-    return codes, pair % n, drawn[pair].astype(np.float64), np.bincount(pair // n, minlength=len(boots))
+    codes += y[rep]
+    return codes, pair, weight, size, n1
 
 
-def _frontier_splits(codes, rows, weight, feats, width, counts, size, params: ForestParams):
-    """`_best_splits` of a frontier whose distinct rows `rows` (of the folded
-    `codes`, with their weights) lists node by node, `size[c]` of them for
-    node c, in chunks of at most `_CELLS` key and histogram cells (or of
-    one node)."""
-    p = codes.shape[1]
+def _frontier_splits(codes, rows, weight, size, feats, width, counts, params: ForestParams):
+    """`_best_splits` of a frontier whose distinct rows `rows` (with their
+    weights) lists node by node, `size[c]` of them for node c, in chunks
+    of at most `_CELLS` key and histogram cells (or of one node)."""
     cost = size * feats.shape[1] + width.sum(axis=1)
-    cum, end = np.cumsum(cost), np.cumsum(size)
+    cum, end = cost.cumsum(), size.cumsum()
     parts, a = [], 0
     while a < len(size):
-        b = max(a + 1, int(np.searchsorted(cum, cum[a] - cost[a] + _CELLS, "right")))
+        b = max(a + 1, int(cum.searchsorted(cum[a] - cost[a] + _CELLS, "right")))
         lo, hi = end[a] - size[a], end[b - 1]
-        node = np.repeat(np.arange(b - a), size[a:b])
-        drawn = feats[a:b][node]  # where each row's drawn codes sit in `codes`, then the codes
-        drawn += rows[lo:hi, None] * p
-        drawn = codes.take(drawn)
-        parts.append(_best_splits(
-            drawn, node, weight[lo:hi], width[a:b], counts[a:b], params.criterion, params.min_samples_leaf,
-        ))
+        won, *split = _best_splits(
+            codes, rows[lo:hi], weight[lo:hi], size[a:b], feats[a:b], width[a:b], counts[:, a:b],
+            params.criterion, params.min_samples_leaf,
+        )
+        parts.append((won + a, *split))
         a = b
-    return [np.concatenate(column) for column in zip(*parts)]
+    return parts[0] if len(parts) == 1 else [np.concatenate(column, axis=-1) for column in zip(*parts)]
 
 
-def grow_forest(X, y, boots, params: ForestParams) -> RandomForestModel:
+def _partition(codes, rows, weight, size, feature, cut, keep):
+    """The rows that move to kept children, child by child, each child's in
+    their order, with their weights and each kept child's row count.
+
+    Node c lists `size[c]` rows; a row goes to the right child when its
+    folded code at `feature[c]` exceeds `cut[c]`, and `keep[c]` says which
+    of the (left, right) children keep their rows. Each row's place comes
+    from counting: the rows before it that go right, and the kept rows of
+    earlier children. Dropped rows are placed after the kept ones."""
+    probe = np.array([feature * codes.shape[1], cut]).repeat(size, axis=1)  # per row: its code's place, the cut
+    probe[0] += rows
+    right = codes.take(probe[0]) > probe[1]
+    before = right.cumsum()  # rows going right, up to and including each
+    end = size.cumsum()
+    skipped = np.zeros(len(size), dtype=np.int64)  # rows of earlier nodes going right
+    skipped[1:] = before[end[:-1] - 1]
+    n_right = before[end - 1] - skipped
+    sizes = np.array([size - n_right, n_right]).T.ravel()
+    keep = keep.ravel()
+    kept = np.where(keep, sizes, 0)
+    n_kept = int(kept.sum())
+    # each child's first place: kept children in order, then dropped ones
+    dropped = sizes - kept
+    to = np.where(keep, kept.cumsum() - kept, n_kept + dropped.cumsum() - dropped).reshape(-1, 2)
+    # a left row's place is its child's first plus the left rows before it
+    # in its node, a right row's plus the right rows before it
+    place = np.array([to[:, 0] - (end - size) + skipped, to[:, 1] - skipped - 1]).repeat(size, axis=1)
+    place[0] += np.arange(len(rows))
+    place[0] -= before
+    place[1] += before
+    place = np.where(right, place[1], place[0])
+    moved_rows, moved_weight = np.empty_like(rows), np.empty_like(weight)
+    moved_rows[place], moved_weight[place] = rows, weight
+    return moved_rows[:n_kept], moved_weight[:n_kept], sizes[keep]
+
+
+def _root_keys(seed: int, n_trees: int) -> np.ndarray:
+    """Each tree's root key: the first word of SeedSequence([seed, t])."""
+    return np.array([np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0] for t in range(n_trees)])
+
+
+def grow_forest(X, y, boots, params: ForestParams, keys=None) -> RandomForestModel:
     """Grow one tree per row of `boots`, tree t on the rows `boots[t]` lists
     (`params.n_trees` is not read): all together, breadth-first.
 
     Each tree works on its distinct rows, weighted by how often the sample
     holds them: rows equal in X and y are one, and so are repeated draws.
-    Tree t's root key is the first word of SeedSequence([params.seed, t]).
-    A node is a leaf when it is pure, at `max_depth`, smaller than
-    2 * `min_samples_leaf`, or when no candidate separates its rows.
+    Tree t's root key is `keys[t]`, by default the first word of
+    SeedSequence([params.seed, t]). A node is a leaf when it is pure, at
+    `max_depth`, smaller than 2 * `min_samples_leaf`, or when no candidate
+    separates its rows.
     """
     X, y, boots = (np.asarray(a, dtype=np.int64) for a in (X, y, boots))
     n_trees, p = len(boots), X.shape[1]
     mtry = params.resolve_mtry(p)
     width = X.max(axis=0) + 1  # histogram cells of each feature
-    counts = np.column_stack([(y[boots] == 0).sum(axis=1), y[boots].sum(axis=1)])  # rows per class
-    codes, rows, weight, size = _distinct_samples(X, y, boots, width)
+    codes, rows, weight, size, n1 = _distinct_samples(X, y, boots, width)
+    counts = np.stack([boots.shape[1] - n1, n1])  # sample rows per class, node by node
     tree, local = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
-    seeds = (np.random.SeedSequence([params.seed, t]) for t in range(n_trees))
-    key = np.array([s.generate_state(1, np.uint64)[0] for s in seeds])
+    key = _root_keys(params.seed, n_trees) if keys is None else np.asarray(keys, dtype=np.uint64)
     n_nodes = np.ones(n_trees, dtype=np.int64)  # nodes numbered so far, per tree
+
+    def grows(counts, depth):
+        """Which nodes at `depth` search a split: impure and large enough."""
+        go = counts.all(axis=0) & (counts.sum(axis=0) >= 2 * params.min_samples_leaf)
+        return go & (params.max_depth is None or depth < params.max_depth)
+
+    go = grows(counts, 0)
+    keep = np.repeat(go, size)
+    rows, weight, size = rows[keep], weight[keep], size[go]
     made = []  # (tree, tree-local index, node fields) of every node, then of its split
-    for depth in itertools.count():
-        made.append((tree, local, dict(n0=counts[:, 0], n1=counts[:, 1])))
-        go = counts.all(axis=1) & (counts.sum(axis=1) >= 2 * params.min_samples_leaf)
-        go &= params.max_depth is None or depth < params.max_depth
-        keep = np.repeat(go, size)
-        rows, weight = rows[keep], weight[keep]
-        tree, local, key, counts, size = tree[go], local[go], key[go], counts[go], size[go]
+    for depth in itertools.count(1):  # the depth of the children
+        made.append((tree, local, dict(n0=counts[0], n1=counts[1])))
+        # from here on the frontier is the nodes that search a split, and
+        # `rows` lists theirs, node by node
+        tree, local, key, counts = tree[go], local[go], key[go], counts[:, go]
         if not tree.size:
             break
-        feats = _draw_features(key, p, mtry)
-        slot, threshold, left = _frontier_splits(codes, rows, weight, feats, width[feats], counts, size, params)
-        split = slot >= 0
-        sp, t = np.flatnonzero(split), tree[split]
-        first = n_nodes[t] + 2 * (np.arange(sp.size) - np.searchsorted(t, t))  # left child's index
+        feats, kids = _draw_features(key, p, mtry)
+        sp, slot, threshold, left = _frontier_splits(codes, rows, weight, size, feats, width[feats], counts, params)
+        t = tree[sp]
+        first = n_nodes[t] + 2 * (np.arange(sp.size) - t.searchsorted(t))  # left child's index
         n_nodes += 2 * np.bincount(t, minlength=n_trees)
-        right = counts[sp] - left[sp]
+        sides = np.array([left, counts.take(sp, axis=1) - left])
+        feature = feats[sp, slot]
         made.append((t, local[sp], dict(
-            feature=feats[sp, slot[sp]], threshold=threshold[sp], left=first, right=first + 1,
-            split_entropy=_quality(left[sp].T, right.T, "entropy"),
+            feature=feature, threshold=threshold, left=first, right=first + 1,
+            split_entropy=_quality(sides, "entropy"),
         )))
-        # the rows of split nodes move to their children, node by node;
+        tree, local, key = t.repeat(2), (first[:, None] + np.arange(2)).ravel(), kids.take(sp, axis=0).ravel()
+        counts = sides.transpose(1, 2, 0).reshape(2, -1)
+        go = grows(counts, depth)
+        # the rows of split nodes move to their children that search on;
         # 2 * code + class > 2 * floor(threshold) + 1 exactly when code > threshold
-        node = np.repeat(np.arange(tree.size), size)
-        moving = split[node]
-        rows, weight, node = rows[moving], weight[moving], node[moving]
-        cut = 2 * np.floor(threshold) + 1
-        child = 2 * (np.cumsum(split) - 1)[node] + (codes.take(rows * p + feats[node, slot[node]]) > cut[node])
-        # a stable sort on 16-bit keys is a radix sort
-        order = np.argsort(child.astype(np.int16) if sp.size <= 1 << 14 else child, kind="stable")
-        rows, weight = rows[order], weight[order]
-        size = np.bincount(child, minlength=2 * sp.size)
-        tree, local = np.repeat(t, 2), (first[:, None] + np.arange(2)).ravel()
-        key = _stream(key[sp], p + 1, 2).ravel()
-        counts = np.stack([left[sp], right], axis=1).reshape(-1, 2)
+        on = np.zeros((len(size), 2), dtype=bool)
+        on[sp] = go.reshape(-1, 2)
+        at = np.zeros((2, len(size)), dtype=np.int64)
+        at[:, sp] = feature, 2 * np.floor(threshold).astype(np.int64) + 1
+        rows, weight, size = _partition(codes, rows, weight, size, *at, on)
     offsets = np.concatenate([[0], np.cumsum(n_nodes)])
     nodes = {f: np.full(offsets[-1], -1 if dt is np.int64 else 0.0, dtype=dt)
              for f, dt in NODE_FIELDS.items()}
@@ -319,18 +385,44 @@ def grow_forest(X, y, boots, params: ForestParams) -> RandomForestModel:
                              seed=params.seed)
 
 
-def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
+@dataclass(frozen=True, eq=False)
+class BootstrapPlan:
+    """The bootstrap samples and root keys of every tree of forests with
+    `seed` and `rows.shape[0]` trees on `rows.shape[1]` rows."""
+
+    seed: int
+    rows: np.ndarray
+    keys: np.ndarray
+
+
+def draw_bootstrap(n_rows: int, params: ForestParams) -> BootstrapPlan:
+    """Tree t's sample: `n_rows` draws of `default_rng([params.seed, t])`;
+    its root key: the first word of SeedSequence([params.seed, t]). One
+    SeedSequence per tree serves both."""
+    rows = np.empty((params.n_trees, n_rows), dtype=np.int64)
+    keys = np.empty(params.n_trees, dtype=np.uint64)
+    for t, row in enumerate(rows):
+        seq = np.random.SeedSequence([params.seed, t])
+        keys[t] = seq.generate_state(1, np.uint64)[0]
+        row[:] = np.random.Generator(np.random.PCG64(seq)).integers(0, n_rows, size=n_rows)
+    return BootstrapPlan(params.seed, rows, keys)
+
+
+def train_forest(d: Dataset, params: ForestParams, plan: Optional[BootstrapPlan] = None) -> RandomForestModel:
     """Bag `n_trees` trees, tree t grown on the bootstrap sample that
     `default_rng([params.seed, t])` draws. The model is a pure function of
     (dataset, params) no matter how training is scheduled: tree t is the
-    same in every forest of more than t trees, whatever the chunking."""
+    same in every forest of more than t trees, whatever the chunking.
+
+    `plan` may hold `draw_bootstrap(d.n_rows, params)` made already, so
+    forests of one seed and size on different columns draw once."""
     if d.y.min() == d.y.max():
         raise ValueError("single-class dataset")
-    n = d.n_rows
-    boots = np.empty((params.n_trees, n), dtype=np.int64)
-    for t, row in enumerate(boots):
-        row[:] = np.random.default_rng([params.seed, t]).integers(0, n, size=n)
-    return grow_forest(d.X, d.y, boots, params)
+    if plan is None:
+        plan = draw_bootstrap(d.n_rows, params)
+    elif plan.seed != params.seed or plan.rows.shape != (params.n_trees, d.n_rows):
+        raise ValueError("the bootstrap plan is not for this seed, tree count and row count")
+    return grow_forest(d.X, d.y, plan.rows, params, plan.keys)
 
 
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from .feature_scoring import (
     ScoreEntry,
     score_all,
 )
-from .forest import ForestParams, mean_split_entropy, predict_proba_many, train_forest
+from .forest import BootstrapPlan, ForestParams, draw_bootstrap, mean_split_entropy, predict_proba_many, train_forest
 from .sampler import SmoteConfig, smote_oversample
 
 MODE_BALANCE_FIRST = "balance-first"  # balance, then split (optimistic)
@@ -118,8 +118,10 @@ def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset,
     return train, test
 
 
-def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams, seed: int) -> ArmMetrics:
-    model = train_forest(train, replace(params, seed=seed))
+def _evaluate_arm(
+    train: Dataset, test: Dataset, params: ForestParams, seed: int, plan: Optional[BootstrapPlan] = None
+) -> ArmMetrics:
+    model = train_forest(train, replace(params, seed=seed), plan)
     conf, roc = judge(predict_proba_many(model, test.X), test.y)
     return ArmMetrics(
         confusion=conf,
@@ -186,7 +188,9 @@ def select_best_filter(
     it is the unbalanced arm's. The features keep schema order, so the run
     depends only on the selected set: methods that select the same set
     share one evaluated arm and its area, and exact ties fall back to the
-    canonical preference MutualInfo > Chi2 > AnovaF.
+    canonical preference MutualInfo > Chi2 > AnovaF. The forests share
+    one seed and tree count, so those on equally many training rows share
+    one `draw_bootstrap`.
 
     `tables` may hold `score_all(d, method)` tables already made, by
     method; the methods it lacks are scored here.
@@ -203,6 +207,7 @@ def select_best_filter(
         seed=eval_seed,
     )
     forest_seed = derive_seed(eval_seed, STREAM_FOREST_IMBALANCED)
+    plans: dict[int, BootstrapPlan] = {}  # by training rows: the forests differ only in their columns
     tables = tables or {}
     auch_by_subset: dict[tuple[str, ...], float] = {}  # one arm per distinct set
     auch_by_method: dict[str, float] = {}
@@ -211,8 +216,10 @@ def select_best_filter(
         names = {e.feature_name for e in table.entries[:top_k]}
         subset = tuple(f.name for f in d.schema if f.name in names)
         if subset not in auch_by_subset:
-            arm = _arm_data(select_features(d, subset), cfg, cfg.smote is not None)
-            auch_by_subset[subset] = _evaluate_arm(*arm, forest_params, forest_seed).auch
+            train, test = _arm_data(select_features(d, subset), cfg, cfg.smote is not None)
+            if train.n_rows not in plans:
+                plans[train.n_rows] = draw_bootstrap(train.n_rows, replace(forest_params, seed=forest_seed))
+            auch_by_subset[subset] = _evaluate_arm(train, test, forest_params, forest_seed, plans[train.n_rows]).auch
         auch_by_method[method] = auch_by_subset[subset]
     best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))
     return FilterSelection(method=best, auch_by_method=auch_by_method)

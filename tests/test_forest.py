@@ -330,6 +330,66 @@ class TestGrownSplitsAreOptimal:
             assert all(depths[g] <= depths[g + 1] for g in range(a, b - 1))
 
 
+def harder_dataset(seed):
+    """60 rows: a 40-level column next to 4-level ones and a constant
+    column, the label leaning on two of them."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.integers(0, 40, 60), rng.integers(0, 4, (60, 3)), np.zeros(60, dtype=int)])
+    y = ((X[:, 0] % 7 < 3) ^ (X[:, 1] == 2) ^ (rng.random(60) < 0.15)).astype(int)
+    return make_dataset(X, y)
+
+
+class TestHarderInputs:
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_wide_and_constant_columns_against_oracle(self, criterion, min_samples_leaf):
+        d = harder_dataset(4)
+        params = ForestParams(n_trees=6, mtry=3, criterion=criterion, min_samples_leaf=min_samples_leaf, seed=5)
+        m = train_forest(d, params)
+        check_against_oracle(d, m, params)
+        assert (m.feature == 0).any() and not (m.feature == 4).any()
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_levels_split_into_chunks_against_oracle(self, monkeypatch, criterion):
+        d = harder_dataset(6)
+        params = ForestParams(n_trees=6, mtry=3, criterion=criterion, seed=8)
+        calls = []
+        kernel = forest._best_splits
+
+        def counted(codes, rows, weight, size, *rest):
+            calls.append(len(size))
+            return kernel(codes, rows, weight, size, *rest)
+
+        monkeypatch.setattr(forest, "_best_splits", counted)
+        monkeypatch.setattr(forest, "_CELLS", 200)
+        m = train_forest(d, params)
+        depths = check_against_oracle(d, m, params)
+        assert len(calls) > 2 * (max(depths.values()) + 1)  # levels of several chunks
+        assert max(calls) > 1  # and chunks of several nodes
+
+
+class TestDrawFeatures:
+    def reference(self, key, p, mtry):
+        """The mtry features whose outputs 1..p of key's stream rank lowest, ascending."""
+        return sorted(sorted(range(p), key=lambda f: splitmix64(key, f + 1))[:mtry])
+
+    def test_matches_definition_for_every_p_and_mtry(self):
+        rng = np.random.default_rng(11)
+        for p in range(1, 65):
+            keys = rng.integers(0, 2**64, size=4, dtype=np.uint64)
+            ranked = [sorted(range(p), key=lambda f: splitmix64(int(k), f + 1)) for k in keys]
+            for mtry in range(1, p + 1):
+                feats, kids = forest._draw_features(keys, p, mtry)
+                assert feats.tolist() == [sorted(r[:mtry]) for r in ranked]
+            assert kids.tolist() == [[splitmix64(int(k), p + 1), splitmix64(int(k), p + 2)] for k in keys]
+
+    @pytest.mark.parametrize("p, mtry", [(64, 8), (64, 64), (9, 3)])
+    def test_more_keys_than_one_step(self, p, mtry):
+        keys = np.random.default_rng(p).integers(0, 2**64, size=forest._CELLS // p + 7, dtype=np.uint64)
+        feats, _ = forest._draw_features(keys, p, mtry)
+        assert feats.tolist() == [self.reference(int(k), p, mtry) for k in keys]
+
+
 class TestScheduling:
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     def test_chunking_changes_nothing(self, skewed_dataset, monkeypatch, criterion):
@@ -338,9 +398,9 @@ class TestScheduling:
         chunk_sizes = []
         kernel = forest._best_splits
 
-        def counted(codes, y, node, width, *rest):
-            chunk_sizes.append(len(width))  # nodes in the chunk
-            return kernel(codes, y, node, width, *rest)
+        def counted(codes, rows, weight, size, *rest):
+            chunk_sizes.append(len(size))  # nodes in the chunk
+            return kernel(codes, rows, weight, size, *rest)
 
         monkeypatch.setattr(forest, "_best_splits", counted)
         monkeypatch.setattr(forest, "_CELLS", 50)
@@ -362,9 +422,9 @@ class TestScheduling:
         rows_in = []
         kernel = forest._best_splits
 
-        def counted(codes, *rest):
-            rows_in.append(len(codes))
-            return kernel(codes, *rest)
+        def counted(codes, rows, *rest):
+            rows_in.append(len(rows))
+            return kernel(codes, rows, *rest)
 
         monkeypatch.setattr(forest, "_best_splits", counted)
         monkeypatch.setattr(forest, "_CELLS", 1 << 30)  # one kernel call per level
@@ -394,6 +454,22 @@ class TestScheduling:
         assert peak < 64 * 2**20
         assert (m.feature == 4).any()
 
+
+    def test_distinct_samples_frees_its_temporaries(self):
+        # every n_trees x rows temporary is freed once used: the peak over
+        # entry stays within a few copies of the bootstrap array
+        d = generate_synthetic(SyntheticSpec(n_majority=14000, n_minority=6000, p=30, n_informative=8, seed=1))
+        X, y = d.X.astype(np.int64), d.y.astype(np.int64)
+        boots = np.random.default_rng(0).integers(0, len(y), size=(20, len(y)))
+        width = X.max(axis=0) + 1
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            forest._distinct_samples(X, y, boots, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= 3.5 * boots.nbytes
 
 def walk_proba(m, row):
     """Reference for predict_proba_many: one row, one tree at a time."""

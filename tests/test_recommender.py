@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from elicitrec import recommender
 from elicitrec.data_model import (
     ROLE_CONTEXT,
     ROLE_TECHNIQUE,
@@ -16,7 +17,7 @@ from elicitrec.data_model import (
 )
 from elicitrec.evaluation import analyze_scores, report_to_dict, roc_analysis_to_csv, t_tests_for_rows
 from elicitrec.feature_scoring import METHODS, score_all
-from elicitrec.forest import ForestParams, predict_proba_many, train_forest
+from elicitrec.forest import NODE_FIELDS, ForestParams, draw_bootstrap, predict_proba_many, train_forest
 from elicitrec.recommender import (
     MODE_BALANCE_FIRST,
     MODE_SOUND,
@@ -157,6 +158,40 @@ class TestFilterProtocol:
             params = dataclasses.replace(FAST, seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
             scores = predict_proba_many(train_forest(train, params), test.X)
             assert sel.auch_by_method[method] == analyze_scores(scores, test.y).auch
+
+
+class TestSharedBootstrap:
+    def test_each_subset_forest_is_train_forest_on_its_rows(self, skewed_dataset, monkeypatch):
+        # the filters pick three different top-10 sets; their forests share
+        # one bootstrap draw, and each equals a forest grown on its own
+        d, top_k, s = skewed_dataset, 10, 11
+        subsets = {frozenset(e.feature_name for e in score_all(d, m).entries[:top_k]) for m in METHODS}
+        assert len(subsets) == 3
+        grown = []
+
+        def recorded(train, params, plan=None):
+            model = train_forest(train, params, plan)
+            grown.append((train, params, plan, model))
+            return model
+
+        monkeypatch.setattr(recommender, "train_forest", recorded)
+        select_best_filter(d, METHODS, top_k, ForestParams(n_trees=30), eval_seed=s)
+        assert len(grown) == 3 and len({id(plan) for _, _, plan, _ in grown}) == 1
+        assert len({tuple(train.feature_names) for train, _, _, _ in grown}) == 3
+        for train, params, _, model in grown:
+            assert params.seed == derive_seed(s, STREAM_FOREST_IMBALANCED)
+            alone = train_forest(train, params)
+            for f in (*NODE_FIELDS, "offsets"):
+                assert np.array_equal(getattr(model, f), getattr(alone, f))
+
+    def test_plan_must_fit_the_forest(self, skewed_dataset):
+        d, params = skewed_dataset, ForestParams(n_trees=3, seed=4)
+        plan = draw_bootstrap(d.n_rows, params)
+        for other in (dataclasses.replace(params, seed=5), dataclasses.replace(params, n_trees=4)):
+            with pytest.raises(ValueError, match="bootstrap plan"):
+                train_forest(d, other, plan)
+        with pytest.raises(ValueError, match="bootstrap plan"):
+            train_forest(d, params, draw_bootstrap(d.n_rows - 1, params))
 
 
 class TestTTestAssembly:
