@@ -4,110 +4,51 @@ A supervised pipeline over categorical project-context data: minority
 oversampling (SMOTE), a from-scratch random forest with per-split entropy
 instrumentation, ROC convex-hull model comparison, filter-based feature
 scoring, and threshold-based technique recommendations.
+
+The names of `__all__` load on first use (PEP 562), each from the module
+that defines it, so `import elicitrec` and the numpy-free names
+(`config`, `scores`) do not import numpy.
 """
 
-from .data_model import (
-    Dataset,
-    FeatureSchema,
-    ROLE_CONTEXT,
-    ROLE_TECHNIQUE,
-    SyntheticSpec,
-    derive_seed,
-    drop_constant_features,
-    generate_synthetic,
-    load_csv,
-    minority_label,
-    select_features,
-    split_train_test,
-    write_csv,
-)
-from .evaluation import (
-    EvaluationReport,
-    RocAnalysis,
-    TTestResult,
-    analyze_scores,
-    auc,
-    dominates,
-    paired_t_test,
-    roc_convex_hull,
-    roc_curve,
-)
-from .feature_scoring import FeatureScoreTable, METHODS, score_all
-from .forest import (
-    ForestParams,
-    RandomForestModel,
-    mean_split_entropy,
-    model_from_dict,
-    model_to_dict,
-    predict_proba,
-    predict_proba_many,
-    train_forest,
-)
-from .recommender import (
-    MODE_BALANCE_FIRST,
-    MODE_SOUND,
-    MODES,
-    FilterConfig,
-    FilterSelection,
-    PipelineConfig,
-    Prediction,
-    RecommendationSet,
-    combine_reports,
-    form_recommendations,
-    run_pipeline,
-    select_best_filter,
-)
-from .sampler import SmoteConfig, smote_details, smote_oversample
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "EvaluationReport",
-    "FeatureSchema",
-    "FeatureScoreTable",
-    "FilterConfig",
-    "FilterSelection",
-    "ForestParams",
-    "METHODS",
-    "MODES",
-    "MODE_BALANCE_FIRST",
-    "MODE_SOUND",
-    "PipelineConfig",
-    "Prediction",
-    "RandomForestModel",
-    "RecommendationSet",
-    "ROLE_CONTEXT",
-    "ROLE_TECHNIQUE",
-    "RocAnalysis",
-    "SmoteConfig",
-    "SyntheticSpec",
-    "TTestResult",
-    "analyze_scores",
-    "auc",
-    "combine_reports",
-    "derive_seed",
-    "dominates",
-    "drop_constant_features",
-    "form_recommendations",
-    "generate_synthetic",
-    "load_csv",
-    "mean_split_entropy",
-    "minority_label",
-    "model_from_dict",
-    "model_to_dict",
-    "paired_t_test",
-    "predict_proba",
-    "predict_proba_many",
-    "roc_convex_hull",
-    "roc_curve",
-    "run_pipeline",
-    "score_all",
-    "select_best_filter",
-    "select_features",
-    "smote_details",
-    "smote_oversample",
-    "split_train_test",
-    "train_forest",
-    "write_csv",
-]
+#: the exported names, by the module that defines them
+_EXPORTS = {
+    "config": (
+        "FeatureSchema", "FilterConfig", "ForestParams", "METHODS", "MODES", "MODE_BALANCE_FIRST",
+        "MODE_SOUND", "PipelineConfig", "ROLE_CONTEXT", "ROLE_TECHNIQUE", "SmoteConfig",
+    ),
+    "data_model": (
+        "Dataset", "SyntheticSpec", "derive_seed", "drop_constant_features", "generate_synthetic",
+        "load_csv", "minority_label", "select_features", "split_train_test", "write_csv",
+    ),
+    "evaluation": (
+        "EvaluationReport", "RocAnalysis", "TTestResult", "analyze_scores", "auc", "dominates",
+        "paired_t_test", "roc_convex_hull", "roc_curve",
+    ),
+    "feature_scoring": ("score_all",),
+    "forest": (
+        "RandomForestModel", "mean_split_entropy", "model_from_dict", "model_to_dict", "predict_proba",
+        "predict_proba_many", "train_forest",
+    ),
+    "recommender": ("FilterSelection", "combine_reports", "run_pipeline", "select_best_filter"),
+    "sampler": ("smote_details", "smote_oversample"),
+    "scores": ("FeatureScoreTable", "Prediction", "RecommendationSet", "form_recommendations"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,10 @@ subcommand's outputs byte-identical across runs.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation or config error
 or a path that cannot be read or written.
+
+The module loads only the numpy-free layers (`config`, `scores`,
+`model_file`, `files`); each command imports the array layers it uses, so
+`recommend` and `--help` run without numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +23,17 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from . import model_file, scores
+from .config import CUTOFF, MODES, ROLES, FeatureSchema, FilterConfig, ForestParams, PipelineConfig, SmoteConfig
+from .files import write_atomic as _write_atomic
 
-from . import data_model, evaluation, feature_scoring, forest, recommender
-from .data_model import Dataset, FeatureSchema, load_csv, write_atomic as _write_atomic
-from .forest import ForestParams
-from .recommender import FilterConfig, PipelineConfig, Prediction
-from .sampler import SmoteConfig
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .data_model import Dataset
+    from .forest import RandomForestModel
 
 #: JSON types by the name a config error gives them
 _JSON_TYPES = {
@@ -131,7 +137,7 @@ def _load_settings(args: argparse.Namespace) -> Settings:
         if doc.get(name, {}) is not None:  # "smote": null stays None
             doc[name] = cls(**_checked(doc.get(name, {}), name))
     for name, role in doc.get("roles", {}).items():
-        if role not in data_model.ROLES:
+        if role not in ROLES:
             raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
     # a flag overrides the config key its dest names
     doc.update((k, v) for k, v in vars(args).items() if k in _KEYS["config"] and v is not None)
@@ -146,6 +152,8 @@ def _target(s: Settings) -> str:
 
 
 def _load_input(args: argparse.Namespace, s: Settings) -> Dataset:
+    from .data_model import load_csv
+
     return load_csv(args.input, _target(s), role_map=s.roles, positive_label=s.positive_label)
 
 
@@ -157,10 +165,10 @@ def _dump_json(doc, compact: bool = False) -> str:
 # --- model bundle: forest + the schema needed to score new rows ---------
 
 
-def _bundle_head(m: forest.RandomForestModel, d: Dataset) -> dict:
+def _bundle_head(m: RandomForestModel, d: Dataset) -> dict:
     """The bundle document without its trees."""
     return {
-        **forest._model_head(m),
+        **model_file.head(m),
         "schema": [
             {"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema
         ],
@@ -169,11 +177,13 @@ def _bundle_head(m: forest.RandomForestModel, d: Dataset) -> dict:
     }
 
 
-def _bundle_to_doc(m: forest.RandomForestModel, d: Dataset) -> dict:
-    return {**_bundle_head(m, d), "trees": forest.model_to_dict(m)["trees"]}
+def _bundle_to_doc(m: RandomForestModel, d: Dataset) -> dict:
+    from .forest import model_to_dict
+
+    return {**_bundle_head(m, d), "trees": model_to_dict(m)["trees"]}
 
 
-def _bundle_pieces(m: forest.RandomForestModel, d: Dataset):
+def _bundle_pieces(m: RandomForestModel, d: Dataset):
     """`_dump_json(_bundle_to_doc(m, d), compact=True)` one node array of
     one tree at a time. "trees" sorts after every other key, so the text
     is the head's up to its closing brace, then the trees, each with its
@@ -182,7 +192,7 @@ def _bundle_pieces(m: forest.RandomForestModel, d: Dataset):
     cut = m.offsets.tolist()
     for t, (a, b) in enumerate(zip(cut, cut[1:])):
         opening = ",{" if t else "{"
-        for f in sorted(forest.NODE_FIELDS):
+        for f in sorted(model_file.NODE_KINDS):
             yield f'{opening}"{f}":' + _dump_json(getattr(m, f)[a:b].tolist(), compact=True)[:-1]
             opening = ","
         yield "}"
@@ -191,45 +201,25 @@ def _bundle_pieces(m: forest.RandomForestModel, d: Dataset):
 
 @dataclass(frozen=True)
 class ModelBundle:
-    model: forest.RandomForestModel
+    """A model file with its forest as arrays."""
+
+    model: RandomForestModel
     schema: tuple[FeatureSchema, ...]
     target_name: str
     target_levels: tuple[str, str]
 
 
 def _load_bundle(path: str) -> ModelBundle:
-    doc = _read_json(path, "model")
-    if not isinstance(doc, dict):
-        raise ValueError("model file must hold a JSON object")
-    for key in ("schema", "target_name", "target_levels"):
-        if key not in doc:
-            raise ValueError(f"model file lacks {key!r}")
-    try:
-        entries = [(f["name"], f["role"], f["levels"]) for f in doc["schema"]]
-    except (KeyError, TypeError):
-        raise ValueError("model schema entries need 'name', 'role' and 'levels'") from None
-    for name, _, levels in entries:
-        if not isinstance(levels, list) or not all(isinstance(v, str) for v in [name, *levels]):
-            raise ValueError(f"model schema entry {name!r}: name must be a string, levels a list of strings")
-    schema = tuple(FeatureSchema(name, role, tuple(levels)) for name, role, levels in entries)
-    levels = doc["target_levels"]
-    if not isinstance(levels, list) or len(levels) != 2:
-        raise ValueError("model target_levels must list exactly two values")
-    model = forest.model_from_dict(doc)
-    if model.feature.min() < -1 or model.feature.max() >= len(schema):
-        raise ValueError(f"model has a feature index outside its {len(schema)}-feature schema")
-    return ModelBundle(
-        model=model,
-        schema=schema,
-        target_name=str(doc["target_name"]),
-        target_levels=(str(levels[0]), str(levels[1])),
-    )
+    from .forest import _checked_model
+
+    b = model_file.check_bundle(_read_json(path, "model"))
+    return ModelBundle(_checked_model(b.forest), b.schema, b.target_name, b.target_levels)
 
 
-def _load_model(args: argparse.Namespace, s: Settings) -> ModelBundle:
-    """The bundle at --model, once the config's target and positive label,
-    where set, are known to be the model's own."""
-    bundle = _load_bundle(args.model)
+def _own_model(s: Settings, bundle):
+    """`bundle` (a `ModelBundle` or a `model_file.Bundle`), once the
+    config's target and positive label, where set, are known to be the
+    model's own."""
     for key, given, own in (
         ("target", s.pipeline.target_name or None, bundle.target_name),
         ("positive_label", s.positive_label, bundle.target_levels[1]),
@@ -287,6 +277,10 @@ def render_hulls_svg(hull_imbalanced: np.ndarray, hull_balanced: np.ndarray) -> 
 
 
 def cmd_balance(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import data_model, recommender
+
     s = _load_settings(args)
     if s.pipeline.smote is None:
         raise ValueError('config "smote" is null, which turns balancing off; balance needs an object')
@@ -303,6 +297,8 @@ def cmd_balance(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import forest
+
     s = _load_settings(args)
     d = _load_input(args, s)
     params = replace(s.pipeline.forest, seed=s.pipeline.seed)
@@ -317,7 +313,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    bundle = _load_model(args, _load_settings(args))
+    from . import evaluation, forest
+    from .data_model import load_csv
+
+    bundle = _own_model(_load_settings(args), _load_bundle(args.model))
     positive = bundle.target_levels[1]
     d = load_csv(args.input, bundle.target_name, positive_label=positive, schema=bundle.schema)
     if d.target_levels != bundle.target_levels:
@@ -347,6 +346,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import evaluation, recommender
+
     s = _load_settings(args)
     cfg = s.pipeline
     report = recommender.run_pipeline(_load_input(args, s), cfg)
@@ -381,12 +382,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from . import feature_scoring, recommender
+
     s = _load_settings(args)
     d = _load_input(args, s)
     out_dir = args.out_dir
     tables = {method: feature_scoring.score_all(d, method) for method in s.filter.methods}
     for method, table in tables.items():
-        _write_atomic(out_dir / f"scores_{method}.csv", feature_scoring.table_to_csv(table))
+        _write_atomic(out_dir / f"scores_{method}.csv", scores.table_to_csv(table))
     print(f"scored {d.n_features} features with {len(s.filter.methods)} method(s)")
     if len(s.filter.methods) > 1:
         selection = recommender.select_best_filter(
@@ -412,11 +415,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise ValueError(
             "a recommendation threshold is required (--threshold or config key)"
         )
-    bundle = _load_model(args, s)
+    bundle = _own_model(s, model_file.check_bundle(_read_json(args.model, "model")))
     roles = {f.name: f.role for f in bundle.schema}
     text = _read_file(args.scores, "scores")
     try:
-        table = feature_scoring.table_from_csv(text)
+        table = scores.table_from_csv(text)
     except ValueError as e:
         raise ValueError(f"scores file {args.scores}: {e}") from None
     unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
@@ -435,14 +438,14 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     extra = sorted(set(row_doc) - set(roles))
     if extra:
         raise ValueError(f"context row has unknown feature(s): {', '.join(extra)}")
-    proba = forest.predict_proba(bundle.model, np.asarray(values, dtype=np.int64))
-    prediction = Prediction(label=bundle.target_name, probability=proba)
-    rs = recommender.form_recommendations(table, prediction, float(s.recommendation_threshold))
-    doc = {"format_version": 1, **recommender.recommendation_set_to_dict(rs)}
+    proba = model_file.vote_share(bundle.forest["trees"], values)
+    prediction = scores.Prediction(label=bundle.target_name, probability=proba)
+    rs = scores.form_recommendations(table, prediction, float(s.recommendation_threshold))
+    doc = {"format_version": 1, **scores.recommendation_set_to_dict(rs)}
     out = args.out_dir / "recommendations.json"
     _write_atomic(out, _dump_json(doc))
 
-    use = "use" if proba >= evaluation.CUTOFF else "do not use"
+    use = "use" if proba >= CUTOFF else "do not use"
     print(f"prediction: {use} {bundle.target_name} (probability {proba:.3f})")
     if rs.collaborative:
         print("also consider (technique features above threshold):")
@@ -451,7 +454,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     else:
         print("no technique features score above the threshold")
     if rs.content_based:
-        print("driven by (context features above threshold):")
+        print("context features above threshold (from the scores file, the same for every row):")
         for e in rs.content_based:
             print(f"  {e.feature_name}: {e.score:g}")
     else:
@@ -492,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = add("evaluate", common, cmd_evaluate, "evaluate a trained model on a holdout")
     p_eval.add_argument("--input", required=True, help="holdout CSV, read with the model's schema")
     p_run = add("run", data, cmd_run, "full two-arm pipeline with report and plots")
-    p_run.add_argument("--mode", choices=list(recommender.MODES), help="pipeline mode (overrides config)")
+    p_run.add_argument("--mode", choices=list(MODES), help="pipeline mode (overrides config)")
     add("score", data, cmd_score, "filter-score features")
     p_rec = add("recommend", common, cmd_recommend, "recommend techniques for a context row")
     for p in (p_eval, p_rec):

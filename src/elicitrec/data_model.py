@@ -13,17 +13,14 @@ import codecs
 import csv
 import io
 import itertools
-import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-ROLE_CONTEXT = "context"
-ROLE_TECHNIQUE = "technique"
-ROLES = (ROLE_CONTEXT, ROLE_TECHNIQUE)
+from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, ROLES, FeatureSchema
+from .files import write_atomic
 
 #: Reserved CSV column carrying row provenance ("1" = synthetic).
 PROVENANCE_COLUMN = "_synthetic"
@@ -41,34 +38,6 @@ def derive_seed(master: int, stream: int) -> int:
     if master < 0 or stream < 0:
         raise ValueError("seeds and stream indices must be non-negative")
     return int(np.random.SeedSequence([master, stream]).generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """One categorical feature: its name, role, and ordered level list."""
-
-    name: str
-    role: str
-    levels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r} for feature {self.name!r}")
-        if not self.levels:
-            raise ValueError(f"feature {self.name!r} has no levels")
-        if len(set(self.levels)) != len(self.levels):
-            raise ValueError(f"feature {self.name!r} has duplicate levels")
-
-    def decode(self, code: int) -> str:
-        return self.levels[code]
-
-    def encode(self, value: str) -> int:
-        try:
-            return self.levels.index(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown level {value!r} for feature {self.name!r}"
-            ) from None
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -481,27 +450,6 @@ def _csv_pieces(d: Dataset, include_provenance: bool):
     for lo in range(0, d.n_rows, _WRITE_ROWS):
         cells = [rendered[codes[lo : lo + _WRITE_ROWS]].tolist() for rendered, codes in fields]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def write_atomic(path: Path, text: str | Iterable[str]) -> None:
-    """Write `text`, a string or strings in turn, to `path` through a
-    temporary file and a rename, so a reader never sees a partial file;
-    the mode is what a plain open gives."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            # mkstemp creates the file 0600; give it the mode a plain open
-            # would (reading the umask means setting it)
-            umask = os.umask(0o022)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_csv(d: Dataset, path: str | Path, include_provenance: bool = False) -> None:

@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import CUTOFF
+
 
 @dataclass(frozen=True, eq=False)
 class RocAnalysis:
@@ -145,10 +147,6 @@ def analyze_scores(scores: Sequence[float], y_true: Sequence[int]) -> RocAnalysi
     curve = roc_curve(scores, y_true)
     on_hull = roc_convex_hull(curve)
     return RocAnalysis(curve=curve, on_hull=on_hull, auc=auc(curve), auch=auc(curve[on_hull]))
-
-
-#: a row whose positive-class score reaches the cut-off is predicted positive
-CUTOFF = 0.5
 
 
 def judge(scores: Sequence[float], y_true: Sequence[int]) -> tuple[tuple[int, int, int, int], RocAnalysis]:

@@ -10,46 +10,20 @@ Three filter methods score each feature against the binary target:
 - MutualInfo: plug-in discrete mutual information in nats.
 
 Scores depend only on the data, never on a learner; `recommender` turns
-them into feature subsets and picks the best filter.
+them into feature subsets and picks the best filter. The method names
+and the score table with its CSV text are numpy-free (`config`, `scores`)
+and re-exported here.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ROLES, Dataset
-
-METHOD_CHI2 = "Chi2"
-METHOD_ANOVA_F = "AnovaF"
-METHOD_MUTUAL_INFO = "MutualInfo"
-METHODS = (METHOD_CHI2, METHOD_ANOVA_F, METHOD_MUTUAL_INFO)
-
-
-@dataclass(frozen=True)
-class ScoreEntry:
-    feature_name: str
-    role: str
-    score: float
-
-
-@dataclass(frozen=True)
-class FeatureScoreTable:
-    entries: tuple[ScoreEntry, ...]
-
-    def __post_init__(self):
-        for e in self.entries:
-            if e.role not in ROLES:
-                raise ValueError(f"unknown role {e.role!r} for feature {e.feature_name!r}")
-            if math.isnan(e.score) or e.score < 0:
-                raise ValueError(f"negative or NaN score for {e.feature_name!r}")
-        keys = [(-e.score, e.feature_name) for e in self.entries]
-        if keys != sorted(keys):
-            raise ValueError("entries must be sorted by descending score, then name")
+from .config import METHOD_ANOVA_F, METHOD_CHI2, METHOD_MUTUAL_INFO, METHODS
+from .data_model import Dataset
+from .scores import FeatureScoreTable, ScoreEntry, table_from_csv, table_to_csv
 
 
 def _class_split(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,29 +100,4 @@ def score_all(d: Dataset, method: str) -> FeatureScoreTable:
         for j, f in enumerate(d.schema)
     ]
     entries.sort(key=lambda e: (-e.score, e.feature_name))
-    return FeatureScoreTable(entries=tuple(entries))
-
-
-def table_to_csv(table: FeatureScoreTable) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["feature", "role", "score"])
-    for e in table.entries:
-        w.writerow([e.feature_name, e.role, repr(e.score)])
-    return out.getvalue()
-
-
-def table_from_csv(text: str) -> FeatureScoreTable:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["feature", "role", "score"]:
-        raise ValueError("expected header 'feature,role,score'")
-    entries = []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != 3:
-            raise ValueError(f"data row {i} is not 'feature,role,score': {row!r}")
-        name, role, score = row
-        try:
-            entries.append(ScoreEntry(feature_name=name, role=role, score=float(score)))
-        except ValueError:
-            raise ValueError(f"data row {i}: score {score!r} of {name!r} is not a number") from None
     return FeatureScoreTable(entries=tuple(entries))

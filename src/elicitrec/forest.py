@@ -29,15 +29,14 @@ the training rows of each class that reached the node.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import CRITERIA, ForestParams
 from .data_model import Dataset
-
-CRITERIA = ("gini", "entropy")
+from .model_file import MODEL_FORMAT_VERSION, NODE_KINDS, check_forest, head
 
 
 def _fractions(counts):
@@ -72,40 +71,7 @@ def _quality(sides, criterion: str):
 
 
 #: the node arrays of a tree, with their dtypes
-NODE_FIELDS = {
-    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
-    "n0": np.int64, "n1": np.int64, "split_entropy": np.float64,
-}
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    n_trees: int = 100
-    mtry: Optional[int] = None  # None = floor(sqrt(p))
-    max_depth: Optional[int] = None
-    min_samples_leaf: int = 1
-    criterion: str = "gini"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be at least 1")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError("mtry must be at least 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be at least 1")
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    def resolve_mtry(self, p: int) -> int:
-        mtry = self.mtry if self.mtry is not None else max(1, int(math.sqrt(p)))
-        if mtry > p:
-            raise ValueError(f"mtry {mtry} exceeds feature count {p}")
-        return mtry
+NODE_FIELDS = {f: np.int64 if kind is int else np.float64 for f, kind in NODE_KINDS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,63 +426,25 @@ def mean_split_entropy(m: RandomForestModel) -> float:
     return float(np.mean(values))
 
 
-MODEL_FORMAT_VERSION = 2
-
-
-def _model_head(m: RandomForestModel) -> dict:
-    """`model_to_dict` without its trees."""
-    head = {"n_trees": m.n_trees, "mtry": m.mtry, "criterion": m.criterion, "seed": m.seed}
-    return {"format_version": MODEL_FORMAT_VERSION, **head}
-
-
 def model_to_dict(m: RandomForestModel) -> dict:
     cut = m.offsets.tolist()
     trees = [{f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS} for a, b in zip(cut, cut[1:])]
-    return {**_model_head(m), "trees": trees}
-
-
-def _tree_from_dict(doc, where: str) -> dict[str, np.ndarray]:
-    """One tree's node arrays, checked so that a descent from the root only
-    moves forward, stays inside the tree and ends at a leaf with rows."""
-    missing = [f for f in NODE_FIELDS if not isinstance(doc, dict) or f not in doc]
-    if missing:
-        raise ValueError(f"{where} lacks the node array {missing[0]!r}")
-    try:
-        t = {f: np.asarray(doc[f], dtype=dt) for f, dt in NODE_FIELDS.items()}
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} holds a node array that is not a list of numbers") from None
-    n = t["feature"].size
-    if n == 0 or any(a.shape != (n,) for a in t.values()):
-        raise ValueError(f"{where} node arrays must be non-empty lists of equal length")
-    internal = t["feature"] >= 0
-    children = np.stack([t["left"], t["right"]])[:, internal]
-    if ((children <= np.flatnonzero(internal)) | (children >= n)).any():
-        raise ValueError(f"{where} has a child index not after its parent or outside the tree")
-    n0, n1 = t["n0"][~internal], t["n1"][~internal]
-    if ((n0 < 0) | (n1 < 0) | (n0 + n1 == 0)).any():
-        raise ValueError(f"{where} has a leaf with negative class counts or none at all")
-    return t
+    return {**head(m), "trees": trees}
 
 
 def model_from_dict(doc: dict) -> RandomForestModel:
     """Rebuild a model from `model_to_dict` output; raises ValueError when the
-    document is not a well-formed forest of the current format."""
-    version = doc.get("format_version")
-    if version == 1:
-        raise ValueError("model format_version 1 is no longer read; retrain with `elicitrec train`")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version!r}")
-    missing = [k for k in ("n_trees", "mtry", "criterion", "seed", "trees") if k not in doc]
-    if missing:
-        raise ValueError(f"model lacks {missing[0]!r}")
-    if not all(isinstance(doc[k], int) for k in ("n_trees", "mtry", "seed")):
-        raise ValueError("model n_trees, mtry and seed must be integers")
+    document is not a well-formed forest of the current format
+    (`model_file.check_forest`)."""
+    check_forest(doc)
+    return _checked_model(doc)
+
+
+def _checked_model(doc: dict) -> RandomForestModel:
+    """The model of a forest document that `check_forest` has passed."""
     trees = doc["trees"]
-    if not isinstance(trees, list) or not trees or len(trees) != doc["n_trees"]:
-        raise ValueError("model trees must be a list of n_trees (at least 1) trees")
-    trees = [_tree_from_dict(t, f"model tree {k}") for k, t in enumerate(trees)]
     return RandomForestModel(
-        **{f: np.concatenate([t[f] for t in trees]) for f in NODE_FIELDS},
+        **{f: np.concatenate([np.asarray(t[f], dtype=dt) for t in trees]) for f, dt in NODE_FIELDS.items()},
         offsets=np.cumsum([0] + [len(t["feature"]) for t in trees]),
         mtry=doc["mtry"], criterion=str(doc["criterion"]), seed=doc["seed"],
     )

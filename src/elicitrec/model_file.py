@@ -1,0 +1,151 @@
+"""The model file, checked and scored in plain Python.
+
+`model.json` holds a forest header (`format_version`, `n_trees`, `mtry`,
+`criterion`, `seed`), the feature schema and target levels, and a
+`trees` list. Each tree is an object of parallel node lists
+(`NODE_KINDS`) in breadth-first order, root first; an internal node's
+`left` and `right` are tree-local indices after its own, and a leaf has
+`feature`, `left` and `right` -1.
+
+`check_forest` checks a forest document and `check_bundle` a whole model
+file; `vote_share` scores one row on the checked node lists. Nothing here
+imports numpy, so `recommend` reads its model and scores its row without
+it, while `forest.model_from_dict` turns a checked document into arrays.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .config import FeatureSchema
+
+MODEL_FORMAT_VERSION = 2
+
+#: the node lists of a tree, each with the kind of number it holds
+NODE_KINDS = {
+    "feature": int, "threshold": float, "left": int, "right": int,
+    "n0": int, "n1": int, "split_entropy": float,
+}
+#: the types `json` gives the numbers of each kind (a bool is neither)
+_JSON_TYPES = {int: {int}, float: {int, float}}
+#: the integer node lists must fit in int64, as the arrays hold them
+_INT_LIMIT = 1 << 63
+
+
+def head(m) -> dict:
+    """The forest header of model `m` (anything with `n_trees`, `mtry`,
+    `criterion` and `seed`): the model document without its trees."""
+    fields = {"n_trees": m.n_trees, "mtry": m.mtry, "criterion": m.criterion, "seed": m.seed}
+    return {"format_version": MODEL_FORMAT_VERSION, **fields}
+
+
+def _check_tree(doc, where: str) -> None:
+    """Check one tree's node lists: numbers of their kinds, so that a
+    descent from the root only moves forward, stays inside the tree and
+    ends at a leaf with rows."""
+    missing = [f for f in NODE_KINDS if not isinstance(doc, dict) or f not in doc]
+    if missing:
+        raise ValueError(f"{where} lacks the node array {missing[0]!r}")
+    for f, kind in NODE_KINDS.items():
+        values = doc[f]
+        ok = isinstance(values, list) and set(map(type, values)) <= _JSON_TYPES[kind]
+        if ok and kind is int and values:
+            ok = -_INT_LIMIT <= min(values) and max(values) < _INT_LIMIT
+        if not ok:
+            noun = "64-bit integers" if kind is int else "numbers"
+            raise ValueError(f"{where} holds a node array ({f!r}) that is not a list of {noun}")
+    feature = doc["feature"]
+    n = len(feature)
+    if n == 0 or any(len(doc[f]) != n for f in NODE_KINDS):
+        raise ValueError(f"{where} node arrays must be non-empty lists of equal length")
+    for i, f, left, right in zip(range(n), feature, doc["left"], doc["right"]):
+        if f >= 0 and not (i < left < n and i < right < n):
+            raise ValueError(f"{where} has a child index not after its parent or outside the tree")
+    for f, n0, n1 in zip(feature, doc["n0"], doc["n1"]):
+        if f < 0 and (n0 < 0 or n1 < 0 or n0 + n1 == 0):
+            raise ValueError(f"{where} has a leaf with negative class counts or none at all")
+
+
+def check_forest(doc: dict) -> list[dict]:
+    """The trees of forest document `doc` (`forest.model_to_dict`'s
+    layout), once it is known to be a well-formed forest of the current
+    format; raises ValueError otherwise. `n_trees`, `mtry`, `seed` and
+    the node lists `feature`, `left`, `right`, `n0` and `n1` must hold
+    JSON integers, `threshold` and `split_entropy` JSON numbers; a bool
+    is neither."""
+    version = doc.get("format_version")
+    if version == 1:
+        raise ValueError("model format_version 1 is no longer read; retrain with `elicitrec train`")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format_version {version!r}")
+    missing = [k for k in ("n_trees", "mtry", "criterion", "seed", "trees") if k not in doc]
+    if missing:
+        raise ValueError(f"model lacks {missing[0]!r}")
+    if not all(type(doc[k]) is int for k in ("n_trees", "mtry", "seed")):
+        raise ValueError("model n_trees, mtry and seed must be integers")
+    trees = doc["trees"]
+    if not isinstance(trees, list) or not trees or len(trees) != doc["n_trees"]:
+        raise ValueError("model trees must be a list of n_trees (at least 1) trees")
+    for k, t in enumerate(trees):
+        _check_tree(t, f"model tree {k}")
+    return trees
+
+
+@dataclass(frozen=True, eq=False)
+class Bundle:
+    """A checked model file: its forest document, as parsed, and the
+    schema and target levels that code a row for it."""
+
+    forest: dict
+    schema: tuple[FeatureSchema, ...]
+    target_name: str
+    target_levels: tuple[str, str]
+
+
+def check_bundle(doc) -> Bundle:
+    """The model file document `doc`, once `check_forest` passes it, its
+    schema entries are well formed, it has two target levels, and every
+    tree splits only on features of its schema; raises ValueError
+    otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
+    for key in ("schema", "target_name", "target_levels"):
+        if key not in doc:
+            raise ValueError(f"model file lacks {key!r}")
+    try:
+        entries = [(f["name"], f["role"], f["levels"]) for f in doc["schema"]]
+    except (KeyError, TypeError):
+        raise ValueError("model schema entries need 'name', 'role' and 'levels'") from None
+    for name, _, levels in entries:
+        if not isinstance(levels, list) or not all(isinstance(v, str) for v in [name, *levels]):
+            raise ValueError(f"model schema entry {name!r}: name must be a string, levels a list of strings")
+    schema = tuple(FeatureSchema(name, role, tuple(levels)) for name, role, levels in entries)
+    levels = doc["target_levels"]
+    if not isinstance(levels, list) or len(levels) != 2:
+        raise ValueError("model target_levels must list exactly two values")
+    trees = check_forest(doc)
+    if min(min(t["feature"]) for t in trees) < -1 or max(max(t["feature"]) for t in trees) >= len(schema):
+        raise ValueError(f"model has a feature index outside its {len(schema)}-feature schema")
+    return Bundle(
+        forest=doc,
+        schema=schema,
+        target_name=str(doc["target_name"]),
+        target_levels=(str(levels[0]), str(levels[1])),
+    )
+
+
+def vote_share(trees: Sequence[dict], row: Sequence[int]) -> float:
+    """The positive-class probability of one row of codes: the mean over
+    the checked `trees` of the leaf fraction n1 / (n0 + n1) that the row
+    reaches. Like `forest.predict_proba_many`, it adds the fractions tree
+    by tree and then divides by the tree count, so the two agree bit for
+    bit (for codes and counts below 2**53, which floats hold exactly)."""
+    acc = 0.0
+    for t in trees:
+        feature, threshold, left, right = t["feature"], t["threshold"], t["left"], t["right"]
+        i = 0
+        while (f := feature[i]) >= 0:
+            i = left[i] if row[f] <= threshold[i] else right[i]
+        acc += t["n1"][i] / (t["n0"][i] + t["n1"][i])
+    return acc / len(trees)

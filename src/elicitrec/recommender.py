@@ -25,18 +25,31 @@ ranks them by the unbalanced arm, as `run` does.
 
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
+
+The settings records and modes (`config`) and the forming of
+recommendations from a score table (`scores`) need no numpy; they are
+re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
+from .config import (
+    METHOD_ANOVA_F,
+    METHOD_CHI2,
+    METHOD_MUTUAL_INFO,
+    METHODS,
+    MODE_BALANCE_FIRST,
+    MODE_SOUND,
+    MODES,
+    FilterConfig,
+    PipelineConfig,
+    SmoteConfig,
+)
 from .data_model import (
     PROVENANCE_COLUMN,
-    ROLE_CONTEXT,
-    ROLE_TECHNIQUE,
     STREAM_FOREST_BALANCED,
     STREAM_FOREST_IMBALANCED,
     STREAM_SMOTE,
@@ -48,57 +61,16 @@ from .data_model import (
     split_train_test,
 )
 from .evaluation import ArmMetrics, EvaluationReport, ReportRow, judge
-from .feature_scoring import (
-    METHOD_ANOVA_F,
-    METHOD_CHI2,
-    METHOD_MUTUAL_INFO,
-    METHODS,
-    FeatureScoreTable,
-    ScoreEntry,
-    score_all,
-)
+from .feature_scoring import score_all
 from .forest import BootstrapPlan, ForestParams, draw_bootstrap, mean_split_entropy, predict_proba_many, train_forest
-from .sampler import SmoteConfig, smote_oversample
-
-MODE_BALANCE_FIRST = "balance-first"  # balance, then split (optimistic)
-MODE_SOUND = "sound"  # split, then balance the training subset only
-MODES = (MODE_BALANCE_FIRST, MODE_SOUND)
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    methods: tuple[str, ...] = METHODS
-    top_k: int = 10
-
-    def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.methods:
-            raise ValueError("at least one scoring method is required")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown scoring methods: {unknown}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("duplicate scoring methods")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    target_name: str
-    mode: str = MODE_SOUND
-    test_fraction: float = 0.2
-    smote: Optional[SmoteConfig] = field(default_factory=SmoteConfig)
-    forest: ForestParams = field(default_factory=ForestParams)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie strictly between 0 and 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+from .sampler import smote_oversample
+from .scores import (
+    FeatureScoreTable,
+    Prediction,
+    RecommendationSet,
+    form_recommendations,
+    recommendation_set_to_dict,
+)
 
 
 def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
@@ -232,59 +204,3 @@ def combine_reports(reports: Sequence[EvaluationReport]) -> EvaluationReport:
     if not rows:
         raise ValueError("no report rows to combine")
     return EvaluationReport(rows=rows)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: str
-    probability: float
-
-
-@dataclass(frozen=True)
-class RecommendationSet:
-    predicted: Prediction
-    collaborative: tuple[ScoreEntry, ...]  # technique-role features
-    content_based: tuple[ScoreEntry, ...]  # context-role features
-    threshold: float
-
-    def __post_init__(self):
-        for e in self.collaborative + self.content_based:
-            if e.score <= self.threshold:
-                raise ValueError("recommended features must score strictly above threshold")
-
-
-def form_recommendations(
-    scores: FeatureScoreTable, prediction: Prediction, threshold: float
-) -> RecommendationSet:
-    """Partition strictly-above-threshold features by role.
-
-    Technique-role features become the collaborative list (other
-    techniques to use alongside the predicted one); context-role features
-    become the content-based list (the project-context factors that drive
-    the choice). Both keep descending-score order. The threshold is the
-    caller's choice and has no default.
-    """
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be finite and non-negative, got {threshold!r}")
-    above = [e for e in scores.entries if e.score > threshold]
-    return RecommendationSet(
-        predicted=prediction,
-        collaborative=tuple(e for e in above if e.role == ROLE_TECHNIQUE),
-        content_based=tuple(e for e in above if e.role == ROLE_CONTEXT),
-        threshold=threshold,
-    )
-
-
-def recommendation_set_to_dict(rs: RecommendationSet) -> dict:
-    """JSON-ready structure; an infinite score (AnovaF with zero
-    within-class variance) is written as the string "inf"."""
-
-    def entry(e: ScoreEntry) -> dict:
-        return {"feature": e.feature_name, "score": e.score if math.isfinite(e.score) else repr(e.score)}
-
-    return {
-        "predicted": {"label": rs.predicted.label, "probability": rs.predicted.probability},
-        "threshold": rs.threshold,
-        "collaborative": [entry(e) for e in rs.collaborative],
-        "content_based": [entry(e) for e in rs.content_based],
-    }

@@ -12,10 +12,11 @@ output dataset stays closed under the schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
+from .config import SmoteConfig
 from .data_model import Dataset, _handed, minority_label
 
 #: parent rows per block of the neighbour search; one block holds a
@@ -28,21 +29,6 @@ _SYNTH_ROWS = 256
 
 #: float64 holds every integer of smaller magnitude exactly
 _F64_EXACT = 2**53
-
-
-@dataclass(frozen=True)
-class SmoteConfig:
-    k_neighbors: int = 5
-    target_ratio: float = 1.0  # 1.0 = minority matches the majority count
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be at least 1")
-        if not 0.0 < self.target_ratio <= 1.0:
-            raise ValueError("target_ratio must be in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def _neighbors(Xm: np.ndarray, n_parents: int, k: int) -> np.ndarray:

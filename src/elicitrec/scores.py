@@ -1,0 +1,123 @@
+"""Score tables and the recommendations formed from them, in plain Python.
+
+A `FeatureScoreTable` is one filter method's scores, one `ScoreEntry` per
+feature, as `score` writes it to `scores_<method>.csv` and `recommend`
+reads it back. `form_recommendations` splits the features that score
+above a threshold by role. Nothing here imports numpy; `feature_scoring`
+and `recommender` re-export these names.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from dataclasses import dataclass
+
+from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, ROLES
+
+
+@dataclass(frozen=True)
+class ScoreEntry:
+    feature_name: str
+    role: str
+    score: float
+
+
+@dataclass(frozen=True)
+class FeatureScoreTable:
+    entries: tuple[ScoreEntry, ...]
+
+    def __post_init__(self):
+        for e in self.entries:
+            if e.role not in ROLES:
+                raise ValueError(f"unknown role {e.role!r} for feature {e.feature_name!r}")
+            if math.isnan(e.score) or e.score < 0:
+                raise ValueError(f"negative or NaN score for {e.feature_name!r}")
+        keys = [(-e.score, e.feature_name) for e in self.entries]
+        if keys != sorted(keys):
+            raise ValueError("entries must be sorted by descending score, then name")
+
+
+def table_to_csv(table: FeatureScoreTable) -> str:
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["feature", "role", "score"])
+    for e in table.entries:
+        w.writerow([e.feature_name, e.role, repr(e.score)])
+    return out.getvalue()
+
+
+def table_from_csv(text: str) -> FeatureScoreTable:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != ["feature", "role", "score"]:
+        raise ValueError("expected header 'feature,role,score'")
+    entries = []
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != 3:
+            raise ValueError(f"data row {i} is not 'feature,role,score': {row!r}")
+        name, role, score = row
+        try:
+            entries.append(ScoreEntry(feature_name=name, role=role, score=float(score)))
+        except ValueError:
+            raise ValueError(f"data row {i}: score {score!r} of {name!r} is not a number") from None
+    return FeatureScoreTable(entries=tuple(entries))
+
+
+@dataclass(frozen=True)
+class Prediction:
+    label: str
+    probability: float
+
+
+@dataclass(frozen=True)
+class RecommendationSet:
+    predicted: Prediction
+    collaborative: tuple[ScoreEntry, ...]  # technique-role features
+    content_based: tuple[ScoreEntry, ...]  # context-role features
+    threshold: float
+
+    def __post_init__(self):
+        for e in self.collaborative + self.content_based:
+            if e.score <= self.threshold:
+                raise ValueError("recommended features must score strictly above threshold")
+
+
+def form_recommendations(
+    scores: FeatureScoreTable, prediction: Prediction, threshold: float
+) -> RecommendationSet:
+    """Partition strictly-above-threshold features by role.
+
+    Technique-role features become the collaborative list (other
+    techniques to use alongside the predicted one); context-role features
+    become the content-based list (the context features the filter
+    method ranks highest against the target over the whole scored
+    dataset). Both keep descending-score order. The lists come from the
+    score table alone: they read no row, so every context row gets the
+    same lists and only `prediction` differs. The threshold is the
+    caller's choice and has no default.
+    """
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold!r}")
+    above = [e for e in scores.entries if e.score > threshold]
+    return RecommendationSet(
+        predicted=prediction,
+        collaborative=tuple(e for e in above if e.role == ROLE_TECHNIQUE),
+        content_based=tuple(e for e in above if e.role == ROLE_CONTEXT),
+        threshold=threshold,
+    )
+
+
+def recommendation_set_to_dict(rs: RecommendationSet) -> dict:
+    """JSON-ready structure; an infinite score (AnovaF with zero
+    within-class variance) is written as the string "inf"."""
+
+    def entry(e: ScoreEntry) -> dict:
+        return {"feature": e.feature_name, "score": e.score if math.isfinite(e.score) else repr(e.score)}
+
+    return {
+        "predicted": {"label": rs.predicted.label, "probability": rs.predicted.probability},
+        "threshold": rs.threshold,
+        "collaborative": [entry(e) for e in rs.collaborative],
+        "content_based": [entry(e) for e in rs.content_based],
+    }

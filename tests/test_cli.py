@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import json
 import os
 import re
@@ -205,6 +206,31 @@ MALFORMED_MODELS = {
         lambda doc, tree: tree.update(n0=[0] * len(tree["n0"]), n1=[0] * len(tree["n1"])),
         "none at all",
     ),
+    # JSON numbers of the wrong kind are refused, not converted
+    "child_not_an_integer": (
+        lambda doc, tree: setitem(tree["left"], 0, tree["left"][0] + 0.9),
+        "('left') that is not a list of 64-bit integers",
+    ),
+    "feature_a_bool": (
+        lambda doc, tree: setitem(tree["feature"], 0, True),
+        "('feature') that is not a list of 64-bit integers",
+    ),
+    "count_a_string": (
+        lambda doc, tree: setitem(tree["n0"], 0, str(tree["n0"][0])),
+        "('n0') that is not a list of 64-bit integers",
+    ),
+    "count_beyond_int64": (
+        lambda doc, tree: setitem(tree["n1"], tree["feature"].index(-1), 2**63),
+        "('n1') that is not a list of 64-bit integers",
+    ),
+    "threshold_a_string": (
+        lambda doc, tree: setitem(tree["threshold"], 0, str(tree["threshold"][0])),
+        "('threshold') that is not a list of numbers",
+    ),
+    "header_bools": (
+        lambda doc, tree: doc.update(n_trees=True, mtry=True, trees=doc["trees"][:1]),
+        "n_trees, mtry and seed must be integers",
+    ),
 }
 
 
@@ -230,6 +256,27 @@ class TestModelFile:
         ])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+    def test_malformed_model_exits_2_in_recommend(self, tmp_path, input_csv, model_doc, capsys, case):
+        # recommend checks the model file with the same checker, without numpy
+        mutate, message = MALFORMED_MODELS[case]
+        doc = json.loads(model_doc)
+        mutate(doc, doc["trees"][0])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("feature,role,score\n", encoding="utf-8")
+        header, first = read_rows(input_csv)[:2]
+        row = tmp_path / "row.json"
+        row.write_text(json.dumps(dict(zip(header[:-1], first[:-1]))), encoding="utf-8")
+        rc = main([
+            "recommend", "--model", str(model), "--scores", str(scores), "--row", str(row),
+            "--threshold", "0.1", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "recommendations.json").exists()
 
     def test_key_error_is_a_bug(self, tmp_path, input_csv, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -492,6 +539,81 @@ def test_no_command_imports_numpy_ma(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+#: runs `python -m elicitrec` with argv[1:] (none: only `import elicitrec`)
+#: in this interpreter, then prints its exit code and whether numpy was imported
+NO_NUMPY_SCRIPT = """
+import runpy, sys
+code = 0
+if sys.argv[1:]:
+    sys.argv[0] = "elicitrec"
+    try:
+        runpy.run_module("elicitrec", run_name="__main__", alter_sys=True)
+    except SystemExit as e:
+        code = e.code
+else:
+    import elicitrec
+print(code, "numpy" in sys.modules)
+"""
+
+#: names defined in a numpy-free module, and the older module that re-exports each
+MOVED = {
+    ("config", "data_model"): ("ROLE_CONTEXT", "ROLE_TECHNIQUE", "ROLES", "FeatureSchema"),
+    ("files", "data_model"): ("write_atomic",),
+    ("config", "feature_scoring"): ("METHOD_CHI2", "METHOD_ANOVA_F", "METHOD_MUTUAL_INFO", "METHODS"),
+    ("scores", "feature_scoring"): ("ScoreEntry", "FeatureScoreTable", "table_to_csv", "table_from_csv"),
+    ("config", "forest"): ("ForestParams", "CRITERIA"),
+    ("model_file", "forest"): ("MODEL_FORMAT_VERSION",),
+    ("config", "sampler"): ("SmoteConfig",),
+    ("config", "recommender"): ("MODE_BALANCE_FIRST", "MODE_SOUND", "MODES", "FilterConfig", "PipelineConfig"),
+    ("scores", "recommender"): (
+        "Prediction", "RecommendationSet", "form_recommendations", "recommendation_set_to_dict",
+    ),
+    ("config", "evaluation"): ("CUTOFF",),
+}
+
+
+def test_recommend_and_help_import_no_numpy(tmp_path):
+    """`recommend`, `--help` and `import elicitrec` never import numpy
+    (about 90 ms of start-up), and the package's names stay where they were."""
+    d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
+    data = tmp_path / "data.csv"
+    write_csv(d, data)
+    cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, "filter": {"methods": ["Chi2"]}})
+    common = ["--config", cfg, "--out-dir", str(tmp_path), "--input", str(data)]
+    assert main(["train", *common]) == 0 and main(["score", *common]) == 0
+    row = tmp_path / "row.json"
+    row.write_text(json.dumps(dict(zip(d.feature_names, d.decode_row(0)))), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads((tmp_path / "model.json").read_text()), "mtry": 1.5}), encoding="utf-8")
+    src = str(Path(forest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, *argv], capture_output=True, text=True, env=env)
+        return proc.stdout.splitlines()[-1]
+
+    recommend = [
+        "recommend", "--scores", str(tmp_path / "scores_Chi2.csv"), "--row", str(row),
+        "--threshold", "0.01", "--out-dir", str(tmp_path),
+    ]
+    assert run(*recommend, "--model", str(tmp_path / "model.json")) == "0 False"
+    assert (tmp_path / "recommendations.json").exists()
+    assert run(*recommend, "--model", str(bad)) == "2 False"
+    assert run("--help") == "0 False"
+    assert run() == "0 False"
+
+    import elicitrec
+
+    assert all(getattr(elicitrec, name) is not None for name in elicitrec.__all__)
+    for (home, old), names in MOVED.items():
+        new_module, old_module = (importlib.import_module(f"elicitrec.{m}") for m in (home, old))
+        for name in names:
+            assert getattr(old_module, name) is getattr(new_module, name), (old, name)
+    from elicitrec import cli as cli_again
+
+    assert cli_again is cli
 
 
 class TestRecommend:
