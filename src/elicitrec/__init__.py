@@ -30,9 +30,10 @@ _EXPORTS = {
     ),
     "feature_scoring": ("score_all",),
     "forest": (
-        "RandomForestModel", "mean_split_entropy", "model_from_dict", "model_to_dict", "predict_proba",
-        "predict_proba_many", "train_forest",
+        "RandomForestModel", "mean_split_entropy", "model_from_dict", "predict_proba", "predict_proba_many",
+        "train_forest",
     ),
+    "model_file": ("model_to_dict",),
     "recommender": ("FilterSelection", "combine_reports", "run_pipeline", "select_best_filter"),
     "sampler": ("smote_details", "smote_oversample"),
     "scores": ("FeatureScoreTable", "Prediction", "RecommendationSet", "form_recommendations"),

@@ -12,7 +12,8 @@ or a path that cannot be read or written.
 
 The module loads only the numpy-free layers (`config`, `scores`,
 `model_file`, `files`); each command imports the array layers it uses, so
-`recommend` and `--help` run without numpy.
+`recommend` and `--help` run without numpy. `model_file` writes, reads
+and checks `model.json`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import model_file, scores
-from .config import CUTOFF, MODES, ROLES, FeatureSchema, FilterConfig, ForestParams, PipelineConfig, SmoteConfig
+from .config import CUTOFF, MODES, ROLES, FilterConfig, ForestParams, PipelineConfig, SmoteConfig
+from .files import dump_json as _dump_json
+from .files import read_json, read_text
 from .files import write_atomic as _write_atomic
 
 if TYPE_CHECKING:
@@ -98,25 +101,6 @@ def _checked(doc, level: str) -> dict:
     return doc
 
 
-def _read_file(path: str, kind: str) -> str:
-    """The text of the `kind` file at `path`."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such {kind} file: {p}")
-    try:
-        return p.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        raise ValueError(f"{kind} file {p} is not valid UTF-8") from None
-
-
-def _read_json(path: str, kind: str):
-    """The JSON document of the `kind` file at `path`."""
-    try:
-        return json.loads(_read_file(path, kind))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{kind} file {path}: not valid JSON: {e}") from None
-
-
 @dataclass(frozen=True)
 class Settings:
     """Everything a subcommand might need, merged from config and flags.
@@ -132,7 +116,7 @@ class Settings:
 def _load_settings(args: argparse.Namespace) -> Settings:
     doc: dict = {}
     if args.config is not None:
-        doc = _checked(_read_json(args.config, "config"), "config")
+        doc = _checked(read_json(args.config, "config"), "config")
     for name, cls in _SECTIONS.items():
         if doc.get(name, {}) is not None:  # "smote": null stays None
             doc[name] = cls(**_checked(doc.get(name, {}), name))
@@ -157,69 +141,24 @@ def _load_input(args: argparse.Namespace, s: Settings) -> Dataset:
     return load_csv(args.input, _target(s), role_map=s.roles, positive_label=s.positive_label)
 
 
-def _dump_json(doc, compact: bool = False) -> str:
-    kwargs = {"separators": (",", ":")} if compact else {"indent": 2}
-    return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs) + "\n"
-
-
-# --- model bundle: forest + the schema needed to score new rows ---------
-
-
-def _bundle_head(m: RandomForestModel, d: Dataset) -> dict:
-    """The bundle document without its trees."""
-    return {
-        **model_file.head(m),
-        "schema": [
-            {"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema
-        ],
-        "target_name": d.target_name,
-        "target_levels": list(d.target_levels),
-    }
+# --- the model file --------------------------------------------------------
 
 
 def _bundle_to_doc(m: RandomForestModel, d: Dataset) -> dict:
-    from .forest import model_to_dict
-
-    return {**_bundle_head(m, d), "trees": model_to_dict(m)["trees"]}
-
-
-def _bundle_pieces(m: RandomForestModel, d: Dataset):
-    """`_dump_json(_bundle_to_doc(m, d), compact=True)` one node array of
-    one tree at a time. "trees" sorts after every other key, so the text
-    is the head's up to its closing brace, then the trees, each with its
-    arrays in key order."""
-    yield _dump_json(_bundle_head(m, d), compact=True)[:-2] + ',"trees":['
-    cut = m.offsets.tolist()
-    for t, (a, b) in enumerate(zip(cut, cut[1:])):
-        opening = ",{" if t else "{"
-        for f in sorted(model_file.NODE_KINDS):
-            yield f'{opening}"{f}":' + _dump_json(getattr(m, f)[a:b].tolist(), compact=True)[:-1]
-            opening = ","
-        yield "}"
-    yield "]}\n"
+    """The model file of forest `m` trained on `d`, as one document."""
+    return model_file.model_to_dict(m, d)
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    """A model file with its forest as arrays."""
-
-    model: RandomForestModel
-    schema: tuple[FeatureSchema, ...]
-    target_name: str
-    target_levels: tuple[str, str]
+def _load_bundle(path: str) -> model_file.Bundle:
+    """The model file at `path`, checked, with its forest arrays built."""
+    bundle = model_file.load(path)
+    bundle.model  # built now, as part of loading, not on first use
+    return bundle
 
 
-def _load_bundle(path: str) -> ModelBundle:
-    from .forest import _checked_model
-
-    b = model_file.check_bundle(_read_json(path, "model"))
-    return ModelBundle(_checked_model(b.forest), b.schema, b.target_name, b.target_levels)
-
-
-def _own_model(s: Settings, bundle):
-    """`bundle` (a `ModelBundle` or a `model_file.Bundle`), once the
-    config's target and positive label, where set, are known to be the
-    model's own."""
+def _own_model(s: Settings, bundle: model_file.Bundle) -> model_file.Bundle:
+    """`bundle`, once the config's target and positive label, where set,
+    are known to be the model's own."""
     for key, given, own in (
         ("target", s.pipeline.target_name or None, bundle.target_name),
         ("positive_label", s.positive_label, bundle.target_levels[1]),
@@ -304,7 +243,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = replace(s.pipeline.forest, seed=s.pipeline.seed)
     model = forest.train_forest(d, params)
     out = args.out_dir / "model.json"
-    _write_atomic(out, _bundle_pieces(model, d))
+    _write_atomic(out, model_file.pieces(model, d))
     print(
         f"trained {model.n_trees} trees (mtry {model.mtry}, criterion {model.criterion}) "
         f"on {d.n_rows} rows -> {out}"
@@ -415,9 +354,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise ValueError(
             "a recommendation threshold is required (--threshold or config key)"
         )
-    bundle = _own_model(s, model_file.check_bundle(_read_json(args.model, "model")))
+    bundle = _own_model(s, model_file.load(args.model))
     roles = {f.name: f.role for f in bundle.schema}
-    text = _read_file(args.scores, "scores")
+    text = read_text(args.scores, "scores")
     try:
         table = scores.table_from_csv(text)
     except ValueError as e:
@@ -425,7 +364,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
     if unknown:
         raise ValueError(f"scores file {args.scores}: feature(s) not in the model with that role: {', '.join(unknown)}")
-    row_doc = _read_json(args.row, "context row")
+    row_doc = read_json(args.row, "context row")
     if not isinstance(row_doc, dict) or not all(
         isinstance(v, str) for v in row_doc.values()
     ):
@@ -438,7 +377,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     extra = sorted(set(row_doc) - set(roles))
     if extra:
         raise ValueError(f"context row has unknown feature(s): {', '.join(extra)}")
-    proba = model_file.vote_share(bundle.forest["trees"], values)
+    proba = model_file.vote_share(bundle.forest, values)
     prediction = scores.Prediction(label=bundle.target_name, probability=proba)
     rs = scores.form_recommendations(table, prediction, float(s.recommendation_threshold))
     doc = {"format_version": 1, **scores.recommendation_set_to_dict(rs)}

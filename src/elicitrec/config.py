@@ -3,10 +3,7 @@
 The feature roles, the filter methods, the pipeline modes, the
 positive-class cut-off, a feature's schema and the four settings records
 that a config file fills. Nothing here imports numpy, so a command that
-needs no arrays (`recommend`, `--help`) starts without it. The array
-layers re-export what they use: `data_model.FeatureSchema`,
-`forest.ForestParams`, `sampler.SmoteConfig`, `recommender.PipelineConfig`,
-`evaluation.CUTOFF` and so on are these same objects.
+needs no arrays (`recommend`, `--help`) starts without it.
 """
 
 from __future__ import annotations

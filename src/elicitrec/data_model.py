@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, ROLES, FeatureSchema
+from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, FeatureSchema
 from .files import write_atomic
 
 #: Reserved CSV column carrying row provenance ("1" = synthetic).

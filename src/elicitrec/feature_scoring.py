@@ -11,8 +11,8 @@ Three filter methods score each feature against the binary target:
 
 Scores depend only on the data, never on a learner; `recommender` turns
 them into feature subsets and picks the best filter. The method names
-and the score table with its CSV text are numpy-free (`config`, `scores`)
-and re-exported here.
+(`config`) and the score table with its CSV text (`scores`) live in
+numpy-free modules.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import METHOD_ANOVA_F, METHOD_CHI2, METHOD_MUTUAL_INFO, METHODS
 from .data_model import Dataset
-from .scores import FeatureScoreTable, ScoreEntry, table_from_csv, table_to_csv
+from .scores import FeatureScoreTable, ScoreEntry
 
 
 def _class_split(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,38 @@
-"""Atomic file writes, in plain Python (no numpy)."""
+"""Reading, dumping and atomically writing files, in plain Python (no numpy)."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Iterable
+
+
+def read_text(path: str, kind: str) -> str:
+    """The text of the `kind` file at `path`."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"no such {kind} file: {p}")
+    try:
+        return p.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise ValueError(f"{kind} file {p} is not valid UTF-8") from None
+
+
+def read_json(path: str, kind: str):
+    """The JSON document of the `kind` file at `path`."""
+    try:
+        return json.loads(read_text(path, kind))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{kind} file {path}: not valid JSON: {e}") from None
+
+
+def dump_json(doc, compact: bool = False) -> str:
+    """`doc` as key-sorted JSON text with a final newline: on one line with
+    no spaces when `compact`, else indented by two."""
+    kwargs = {"separators": (",", ":")} if compact else {"indent": 2}
+    return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs) + "\n"
 
 
 def write_atomic(path: Path, text: str | Iterable[str]) -> None:

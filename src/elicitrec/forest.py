@@ -34,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import CRITERIA, ForestParams
+from .config import ForestParams
 from .data_model import Dataset
-from .model_file import MODEL_FORMAT_VERSION, NODE_KINDS, check_forest, head
+from .model_file import NODE_KINDS, check_forest
 
 
 def _fractions(counts):
@@ -278,19 +278,14 @@ def _partition(codes, rows, weight, size, feature, cut, keep):
     return moved_rows[:n_kept], moved_weight[:n_kept], sizes[keep]
 
 
-def _root_keys(seed: int, n_trees: int) -> np.ndarray:
-    """Each tree's root key: the first word of SeedSequence([seed, t])."""
-    return np.array([np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0] for t in range(n_trees)])
-
-
-def grow_forest(X, y, boots, params: ForestParams, keys=None) -> RandomForestModel:
+def grow_forest(X, y, boots, params: ForestParams, keys) -> RandomForestModel:
     """Grow one tree per row of `boots`, tree t on the rows `boots[t]` lists
     (`params.n_trees` is not read): all together, breadth-first.
 
     Each tree works on its distinct rows, weighted by how often the sample
     holds them: rows equal in X and y are one, and so are repeated draws.
-    Tree t's root key is `keys[t]`, by default the first word of
-    SeedSequence([params.seed, t]). A node is a leaf when it is pure, at
+    Tree t's root key is `keys[t]` (`train_forest` gives the first word of
+    SeedSequence([params.seed, t])). A node is a leaf when it is pure, at
     `max_depth`, smaller than 2 * `min_samples_leaf`, or when no candidate
     separates its rows.
     """
@@ -301,7 +296,7 @@ def grow_forest(X, y, boots, params: ForestParams, keys=None) -> RandomForestMod
     codes, rows, weight, size, n1 = _distinct_samples(X, y, boots, width)
     counts = np.stack([boots.shape[1] - n1, n1])  # sample rows per class, node by node
     tree, local = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
-    key = _root_keys(params.seed, n_trees) if keys is None else np.asarray(keys, dtype=np.uint64)
+    key = np.asarray(keys, dtype=np.uint64)
     n_nodes = np.ones(n_trees, dtype=np.int64)  # nodes numbered so far, per tree
 
     def grows(counts, depth):
@@ -426,16 +421,10 @@ def mean_split_entropy(m: RandomForestModel) -> float:
     return float(np.mean(values))
 
 
-def model_to_dict(m: RandomForestModel) -> dict:
-    cut = m.offsets.tolist()
-    trees = [{f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS} for a, b in zip(cut, cut[1:])]
-    return {**head(m), "trees": trees}
-
-
 def model_from_dict(doc: dict) -> RandomForestModel:
-    """Rebuild a model from `model_to_dict` output; raises ValueError when the
-    document is not a well-formed forest of the current format
-    (`model_file.check_forest`)."""
+    """Rebuild a model from `model_file.model_to_dict` output; raises
+    ValueError when the document is not a well-formed forest of the current
+    format (`model_file.check_forest`)."""
     check_forest(doc)
     return _checked_model(doc)
 

@@ -1,4 +1,4 @@
-"""The model file, checked and scored in plain Python.
+"""The model file: written, checked, read and scored in plain Python.
 
 `model.json` holds a forest header (`format_version`, `n_trees`, `mtry`,
 `criterion`, `seed`), the feature schema and target levels, and a
@@ -7,18 +7,22 @@
 `left` and `right` are tree-local indices after its own, and a leaf has
 `feature`, `left` and `right` -1.
 
-`check_forest` checks a forest document and `check_bundle` a whole model
-file; `vote_share` scores one row on the checked node lists. Nothing here
-imports numpy, so `recommend` reads its model and scores its row without
-it, while `forest.model_from_dict` turns a checked document into arrays.
+`pieces` streams the file a tree at a time and `model_to_dict` builds it
+as one object, both from `_tree_lists`. `load` reads a file into a checked
+`Bundle` (`check_bundle`, `check_forest`), and `vote_share` scores one
+row on its node lists. Nothing here imports numpy, so `recommend` reads
+its model and scores its row without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .config import FeatureSchema
+from .files import dump_json, read_json
 
 MODEL_FORMAT_VERSION = 2
 
@@ -33,11 +37,42 @@ _JSON_TYPES = {int: {int}, float: {int, float}}
 _INT_LIMIT = 1 << 63
 
 
-def head(m) -> dict:
-    """The forest header of model `m` (anything with `n_trees`, `mtry`,
-    `criterion` and `seed`): the model document without its trees."""
-    fields = {"n_trees": m.n_trees, "mtry": m.mtry, "criterion": m.criterion, "seed": m.seed}
-    return {"format_version": MODEL_FORMAT_VERSION, **fields}
+def _head(m, d=None) -> dict:
+    """The model document of forest `m` (anything with `n_trees`, `mtry`,
+    `criterion` and `seed`) without its trees: the forest header and, with
+    `d` (anything with `schema`, `target_name` and `target_levels`), the
+    schema and target that code a row for it."""
+    doc = {"format_version": MODEL_FORMAT_VERSION, "n_trees": m.n_trees, "mtry": m.mtry,
+           "criterion": m.criterion, "seed": m.seed}
+    if d is not None:
+        doc.update(
+            schema=[{"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema],
+            target_name=d.target_name,
+            target_levels=list(d.target_levels),
+        )
+    return doc
+
+
+def _tree_lists(m) -> Iterator[dict]:
+    """Each tree's node lists, from the node arrays and `offsets` of `m`."""
+    cut = m.offsets.tolist()
+    for a, b in zip(cut, cut[1:]):
+        yield {f: getattr(m, f)[a:b].tolist() for f in NODE_KINDS}
+
+
+def model_to_dict(m, d=None) -> dict:
+    """The forest document of model `m`; with `d`, the model file's."""
+    return {**_head(m, d), "trees": list(_tree_lists(m))}
+
+
+def pieces(m, d) -> Iterator[str]:
+    """`dump_json(model_to_dict(m, d), compact=True)`, a tree at a time.
+    "trees" sorts after every other key, so the text is the head's up to
+    its closing brace, then the trees."""
+    yield dump_json(_head(m, d), compact=True)[:-2] + ',"trees":['
+    for t, tree in enumerate(_tree_lists(m)):
+        yield ("," if t else "") + dump_json(tree, compact=True)[:-1]
+    yield "]}\n"
 
 
 def _check_tree(doc, where: str) -> None:
@@ -52,8 +87,13 @@ def _check_tree(doc, where: str) -> None:
         ok = isinstance(values, list) and set(map(type, values)) <= _JSON_TYPES[kind]
         if ok and kind is int and values:
             ok = -_INT_LIMIT <= min(values) and max(values) < _INT_LIMIT
+        if ok and kind is float:  # `json` reads NaN, Infinity and 1e999 as floats
+            try:
+                ok = all(map(math.isfinite, values))
+            except OverflowError:  # an integer beyond the floats
+                ok = False
         if not ok:
-            noun = "64-bit integers" if kind is int else "numbers"
+            noun = "64-bit integers" if kind is int else "finite numbers"
             raise ValueError(f"{where} holds a node array ({f!r}) that is not a list of {noun}")
     feature = doc["feature"]
     n = len(feature)
@@ -68,12 +108,12 @@ def _check_tree(doc, where: str) -> None:
 
 
 def check_forest(doc: dict) -> list[dict]:
-    """The trees of forest document `doc` (`forest.model_to_dict`'s
-    layout), once it is known to be a well-formed forest of the current
-    format; raises ValueError otherwise. `n_trees`, `mtry`, `seed` and
-    the node lists `feature`, `left`, `right`, `n0` and `n1` must hold
-    JSON integers, `threshold` and `split_entropy` JSON numbers; a bool
-    is neither."""
+    """The trees of forest document `doc` (`model_to_dict`'s layout), once
+    it is known to be a well-formed forest of the current format; raises
+    ValueError otherwise. `n_trees`, `mtry`, `seed` and the node lists
+    `feature`, `left`, `right`, `n0` and `n1` must hold JSON integers,
+    `threshold` and `split_entropy` finite JSON numbers; a bool is
+    neither."""
     version = doc.get("format_version")
     if version == 1:
         raise ValueError("model format_version 1 is no longer read; retrain with `elicitrec train`")
@@ -101,6 +141,13 @@ class Bundle:
     schema: tuple[FeatureSchema, ...]
     target_name: str
     target_levels: tuple[str, str]
+
+    @cached_property
+    def model(self):
+        """The forest as arrays (`forest.RandomForestModel`), built on first use."""
+        from .forest import _checked_model
+
+        return _checked_model(self.forest)
 
 
 def check_bundle(doc) -> Bundle:
@@ -135,17 +182,23 @@ def check_bundle(doc) -> Bundle:
     )
 
 
-def vote_share(trees: Sequence[dict], row: Sequence[int]) -> float:
+def load(path: str) -> Bundle:
+    """The model file at `path`, read and checked (`check_bundle`)."""
+    return check_bundle(read_json(path, "model"))
+
+
+def vote_share(forest: dict, row: Sequence[int]) -> float:
     """The positive-class probability of one row of codes: the mean over
-    the checked `trees` of the leaf fraction n1 / (n0 + n1) that the row
-    reaches. Like `forest.predict_proba_many`, it adds the fractions tree
-    by tree and then divides by the tree count, so the two agree bit for
-    bit (for codes and counts below 2**53, which floats hold exactly)."""
+    the trees of the checked forest document `forest` of the leaf fraction
+    n1 / (n0 + n1) that the row reaches. Like `forest.predict_proba_many`,
+    it adds the fractions tree by tree and then divides by the tree count,
+    so the two agree bit for bit (for codes and counts below 2**53, which
+    floats hold exactly)."""
     acc = 0.0
-    for t in trees:
+    for t in forest["trees"]:
         feature, threshold, left, right = t["feature"], t["threshold"], t["left"], t["right"]
         i = 0
         while (f := feature[i]) >= 0:
             i = left[i] if row[f] <= threshold[i] else right[i]
         acc += t["n1"][i] / (t["n0"][i] + t["n1"][i])
-    return acc / len(trees)
+    return acc / len(forest["trees"])

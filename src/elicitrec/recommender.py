@@ -26,9 +26,8 @@ ranks them by the unbalanced arm, as `run` does.
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
 
-The settings records and modes (`config`) and the forming of
-recommendations from a score table (`scores`) need no numpy; they are
-re-exported here.
+The settings records and modes live in `config`, and the forming of
+recommendations from a score table in `scores`; both need no numpy.
 """
 
 from __future__ import annotations
@@ -40,11 +39,10 @@ from .config import (
     METHOD_ANOVA_F,
     METHOD_CHI2,
     METHOD_MUTUAL_INFO,
-    METHODS,
     MODE_BALANCE_FIRST,
     MODE_SOUND,
-    MODES,
     FilterConfig,
+    ForestParams,
     PipelineConfig,
     SmoteConfig,
 )
@@ -62,15 +60,9 @@ from .data_model import (
 )
 from .evaluation import ArmMetrics, EvaluationReport, ReportRow, judge
 from .feature_scoring import score_all
-from .forest import BootstrapPlan, ForestParams, draw_bootstrap, mean_split_entropy, predict_proba_many, train_forest
+from .forest import BootstrapPlan, draw_bootstrap, mean_split_entropy, predict_proba_many, train_forest
 from .sampler import smote_oversample
-from .scores import (
-    FeatureScoreTable,
-    Prediction,
-    RecommendationSet,
-    form_recommendations,
-    recommendation_set_to_dict,
-)
+from .scores import FeatureScoreTable
 
 
 def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:

@@ -31,8 +31,9 @@ from elicitrec.evaluation import (
 )
 from elicitrec.feature_scoring import anova_f_score, chi2_score, mutual_info_score
 from elicitrec.forest import ForestParams, entropy, gini, grow_forest
-from elicitrec.recommender import MODE_BALANCE_FIRST, PipelineConfig, Prediction, form_recommendations, run_pipeline
+from elicitrec.recommender import MODE_BALANCE_FIRST, PipelineConfig, run_pipeline
 from elicitrec.sampler import SmoteConfig, smote_details
+from elicitrec.scores import Prediction, form_recommendations
 
 from conftest import interviews_score_table
 
@@ -114,7 +115,8 @@ def test_criterion_03_best_split_matches_brute_force():
         # the split search on every row and feature: the root of a depth-1
         # tree grown on every row once with mtry = p
         params = ForestParams(mtry=p, max_depth=1, criterion=criterion)
-        m = grow_forest(X, y, np.arange(n)[None, :], params)
+        keys = [np.random.SeedSequence([params.seed, 0]).generate_state(1, np.uint64)[0]]
+        m = grow_forest(X, y, np.arange(n)[None, :], params, keys)
         oracle = _oracle_splits(X, y, criterion)
         if not oracle or y.min() == y.max():  # nothing to split, or pure
             assert m.feature.tolist() == [-1]

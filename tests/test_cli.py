@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicitrec import cli, feature_scoring, forest, recommender
+from elicitrec import cli, feature_scoring, forest, model_file, recommender
 from elicitrec.cli import main, render_hulls_svg
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
@@ -179,6 +179,15 @@ class TestTrainEvaluate:
         assert not (tmp_path / "evaluation.json").exists()
 
 
+#: a string that `write_model` writes without its quotes: a JSON number
+#: that `json` reads as an infinite float
+HUGE = "1e999"
+
+
+def write_model(path, doc):
+    path.write_text(json.dumps(doc).replace(f'"{HUGE}"', HUGE), encoding="utf-8")
+
+
 # each case breaks a model.json (doc) or its first tree (tree) in place
 MALFORMED_MODELS = {
     "version_1": (lambda doc, tree: doc.update(format_version=1), "retrain with `elicitrec train`"),
@@ -225,8 +234,19 @@ MALFORMED_MODELS = {
     ),
     "threshold_a_string": (
         lambda doc, tree: setitem(tree["threshold"], 0, str(tree["threshold"][0])),
-        "('threshold') that is not a list of numbers",
+        "('threshold') that is not a list of finite numbers",
     ),
+    # `json` reads NaN, Infinity and numbers beyond the floats; none is a finite float
+    **{
+        f"{f}_{name}": (
+            lambda doc, tree, f=f, value=value: setitem(tree[f], 0, value),
+            f"({f!r}) that is not a list of finite numbers",
+        )
+        for f in ("threshold", "split_entropy")
+        for name, value in (
+            ("nan", float("nan")), ("infinity", float("inf")), ("1e999", HUGE), ("int_beyond_floats", 10**400),
+        )
+    },
     "header_bools": (
         lambda doc, tree: doc.update(n_trees=True, mtry=True, trees=doc["trees"][:1]),
         "n_trees, mtry and seed must be integers",
@@ -249,7 +269,7 @@ class TestModelFile:
         assert doc["trees"][0]["feature"][0] >= 0  # the root splits
         mutate(doc, doc["trees"][0])
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc), encoding="utf-8")
+        write_model(model, doc)
         rc = main([
             "evaluate", "--input", input_csv,
             "--model", str(model), "--out-dir", str(tmp_path),
@@ -264,7 +284,7 @@ class TestModelFile:
         doc = json.loads(model_doc)
         mutate(doc, doc["trees"][0])
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc), encoding="utf-8")
+        write_model(model, doc)
         scores = tmp_path / "scores.csv"
         scores.write_text("feature,role,score\n", encoding="utf-8")
         header, first = read_rows(input_csv)[:2]
@@ -298,24 +318,42 @@ class TestModelFile:
         assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{tmp_path / 'model.json'}'\n"
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
-    @pytest.mark.parametrize("shape", ["survey", "deep"])
+    @pytest.mark.parametrize("shape", ["survey", "deep", "single_leaf"])
     def test_model_file_is_one_dump_of_the_bundle(self, tmp_path, criterion, shape):
-        # train writes model.json a node array at a time; the bytes are those of
-        # one dump of the whole bundle document
+        # train writes model.json a tree at a time; the bytes are those of one
+        # dump of the bundle document, built here from the node arrays
         data = tmp_path / "data.csv"
         if shape == "survey":
             write_csv(generate_synthetic(SyntheticSpec(282, 41, p=27, n_informative=6, seed=7)), data)
-        else:  # alternating labels over 300 levels grow trees about a hundred deep
+        elif shape == "deep":  # alternating labels over 300 levels grow trees about a hundred deep
             rows = "".join(f"v{k:03d},{k % 2}\n" for _ in range(4) for k in range(300))
             data.write_text("x,target\n" + rows, encoding="utf-8")
+        else:  # two rows: a tree that draws one of them twice is a single leaf
+            data.write_text("x,target\na,0\nb,1\n", encoding="utf-8")
         params = {"n_trees": 5, "criterion": criterion}
         cfg = write_config(tmp_path, {"target": "target", "forest": params, "seed": 3})
         assert main(["train", "--config", cfg, "--input", str(data), "--out-dir", str(tmp_path)]) == 0
         d = load_csv(data, "target")
         m = forest.train_forest(d, forest.ForestParams(**params, seed=3))
-        assert (m.feature >= 0).sum() > (100 if shape == "deep" else 20)
-        expected = cli._dump_json(cli._bundle_to_doc(m, d), compact=True)
+        sizes = np.diff(m.offsets)
+        if shape == "single_leaf":
+            assert sizes.min() == 1 < sizes.max()
+        else:
+            assert (m.feature >= 0).sum() > (100 if shape == "deep" else 20)
+        cut = m.offsets.tolist()
+        fields = ("feature", "threshold", "left", "right", "n0", "n1", "split_entropy")
+        doc = {
+            "format_version": 2, "n_trees": 5, "mtry": m.mtry, "criterion": criterion, "seed": 3,
+            "schema": [{"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema],
+            "target_name": "target", "target_levels": list(d.target_levels),
+            "trees": [{f: getattr(m, f)[a:b].tolist() for f in fields} for a, b in zip(cut, cut[1:])],
+        }
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert "".join(model_file.pieces(m, d)) == expected
         assert (tmp_path / "model.json").read_bytes().decode("utf-8") == expected
+        assert cli._bundle_to_doc(m, d) == doc
+        forest_only = {k: v for k, v in doc.items() if k not in ("schema", "target_name", "target_levels")}
+        assert model_file.model_to_dict(m) == forest_only
 
     def test_deep_tree_trains_evaluates_and_recommends(self, tmp_path):
         # 1500 levels with alternating labels, each row 8 times: the single
@@ -557,19 +595,15 @@ else:
 print(code, "numpy" in sys.modules)
 """
 
-#: names defined in a numpy-free module, and the older module that re-exports each
+#: names defined in a numpy-free module, and an array module that imports each for its own use
 MOVED = {
-    ("config", "data_model"): ("ROLE_CONTEXT", "ROLE_TECHNIQUE", "ROLES", "FeatureSchema"),
+    ("config", "data_model"): ("ROLE_CONTEXT", "ROLE_TECHNIQUE", "FeatureSchema"),
     ("files", "data_model"): ("write_atomic",),
     ("config", "feature_scoring"): ("METHOD_CHI2", "METHOD_ANOVA_F", "METHOD_MUTUAL_INFO", "METHODS"),
-    ("scores", "feature_scoring"): ("ScoreEntry", "FeatureScoreTable", "table_to_csv", "table_from_csv"),
-    ("config", "forest"): ("ForestParams", "CRITERIA"),
-    ("model_file", "forest"): ("MODEL_FORMAT_VERSION",),
+    ("scores", "feature_scoring"): ("ScoreEntry", "FeatureScoreTable"),
+    ("config", "forest"): ("ForestParams",),
     ("config", "sampler"): ("SmoteConfig",),
-    ("config", "recommender"): ("MODE_BALANCE_FIRST", "MODE_SOUND", "MODES", "FilterConfig", "PipelineConfig"),
-    ("scores", "recommender"): (
-        "Prediction", "RecommendationSet", "form_recommendations", "recommendation_set_to_dict",
-    ),
+    ("config", "recommender"): ("MODE_BALANCE_FIRST", "MODE_SOUND", "FilterConfig", "PipelineConfig"),
     ("config", "evaluation"): ("CUTOFF",),
 }
 

@@ -14,10 +14,9 @@ from elicitrec.feature_scoring import (
     chi2_score,
     mutual_info_score,
     score_all,
-    table_from_csv,
-    table_to_csv,
 )
 from elicitrec.recommender import select_best_filter
+from elicitrec.scores import table_from_csv, table_to_csv
 
 from conftest import make_dataset, xor_dataset
 from test_recommender import balance_first_chain_auch

@@ -16,11 +16,11 @@ from elicitrec.forest import (
     grow_forest,
     mean_split_entropy,
     model_from_dict,
-    model_to_dict,
     predict_proba,
     predict_proba_many,
     train_forest,
 )
+from elicitrec.model_file import model_to_dict
 
 from conftest import make_dataset
 
@@ -85,9 +85,14 @@ def split_quality(left, right, criterion):
     return n_left / n * impurity(left) + n_right / n * impurity(right)
 
 
+def root_keys(seed, n_trees):
+    """Each tree's root key: SeedSequence([seed, t])'s first uint64."""
+    return [np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0] for t in range(n_trees)]
+
+
 def grow_one(X, y, params):
     """The grower on one tree whose sample is every row once."""
-    m = grow_forest(np.asarray(X), np.asarray(y), np.arange(len(y))[None, :], params)
+    m = grow_forest(np.asarray(X), np.asarray(y), np.arange(len(y))[None, :], params, root_keys(params.seed, 1))
     return {f: getattr(m, f) for f in NODE_FIELDS}
 
 
@@ -187,7 +192,8 @@ class TestBestSplit:
             criterion = "gini" if rng.random() < 0.5 else "entropy"
             params = ForestParams(n_trees=1, mtry=p, max_depth=1, criterion=criterion)
             boots = np.arange(n)[None, :]
-            check_against_oracle(make_dataset(X, y), grow_forest(X, y, boots, params), params, boots)
+            m = grow_forest(X, y, boots, params, root_keys(params.seed, 1))
+            check_against_oracle(make_dataset(X, y), m, params, boots)
 
 
 class TestGrowTree:
@@ -257,9 +263,9 @@ def replay(d, m, params, boots):
     outputs p + 1 and p + 2)."""
     p = d.X.shape[1]
     mtry = params.resolve_mtry(p)
+    keys = root_keys(params.seed, m.n_trees)
     for t, start in enumerate(m.offsets[:-1]):
-        root_key = int(np.random.SeedSequence([params.seed, t]).generate_state(1, np.uint64)[0])
-        todo = [(0, boots[t], 0, root_key)]
+        todo = [(0, boots[t], 0, int(keys[t]))]
         while todo:
             i, rows, depth, key = todo.pop()
             ranked = sorted(range(p), key=lambda f: splitmix64(key, f + 1))

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from elicitrec.data_model import Dataset, FeatureSchema, SyntheticSpec, generate_synthetic
-from elicitrec.forest import ForestParams, model_from_dict, model_to_dict, predict_proba_many, train_forest
-from elicitrec.model_file import vote_share
+from elicitrec.forest import ForestParams, model_from_dict, predict_proba_many, train_forest
+from elicitrec.model_file import model_to_dict, vote_share
 
 
 def _survey():
@@ -62,6 +62,6 @@ def test_vote_share_equals_predict_proba_many(shape):
     doc, X = FORESTS[shape]()
     doc = json.loads(json.dumps(doc))  # the node lists as a model file holds them
     expected = predict_proba_many(model_from_dict(doc), X).tolist()
-    got = [vote_share(doc["trees"], row) for row in X.tolist()]
+    got = [vote_share(doc, row) for row in X.tolist()]
     assert got == expected
     assert len(set(got)) > 1  # the rows reach different leaves

@@ -54,3 +54,18 @@ def test_every_package_name_has_a_reader():
             if not any(p != path or line not in own for p, line in read_at[name]):
                 unread.append(f"{path.stem}.{name}")
     assert unread == []
+
+
+def test_every_sibling_import_is_read_where_it_is_imported():
+    # a name imported from a sibling module and never read is a second
+    # import path for it; importers should name the defining module
+    unread = []
+    for path in sorted((ROOT / "src" / "elicitrec").glob("*.py")):
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if (alias.asname or alias.name) not in read:
+                        unread.append(f"{path.stem}: {alias.asname or alias.name} from .{node.module or ''}")
+    assert unread == []

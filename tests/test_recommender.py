@@ -23,14 +23,11 @@ from elicitrec.recommender import (
     MODE_SOUND,
     FilterConfig,
     PipelineConfig,
-    Prediction,
-    RecommendationSet,
     combine_reports,
-    form_recommendations,
-    recommendation_set_to_dict,
     run_pipeline,
     select_best_filter,
 )
+from elicitrec.scores import Prediction, RecommendationSet, form_recommendations, recommendation_set_to_dict
 from elicitrec.sampler import SmoteConfig, smote_oversample
 
 from conftest import interviews_score_table
