@@ -1,144 +1,52 @@
 """Command-line driver.
 
-Subcommands: balance, train, evaluate, run, score, recommend. A JSON
-config file supplies experiment settings; unknown keys, values of the
-wrong type and non-finite numbers are rejected so a typo fails fast
-instead of silently using a default or crashing later. Every output file is
-written atomically (temp file + rename), and a fixed seed makes each
-subcommand's outputs byte-identical across runs.
+Subcommands: balance, train, evaluate, run, score, recommend. The module
+parses the flags, calls the library, writes the texts it is handed and
+prints; it owns no file format. The modules whose data a file describes
+lay it out: `config` reads the config file and merges the flags into it,
+`model_file` writes, reads and checks `model.json` and codes a context
+row, `evaluation` lays out `evaluation.json`, `report.json`, the ROC CSVs
+and the hull SVG, and `scores` the score CSVs and `recommendations.json`.
+Every output file is written atomically (temp file + rename), and a
+fixed seed makes each subcommand's outputs byte-identical across runs.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation or config error
 or a path that cannot be read or written.
 
 The module loads only the numpy-free layers (`config`, `scores`,
 `model_file`, `files`); each command imports the array layers it uses, so
-`recommend` and `--help` run without numpy. `model_file` writes, reads
-and checks `model.json`.
+`recommend` and `--help` run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from . import model_file, scores
-from .config import CUTOFF, MODES, ROLES, FilterConfig, ForestParams, PipelineConfig, SmoteConfig
+from . import config, model_file, scores
+from .config import CUTOFF, MODES
 from .files import dump_json as _dump_json
 from .files import read_json, read_text
 from .files import write_atomic as _write_atomic
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .data_model import Dataset
     from .forest import RandomForestModel
 
-#: JSON types by the name a config error gives them
-_JSON_TYPES = {
-    "an integer": (int,),
-    "a number": (int, float),
-    "a string": (str,),
-    "a list": (list,),
-    "an object": (dict,),
-    "null": (type(None),),
-}
 
-#: every key of each config level and the JSON types it accepts; null is
-#: accepted only where it means something
-_KEYS = {
-    "config": {
-        "target": ("a string", "null"),
-        "positive_label": ("a string", "null"),
-        "roles": ("an object",),
-        "mode": ("a string",),
-        "test_fraction": ("a number",),
-        "seed": ("an integer",),
-        "smote": ("an object", "null"),  # null turns balancing off
-        "forest": ("an object",),
-        "filter": ("an object",),
-        "recommendation_threshold": ("a number", "null"),
-    },
-    "smote": {"k_neighbors": ("an integer",), "target_ratio": ("a number",)},
-    "forest": {
-        "n_trees": ("an integer",),
-        "mtry": ("an integer", "null"),  # null: floor(sqrt(p))
-        "max_depth": ("an integer", "null"),  # null: unlimited
-        "min_samples_leaf": ("an integer",),
-        "criterion": ("a string",),
-    },
-    "filter": {"methods": ("a list",), "top_k": ("an integer",)},
-}
-
-#: the dataclass each config section is read into; a key the section
-#: leaves out takes the dataclass default
-_SECTIONS = {"smote": SmoteConfig, "forest": ForestParams, "filter": FilterConfig}
+def _load_settings(args: argparse.Namespace) -> config.Settings:
+    return config.load_settings(args.config, vars(args))
 
 
-def _checked(doc, level: str) -> dict:
-    """`doc` once it is known to be an object holding only keys of config
-    `level`, each with one of its JSON types (a bool is no integer) and
-    every number finite."""
-    where = "config" if level == "config" else f"config {level}"
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    keys = _KEYS[level]
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-    for key, value in doc.items():
-        name = key if level == "config" else f"{level}.{key}"
-        types = tuple(t for kind in keys[key] for t in _JSON_TYPES[kind])
-        if isinstance(value, bool) or not isinstance(value, types):
-            expected = " or ".join(keys[key])
-            raise ValueError(f"config {name} must be {expected}, got {json.dumps(value)}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"config {name} must be finite, got {value!r}")
-    return doc
-
-
-@dataclass(frozen=True)
-class Settings:
-    """Everything a subcommand might need, merged from config and flags.
-    `pipeline.target_name` is empty when no target is set."""
-
-    pipeline: PipelineConfig
-    filter: FilterConfig
-    positive_label: Optional[str] = None
-    roles: dict[str, str] = field(default_factory=dict)
-    recommendation_threshold: Optional[float] = None
-
-
-def _load_settings(args: argparse.Namespace) -> Settings:
-    doc: dict = {}
-    if args.config is not None:
-        doc = _checked(read_json(args.config, "config"), "config")
-    for name, cls in _SECTIONS.items():
-        if doc.get(name, {}) is not None:  # "smote": null stays None
-            doc[name] = cls(**_checked(doc.get(name, {}), name))
-    for name, role in doc.get("roles", {}).items():
-        if role not in ROLES:
-            raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
-    # a flag overrides the config key its dest names
-    doc.update((k, v) for k, v in vars(args).items() if k in _KEYS["config"] and v is not None)
-    pipeline = {f.name: doc.pop(f.name) for f in fields(PipelineConfig) if f.name in doc}
-    return Settings(PipelineConfig(target_name=doc.pop("target", None) or "", **pipeline), **doc)
-
-
-def _target(s: Settings) -> str:
-    if not s.pipeline.target_name:
-        raise ValueError("a target column is required (config 'target' or --target)")
-    return s.pipeline.target_name
-
-
-def _load_input(args: argparse.Namespace, s: Settings) -> Dataset:
+def _load_input(args: argparse.Namespace, s: config.Settings) -> Dataset:
     from .data_model import load_csv
 
-    return load_csv(args.input, _target(s), role_map=s.roles, positive_label=s.positive_label)
+    if not s.pipeline.target_name:
+        raise ValueError("a target column is required (config 'target' or --target)")
+    return load_csv(args.input, s.pipeline.target_name, role_map=s.roles, positive_label=s.positive_label)
 
 
 # --- the model file --------------------------------------------------------
@@ -156,7 +64,7 @@ def _load_bundle(path: str) -> model_file.Bundle:
     return bundle
 
 
-def _own_model(s: Settings, bundle: model_file.Bundle) -> model_file.Bundle:
+def _own_model(s: config.Settings, bundle: model_file.Bundle) -> model_file.Bundle:
     """`bundle`, once the config's target and positive label, where set,
     are known to be the model's own."""
     for key, given, own in (
@@ -166,50 +74,6 @@ def _own_model(s: Settings, bundle: model_file.Bundle) -> model_file.Bundle:
         if given is not None and given != own:
             raise ValueError(f"config {key} {given!r} differs from the model's {own!r}")
     return bundle
-
-
-# --- SVG hull plot -------------------------------------------------------
-
-_PLOT_SIZE = 600
-
-
-def render_hulls_svg(hull_imbalanced: np.ndarray, hull_balanced: np.ndarray) -> str:
-    """Both hulls (rows fpr, tpr, ...) as polylines in a square viewport.
-
-    A point maps to (fpr * _PLOT_SIZE, (1 - tpr) * _PLOT_SIZE) so (0,0)
-    sits bottom left and the perfect corner (fpr 0, tpr 1) top left.
-    """
-    w = h = _PLOT_SIZE
-
-    def poly(hull: np.ndarray) -> str:
-        xs, ys = (hull[:, 0] * w).tolist(), ((1 - hull[:, 1]) * h).tolist()
-        return " ".join(f"{x!r},{y!r}" for x, y in zip(xs, ys))
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-80 -30 {w + 170} {h + 110}"'
-        ' font-family="sans-serif" font-size="14">',
-        f'<rect x="0" y="0" width="{w}" height="{h}" fill="none" stroke="#444"/>',
-        f'<line x1="0" y1="{h}" x2="{w}" y2="0" stroke="#bbb" stroke-dasharray="6 4"/>',
-    ]
-    for i in range(6):
-        t = i / 5
-        x, y, label = t * w, (1 - t) * h, f"{t:g}"
-        lines.append(f'<line x1="{x!r}" y1="{h}" x2="{x!r}" y2="{h + 6}" stroke="#444"/>')
-        lines.append(f'<text x="{x!r}" y="{h + 24}" text-anchor="middle">{label}</text>')
-        lines.append(f'<line x1="-6" y1="{y!r}" x2="0" y2="{y!r}" stroke="#444"/>')
-        lines.append(f'<text x="-12" y="{y + 5!r}" text-anchor="end">{label}</text>')
-    lines.append(f'<text x="{w / 2!r}" y="{h + 56}" text-anchor="middle">false positive rate</text>')
-    lines.append(f'<text x="{-h / 2!r}" y="-48" transform="rotate(-90)" text-anchor="middle">true positive rate</text>')
-    legend, legend_y = [], h + 84
-    for arm, hull, colour, x, text in (
-        ("imbalanced", hull_imbalanced, "#767676", 0, "imbalanced"),
-        ("balanced", hull_balanced, "#c0392b", 160, "balanced (oversampled)"),
-    ):
-        pen = f'stroke="{colour}" stroke-width="2"'
-        lines.append(f'<polyline id="hull-{arm}" fill="none" {pen} points="{poly(hull)}"/>')
-        legend.append(f'<line x1="{x}" y1="{legend_y}" x2="{x + 28}" y2="{legend_y}" {pen}/>')
-        legend.append(f'<text x="{x + 34}" y="{legend_y + 5}">{text}</text>')
-    return "\n".join(lines + legend + ["</svg>"]) + "\n"
 
 
 # --- subcommands ----------------------------------------------------------
@@ -263,18 +127,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{args.input}: target values {list(d.target_levels)} differ from the model's "
             f"{list(bundle.target_levels)}"
         )
-    conf, analysis = evaluation.judge(forest.predict_proba_many(bundle.model, d.X), d.y)
-    tp, fp, tn, fn = conf
-    doc = {
-        "format_version": 1,
-        "n_rows": d.n_rows,
-        "accuracy": evaluation.accuracy(conf),
-        "precision": evaluation.precision(conf),
-        "recall": evaluation.recall(conf),
-        "auc": analysis.auc,
-        "auch": analysis.auch,
-        "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
-    }
+    doc = evaluation.evaluation_to_dict(*evaluation.judge(forest.predict_proba_many(bundle.model, d.X), d.y))
     out = args.out_dir / "evaluation.json"
     _write_atomic(out, _dump_json(doc))
     print(
@@ -292,26 +145,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = recommender.run_pipeline(_load_input(args, s), cfg)
     row = report.rows[0]
     out_dir = args.out_dir
-    report_doc = {
-        "format_version": 1,
-        "target": cfg.target_name,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "comparison": {
-            "hull_verdict": row.hull_verdict,
-            "auc_delta": row.auc_delta,
-            "accuracy_delta": row.accuracy_delta,
-            "entropy_delta": row.entropy_delta,
-        },
-        "report": evaluation.report_to_dict(report),
-    }
-    _write_atomic(out_dir / "report.json", _dump_json(report_doc))
+    _write_atomic(out_dir / "report.json", _dump_json(evaluation.report_to_dict(report, cfg)))
     for arm in ("imbalanced", "balanced"):
         _write_atomic(out_dir / f"roc_{arm}.csv", evaluation.roc_analysis_to_csv(getattr(row, arm).roc))
-    _write_atomic(
-        out_dir / "roc_hulls.svg",
-        render_hulls_svg(row.imbalanced.roc.hull, row.balanced.roc.hull),
-    )
+    _write_atomic(out_dir / "roc_hulls.svg", evaluation.render_hulls_svg(row.imbalanced.roc.hull, row.balanced.roc.hull))
     print(
         f"run complete ({cfg.mode} mode): auc {row.imbalanced.roc.auc:.4f} -> "
         f"{row.balanced.roc.auc:.4f}, hull verdict {row.hull_verdict}; wrote report.json, "
@@ -364,28 +201,14 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
     if unknown:
         raise ValueError(f"scores file {args.scores}: feature(s) not in the model with that role: {', '.join(unknown)}")
-    row_doc = read_json(args.row, "context row")
-    if not isinstance(row_doc, dict) or not all(
-        isinstance(v, str) for v in row_doc.values()
-    ):
-        raise ValueError("context row must be a JSON object of feature -> level string")
-    values = []
-    for f in bundle.schema:
-        if f.name not in row_doc:
-            raise ValueError(f"context row lacks feature {f.name!r}")
-        values.append(f.encode(row_doc[f.name]))
-    extra = sorted(set(row_doc) - set(roles))
-    if extra:
-        raise ValueError(f"context row has unknown feature(s): {', '.join(extra)}")
-    proba = model_file.vote_share(bundle.forest, values)
-    prediction = scores.Prediction(label=bundle.target_name, probability=proba)
+    share = model_file.vote_share(bundle.forest, bundle.code_row(read_json(args.row, "context row")))
+    prediction = scores.Prediction(label=bundle.target_name, probability=share)
     rs = scores.form_recommendations(table, prediction, float(s.recommendation_threshold))
-    doc = {"format_version": 1, **scores.recommendation_set_to_dict(rs)}
     out = args.out_dir / "recommendations.json"
-    _write_atomic(out, _dump_json(doc))
+    _write_atomic(out, _dump_json(scores.recommendation_set_to_dict(rs)))
 
-    use = "use" if proba >= CUTOFF else "do not use"
-    print(f"prediction: {use} {bundle.target_name} (probability {proba:.3f})")
+    use = "use" if share >= CUTOFF else "do not use"
+    print(f"prediction: {use} {bundle.target_name} (vote share {share:.3f})")
     if rs.collaborative:
         print("also consider (technique features above threshold):")
         for e in rs.collaborative:
@@ -407,7 +230,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags it reads. A flag whose dest is
-    a config key overrides that key (see `_load_settings`)."""
+    a config key overrides that key (see `config.load_settings`)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out-dir", type=Path, default=".", help="output directory (default: .)")

@@ -1,16 +1,21 @@
-"""Names and settings shared by every layer, in plain Python.
+"""Names and settings shared by every layer, and the config file, in plain Python.
 
 The feature roles, the filter methods, the pipeline modes, the
 positive-class cut-off, a feature's schema and the four settings records
-that a config file fills. Nothing here imports numpy, so a command that
-needs no arrays (`recommend`, `--help`) starts without it.
+that a config file fills. `load_settings` reads the config file (keys
+`_KEYS`), refusing an unknown key, a wrong type or a non-finite number,
+and merges a command's flags into it. Nothing here imports numpy, so a
+command that needs no arrays (`recommend`, `--help`) starts without it.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Mapping, Optional
+
+from .files import read_json
 
 ROLE_CONTEXT = "context"
 ROLE_TECHNIQUE = "technique"
@@ -57,6 +62,17 @@ class FeatureSchema:
             raise ValueError(
                 f"unknown level {value!r} for feature {self.name!r}"
             ) from None
+
+
+def distinct_schema(features: Iterable[FeatureSchema]) -> tuple[FeatureSchema, ...]:
+    """`features` as a tuple, once no two of them share a name: a schema
+    that named one column twice would read it as two features."""
+    schema = tuple(features)
+    names = [f.name for f in schema]
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise ValueError(f"feature {dup!r} appears more than once in the schema")
+    return schema
 
 
 @dataclass(frozen=True)
@@ -138,3 +154,96 @@ class PipelineConfig:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+
+#: JSON types by the name a config error gives them
+_JSON_TYPES = {
+    "an integer": (int,),
+    "a number": (int, float),
+    "a string": (str,),
+    "a list": (list,),
+    "an object": (dict,),
+    "null": (type(None),),
+}
+
+#: every key of each config level and the JSON types it accepts; null is
+#: accepted only where it means something
+_KEYS = {
+    "config": {
+        "target": ("a string", "null"),
+        "positive_label": ("a string", "null"),
+        "roles": ("an object",),
+        "mode": ("a string",),
+        "test_fraction": ("a number",),
+        "seed": ("an integer",),
+        "smote": ("an object", "null"),  # null turns balancing off
+        "forest": ("an object",),
+        "filter": ("an object",),
+        "recommendation_threshold": ("a number", "null"),
+    },
+    "smote": {"k_neighbors": ("an integer",), "target_ratio": ("a number",)},
+    "forest": {
+        "n_trees": ("an integer",),
+        "mtry": ("an integer", "null"),  # null: floor(sqrt(p))
+        "max_depth": ("an integer", "null"),  # null: unlimited
+        "min_samples_leaf": ("an integer",),
+        "criterion": ("a string",),
+    },
+    "filter": {"methods": ("a list",), "top_k": ("an integer",)},
+}
+
+#: the dataclass each config section is read into; a key the section
+#: leaves out takes the dataclass default
+_SECTIONS = {"smote": SmoteConfig, "forest": ForestParams, "filter": FilterConfig}
+
+
+def _checked(doc, level: str) -> dict:
+    """`doc` once it is known to be an object holding only keys of config
+    `level`, each with one of its JSON types (a bool is no integer) and
+    every number finite."""
+    where = "config" if level == "config" else f"config {level}"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    keys = _KEYS[level]
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    for key, value in doc.items():
+        name = key if level == "config" else f"{level}.{key}"
+        types = tuple(t for kind in keys[key] for t in _JSON_TYPES[kind])
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(keys[key])
+            raise ValueError(f"config {name} must be {expected}, got {json.dumps(value)}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config {name} must be finite, got {value!r}")
+    return doc
+
+
+@dataclass(frozen=True)
+class Settings:
+    """Everything a subcommand might need, merged from config and flags.
+    `pipeline.target_name` is empty when no target is set."""
+
+    pipeline: PipelineConfig
+    filter: FilterConfig
+    positive_label: Optional[str] = None
+    roles: dict[str, str] = field(default_factory=dict)
+    recommendation_threshold: Optional[float] = None
+
+
+def load_settings(path: Optional[str], flags: Mapping[str, object]) -> Settings:
+    """The settings of the config file at `path` (none: every default),
+    with each of `flags` that names a top-level config key and is not
+    None overriding that key; other flags are ignored."""
+    doc: dict = {}
+    if path is not None:
+        doc = _checked(read_json(path, "config"), "config")
+    for name, cls in _SECTIONS.items():
+        if doc.get(name, {}) is not None:  # "smote": null stays None
+            doc[name] = cls(**_checked(doc.get(name, {}), name))
+    for name, role in doc.get("roles", {}).items():
+        if role not in ROLES:
+            raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
+    doc.update((k, v) for k, v in flags.items() if k in _KEYS["config"] and v is not None)
+    pipeline = {f.name: doc.pop(f.name) for f in fields(PipelineConfig) if f.name in doc}
+    return Settings(PipelineConfig(target_name=doc.pop("target", None) or "", **pipeline), **doc)

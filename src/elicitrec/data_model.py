@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, FeatureSchema
+from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, FeatureSchema, distinct_schema
 from .files import write_atomic
 
 #: Reserved CSV column carrying row provenance ("1" = synthetic).
@@ -89,7 +89,7 @@ class Dataset:
         syn = _frozen_array(
             np.zeros(len(y), dtype=bool) if syn is None else syn, bool
         )
-        object.__setattr__(self, "schema", tuple(self.schema))
+        object.__setattr__(self, "schema", distinct_schema(self.schema))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "synthetic", syn)
@@ -201,22 +201,21 @@ def load_csv(
     # one pass over the columns in file order fills X; its errors are
     # raised after the target's and the header's
     names = list(col_of) if schema is None else [f.name for f in schema]
-    ks_of = {}  # the X columns of each file column
-    for k, name in enumerate(names):
-        if name in col_of:
-            ks_of.setdefault(col_of[name], []).append(k)
+    # the X column of each file column; names are distinct (a schema with
+    # a name twice leaves a column unfilled, which `Dataset` refuses)
+    k_of = {col_of[name]: k for k, name in enumerate(names) if name in col_of}
     X = np.empty((n_rows, len(names)), dtype=np.int64)
     levels_of, unknown = {}, {}  # by X column: the file's levels, its first unknown level
     other = {}  # the target and provenance columns
-    js = sorted([*ks_of, target_idx] + ([] if prov_idx is None else [prov_idx]))
+    js = sorted([*k_of, target_idx] + ([] if prov_idx is None else [prov_idx]))
     for j, (levels, codes) in zip(js, read_columns(js)):
-        if j not in ks_of:
+        k = k_of.get(j)
+        if k is None:
             other[j] = levels, codes
-        for k in ks_of.get(j, ()):
-            if schema is None:
-                levels_of[k] = levels
-                X[:, k] = codes
-                continue
+        elif schema is None:
+            levels_of[k] = levels
+            X[:, k] = codes
+        else:
             code_of = {v: c for c, v in enumerate(schema[k].levels)}
             known = [code_of.get(v, -1) for v in levels]
             if -1 in known:

@@ -11,6 +11,10 @@ high everywhere and strictly higher somewhere).
 
 `judge` is the one place a fitted model's test scores become confusion
 counts (at `CUTOFF`) and a ROC analysis.
+
+The files of `evaluate` and `run` are laid out here: `evaluation_to_dict`
+(evaluation.json), `report_to_dict` (report.json),
+`roc_analysis_to_csv` (a ROC CSV) and `render_hulls_svg` (roc_hulls.svg).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import CUTOFF
+from .config import CUTOFF, PipelineConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,13 +344,21 @@ def t_test_to_dict(r: Optional[TTestResult]) -> Optional[dict]:
     return {"t": t, "df": r.df, "p_two_tailed": r.p_two_tailed, "mean_diff": r.mean_diff}
 
 
+def metrics_to_dict(conf: tuple[int, int, int, int], analysis: RocAnalysis) -> dict:
+    """The metric fields of (tp, fp, tn, fn) counts and their ROC analysis."""
+    return {"accuracy": accuracy(conf), "precision": precision(conf), "recall": recall(conf),
+            "auc": analysis.auc, "auch": analysis.auch}
+
+
+def evaluation_to_dict(conf: tuple[int, int, int, int], analysis: RocAnalysis) -> dict:
+    """The evaluation.json document of `judge`'s two results."""
+    return {"format_version": 1, "n_rows": sum(conf), **metrics_to_dict(conf, analysis),
+            "confusion": dict(zip(("tp", "fp", "tn", "fn"), conf))}
+
+
 def _arm_to_dict(m: ArmMetrics) -> dict:
     return {
-        "accuracy": m.accuracy,
-        "auc": m.roc.auc,
-        "auch": m.roc.auch,
-        "precision": m.precision,
-        "recall": m.recall,
+        **metrics_to_dict(m.confusion, m.roc),
         "mean_split_entropy": m.mean_split_entropy,
         "n_train": m.n_train,
         "n_test": m.n_test,
@@ -354,9 +366,11 @@ def _arm_to_dict(m: ArmMetrics) -> dict:
     }
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    """JSON-ready structure: per-label metric rows for both arms, rounded
-    whole-percent improvement columns, and the two t-test blocks."""
+def report_to_dict(report: EvaluationReport, cfg: PipelineConfig) -> dict:
+    """The report.json document: the target, mode and seed of `cfg`, the
+    first row's comparison of its arms, and a `report` block of per-label
+    metric rows for both arms, with rounded whole-percent improvement
+    columns, and the two t-test blocks."""
     rows = []
     for row in report.rows:
         rows.append(
@@ -368,9 +382,17 @@ def report_to_dict(report: EvaluationReport) -> dict:
                 "auc_improvement_pct": _round_pct(row.auc_improvement_pct),
             }
         )
+    comparison = ("hull_verdict", "auc_delta", "accuracy_delta", "entropy_delta")
     return {
-        "rows": rows,
-        "t_tests": {name: t_test_to_dict(r) for name, r in sorted(report.t_tests.items())},
+        "format_version": 1,
+        "target": cfg.target_name,
+        "mode": cfg.mode,
+        "seed": cfg.seed,
+        "comparison": {name: getattr(report.rows[0], name) for name in comparison},
+        "report": {
+            "rows": rows,
+            "t_tests": {name: t_test_to_dict(r) for name, r in sorted(report.t_tests.items())},
+        },
     }
 
 
@@ -386,3 +408,45 @@ def roc_analysis_to_csv(analysis: RocAnalysis) -> str:
     for (fpr, tpr, threshold), flag in zip(analysis.curve.tolist(), analysis.on_hull.tolist()):
         lines.append(f"{fpr!r},{tpr!r},{threshold!r},{'true' if flag else 'false'}")
     return "\n".join(lines) + "\n"
+
+
+_PLOT_SIZE = 600
+
+
+def render_hulls_svg(hull_imbalanced: np.ndarray, hull_balanced: np.ndarray) -> str:
+    """Both hulls (rows fpr, tpr, ...) as polylines in a square viewport.
+
+    A point maps to (fpr * _PLOT_SIZE, (1 - tpr) * _PLOT_SIZE) so (0,0)
+    sits bottom left and the perfect corner (fpr 0, tpr 1) top left.
+    """
+    w = h = _PLOT_SIZE
+
+    def poly(hull: np.ndarray) -> str:
+        xs, ys = (hull[:, 0] * w).tolist(), ((1 - hull[:, 1]) * h).tolist()
+        return " ".join(f"{x!r},{y!r}" for x, y in zip(xs, ys))
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-80 -30 {w + 170} {h + 110}"'
+        ' font-family="sans-serif" font-size="14">',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="none" stroke="#444"/>',
+        f'<line x1="0" y1="{h}" x2="{w}" y2="0" stroke="#bbb" stroke-dasharray="6 4"/>',
+    ]
+    for i in range(6):
+        t = i / 5
+        x, y, label = t * w, (1 - t) * h, f"{t:g}"
+        lines.append(f'<line x1="{x!r}" y1="{h}" x2="{x!r}" y2="{h + 6}" stroke="#444"/>')
+        lines.append(f'<text x="{x!r}" y="{h + 24}" text-anchor="middle">{label}</text>')
+        lines.append(f'<line x1="-6" y1="{y!r}" x2="0" y2="{y!r}" stroke="#444"/>')
+        lines.append(f'<text x="-12" y="{y + 5!r}" text-anchor="end">{label}</text>')
+    lines.append(f'<text x="{w / 2!r}" y="{h + 56}" text-anchor="middle">false positive rate</text>')
+    lines.append(f'<text x="{-h / 2!r}" y="-48" transform="rotate(-90)" text-anchor="middle">true positive rate</text>')
+    legend, legend_y = [], h + 84
+    for arm, hull, colour, x, text in (
+        ("imbalanced", hull_imbalanced, "#767676", 0, "imbalanced"),
+        ("balanced", hull_balanced, "#c0392b", 160, "balanced (oversampled)"),
+    ):
+        pen = f'stroke="{colour}" stroke-width="2"'
+        lines.append(f'<polyline id="hull-{arm}" fill="none" {pen} points="{poly(hull)}"/>')
+        legend.append(f'<line x1="{x}" y1="{legend_y}" x2="{x + 28}" y2="{legend_y}" {pen}/>')
+        legend.append(f'<text x="{x + 34}" y="{legend_y + 5}">{text}</text>')
+    return "\n".join(lines + legend + ["</svg>"]) + "\n"

@@ -435,5 +435,5 @@ def _checked_model(doc: dict) -> RandomForestModel:
     return RandomForestModel(
         **{f: np.concatenate([np.asarray(t[f], dtype=dt) for t in trees]) for f, dt in NODE_FIELDS.items()},
         offsets=np.cumsum([0] + [len(t["feature"]) for t in trees]),
-        mtry=doc["mtry"], criterion=str(doc["criterion"]), seed=doc["seed"],
+        mtry=doc["mtry"], criterion=doc["criterion"], seed=doc["seed"],
     )

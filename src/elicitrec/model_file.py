@@ -9,8 +9,9 @@
 
 `pieces` streams the file a tree at a time and `model_to_dict` builds it
 as one object, both from `_tree_lists`. `load` reads a file into a checked
-`Bundle` (`check_bundle`, `check_forest`), and `vote_share` scores one
-row on its node lists. Nothing here imports numpy, so `recommend` reads
+`Bundle` (`check_bundle`, `check_forest`), `Bundle.code_row` checks a
+context row against the schema and codes it, and `vote_share` scores the
+codes on the node lists. Nothing here imports numpy, so `recommend` reads
 its model and scores its row without it.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .config import FeatureSchema
+from .config import CRITERIA, FeatureSchema, distinct_schema
 from .files import dump_json, read_json
 
 MODEL_FORMAT_VERSION = 2
@@ -113,7 +114,7 @@ def check_forest(doc: dict) -> list[dict]:
     ValueError otherwise. `n_trees`, `mtry`, `seed` and the node lists
     `feature`, `left`, `right`, `n0` and `n1` must hold JSON integers,
     `threshold` and `split_entropy` finite JSON numbers; a bool is
-    neither."""
+    neither. `mtry` must be at least 1 and `criterion` one of `CRITERIA`."""
     version = doc.get("format_version")
     if version == 1:
         raise ValueError("model format_version 1 is no longer read; retrain with `elicitrec train`")
@@ -124,6 +125,10 @@ def check_forest(doc: dict) -> list[dict]:
         raise ValueError(f"model lacks {missing[0]!r}")
     if not all(type(doc[k]) is int for k in ("n_trees", "mtry", "seed")):
         raise ValueError("model n_trees, mtry and seed must be integers")
+    if doc["mtry"] < 1:
+        raise ValueError(f"model mtry must be at least 1, got {doc['mtry']}")
+    if doc["criterion"] not in CRITERIA:
+        raise ValueError(f"model criterion must be one of {CRITERIA}, got {doc['criterion']!r}")
     trees = doc["trees"]
     if not isinstance(trees, list) or not trees or len(trees) != doc["n_trees"]:
         raise ValueError("model trees must be a list of n_trees (at least 1) trees")
@@ -149,12 +154,28 @@ class Bundle:
 
         return _checked_model(self.forest)
 
+    def code_row(self, row) -> list[int]:
+        """The codes, in schema order, of context row `row`: a JSON object
+        that maps every feature of the schema, and nothing else, to one of
+        its levels."""
+        if not isinstance(row, dict) or not all(isinstance(v, str) for v in row.values()):
+            raise ValueError("context row must be a JSON object of feature -> level string")
+        codes = []
+        for f in self.schema:
+            if f.name not in row:
+                raise ValueError(f"context row lacks feature {f.name!r}")
+            codes.append(f.encode(row[f.name]))
+        extra = sorted(set(row) - {f.name for f in self.schema})
+        if extra:
+            raise ValueError(f"context row has unknown feature(s): {', '.join(extra)}")
+        return codes
+
 
 def check_bundle(doc) -> Bundle:
     """The model file document `doc`, once `check_forest` passes it, its
-    schema entries are well formed, it has two target levels, and every
-    tree splits only on features of its schema; raises ValueError
-    otherwise."""
+    schema entries are well formed with distinct names, its target name is
+    a string and its target levels two distinct strings, and every tree
+    splits only on features of its schema; raises ValueError otherwise."""
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     for key in ("schema", "target_name", "target_levels"):
@@ -167,19 +188,16 @@ def check_bundle(doc) -> Bundle:
     for name, _, levels in entries:
         if not isinstance(levels, list) or not all(isinstance(v, str) for v in [name, *levels]):
             raise ValueError(f"model schema entry {name!r}: name must be a string, levels a list of strings")
-    schema = tuple(FeatureSchema(name, role, tuple(levels)) for name, role, levels in entries)
-    levels = doc["target_levels"]
+    schema = distinct_schema(FeatureSchema(name, role, tuple(levels)) for name, role, levels in entries)
+    target, levels = doc["target_name"], doc["target_levels"]
     if not isinstance(levels, list) or len(levels) != 2:
         raise ValueError("model target_levels must list exactly two values")
+    if not all(isinstance(v, str) for v in [target, *levels]) or levels[0] == levels[1]:
+        raise ValueError("model target_name must be a string and target_levels two distinct strings")
     trees = check_forest(doc)
     if min(min(t["feature"]) for t in trees) < -1 or max(max(t["feature"]) for t in trees) >= len(schema):
         raise ValueError(f"model has a feature index outside its {len(schema)}-feature schema")
-    return Bundle(
-        forest=doc,
-        schema=schema,
-        target_name=str(doc["target_name"]),
-        target_levels=(str(levels[0]), str(levels[1])),
-    )
+    return Bundle(forest=doc, schema=schema, target_name=target, target_levels=tuple(levels))
 
 
 def load(path: str) -> Bundle:
@@ -188,7 +206,7 @@ def load(path: str) -> Bundle:
 
 
 def vote_share(forest: dict, row: Sequence[int]) -> float:
-    """The positive-class probability of one row of codes: the mean over
+    """The vote share of one row of codes (`Bundle.code_row`): the mean over
     the trees of the checked forest document `forest` of the leaf fraction
     n1 / (n0 + n1) that the row reaches. Like `forest.predict_proba_many`,
     it adds the fractions tree by tree and then divides by the tree count,

@@ -2,9 +2,10 @@
 
 A `FeatureScoreTable` is one filter method's scores, one `ScoreEntry` per
 feature, as `score` writes it to `scores_<method>.csv` and `recommend`
-reads it back. `form_recommendations` splits the features that score
-above a threshold by role. Nothing here imports numpy; `feature_scoring`
-and `recommender` re-export these names.
+reads it back (`table_to_csv`, `table_from_csv`). `form_recommendations`
+splits the features that score above a threshold by role, and
+`recommendation_set_to_dict` lays the result out as `recommend`'s
+recommendations.json. Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -109,13 +110,14 @@ def form_recommendations(
 
 
 def recommendation_set_to_dict(rs: RecommendationSet) -> dict:
-    """JSON-ready structure; an infinite score (AnovaF with zero
-    within-class variance) is written as the string "inf"."""
+    """The recommendations.json document; an infinite score (AnovaF with
+    zero within-class variance) is written as the string "inf"."""
 
     def entry(e: ScoreEntry) -> dict:
         return {"feature": e.feature_name, "score": e.score if math.isfinite(e.score) else repr(e.score)}
 
     return {
+        "format_version": 1,
         "predicted": {"label": rs.predicted.label, "probability": rs.predicted.probability},
         "threshold": rs.threshold,
         "collaborative": [entry(e) for e in rs.collaborative],

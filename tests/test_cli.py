@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicitrec import cli, feature_scoring, forest, model_file, recommender
-from elicitrec.cli import main, render_hulls_svg
+from elicitrec import cli, config, feature_scoring, forest, model_file, recommender
+from elicitrec.cli import main
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
     SyntheticSpec,
@@ -22,6 +22,7 @@ from elicitrec.data_model import (
     load_csv,
     write_csv,
 )
+from elicitrec.evaluation import render_hulls_svg
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +251,20 @@ MALFORMED_MODELS = {
     "header_bools": (
         lambda doc, tree: doc.update(n_trees=True, mtry=True, trees=doc["trees"][:1]),
         "n_trees, mtry and seed must be integers",
+    ),
+    "target_name_not_a_string": (lambda doc, tree: doc.update(target_name=7), "target_name must be a string"),
+    "target_levels_not_strings": (
+        lambda doc, tree: doc.update(target_levels=[0, [1]]),
+        "target_levels two distinct strings",
+    ),
+    "target_levels_equal": (lambda doc, tree: doc.update(target_levels=["1", "1"]), "two distinct strings"),
+    "criterion_a_number": (lambda doc, tree: doc.update(criterion=7), "model criterion must be one of"),
+    "criterion_a_list": (lambda doc, tree: doc.update(criterion=["x"]), "model criterion must be one of"),
+    "mtry_negative": (lambda doc, tree: doc.update(mtry=-3), "model mtry must be at least 1"),
+    # two schema entries of one name would read one file column twice
+    "duplicate_feature_name": (
+        lambda doc, tree: doc["schema"][1].update(name=doc["schema"][0]["name"]),
+        "feature 'ctx00' appears more than once in the schema",
     ),
 }
 
@@ -547,6 +562,7 @@ ALL_COMMANDS_SCRIPT = """
 import json, sys
 from pathlib import Path
 from elicitrec.cli import main
+from elicitrec.evaluation import render_hulls_svg
 from elicitrec.data_model import SyntheticSpec, generate_synthetic, write_csv
 
 tmp = Path(sys.argv[1])
@@ -1073,9 +1089,9 @@ class TestReadmeConfigBlock:
 
     def test_block_names_every_key(self, block):
         doc = json.loads(block)
-        assert set(doc) == set(cli._KEYS["config"])
-        for level in cli._KEYS.keys() - {"config"}:
-            assert set(doc[level]) == set(cli._KEYS[level]), level
+        assert set(doc) == set(config._KEYS["config"])
+        for level in config._KEYS.keys() - {"config"}:
+            assert set(doc[level]) == set(config._KEYS[level]), level
 
     def test_block_loads_with_the_defaults(self, tmp_path, block):
         # mode, test_fraction, seed, smote and forest make up the pipeline

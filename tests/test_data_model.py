@@ -178,14 +178,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="green"):
             load_csv(write(tmp_path, text, "other.csv"), "target", schema=d1.schema)
 
-    def test_schema_naming_a_column_twice_codes_it_twice(self, tmp_path):
+    def test_schema_naming_a_column_twice_is_refused(self, tmp_path):
+        # one file column must not feed two X columns: a model's trees
+        # would read the second as a feature of its own
         schema = (
             FeatureSchema("color", ROLE_CONTEXT, ("red", "blue")),
             FeatureSchema("color", ROLE_CONTEXT, ("blue", "red")),
             FeatureSchema("size", ROLE_CONTEXT, ("small", "large")),
         )
-        d = load_csv(write(tmp_path, BASIC), "target", schema=schema)
-        assert d.X.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 1]]
+        with pytest.raises(ValueError, match="'color' appears more than once"):
+            load_csv(write(tmp_path, BASIC), "target", schema=schema)
 
     def test_schema_reuse_missing_column(self, tmp_path):
         d1 = load_csv(write(tmp_path, BASIC), "target")
@@ -254,6 +256,13 @@ class TestDatasetValidation:
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):
             make_dataset([[0], [1]], [0, 2])
+
+    def test_rejects_duplicate_feature_names(self):
+        with pytest.raises(ValueError, match="'f0' appears more than once"):
+            make_dataset([[0, 1], [1, 0]], [0, 1], names=["f0", "f0"])
+        d = make_dataset([[0, 1], [1, 0]], [0, 1])
+        with pytest.raises(ValueError, match="appears more than once"):
+            select_features(d, [d.feature_names[0]] * 2)
 
     def test_arrays_read_only(self):
         d = make_dataset([[0], [1]], [0, 1])

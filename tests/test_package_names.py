@@ -69,3 +69,21 @@ def test_every_sibling_import_is_read_where_it_is_imported():
                     if (alias.asname or alias.name) not in read:
                         unread.append(f"{path.stem}: {alias.asname or alias.name} from .{node.module or ''}")
     assert unread == []
+
+
+def test_cli_owns_no_file_format():
+    # the modules whose data a file describes lay it out: cli builds no
+    # JSON document, draws no SVG and declares no config key
+    tree = _parse(ROOT / "src" / "elicitrec" / "cli.py")
+    owned = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and (node.value in ("format_version", "comparison", "confusion") or "<svg" in node.value)
+    ]
+    tables = [
+        name
+        for name, node in _definitions(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, (ast.Dict, ast.DictComp))
+    ]
+    assert owned == [] and tables == []

@@ -42,9 +42,11 @@ def config(**kw):
 
 
 def report_text(rep):
-    """Everything a report holds, as text: its JSON form plus each arm's ROC CSV."""
+    """Everything a report holds, as text: its JSON form plus each arm's ROC CSV.
+    The header takes one fixed config, so two texts differ only where the
+    reports do."""
     csvs = [roc_analysis_to_csv(arm.roc) for row in rep.rows for arm in (row.imbalanced, row.balanced)]
-    return json.dumps(report_to_dict(rep), sort_keys=True) + "".join(csvs)
+    return json.dumps(report_to_dict(rep, config()), sort_keys=True) + "".join(csvs)
 
 
 class TestConfigValidation:
