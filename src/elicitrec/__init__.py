@@ -1,9 +1,10 @@
 """Toolkit for recommending requirements-elicitation techniques.
 
 A supervised pipeline over categorical project-context data: minority
-oversampling (SMOTE), a from-scratch random forest with per-split entropy
-instrumentation, ROC convex-hull model comparison, filter-based feature
-scoring, and threshold-based technique recommendations.
+oversampling (SMOTE), a from-scratch random forest with the mean split
+entropy of each forest, from its trees' class counts, ROC convex-hull
+model comparison, filter-based feature scoring, and threshold-based
+technique recommendations.
 
 The names of `__all__` load on first use (PEP 562), each from the module
 that defines it, so `import elicitrec` and the numpy-free names

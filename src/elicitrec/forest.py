@@ -4,9 +4,12 @@ Splits are threshold tests on ordinal codes: rows with code <= threshold go
 left. A candidate's quality is the child-size-weighted sum of child
 impurities (gini or entropy); the grower picks the candidate minimizing it,
 breaking ties toward the lower feature index, then the lower threshold.
-Every internal node also records the entropy-measured quality of its chosen
-split (regardless of the training criterion) so the forest's mean split
-entropy can be compared between imbalanced and balanced training sets.
+A threshold is the floor of the midpoint of the two adjacent codes present
+in the node that it separates.
+`mean_split_entropy` recomputes every split's quality as entropy (whatever
+the training criterion) from its children's class counts, so the forest's
+mean split entropy can be compared between imbalanced and balanced
+training sets.
 
 All trees grow together, breadth-first: per level, one `bincount` builds
 the (node, drawn feature, code, class) histogram of the whole frontier, in
@@ -20,10 +23,11 @@ weighted by its count, and the histogram sums those weights. Splits and
 the stored class counts depend only on the weighted counts, so the trees
 are the ones that growing on every bootstrap entry would give.
 
-A tree is a set of parallel node arrays (`NODE_FIELDS`) in breadth-first
-order. An internal node's `left` and `right` children are tree-local indices
-after its own; a leaf has `feature`, `left` and `right` -1. `n0`/`n1` count
-the training rows of each class that reached the node.
+A tree is a set of parallel int64 node arrays (`NODE_FIELDS`) in
+breadth-first order. An internal node's `left` and `right` children are
+tree-local indices after its own; a leaf has `feature`, `left` and `right`
+-1 and `threshold` 0. `n0`/`n1` count the training rows of each class that
+reached the node.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .config import ForestParams
 from .data_model import Dataset
-from .model_file import NODE_KINDS, check_forest
+from .model_file import NODE_FIELDS, check_forest
 
 
 def _fractions(counts):
@@ -70,10 +74,6 @@ def _quality(sides, criterion: str):
     return w[0] * impurity[0] + w[1] * impurity[1]
 
 
-#: the node arrays of a tree, with their dtypes
-NODE_FIELDS = {f: np.int64 if kind is int else np.float64 for f, kind in NODE_KINDS.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class RandomForestModel:
     """Every tree's node arrays, concatenated; tree t holds the nodes
@@ -85,7 +85,6 @@ class RandomForestModel:
     right: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
-    split_entropy: np.ndarray
     offsets: np.ndarray
     mtry: int
     criterion: str
@@ -140,9 +139,9 @@ def _best_splits(codes, rows, weight, size, feats, width, counts, criterion, min
     ascending); slot s has `width[c, s]` code cells, and `counts[:, c]`
     are its sample rows per class. Returns the nodes that split and, for
     each, the slot, threshold and rows per class going left. A threshold
-    lies between two codes present in the node that leave `min_child`
-    rows on each side; of those within `_TIE` of a node's minimum quality
-    the first wins."""
+    is the floored midpoint of two adjacent codes present in the node that
+    leave `min_child` rows on each side; of those within `_TIE` of a
+    node's minimum quality the first wins."""
     k = feats.shape[1]
     end = width.ravel().cumsum()  # one past the last cell of each (node, slot) block
     start = end - width.ravel()
@@ -176,7 +175,7 @@ def _best_splits(codes, rows, weight, size, feats, width, counts, criterion, min
         ok = np.flatnonzero((sides.sum(axis=1) >= min_child).all(axis=0))
         j, block, c, sides = j[ok], block[ok], c[ok], sides[:, :, ok]
     if not j.size:
-        return c, c, np.zeros(0), np.zeros((2, 0), dtype=np.int64)
+        return c, c, c, np.zeros((2, 0), dtype=np.int64)
     q = _quality(sides, criterion)
     new = np.empty(j.size, dtype=bool)  # each node's first candidate
     new[0] = True
@@ -185,7 +184,7 @@ def _best_splits(codes, rows, weight, size, feats, width, counts, criterion, min
     q_min = np.minimum.reduceat(q, first)[new.cumsum() - 1]
     best = np.minimum.reduceat(np.where(q <= q_min + _TIE, np.arange(j.size), j.size), first)
     j, b = j[best], block[best]
-    threshold = (present[j] + present[j + 1] - 2 * start[b]) / 2.0
+    threshold = (present[j] + present[j + 1] - 2 * start[b]) // 2
     return c[best], b % k, threshold, sides[0].take(best, axis=1).astype(np.int64)
 
 
@@ -322,23 +321,19 @@ def grow_forest(X, y, boots, params: ForestParams, keys) -> RandomForestModel:
         n_nodes += 2 * np.bincount(t, minlength=n_trees)
         sides = np.array([left, counts.take(sp, axis=1) - left])
         feature = feats[sp, slot]
-        made.append((t, local[sp], dict(
-            feature=feature, threshold=threshold, left=first, right=first + 1,
-            split_entropy=_quality(sides, "entropy"),
-        )))
+        made.append((t, local[sp], dict(feature=feature, threshold=threshold, left=first, right=first + 1)))
         tree, local, key = t.repeat(2), (first[:, None] + np.arange(2)).ravel(), kids.take(sp, axis=0).ravel()
         counts = sides.transpose(1, 2, 0).reshape(2, -1)
         go = grows(counts, depth)
         # the rows of split nodes move to their children that search on;
-        # 2 * code + class > 2 * floor(threshold) + 1 exactly when code > threshold
+        # 2 * code + class > 2 * threshold + 1 exactly when code > threshold
         on = np.zeros((len(size), 2), dtype=bool)
         on[sp] = go.reshape(-1, 2)
         at = np.zeros((2, len(size)), dtype=np.int64)
-        at[:, sp] = feature, 2 * np.floor(threshold).astype(np.int64) + 1
+        at[:, sp] = feature, 2 * threshold + 1
         rows, weight, size = _partition(codes, rows, weight, size, *at, on)
     offsets = np.concatenate([[0], np.cumsum(n_nodes)])
-    nodes = {f: np.full(offsets[-1], -1 if dt is np.int64 else 0.0, dtype=dt)
-             for f, dt in NODE_FIELDS.items()}
+    nodes = {f: np.full(offsets[-1], 0 if f == "threshold" else -1, dtype=np.int64) for f in NODE_FIELDS}
     for t, local, fields in made:
         for f, values in fields.items():
             nodes[f][offsets[t] + local] = values
@@ -413,12 +408,17 @@ def predict_proba(m: RandomForestModel, row: np.ndarray) -> float:
     return float(predict_proba_many(m, np.asarray(row)[None, :])[0])
 
 
-def mean_split_entropy(m: RandomForestModel) -> float:
-    """Mean recorded split entropy over every internal node of every tree."""
-    values = m.split_entropy[m.feature >= 0]
-    if not values.size:
-        raise ValueError("all-leaf forest has no splits")
-    return float(np.mean(values))
+def mean_split_entropy(m: RandomForestModel) -> Optional[float]:
+    """Mean over every internal node of every tree, in storage order, of its
+    split's child-size-weighted entropy, from its children's class counts;
+    None when no tree splits."""
+    split = np.flatnonzero(m.feature >= 0)
+    if not split.size:
+        return None
+    root = np.repeat(m.offsets[:-1], np.diff(m.offsets))[split]
+    kids = np.array([root + m.left[split], root + m.right[split]])
+    sides = np.array([m.n0[kids], m.n1[kids]]).transpose(1, 0, 2)  # (left, right) x (class 0, class 1)
+    return float(np.mean(_quality(sides, "entropy")))
 
 
 def model_from_dict(doc: dict) -> RandomForestModel:
@@ -433,7 +433,7 @@ def _checked_model(doc: dict) -> RandomForestModel:
     """The model of a forest document that `check_forest` has passed."""
     trees = doc["trees"]
     return RandomForestModel(
-        **{f: np.concatenate([np.asarray(t[f], dtype=dt) for t in trees]) for f, dt in NODE_FIELDS.items()},
+        **{f: np.concatenate([np.asarray(t[f], dtype=np.int64) for t in trees]) for f in NODE_FIELDS},
         offsets=np.cumsum([0] + [len(t["feature"]) for t in trees]),
         mtry=doc["mtry"], criterion=doc["criterion"], seed=doc["seed"],
     )

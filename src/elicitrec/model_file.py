@@ -2,10 +2,12 @@
 
 `model.json` holds a forest header (`format_version`, `n_trees`, `mtry`,
 `criterion`, `seed`), the feature schema and target levels, and a
-`trees` list. Each tree is an object of parallel node lists
-(`NODE_KINDS`) in breadth-first order, root first; an internal node's
-`left` and `right` are tree-local indices after its own, and a leaf has
-`feature`, `left` and `right` -1.
+`trees` list. Each tree is an object of parallel integer node lists
+(`NODE_FIELDS`) in breadth-first order, root first. An internal node
+sends a row whose code at `feature` is <= `threshold` to `left`, else to
+`right`, both tree-local indices after its own; a leaf has `feature`,
+`left` and `right` -1 and `threshold` 0. `n0` and `n1` count the training
+rows of each class that reached the node.
 
 `pieces` streams the file a tree at a time and `model_to_dict` builds it
 as one object, both from `_tree_lists`. `load` reads a file into a checked
@@ -17,7 +19,6 @@ its model and scores its row without it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -25,16 +26,11 @@ from typing import Iterator, Sequence
 from .config import CRITERIA, FeatureSchema, distinct_schema
 from .files import dump_json, read_json
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
-#: the node lists of a tree, each with the kind of number it holds
-NODE_KINDS = {
-    "feature": int, "threshold": float, "left": int, "right": int,
-    "n0": int, "n1": int, "split_entropy": float,
-}
-#: the types `json` gives the numbers of each kind (a bool is neither)
-_JSON_TYPES = {int: {int}, float: {int, float}}
-#: the integer node lists must fit in int64, as the arrays hold them
+#: the node lists of a tree, each of integers
+NODE_FIELDS = ("feature", "threshold", "left", "right", "n0", "n1")
+#: the node lists must fit in int64, as the arrays hold them
 _INT_LIMIT = 1 << 63
 
 
@@ -58,7 +54,7 @@ def _tree_lists(m) -> Iterator[dict]:
     """Each tree's node lists, from the node arrays and `offsets` of `m`."""
     cut = m.offsets.tolist()
     for a, b in zip(cut, cut[1:]):
-        yield {f: getattr(m, f)[a:b].tolist() for f in NODE_KINDS}
+        yield {f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS}
 
 
 def model_to_dict(m, d=None) -> dict:
@@ -77,28 +73,20 @@ def pieces(m, d) -> Iterator[str]:
 
 
 def _check_tree(doc, where: str) -> None:
-    """Check one tree's node lists: numbers of their kinds, so that a
-    descent from the root only moves forward, stays inside the tree and
-    ends at a leaf with rows."""
-    missing = [f for f in NODE_KINDS if not isinstance(doc, dict) or f not in doc]
+    """Check one tree's node lists: JSON integers (a bool is none) that fit
+    in int64, so that a descent from the root only moves forward, stays
+    inside the tree and ends at a leaf with rows."""
+    missing = [f for f in NODE_FIELDS if not isinstance(doc, dict) or f not in doc]
     if missing:
         raise ValueError(f"{where} lacks the node array {missing[0]!r}")
-    for f, kind in NODE_KINDS.items():
+    for f in NODE_FIELDS:
         values = doc[f]
-        ok = isinstance(values, list) and set(map(type, values)) <= _JSON_TYPES[kind]
-        if ok and kind is int and values:
-            ok = -_INT_LIMIT <= min(values) and max(values) < _INT_LIMIT
-        if ok and kind is float:  # `json` reads NaN, Infinity and 1e999 as floats
-            try:
-                ok = all(map(math.isfinite, values))
-            except OverflowError:  # an integer beyond the floats
-                ok = False
-        if not ok:
-            noun = "64-bit integers" if kind is int else "finite numbers"
-            raise ValueError(f"{where} holds a node array ({f!r}) that is not a list of {noun}")
+        if not (isinstance(values, list) and set(map(type, values)) <= {int}
+                and -_INT_LIMIT <= min(values, default=0) and max(values, default=0) < _INT_LIMIT):
+            raise ValueError(f"{where} holds a node array ({f!r}) that is not a list of 64-bit integers")
     feature = doc["feature"]
     n = len(feature)
-    if n == 0 or any(len(doc[f]) != n for f in NODE_KINDS):
+    if n == 0 or any(len(doc[f]) != n for f in NODE_FIELDS):
         raise ValueError(f"{where} node arrays must be non-empty lists of equal length")
     for i, f, left, right in zip(range(n), feature, doc["left"], doc["right"]):
         if f >= 0 and not (i < left < n and i < right < n):
@@ -111,13 +99,12 @@ def _check_tree(doc, where: str) -> None:
 def check_forest(doc: dict) -> list[dict]:
     """The trees of forest document `doc` (`model_to_dict`'s layout), once
     it is known to be a well-formed forest of the current format; raises
-    ValueError otherwise. `n_trees`, `mtry`, `seed` and the node lists
-    `feature`, `left`, `right`, `n0` and `n1` must hold JSON integers,
-    `threshold` and `split_entropy` finite JSON numbers; a bool is
-    neither. `mtry` must be at least 1 and `criterion` one of `CRITERIA`."""
+    ValueError otherwise. `n_trees`, `mtry`, `seed` and every node list
+    must hold JSON integers; a bool is none. `mtry` must be at least 1 and
+    `criterion` one of `CRITERIA`."""
     version = doc.get("format_version")
-    if version == 1:
-        raise ValueError("model format_version 1 is no longer read; retrain with `elicitrec train`")
+    if version in (1, 2):
+        raise ValueError(f"model format_version {version} is no longer read; retrain with `elicitrec train`")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
     missing = [k for k in ("n_trees", "mtry", "criterion", "seed", "trees") if k not in doc]
@@ -210,8 +197,8 @@ def vote_share(forest: dict, row: Sequence[int]) -> float:
     the trees of the checked forest document `forest` of the leaf fraction
     n1 / (n0 + n1) that the row reaches. Like `forest.predict_proba_many`,
     it adds the fractions tree by tree and then divides by the tree count,
-    so the two agree bit for bit (for codes and counts below 2**53, which
-    floats hold exactly)."""
+    so the two agree bit for bit (for counts below 2**53, which floats
+    hold exactly)."""
     acc = 0.0
     for t in forest["trees"]:
         feature, threshold, left, right = t["feature"], t["threshold"], t["left"], t["right"]

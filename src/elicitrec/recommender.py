@@ -90,7 +90,7 @@ def _evaluate_arm(
     return ArmMetrics(
         confusion=conf,
         roc=roc,
-        mean_split_entropy=mean_split_entropy(model) if (model.feature >= 0).any() else None,
+        mean_split_entropy=mean_split_entropy(model),
         n_train=train.n_rows,
     )
 

@@ -123,14 +123,15 @@ def test_criterion_03_best_split_matches_brute_force():
             checked += 1
             continue
         q_min = min(q for q, _, _ in oracle)
-        feature, threshold = int(m.feature[0]), float(m.threshold[0])
+        feature, threshold = int(m.feature[0]), int(m.threshold[0])
         assert feature >= 0
         left, right = y[X[:, feature] <= threshold], y[X[:, feature] > threshold]
         for child, labels in ((m.left[0], left), (m.right[0], right)):
             assert (m.n0[child], m.n1[child]) == (len(labels) - labels.sum(), labels.sum())
         quality = sum(len(labels) / n * _oracle_impurity(labels, criterion) for labels in (left, right))
         assert abs(quality - q_min) <= 1e-12
-        optimal = {(j, thr) for q, j, thr in oracle if q <= q_min + 1e-12}
+        # a stored threshold is the floor of the oracle's midpoint
+        optimal = {(j, math.floor(thr)) for q, j, thr in oracle if q <= q_min + 1e-12}
         assert (feature, threshold) in optimal
         checked += 1
     assert time.perf_counter() - start < 5.0

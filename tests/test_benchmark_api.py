@@ -17,6 +17,8 @@ from types import SimpleNamespace
 import pytest
 
 from elicitrec import cli
+from elicitrec.forest import ForestParams, train_forest
+from elicitrec.model_file import model_to_dict
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 MODULES = ("workloads", "checks", "traced")
@@ -97,3 +99,23 @@ def test_benchmark_command_lines_parse(bench):
         assert sorted({c.kind for c in commands}) == sorted(set(w.pass_plan))
         for c in commands:
             parser.parse_args(c.argv)  # exits 2 on a flag the command does not take
+
+
+@pytest.mark.parametrize("max_depth", [None, 3])
+def test_tree_shape_reads_the_model_file_layout(bench, skewed_dataset, max_depth):
+    # traced.tree_shape reads `left` and `right` of model.json's trees; a
+    # format that drops either must change the benchmark with it
+    m = train_forest(skewed_dataset, ForestParams(n_trees=6, max_depth=max_depth, seed=4))
+    trees = model_to_dict(m)["trees"]
+    shapes = []
+    for t, tree in enumerate(trees):
+        start, depth, todo = m.offsets[t], 0, [(0, 0)]
+        while todo:  # a descent over the node arrays, every node once
+            i, d = todo.pop()
+            depth = max(depth, d)
+            if m.feature[start + i] >= 0:
+                todo += [(m.left[start + i], d + 1), (m.right[start + i], d + 1)]
+        shapes.append((int(m.offsets[t + 1] - start), depth))
+    assert [bench["traced"].tree_shape(tree) for tree in trees] == shapes
+    deepest = max(d for _, d in shapes)
+    assert deepest == 3 if max_depth else deepest > 3

@@ -119,7 +119,7 @@ class TestTrainEvaluate:
         rc = main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert doc["n_trees"] == 15
         assert doc["target_name"] == "target"
         assert len(doc["schema"]) == 8
@@ -189,9 +189,22 @@ def write_model(path, doc):
     path.write_text(json.dumps(doc).replace(f'"{HUGE}"', HUGE), encoding="utf-8")
 
 
+def as_format_2(doc, tree):
+    """Rewrite model document `doc` in place as format 2 wrote it: float
+    thresholds and a per-node `split_entropy`."""
+    doc["format_version"] = 2
+    for t in doc["trees"]:
+        t["threshold"] = [v + 0.5 if f >= 0 else 0.0 for f, v in zip(t["feature"], t["threshold"])]
+        t["split_entropy"] = [0.5 if f >= 0 else 0.0 for f in t["feature"]]
+
+
 # each case breaks a model.json (doc) or its first tree (tree) in place
 MALFORMED_MODELS = {
-    "version_1": (lambda doc, tree: doc.update(format_version=1), "retrain with `elicitrec train`"),
+    "version_1": (
+        lambda doc, tree: doc.update(format_version=1),
+        "model format_version 1 is no longer read; retrain with `elicitrec train`",
+    ),
+    "version_2": (as_format_2, "model format_version 2 is no longer read; retrain with `elicitrec train`"),
     "missing_key": (lambda doc, tree: doc.pop("seed"), "lacks 'seed'"),
     "missing_node_array": (lambda doc, tree: tree.pop("n1"), "lacks the node array 'n1'"),
     "missing_schema_key": (lambda doc, tree: doc["schema"][0].pop("levels"), "'levels'"),
@@ -233,19 +246,16 @@ MALFORMED_MODELS = {
         lambda doc, tree: setitem(tree["n1"], tree["feature"].index(-1), 2**63),
         "('n1') that is not a list of 64-bit integers",
     ),
-    "threshold_a_string": (
-        lambda doc, tree: setitem(tree["threshold"], 0, str(tree["threshold"][0])),
-        "('threshold') that is not a list of finite numbers",
-    ),
-    # `json` reads NaN, Infinity and numbers beyond the floats; none is a finite float
+    # a threshold is an integer: no string, float (finite or not, as `json`
+    # reads NaN, Infinity and 1e999) or integer beyond int64 is one
     **{
-        f"{f}_{name}": (
-            lambda doc, tree, f=f, value=value: setitem(tree[f], 0, value),
-            f"({f!r}) that is not a list of finite numbers",
+        f"threshold_{name}": (
+            lambda doc, tree, value=value: setitem(tree["threshold"], 0, value),
+            "('threshold') that is not a list of 64-bit integers",
         )
-        for f in ("threshold", "split_entropy")
         for name, value in (
-            ("nan", float("nan")), ("infinity", float("inf")), ("1e999", HUGE), ("int_beyond_floats", 10**400),
+            ("a_string", "1.5"), ("a_float", 1.5), ("nan", float("nan")), ("infinity", float("inf")),
+            ("1e999", HUGE), ("int_beyond_floats", 10**400),
         )
     },
     "header_bools": (
@@ -356,9 +366,9 @@ class TestModelFile:
         else:
             assert (m.feature >= 0).sum() > (100 if shape == "deep" else 20)
         cut = m.offsets.tolist()
-        fields = ("feature", "threshold", "left", "right", "n0", "n1", "split_entropy")
+        fields = ("feature", "threshold", "left", "right", "n0", "n1")
         doc = {
-            "format_version": 2, "n_trees": 5, "mtry": m.mtry, "criterion": criterion, "seed": 3,
+            "format_version": 3, "n_trees": 5, "mtry": m.mtry, "criterion": criterion, "seed": 3,
             "schema": [{"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema],
             "target_name": "target", "target_levels": list(d.target_levels),
             "trees": [{f: getattr(m, f)[a:b].tolist() for f in fields} for a, b in zip(cut, cut[1:])],

@@ -26,7 +26,8 @@ from conftest import make_dataset
 
 
 def brute_best_quality(X, y, feats, criterion):
-    """Oracle: every (feature, threshold) candidate, pure python arithmetic."""
+    """Oracle: every (feature, threshold) candidate, pure python arithmetic;
+    a threshold is the midpoint of two adjacent present codes."""
     n = len(y)
 
     def impurity(idx):
@@ -105,7 +106,7 @@ def root_split(X, y, criterion):
     if t["feature"][0] < 0:
         return None
     left, right = ((int(t["n0"][c]), int(t["n1"][c])) for c in (t["left"][0], t["right"][0]))
-    return dict(feature=int(t["feature"][0]), threshold=float(t["threshold"][0]), left=left, right=right,
+    return dict(feature=int(t["feature"][0]), threshold=int(t["threshold"][0]), left=left, right=right,
                 quality=split_quality(left, right, criterion))
 
 
@@ -125,7 +126,7 @@ class TestSplitQuality:
         X = np.array([[0], [0], [0], [1]])
         y = np.array([0, 0, 0, 1])
         split = root_split(X, y, "gini")
-        assert (split["threshold"], split["quality"]) == (0.5, 0.0)
+        assert (split["threshold"], split["quality"]) == (0, 0.0)
 
 
 class TestBestSplit:
@@ -133,7 +134,7 @@ class TestBestSplit:
         X = np.array([[0], [0], [1], [1]])
         y = np.array([0, 0, 1, 1])
         split = root_split(X, y, "gini")
-        assert split["threshold"] == 0.5
+        assert split["threshold"] == 0
         assert split["quality"] == 0.0
         assert (sum(split["left"]), sum(split["right"])) == (2, 2)
 
@@ -158,14 +159,14 @@ class TestBestSplit:
         (q_low, _, thr_low), (q_high, _, thr_high) = brute_best_quality(X, y, [0], "gini")
         assert (thr_low, thr_high) == (0.5, 1.5)
         assert q_low == q_high
-        assert split["threshold"] == 0.5
+        assert split["threshold"] == math.floor(thr_low) == 0
         assert split["quality"] == q_low
 
     def test_midpoints_skip_absent_codes(self):
         X = np.array([[0], [0], [4], [4]])
         y = np.array([0, 0, 1, 1])
         split = root_split(X, y, "entropy")
-        assert split["threshold"] == 2.0  # midpoint of the two present codes
+        assert split["threshold"] == 2  # the floored midpoint of the two present codes
 
     def test_quality_never_exceeds_parent(self):
         rng = np.random.default_rng(3)
@@ -213,7 +214,7 @@ class TestGrowTree:
         assert t["right"].tolist() == [2, -1, -1]
         assert (t["n0"][1], t["n1"][1]) == (2, 0)
         assert (t["n0"][2], t["n1"][2]) == (0, 2)
-        assert t["split_entropy"][0] == 0.0
+        assert t["threshold"].tolist() == [0, 0, 0]
 
     def test_max_depth_zero(self):
         X = np.array([[0], [1]])
@@ -238,7 +239,6 @@ class TestGrowTree:
         for i in internal:
             kids = [t["left"][i], t["right"][i]]
             assert t["n0"][i] == t["n0"][kids].sum() and t["n1"][i] == t["n1"][kids].sum()
-            assert 0.0 <= t["split_entropy"][i] <= 1.0
         leaf = t["feature"] < 0
         assert t["n0"][0] + t["n1"][0] == t["n0"][leaf].sum() + t["n1"][leaf].sum() == 60
 
@@ -281,13 +281,14 @@ def check_against_oracle(d, m, params, boots=None):
     """Every node of `m`, replayed on its sample rows (by default the
     bootstrap samples of `train_forest`): its class counts, and its split
     or leaf against `brute_best_quality` and the leaf rules; a split's
-    quality is recomputed from its children's counts. Returns each node's
-    depth by global index."""
+    quality is recomputed from its children's counts, and the forest's
+    `mean_split_entropy` is the mean of the brute-force entropy of every
+    split in storage order. Returns each node's depth by global index."""
     criterion, min_samples_leaf, max_depth = params.criterion, params.min_samples_leaf, params.max_depth
     if boots is None:
         n = len(d.y)
         boots = [np.random.default_rng([params.seed, t]).integers(0, n, size=n) for t in range(m.n_trees)]
-    depths = {}
+    depths, split_entropies = {}, {}
     for start, i, rows, depth, feats in replay(d, m, params, boots):
         g = start + i
         depths[g] = depth
@@ -310,13 +311,17 @@ def check_against_oracle(d, m, params, boots=None):
         assert i < m.left[g] < m.right[g]
         q_min = min(q for q, _, _ in oracle)
         first_best = min((f, thr) for q, f, thr in oracle if q <= q_min + 1e-12)
-        assert (m.feature[g], m.threshold[g]) == first_best
+        assert (m.feature[g], m.threshold[g]) == (first_best[0], math.floor(first_best[1]))
         kids = ((m.n0[start + c], m.n1[start + c]) for c in (m.left[g], m.right[g]))
         assert split_quality(*kids, criterion) == pytest.approx(q_min, abs=1e-12)
         left = Xs[:, first_best[0]] <= first_best[1]
-        split_entropy = brute_best_quality(left[:, None].astype(int), ys, [0], "entropy")[0][0]
-        assert m.split_entropy[g] == pytest.approx(split_entropy, abs=1e-12)
+        split_entropies[g] = brute_best_quality(left[:, None].astype(int), ys, [0], "entropy")[0][0]
     assert sorted(depths) == list(range(len(m.feature)))
+    if split_entropies:
+        expected = np.mean([split_entropies[g] for g in sorted(split_entropies)])
+        assert mean_split_entropy(m) == pytest.approx(expected, abs=1e-12)
+    else:
+        assert mean_split_entropy(m) is None
     return depths
 
 
@@ -548,8 +553,7 @@ class TestForest:
         y = np.array([0, 1, 0, 1])
         d = make_dataset(X, y)
         m = train_forest(d, ForestParams(n_trees=3, mtry=1, max_depth=0, seed=1))
-        with pytest.raises(ValueError, match="no splits"):
-            mean_split_entropy(m)
+        assert mean_split_entropy(m) is None
 
     def test_mean_split_entropy_pure_splits(self):
         X = np.array([[0], [0], [1], [1]] * 3)
@@ -558,16 +562,27 @@ class TestForest:
         m = train_forest(d, ForestParams(n_trees=5, mtry=1, seed=3))
         assert mean_split_entropy(m) == 0.0
 
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_mean_split_entropy_of_a_model_read_back(self, skewed_dataset, criterion):
+        import json
+
+        m = train_forest(skewed_dataset, ForestParams(n_trees=6, criterion=criterion, seed=2))
+        m2 = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+        assert mean_split_entropy(m2) == mean_split_entropy(m) is not None
+
 
 class TestSerialization:
     def test_round_trip(self, skewed_dataset):
         m = train_forest(skewed_dataset, ForestParams(n_trees=3, seed=11))
         doc = model_to_dict(m)
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
+        for tree in doc["trees"]:
+            assert set(tree) == set(NODE_FIELDS)
+            assert all(type(v) is int for f in NODE_FIELDS for v in tree[f])
         m2 = model_from_dict(doc)
         assert model_to_dict(m2) == doc
-        for f, dtype in NODE_FIELDS.items():
-            assert getattr(m2, f).dtype == dtype
+        for f in NODE_FIELDS:
+            assert getattr(m2, f).dtype == np.int64
             assert np.array_equal(getattr(m2, f), getattr(m, f))
 
     def test_round_trip_through_json(self, skewed_dataset):
@@ -580,25 +595,26 @@ class TestSerialization:
         assert np.array_equal(predict_proba_many(m, x), predict_proba_many(m2, x))
 
     def test_preorder_trees_still_load(self):
-        # format-2 files written before trees grew breadth-first hold their
-        # nodes in preorder; the reader only needs children after parents
+        # the reader only needs children after parents, so a tree stored in
+        # preorder predicts as its breadth-first twin does
         preorder = dict(
-            feature=[0, 1, -1, -1, -1], threshold=[0.5, 0.5, 0.0, 0.0, 0.0], left=[1, 2, -1, -1, -1],
-            right=[4, 3, -1, -1, -1], n0=[4, 4, 3, 1, 0], n1=[3, 1, 0, 1, 2], split_entropy=[0.5] * 5,
+            feature=[0, 1, -1, -1, -1], threshold=[0] * 5, left=[1, 2, -1, -1, -1],
+            right=[4, 3, -1, -1, -1], n0=[4, 4, 3, 1, 0], n1=[3, 1, 0, 1, 2],
         )
         breadth_first = dict(
-            feature=[0, 1, -1, -1, -1], threshold=[0.5, 0.5, 0.0, 0.0, 0.0], left=[1, 3, -1, -1, -1],
-            right=[2, 4, -1, -1, -1], n0=[4, 4, 0, 3, 1], n1=[3, 1, 2, 0, 1], split_entropy=[0.5] * 5,
+            feature=[0, 1, -1, -1, -1], threshold=[0] * 5, left=[1, 3, -1, -1, -1],
+            right=[2, 4, -1, -1, -1], n0=[4, 4, 0, 3, 1], n1=[3, 1, 2, 0, 1],
         )
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         probas = []
         for tree in (preorder, breadth_first):
-            doc = {"format_version": 2, "n_trees": 1, "mtry": 1, "criterion": "gini", "seed": 0}
+            doc = {"format_version": 3, "n_trees": 1, "mtry": 1, "criterion": "gini", "seed": 0}
             probas.append(predict_proba_many(model_from_dict({**doc, "trees": [tree]}), X).tolist())
         assert probas[0] == probas[1] == [0.0, 0.5, 1.0, 1.0]
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="format_version"):
             model_from_dict({"format_version": 99, "trees": []})
-        with pytest.raises(ValueError, match="retrain with `elicitrec train`"):
-            model_from_dict({"format_version": 1, "trees": []})
+        for version in (1, 2):
+            with pytest.raises(ValueError, match=f"format_version {version} .*retrain with `elicitrec train`"):
+                model_from_dict({"format_version": version, "trees": []})

@@ -23,7 +23,7 @@ GOLDEN = {
     "cmds/balanced.csv": "f242266bc095ea7d58a5eda76697ebe2fba43b5cc932e6e8cc473a1cfea2b6cf",
     "cmds/best_method.txt": "bf4563d019348832d7a0df9f8ba14a3a58697a72c81522c0a01d8013bf9a2e70",
     "cmds/evaluation.json": "2680febc19c50d95165d57c11a1d2c5c736339ed39136ff39eca11fb37b13d91",
-    "cmds/model.json": "0f44f42dcc69b8f11d4376f6b5abb4b562a5f37e186ccaab0b959a0a24439732",
+    "cmds/model.json": "17a145f07e1ede7e4b10b29053a5c66409ca5c36bf1d7a40d3f64b1eaed62ecc",
     "cmds/recommendations.json": "a02dec9c18a4614f2a3392de82605505717bac6a67847f970ae1a6ce8a96f554",
     "cmds/scores_AnovaF.csv": "c8b7b388abccb695739ef8b8675ab956546b109d38af7862e33fc6cc6f5c2dd9",
     "cmds/scores_Chi2.csv": "aa1d8fc83aeb4d57fc902e8ccde10ef190b9524123579d49452eb76cb415d79e",

@@ -48,8 +48,7 @@ def _with_a_leaf():
     d = generate_synthetic(SyntheticSpec(n_majority=60, n_minority=20, p=5, n_informative=2, seed=5))
     doc = model_to_dict(train_forest(d, ForestParams(n_trees=5, seed=3)))
     doc["trees"][1] = {
-        "feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
-        "n0": [7], "n1": [3], "split_entropy": [0.0],
+        "feature": [-1], "threshold": [0], "left": [-1], "right": [-1], "n0": [7], "n1": [3],
     }
     return doc, d.X
 
