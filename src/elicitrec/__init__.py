@@ -7,8 +7,9 @@ model comparison, filter-based feature scoring, and threshold-based
 technique recommendations.
 
 The names of `__all__` load on first use (PEP 562), each from the module
-that defines it, so `import elicitrec` and the numpy-free names
-(`config`, `scores`) do not import numpy.
+that defines it, so neither `import elicitrec` nor a name from a
+numpy-free module imports numpy. Those modules are `config`, `scores`,
+`model_file` and `files`.
 """
 
 import importlib

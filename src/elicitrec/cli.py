@@ -13,9 +13,10 @@ fixed seed makes each subcommand's outputs byte-identical across runs.
 Exit codes: 0 success, 1 runtime failure, 2 validation or config error
 or a path that cannot be read or written.
 
-The module loads only the numpy-free layers (`config`, `scores`,
-`model_file`, `files`); each command imports the array layers it uses, so
-`recommend` and `--help` run without numpy.
+The module loads only `config` and `files`, the two numpy-free layers
+every command needs; each command imports the other layers it runs where
+it runs them, so `--help` loads nothing more, `recommend` runs without
+numpy and `balance` without the forest, evaluation and filter code.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from . import config, model_file, scores
+from . import config
 from .config import CUTOFF, MODES
 from .files import dump_json as _dump_json
 from .files import read_json, read_text
@@ -35,6 +36,7 @@ from .files import write_atomic as _write_atomic
 if TYPE_CHECKING:
     from .data_model import Dataset
     from .forest import RandomForestModel
+    from .model_file import Bundle
 
 
 def _load_settings(args: argparse.Namespace) -> config.Settings:
@@ -54,17 +56,21 @@ def _load_input(args: argparse.Namespace, s: config.Settings) -> Dataset:
 
 def _bundle_to_doc(m: RandomForestModel, d: Dataset) -> dict:
     """The model file of forest `m` trained on `d`, as one document."""
+    from . import model_file
+
     return model_file.model_to_dict(m, d)
 
 
-def _load_bundle(path: str) -> model_file.Bundle:
+def _load_bundle(path: str) -> Bundle:
     """The model file at `path`, checked, with its forest arrays built."""
+    from . import model_file
+
     bundle = model_file.load(path)
     bundle.model  # built now, as part of loading, not on first use
     return bundle
 
 
-def _own_model(s: config.Settings, bundle: model_file.Bundle) -> model_file.Bundle:
+def _own_model(s: config.Settings, bundle: Bundle) -> Bundle:
     """`bundle`, once the config's target and positive label, where set,
     are known to be the model's own."""
     for key, given, own in (
@@ -100,7 +106,7 @@ def cmd_balance(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from . import forest
+    from . import forest, model_file
 
     s = _load_settings(args)
     d = _load_input(args, s)
@@ -158,7 +164,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from . import feature_scoring, recommender
+    from . import feature_scoring, recommender, scores
 
     s = _load_settings(args)
     d = _load_input(args, s)
@@ -186,6 +192,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    from . import model_file, scores
+
     s = _load_settings(args)
     if s.recommendation_threshold is None:
         raise ValueError(

@@ -28,12 +28,17 @@ indices, so a run is a pure function of (dataset, config).
 
 The settings records and modes live in `config`, and the forming of
 recommendations from a score table in `scores`; both need no numpy.
+
+At import the module loads only what `balance` runs (`config`,
+`data_model`, `sampler`); each other function imports the array layers
+it runs (`forest`, `evaluation`, `feature_scoring`) where it runs them,
+so `elicitrec balance` starts without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .config import (
     METHOD_ANOVA_F,
@@ -58,11 +63,12 @@ from .data_model import (
     select_features,
     split_train_test,
 )
-from .evaluation import ArmMetrics, EvaluationReport, ReportRow, judge
-from .feature_scoring import score_all
-from .forest import BootstrapPlan, draw_bootstrap, mean_split_entropy, predict_proba_many, train_forest
 from .sampler import smote_oversample
-from .scores import FeatureScoreTable
+
+if TYPE_CHECKING:
+    from .evaluation import ArmMetrics, EvaluationReport
+    from .forest import BootstrapPlan
+    from .scores import FeatureScoreTable
 
 
 def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
@@ -85,6 +91,9 @@ def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset,
 def _evaluate_arm(
     train: Dataset, test: Dataset, params: ForestParams, seed: int, plan: Optional[BootstrapPlan] = None
 ) -> ArmMetrics:
+    from .evaluation import ArmMetrics, judge
+    from .forest import mean_split_entropy, predict_proba_many, train_forest
+
     model = train_forest(train, replace(params, seed=seed), plan)
     conf, roc = judge(predict_proba_many(model, test.X), test.y)
     return ArmMetrics(
@@ -102,6 +111,8 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
     the full ROC analysis, and the forest's mean split entropy for each
     arm; the row derives the comparisons between the arms.
     """
+    from .evaluation import EvaluationReport, ReportRow
+
     if cfg.mode == MODE_SOUND and d.synthetic.any():
         raise ValueError(
             f"the input holds {int(d.synthetic.sum())} synthetic rows (column {PROVENANCE_COLUMN}), "
@@ -159,6 +170,9 @@ def select_best_filter(
     `tables` may hold `score_all(d, method)` tables already made, by
     method; the methods it lacks are scored here.
     """
+    from .feature_scoring import score_all
+    from .forest import draw_bootstrap
+
     FilterConfig(methods, top_k)  # checks both
     if top_k > d.n_features:
         raise ValueError(f"top_k {top_k} exceeds feature count {d.n_features}")
@@ -192,6 +206,8 @@ def select_best_filter(
 def combine_reports(reports: Sequence[EvaluationReport]) -> EvaluationReport:
     """Merge per-target reports into one table; its t-tests then run over
     all rows (the cross-technique comparison)."""
+    from .evaluation import EvaluationReport
+
     rows = tuple(row for rep in reports for row in rep.rows)
     if not rows:
         raise ValueError("no report rows to combine")

@@ -524,9 +524,8 @@ class TestScore:
             written.extend(sorted(p.name for p in out.glob("scores_*.csv")))
             return select(*args, **kwargs)
 
-        # the command scores through feature_scoring, selection through recommender
+        # the command and selection both score through feature_scoring
         monkeypatch.setattr(feature_scoring, "score_all", counted)
-        monkeypatch.setattr(recommender, "score_all", counted)
         monkeypatch.setattr(recommender, "select_best_filter", checked)
         assert main(["score", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 0
         assert sorted(scored) == sorted(feature_scoring.METHODS)
@@ -606,8 +605,9 @@ def test_no_command_imports_numpy_ma(tmp_path):
 
 
 #: runs `python -m elicitrec` with argv[1:] (none: only `import elicitrec`)
-#: in this interpreter, then prints its exit code and whether numpy was imported
-NO_NUMPY_SCRIPT = """
+#: in this interpreter, then prints its exit code, whether numpy was imported
+#: and the sorted elicitrec modules it loaded
+LOADS_SCRIPT = """
 import runpy, sys
 code = 0
 if sys.argv[1:]:
@@ -618,8 +618,17 @@ if sys.argv[1:]:
         code = e.code
 else:
     import elicitrec
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, *sorted(m for m in sys.modules if m.split(".")[0] == "elicitrec"))
 """
+
+
+def run_fresh(*argv):
+    """The last line `LOADS_SCRIPT` prints for argv, run in a fresh interpreter."""
+    src = str(Path(forest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, *argv], capture_output=True, text=True, env=env)
+    return proc.stdout.splitlines()[-1]
+
 
 #: names defined in a numpy-free module, and an array module that imports each for its own use
 MOVED = {
@@ -647,12 +656,9 @@ def test_recommend_and_help_import_no_numpy(tmp_path):
     row.write_text(json.dumps(dict(zip(d.feature_names, d.decode_row(0)))), encoding="utf-8")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**json.loads((tmp_path / "model.json").read_text()), "mtry": 1.5}), encoding="utf-8")
-    src = str(Path(forest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def run(*argv):
-        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, *argv], capture_output=True, text=True, env=env)
-        return proc.stdout.splitlines()[-1]
+        return " ".join(run_fresh(*argv).split()[:2])
 
     recommend = [
         "recommend", "--scores", str(tmp_path / "scores_Chi2.csv"), "--row", str(row),
@@ -674,6 +680,45 @@ def test_recommend_and_help_import_no_numpy(tmp_path):
     from elicitrec import cli as cli_again
 
     assert cli_again is cli
+
+
+#: the elicitrec modules each command loads, beyond the package, `cli`, `config` and `files`
+LAYERS = {
+    "--help": (),
+    "balance": ("data_model", "recommender", "sampler"),
+    "train": ("data_model", "forest", "model_file"),
+    "score": ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler", "scores"),
+    "run": ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler"),
+    "evaluate": ("data_model", "evaluation", "forest", "model_file"),
+    "recommend": ("model_file", "scores"),
+}
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    """Each command imports only the layers whose code it runs: `balance`
+    starts without the forest, evaluation and filter code, `run` without
+    the filter code, and `recommend` and `--help` without numpy."""
+    d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
+    write_csv(d, tmp_path / "data.csv")
+    cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, "filter": {"top_k": 2}})
+    (tmp_path / "row.json").write_text(json.dumps(dict(zip(d.feature_names, d.decode_row(0)))), encoding="utf-8")
+    common = ["--config", cfg, "--out-dir", str(tmp_path)]
+    data, model = ["--input", str(tmp_path / "data.csv")], ["--model", str(tmp_path / "model.json")]
+    argv = {
+        "--help": [],
+        "balance": [*common, *data],
+        "train": [*common, *data],
+        "score": [*common, *data],
+        "run": [*common, *data],
+        "evaluate": [*common, *data, *model],
+        "recommend": [*common, *model, "--scores", str(tmp_path / "scores_MutualInfo.csv"),
+                      "--row", str(tmp_path / "row.json"), "--threshold", "0.01"],
+    }
+    base = ("elicitrec", "elicitrec.cli", "elicitrec.config", "elicitrec.files")
+    for command, layers in LAYERS.items():  # train and score write what evaluate and recommend read
+        numpy = command not in ("--help", "recommend")
+        loaded = sorted([*base, *(f"elicitrec.{layer}" for layer in layers)])
+        assert run_fresh(command, *argv[command]).split() == ["0", str(numpy), *loaded], command
 
 
 class TestRecommend:

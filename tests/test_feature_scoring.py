@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elicitrec import recommender
+from elicitrec import feature_scoring, recommender
 from elicitrec.forest import ForestParams
 from elicitrec.feature_scoring import (
     METHOD_ANOVA_F,
@@ -253,7 +253,7 @@ class TestSelectBestFilter:
         def refuse(d, method):
             raise AssertionError(f"{method} scored again")
 
-        monkeypatch.setattr(recommender, "score_all", refuse)
+        monkeypatch.setattr(feature_scoring, "score_all", refuse)
         got = select_best_filter(
             d, list(METHODS), top_k=2, forest_params=SMALL_FOREST, eval_seed=3, tables=tables
         )

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from elicitrec import recommender
 from elicitrec.data_model import (
     ROLE_CONTEXT,
     ROLE_TECHNIQUE,
@@ -173,7 +172,7 @@ class TestSharedBootstrap:
             grown.append((train, params, plan, model))
             return model
 
-        monkeypatch.setattr(recommender, "train_forest", recorded)
+        monkeypatch.setattr("elicitrec.forest.train_forest", recorded)
         select_best_filter(d, METHODS, top_k, ForestParams(n_trees=30), eval_seed=s)
         assert len(grown) == 3 and len({id(plan) for _, _, plan, _ in grown}) == 1
         assert len({tuple(train.feature_names) for train, _, _, _ in grown}) == 3
