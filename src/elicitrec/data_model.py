@@ -103,6 +103,8 @@ class Dataset:
             raise ValueError("target must be 0/1")
         if any(f.name == self.target_name for f in self.schema):
             raise ValueError(f"target {self.target_name!r} also appears as a feature")
+        if PROVENANCE_COLUMN in (self.target_name, *self.feature_names):
+            raise ValueError(f"{PROVENANCE_COLUMN!r} is the provenance column, neither a target nor a feature")
         if X.min() < 0:
             raise ValueError("ordinal codes must be non-negative")
         limits = np.array([len(f.levels) for f in self.schema])
@@ -152,7 +154,8 @@ def load_csv(
     Levels are coded by first appearance unless `schema` is given, in which
     case values are looked up in the stored levels (unknown values are an
     error). `role_map` may name feature columns only. A `_synthetic`
-    column, if present, is read as row provenance rather than a feature.
+    column, if present, is read as row provenance rather than a feature,
+    and is never the target.
     Missing (empty) cells are rejected.
 
     A file with no `"` and no CR byte is split into cells with numpy
@@ -162,6 +165,8 @@ def load_csv(
     `csv.field_size_limit()` characters, are errors on both.
     """
     path = Path(path)
+    if target_name == PROVENANCE_COLUMN:
+        raise ValueError(f"{path}: {PROVENANCE_COLUMN!r} is the provenance column, not a target")
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
@@ -464,11 +469,7 @@ def drop_constant_features(d: Dataset) -> Dataset:
         raise ValueError("no informative features: every column is constant")
     if len(keep) == d.n_features:
         return d
-    return replace(
-        d,
-        schema=tuple(d.schema[j] for j in keep),
-        X=_handed(d.X.take(keep, axis=1)),
-    )
+    return select_features(d, [d.schema[j].name for j in keep])
 
 
 def select_features(d: Dataset, names: Iterable[str]) -> Dataset:

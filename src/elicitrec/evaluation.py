@@ -316,25 +316,21 @@ class ReportRow:
         return None if bal is None or imb is None else bal - imb
 
 
-def t_tests_for_rows(rows: Sequence[ReportRow]) -> dict[str, Optional[TTestResult]]:
-    """Paired t-tests of imbalanced vs balanced precision and recall over
-    the rows where both sides are defined; None when fewer than 2 pairs."""
-    out: dict[str, Optional[TTestResult]] = {}
-    for metric in ("precision", "recall"):
-        pairs = [(getattr(r.imbalanced, metric), getattr(r.balanced, metric)) for r in rows]
-        pairs = [pair for pair in pairs if None not in pair]
-        out[metric] = paired_t_test(*zip(*pairs)) if len(pairs) >= 2 else None
-    return out
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     rows: tuple[ReportRow, ...]
 
     @property
     def t_tests(self) -> dict[str, Optional[TTestResult]]:
-        """The cross-row comparison: `t_tests_for_rows` over every row."""
-        return t_tests_for_rows(self.rows)
+        """The cross-row comparison: paired t-tests of imbalanced vs
+        balanced precision and recall over the rows where both sides are
+        defined; None when fewer than 2 pairs."""
+        out: dict[str, Optional[TTestResult]] = {}
+        for metric in ("precision", "recall"):
+            pairs = [(getattr(r.imbalanced, metric), getattr(r.balanced, metric)) for r in self.rows]
+            pairs = [pair for pair in pairs if None not in pair]
+            out[metric] = paired_t_test(*zip(*pairs)) if len(pairs) >= 2 else None
+        return out
 
 
 def t_test_to_dict(r: Optional[TTestResult]) -> Optional[dict]:

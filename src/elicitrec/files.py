@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -40,14 +39,11 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
     temporary file and a rename, so a reader never sees a partial file;
     the mode is what a plain open gives."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    # O_EXCL: never an existing file; 0o666: the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            # mkstemp creates the file 0600; give it the mode a plain open
-            # would (reading the umask means setting it)
-            umask = os.umask(0o022)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:

@@ -341,19 +341,10 @@ def grow_forest(X, y, boots, params: ForestParams, keys) -> RandomForestModel:
                              seed=params.seed)
 
 
-@dataclass(frozen=True, eq=False)
-class BootstrapPlan:
-    """The bootstrap samples and root keys of every tree of forests with
-    `seed` and `rows.shape[0]` trees on `rows.shape[1]` rows."""
-
-    seed: int
-    rows: np.ndarray
-    keys: np.ndarray
-
-
-def draw_bootstrap(n_rows: int, params: ForestParams) -> BootstrapPlan:
-    """Tree t's sample: `n_rows` draws of `default_rng([params.seed, t])`;
-    its root key: the first word of SeedSequence([params.seed, t]). One
+def draw_bootstrap(n_rows: int, params: ForestParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every tree's bootstrap sample and root key, as the pair (rows, keys).
+    Tree t's sample: `n_rows` draws of `default_rng([params.seed, t])`; its
+    root key: the first word of SeedSequence([params.seed, t]). One
     SeedSequence per tree serves both."""
     rows = np.empty((params.n_trees, n_rows), dtype=np.int64)
     keys = np.empty(params.n_trees, dtype=np.uint64)
@@ -361,24 +352,27 @@ def draw_bootstrap(n_rows: int, params: ForestParams) -> BootstrapPlan:
         seq = np.random.SeedSequence([params.seed, t])
         keys[t] = seq.generate_state(1, np.uint64)[0]
         row[:] = np.random.Generator(np.random.PCG64(seq)).integers(0, n_rows, size=n_rows)
-    return BootstrapPlan(params.seed, rows, keys)
+    return rows, keys
 
 
-def train_forest(d: Dataset, params: ForestParams, plan: Optional[BootstrapPlan] = None) -> RandomForestModel:
+def train_forest(
+    d: Dataset, params: ForestParams, plan: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> RandomForestModel:
     """Bag `n_trees` trees, tree t grown on the bootstrap sample that
     `default_rng([params.seed, t])` draws. The model is a pure function of
     (dataset, params) no matter how training is scheduled: tree t is the
     same in every forest of more than t trees, whatever the chunking.
 
-    `plan` may hold `draw_bootstrap(d.n_rows, params)` made already, so
-    forests of one seed and size on different columns draw once."""
+    `plan` may hold the pair `draw_bootstrap(d.n_rows, params)` made
+    already, so forests of one seed and size on different columns draw
+    once; its shape and tree 0's key must fit."""
     if d.y.min() == d.y.max():
         raise ValueError("single-class dataset")
-    if plan is None:
-        plan = draw_bootstrap(d.n_rows, params)
-    elif plan.seed != params.seed or plan.rows.shape != (params.n_trees, d.n_rows):
+    rows, keys = plan or draw_bootstrap(d.n_rows, params)
+    first_key = np.random.SeedSequence([params.seed, 0]).generate_state(1, np.uint64)[0]
+    if rows.shape != (params.n_trees, d.n_rows) or keys[0] != first_key:
         raise ValueError("the bootstrap plan is not for this seed, tree count and row count")
-    return grow_forest(d.X, d.y, plan.rows, params, plan.keys)
+    return grow_forest(d.X, d.y, rows, params, keys)
 
 
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:

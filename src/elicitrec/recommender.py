@@ -66,8 +66,9 @@ from .data_model import (
 from .sampler import smote_oversample
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .evaluation import ArmMetrics, EvaluationReport
-    from .forest import BootstrapPlan
     from .scores import FeatureScoreTable
 
 
@@ -89,7 +90,8 @@ def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset,
 
 
 def _evaluate_arm(
-    train: Dataset, test: Dataset, params: ForestParams, seed: int, plan: Optional[BootstrapPlan] = None
+    train: Dataset, test: Dataset, params: ForestParams, seed: int,
+    plan: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> ArmMetrics:
     from .evaluation import ArmMetrics, judge
     from .forest import mean_split_entropy, predict_proba_many, train_forest
@@ -164,8 +166,9 @@ def select_best_filter(
     depends only on the selected set: methods that select the same set
     share one evaluated arm and its area, and exact ties fall back to the
     canonical preference MutualInfo > Chi2 > AnovaF. The forests share
-    one seed and tree count, so those on equally many training rows share
-    one `draw_bootstrap`.
+    one seed, tree count and training row count (SMOTE's count depends
+    only on the class counts, the split's only on the row count), so they
+    share one `draw_bootstrap` pair, drawn for the first of them.
 
     `tables` may hold `score_all(d, method)` tables already made, by
     method; the methods it lacks are scored here.
@@ -185,7 +188,7 @@ def select_best_filter(
         seed=eval_seed,
     )
     forest_seed = derive_seed(eval_seed, STREAM_FOREST_IMBALANCED)
-    plans: dict[int, BootstrapPlan] = {}  # by training rows: the forests differ only in their columns
+    plan = None  # the forests differ only in their columns
     tables = tables or {}
     auch_by_subset: dict[tuple[str, ...], float] = {}  # one arm per distinct set
     auch_by_method: dict[str, float] = {}
@@ -195,9 +198,8 @@ def select_best_filter(
         subset = tuple(f.name for f in d.schema if f.name in names)
         if subset not in auch_by_subset:
             train, test = _arm_data(select_features(d, subset), cfg, cfg.smote is not None)
-            if train.n_rows not in plans:
-                plans[train.n_rows] = draw_bootstrap(train.n_rows, replace(forest_params, seed=forest_seed))
-            auch_by_subset[subset] = _evaluate_arm(train, test, forest_params, forest_seed, plans[train.n_rows]).auch
+            plan = plan or draw_bootstrap(train.n_rows, replace(forest_params, seed=forest_seed))
+            auch_by_subset[subset] = _evaluate_arm(train, test, forest_params, forest_seed, plan).auch
         auch_by_method[method] = auch_by_subset[subset]
     best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))
     return FilterSelection(method=best, auch_by_method=auch_by_method)

@@ -30,7 +30,11 @@ class FeatureScoreTable:
     entries: tuple[ScoreEntry, ...]
 
     def __post_init__(self):
+        seen = set()
         for e in self.entries:
+            if e.feature_name in seen:
+                raise ValueError(f"feature {e.feature_name!r} is listed twice")
+            seen.add(e.feature_name)
             if e.role not in ROLES:
                 raise ValueError(f"unknown role {e.role!r} for feature {e.feature_name!r}")
             if math.isnan(e.score) or e.score < 0:

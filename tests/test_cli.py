@@ -450,6 +450,16 @@ class TestRun:
         for name in ("report.json", "roc_imbalanced.csv", "roc_hulls.svg"):
             assert stat.S_IMODE((out / name).stat().st_mode) == 0o640
 
+    def test_writes_leave_the_umask_alone(self, tmp_path, input_csv, monkeypatch):
+        # the umask is the whole process's: setting it, even briefly, is
+        # seen by every other thread that creates a file
+        def refused(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refused)
+        out = self.run_once(tmp_path, input_csv, "out")
+        assert (out / "report.json").exists() and no_tmp_leftovers(out)
+
     def test_report_byte_identical_across_runs(self, tmp_path, input_csv):
         a = self.run_once(tmp_path, input_csv, "a")
         b = self.run_once(tmp_path, input_csv, "b")
@@ -479,6 +489,20 @@ class TestRun:
         assert not out.exists()
         # balance-first mode measures on the oversampled pool by design
         self.run_once(tmp_path, balanced, "bf", extra=("--mode", "balance-first"))
+
+    @pytest.mark.parametrize("command", ["balance", "run"])
+    def test_provenance_column_is_never_the_target(self, tmp_path, input_csv, capsys, command):
+        cfg = fast_config(tmp_path)
+        assert main(["balance", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)]) == 0
+        balanced = str(tmp_path / "balanced.csv")
+        out = tmp_path / "synthetic_target"
+        mode = ["--mode", "balance-first"] if command == "run" else []
+        rc = main([
+            command, "--config", cfg, "--input", balanced, "--out-dir", str(out), "--target", PROVENANCE_COLUMN, *mode,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {balanced}: '{PROVENANCE_COLUMN}' is the provenance column")
+        assert not out.exists()
 
     @pytest.mark.parametrize("forest_doc", [{"max_depth": 0}, {"min_samples_leaf": 100}])
     def test_forest_without_splits(self, tmp_path, input_csv, forest_doc):
@@ -848,7 +872,8 @@ class TestRecommend:
         ("ctx00,context\n", "data row 1 is not 'feature,role,score': ['ctx00', 'context']"),
         ("ctx00,context,nan\n", "negative or NaN score for 'ctx00'"),
         ("ctx00,context,-0.5\n", "negative or NaN score for 'ctx00'"),
-    ], ids=["not_a_number", "short_row", "nan", "negative"])
+        ("ctx00,context,0.5\nctx01,context,0.4\nctx01,context,0.4\n", "feature 'ctx01' is listed twice"),
+    ], ids=["not_a_number", "short_row", "nan", "negative", "duplicate"])
     def test_bad_score_row_names_the_file(self, trained, capsys, body, message):
         scores = trained["dir"] / "scores_bad.csv"
         scores.write_text("feature,role,score\n" + body, encoding="utf-8")

@@ -264,6 +264,13 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="appears more than once"):
             select_features(d, [d.feature_names[0]] * 2)
 
+    def test_rejects_the_provenance_column_as_target_or_feature(self):
+        with pytest.raises(ValueError, match="'_synthetic' is the provenance column"):
+            make_dataset([[0], [1]], [0, 1], names=[PROVENANCE_COLUMN])
+        d = make_dataset([[0], [1]], [0, 1])
+        with pytest.raises(ValueError, match="'_synthetic' is the provenance column"):
+            replace(d, target_name=PROVENANCE_COLUMN)
+
     def test_arrays_read_only(self):
         d = make_dataset([[0], [1]], [0, 1])
         with pytest.raises(ValueError):

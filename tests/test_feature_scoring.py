@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elicitrec import feature_scoring, recommender
+from elicitrec.config import ROLE_CONTEXT
 from elicitrec.forest import ForestParams
 from elicitrec.feature_scoring import (
     METHOD_ANOVA_F,
@@ -16,7 +17,7 @@ from elicitrec.feature_scoring import (
     score_all,
 )
 from elicitrec.recommender import select_best_filter
-from elicitrec.scores import table_from_csv, table_to_csv
+from elicitrec.scores import FeatureScoreTable, ScoreEntry, table_from_csv, table_to_csv
 
 from conftest import make_dataset, xor_dataset
 from test_recommender import balance_first_chain_auch
@@ -214,6 +215,13 @@ class TestCsvRoundTrip:
         again = table_from_csv(table_to_csv(table))
         assert again.entries[0].feature_name == "size, shape or count"
         assert again == table
+
+
+class TestScoreTable:
+    def test_a_feature_listed_twice_is_refused(self):
+        twice = ScoreEntry("ctx01", ROLE_CONTEXT, 0.4)
+        with pytest.raises(ValueError, match="feature 'ctx01' is listed twice"):
+            FeatureScoreTable(entries=(ScoreEntry("ctx00", ROLE_CONTEXT, 0.5), twice, twice))
 
 
 class TestSelectBestFilter:

@@ -14,7 +14,7 @@ from elicitrec.data_model import (
     select_features,
     split_train_test,
 )
-from elicitrec.evaluation import analyze_scores, report_to_dict, roc_analysis_to_csv, t_tests_for_rows
+from elicitrec.evaluation import EvaluationReport, analyze_scores, report_to_dict, roc_analysis_to_csv
 from elicitrec.feature_scoring import METHODS, score_all
 from elicitrec.forest import NODE_FIELDS, ForestParams, draw_bootstrap, predict_proba_many, train_forest
 from elicitrec.recommender import (
@@ -182,6 +182,18 @@ class TestSharedBootstrap:
             for f in (*NODE_FIELDS, "offsets"):
                 assert np.array_equal(getattr(model, f), getattr(alone, f))
 
+    def test_one_draw_serves_every_subset(self, skewed_dataset, monkeypatch):
+        # the three distinct top-10 sets train on equally many rows
+        drawn = []
+
+        def counted(n_rows, params):
+            drawn.append(n_rows)
+            return draw_bootstrap(n_rows, params)
+
+        monkeypatch.setattr("elicitrec.forest.draw_bootstrap", counted)
+        select_best_filter(skewed_dataset, METHODS, 10, ForestParams(n_trees=30), eval_seed=11)
+        assert len(drawn) == 1
+
     def test_plan_must_fit_the_forest(self, skewed_dataset):
         d, params = skewed_dataset, ForestParams(n_trees=3, seed=4)
         plan = draw_bootstrap(d.n_rows, params)
@@ -210,7 +222,7 @@ class TestTTestAssembly:
         no_positives = dataclasses.replace(row.imbalanced, confusion=(0, 0, tn + fp, fn + tp))
         assert no_positives.precision is None
         broken = dataclasses.replace(row, imbalanced=no_positives)
-        out = t_tests_for_rows([broken, row, row])
+        out = EvaluationReport(rows=(broken, row, row)).t_tests
         assert out["precision"] is not None
         assert out["precision"].df == 1  # only the two intact rows pair up
 
