@@ -36,9 +36,9 @@ _EXPORTS = {
         "train_forest",
     ),
     "model_file": ("model_to_dict",),
-    "recommender": ("FilterSelection", "combine_reports", "run_pipeline", "select_best_filter"),
+    "recommender": ("FilterSelection", "run_pipeline", "select_best_filter"),
     "sampler": ("smote_details", "smote_oversample"),
-    "scores": ("FeatureScoreTable", "Prediction", "RecommendationSet", "form_recommendations"),
+    "scores": ("FeatureScoreTable", "Prediction", "form_recommendations"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

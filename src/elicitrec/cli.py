@@ -169,6 +169,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     s = _load_settings(args)
     d = _load_input(args, s)
     out_dir = args.out_dir
+    if len(s.filter.methods) > 1:
+        recommender.check_selection(d, s.filter.top_k, s.pipeline.forest)
     tables = {method: feature_scoring.score_all(d, method) for method in s.filter.methods}
     for method, table in tables.items():
         _write_atomic(out_dir / f"scores_{method}.csv", scores.table_to_csv(table))
@@ -211,22 +213,22 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise ValueError(f"scores file {args.scores}: feature(s) not in the model with that role: {', '.join(unknown)}")
     share = model_file.vote_share(bundle.forest, bundle.code_row(read_json(args.row, "context row")))
     prediction = scores.Prediction(label=bundle.target_name, probability=share)
-    rs = scores.form_recommendations(table, prediction, float(s.recommendation_threshold))
+    doc = scores.form_recommendations(table, prediction, float(s.recommendation_threshold))
     out = args.out_dir / "recommendations.json"
-    _write_atomic(out, _dump_json(scores.recommendation_set_to_dict(rs)))
+    _write_atomic(out, _dump_json(doc))
 
     use = "use" if share >= CUTOFF else "do not use"
     print(f"prediction: {use} {bundle.target_name} (vote share {share:.3f})")
-    if rs.collaborative:
+    if doc["collaborative"]:
         print("also consider (technique features above threshold):")
-        for e in rs.collaborative:
-            print(f"  {e.feature_name}: {e.score:g}")
+        for e in doc["collaborative"]:
+            print(f"  {e['feature']}: {float(e['score']):g}")
     else:
         print("no technique features score above the threshold")
-    if rs.content_based:
+    if doc["content_based"]:
         print("context features above threshold (from the scores file, the same for every row):")
-        for e in rs.content_based:
-            print(f"  {e.feature_name}: {e.score:g}")
+        for e in doc["content_based"]:
+            print(f"  {e['feature']}: {float(e['score']):g}")
     else:
         print("no context features score above the threshold")
     print(f"wrote {out}")

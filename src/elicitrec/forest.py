@@ -32,6 +32,7 @@ reached the node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -341,37 +342,34 @@ def grow_forest(X, y, boots, params: ForestParams, keys) -> RandomForestModel:
                              seed=params.seed)
 
 
+@functools.lru_cache(maxsize=1)
 def draw_bootstrap(n_rows: int, params: ForestParams) -> tuple[np.ndarray, np.ndarray]:
     """Every tree's bootstrap sample and root key, as the pair (rows, keys).
     Tree t's sample: `n_rows` draws of `default_rng([params.seed, t])`; its
     root key: the first word of SeedSequence([params.seed, t]). One
-    SeedSequence per tree serves both."""
+    SeedSequence per tree serves both.
+
+    The last draw is kept, read-only, so forests of one seed and size on
+    different columns (the subsets of one filter selection) draw once."""
     rows = np.empty((params.n_trees, n_rows), dtype=np.int64)
     keys = np.empty(params.n_trees, dtype=np.uint64)
     for t, row in enumerate(rows):
         seq = np.random.SeedSequence([params.seed, t])
         keys[t] = seq.generate_state(1, np.uint64)[0]
         row[:] = np.random.Generator(np.random.PCG64(seq)).integers(0, n_rows, size=n_rows)
+    rows.setflags(write=False)
+    keys.setflags(write=False)
     return rows, keys
 
 
-def train_forest(
-    d: Dataset, params: ForestParams, plan: Optional[tuple[np.ndarray, np.ndarray]] = None
-) -> RandomForestModel:
+def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
     """Bag `n_trees` trees, tree t grown on the bootstrap sample that
     `default_rng([params.seed, t])` draws. The model is a pure function of
     (dataset, params) no matter how training is scheduled: tree t is the
-    same in every forest of more than t trees, whatever the chunking.
-
-    `plan` may hold the pair `draw_bootstrap(d.n_rows, params)` made
-    already, so forests of one seed and size on different columns draw
-    once; its shape and tree 0's key must fit."""
+    same in every forest of more than t trees, whatever the chunking."""
     if d.y.min() == d.y.max():
         raise ValueError("single-class dataset")
-    rows, keys = plan or draw_bootstrap(d.n_rows, params)
-    first_key = np.random.SeedSequence([params.seed, 0]).generate_state(1, np.uint64)[0]
-    if rows.shape != (params.n_trees, d.n_rows) or keys[0] != first_key:
-        raise ValueError("the bootstrap plan is not for this seed, tree count and row count")
+    rows, keys = draw_bootstrap(d.n_rows, params)
     return grow_forest(d.X, d.y, rows, params, keys)
 
 

@@ -21,7 +21,10 @@ scores its forest. `select_best_filter` ranks each method by the balanced
 arm of a balance-first run on its top-k features, the forest seeded from
 the imbalanced stream: a leak, as synthetic rows reach the test split
 that ranks the filters, whatever mode `run` uses. With `smote` None it
-ranks them by the unbalanced arm, as `run` does.
+ranks them by the unbalanced arm, as `run` does. Its forests differ only
+in their columns, so they share the bootstrap draw that
+`forest.draw_bootstrap` keeps. `check_selection` refuses, before any
+work, a `top_k` or `mtry` those forests could not grow with.
 
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
@@ -66,8 +69,6 @@ from .data_model import (
 from .sampler import smote_oversample
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .evaluation import ArmMetrics, EvaluationReport
     from .scores import FeatureScoreTable
 
@@ -89,14 +90,11 @@ def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset,
     return train, test
 
 
-def _evaluate_arm(
-    train: Dataset, test: Dataset, params: ForestParams, seed: int,
-    plan: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> ArmMetrics:
+def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams, seed: int) -> ArmMetrics:
     from .evaluation import ArmMetrics, judge
     from .forest import mean_split_entropy, predict_proba_many, train_forest
 
-    model = train_forest(train, replace(params, seed=seed), plan)
+    model = train_forest(train, replace(params, seed=seed))
     conf, roc = judge(predict_proba_many(model, test.X), test.y)
     return ArmMetrics(
         confusion=conf,
@@ -121,7 +119,14 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
             "but sound mode tests on real rows only; run on the data from before balance, "
             f"or use --mode {MODE_BALANCE_FIRST}"
         )
+    names = d.feature_names
     d = drop_constant_features(d)
+    if cfg.forest.mtry is not None and cfg.forest.mtry > d.n_features:
+        dropped = [name for name in names if name not in d.feature_names]
+        raise ValueError(
+            f"forest.mtry {cfg.forest.mtry} exceeds the {d.n_features} feature(s) left"
+            + (f" once the constant column(s) {', '.join(dropped)} are dropped" if dropped else "")
+        )
     label = d.target_name
     imb = _evaluate_arm(
         *_arm_data(d, cfg, False), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED)
@@ -147,6 +152,18 @@ class FilterSelection:
     auch_by_method: dict[str, float]
 
 
+def check_selection(d: Dataset, top_k: int, forest_params: ForestParams) -> None:
+    """Refuse a filter selection on `d` whose forests could not grow: each
+    grows on one method's top_k features."""
+    if top_k > d.n_features:
+        raise ValueError(f"filter.top_k {top_k} exceeds the feature count {d.n_features}")
+    if forest_params.mtry is not None and forest_params.mtry > top_k:
+        raise ValueError(
+            f"forest.mtry {forest_params.mtry} exceeds filter.top_k {top_k}: "
+            "filter selection grows each forest on one method's top_k features"
+        )
+
+
 def select_best_filter(
     d: Dataset,
     methods: Sequence[str],
@@ -165,20 +182,15 @@ def select_best_filter(
     it is the unbalanced arm's. The features keep schema order, so the run
     depends only on the selected set: methods that select the same set
     share one evaluated arm and its area, and exact ties fall back to the
-    canonical preference MutualInfo > Chi2 > AnovaF. The forests share
-    one seed, tree count and training row count (SMOTE's count depends
-    only on the class counts, the split's only on the row count), so they
-    share one `draw_bootstrap` pair, drawn for the first of them.
+    canonical preference MutualInfo > Chi2 > AnovaF.
 
     `tables` may hold `score_all(d, method)` tables already made, by
     method; the methods it lacks are scored here.
     """
     from .feature_scoring import score_all
-    from .forest import draw_bootstrap
 
     FilterConfig(methods, top_k)  # checks both
-    if top_k > d.n_features:
-        raise ValueError(f"top_k {top_k} exceeds feature count {d.n_features}")
+    check_selection(d, top_k, forest_params)
     cfg = PipelineConfig(
         target_name=d.target_name,
         mode=MODE_BALANCE_FIRST,
@@ -188,7 +200,6 @@ def select_best_filter(
         seed=eval_seed,
     )
     forest_seed = derive_seed(eval_seed, STREAM_FOREST_IMBALANCED)
-    plan = None  # the forests differ only in their columns
     tables = tables or {}
     auch_by_subset: dict[tuple[str, ...], float] = {}  # one arm per distinct set
     auch_by_method: dict[str, float] = {}
@@ -198,19 +209,8 @@ def select_best_filter(
         subset = tuple(f.name for f in d.schema if f.name in names)
         if subset not in auch_by_subset:
             train, test = _arm_data(select_features(d, subset), cfg, cfg.smote is not None)
-            plan = plan or draw_bootstrap(train.n_rows, replace(forest_params, seed=forest_seed))
-            auch_by_subset[subset] = _evaluate_arm(train, test, forest_params, forest_seed, plan).auch
+            auch_by_subset[subset] = _evaluate_arm(train, test, forest_params, forest_seed).auch
         auch_by_method[method] = auch_by_subset[subset]
     best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))
     return FilterSelection(method=best, auch_by_method=auch_by_method)
 
-
-def combine_reports(reports: Sequence[EvaluationReport]) -> EvaluationReport:
-    """Merge per-target reports into one table; its t-tests then run over
-    all rows (the cross-technique comparison)."""
-    from .evaluation import EvaluationReport
-
-    rows = tuple(row for rep in reports for row in rep.rows)
-    if not rows:
-        raise ValueError("no report rows to combine")
-    return EvaluationReport(rows=rows)

@@ -3,9 +3,9 @@
 A `FeatureScoreTable` is one filter method's scores, one `ScoreEntry` per
 feature, as `score` writes it to `scores_<method>.csv` and `recommend`
 reads it back (`table_to_csv`, `table_from_csv`). `form_recommendations`
-splits the features that score above a threshold by role, and
-`recommendation_set_to_dict` lays the result out as `recommend`'s
-recommendations.json. Nothing here imports numpy.
+splits the features that score above a threshold by role, as the
+recommendations.json document that `recommend` writes. Nothing here
+imports numpy.
 """
 
 from __future__ import annotations
@@ -75,23 +75,9 @@ class Prediction:
     probability: float
 
 
-@dataclass(frozen=True)
-class RecommendationSet:
-    predicted: Prediction
-    collaborative: tuple[ScoreEntry, ...]  # technique-role features
-    content_based: tuple[ScoreEntry, ...]  # context-role features
-    threshold: float
-
-    def __post_init__(self):
-        for e in self.collaborative + self.content_based:
-            if e.score <= self.threshold:
-                raise ValueError("recommended features must score strictly above threshold")
-
-
-def form_recommendations(
-    scores: FeatureScoreTable, prediction: Prediction, threshold: float
-) -> RecommendationSet:
-    """Partition strictly-above-threshold features by role.
+def form_recommendations(scores: FeatureScoreTable, prediction: Prediction, threshold: float) -> dict:
+    """`recommend`'s recommendations.json document: the features scoring
+    strictly above `threshold`, split by role.
 
     Technique-role features become the collaborative list (other
     techniques to use alongside the predicted one); context-role features
@@ -100,30 +86,22 @@ def form_recommendations(
     dataset). Both keep descending-score order. The lists come from the
     score table alone: they read no row, so every context row gets the
     same lists and only `prediction` differs. The threshold is the
-    caller's choice and has no default.
+    caller's choice and has no default. An infinite score (AnovaF with
+    zero within-class variance) is written as the string "inf".
     """
     if not 0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and non-negative, got {threshold!r}")
-    above = [e for e in scores.entries if e.score > threshold]
-    return RecommendationSet(
-        predicted=prediction,
-        collaborative=tuple(e for e in above if e.role == ROLE_TECHNIQUE),
-        content_based=tuple(e for e in above if e.role == ROLE_CONTEXT),
-        threshold=threshold,
-    )
 
-
-def recommendation_set_to_dict(rs: RecommendationSet) -> dict:
-    """The recommendations.json document; an infinite score (AnovaF with
-    zero within-class variance) is written as the string "inf"."""
-
-    def entry(e: ScoreEntry) -> dict:
-        return {"feature": e.feature_name, "score": e.score if math.isfinite(e.score) else repr(e.score)}
+    def listed(role: str) -> list[dict]:
+        return [
+            {"feature": e.feature_name, "score": e.score if math.isfinite(e.score) else repr(e.score)}
+            for e in scores.entries if e.score > threshold and e.role == role
+        ]
 
     return {
         "format_version": 1,
-        "predicted": {"label": rs.predicted.label, "probability": rs.predicted.probability},
-        "threshold": rs.threshold,
-        "collaborative": [entry(e) for e in rs.collaborative],
-        "content_based": [entry(e) for e in rs.content_based],
+        "predicted": {"label": prediction.label, "probability": prediction.probability},
+        "threshold": threshold,
+        "collaborative": listed(ROLE_TECHNIQUE),
+        "content_based": listed(ROLE_CONTEXT),
     }

@@ -228,17 +228,17 @@ def test_criterion_07_analytic_scorer_values():
 
 
 def test_criterion_08_recommendation_table_example():
-    rs = form_recommendations(
+    doc = form_recommendations(
         interviews_score_table(), Prediction("Interviews", 0.9), threshold=0.2
     )
-    assert [(e.feature_name, e.score) for e in rs.content_based] == [
+    assert [(e["feature"], e["score"]) for e in doc["content_based"]] == [
         ("Project Size", 0.3),
         ("Experience", 0.28),
         ("WoW", 0.27),
         ("Project Category", 0.23),
         ("Company Type", 0.21),
     ]
-    assert [(e.feature_name, e.score) for e in rs.collaborative] == [
+    assert [(e["feature"], e["score"]) for e in doc["collaborative"]] == [
         ("Prototyping", 0.25)
     ]
 

@@ -53,6 +53,17 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def constant_column_csv(tmp_path):
+    """60 rows of features a (one value throughout), b and c and a 0/1 target."""
+    rng = np.random.default_rng(5)
+    lines = ["a,b,c,target"] + [
+        f"x,{'pqr'[rng.integers(3)]},{'uv'[rng.integers(2)]},{int(i < 20)}" for i in range(60)
+    ]
+    path = tmp_path / "three.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def no_tmp_leftovers(dirpath):
     return not [p for p in dirpath.iterdir() if p.suffix == ".tmp"]
 
@@ -504,6 +515,18 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {balanced}: '{PROVENANCE_COLUMN}' is the provenance column")
         assert not out.exists()
 
+    def test_mtry_above_the_varying_features_exits_2(self, tmp_path, capsys):
+        # train grows on every column; run first drops the constant one
+        data = constant_column_csv(tmp_path)
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5, "mtry": 3}})
+        assert main(["train", "--config", cfg, "--input", data, "--out-dir", str(tmp_path / "train")]) == 0
+        out = tmp_path / "run"
+        assert main(["run", "--config", cfg, "--input", data, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: forest.mtry 3 exceeds the 2 feature(s) left once the constant column(s) a are dropped\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("forest_doc", [{"max_depth": 0}, {"min_samples_leaf": 100}])
     def test_forest_without_splits(self, tmp_path, input_csv, forest_doc):
         cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5, **forest_doc}, "filter": {"top_k": 4}})
@@ -554,6 +577,19 @@ class TestScore:
         assert main(["score", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 0
         assert sorted(scored) == sorted(feature_scoring.METHODS)
         assert written == sorted(f"scores_{m}.csv" for m in feature_scoring.METHODS)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "filter.top_k 10 exceeds the feature count 3"),
+        ({"forest": {"mtry": 3}, "filter": {"top_k": 2}}, "forest.mtry 3 exceeds filter.top_k 2"),
+    ])
+    def test_selection_config_refused_before_any_output(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, {"target": "target", **doc})
+        out = tmp_path / "out"
+        rc = main(["score", "--config", cfg, "--input", constant_column_csv(tmp_path), "--out-dir", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_single_method_skips_marker(self, tmp_path, input_csv):
         cfg = write_config(
@@ -629,10 +665,11 @@ def test_no_command_imports_numpy_ma(tmp_path):
 
 
 #: runs `python -m elicitrec` with argv[1:] (none: only `import elicitrec`)
-#: in this interpreter, then prints its exit code, whether numpy was imported
-#: and the sorted elicitrec modules it loaded
+#: in this interpreter, then prints its exit code, whether numpy was imported,
+#: the number of dataclasses the loaded elicitrec modules define (about 1 ms
+#: of start-up each) and the sorted elicitrec modules it loaded
 LOADS_SCRIPT = """
-import runpy, sys
+import dataclasses, runpy, sys
 code = 0
 if sys.argv[1:]:
     sys.argv[0] = "elicitrec"
@@ -642,7 +679,12 @@ if sys.argv[1:]:
         code = e.code
 else:
     import elicitrec
-print(code, "numpy" in sys.modules, *sorted(m for m in sys.modules if m.split(".")[0] == "elicitrec"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "elicitrec")
+records = sum(
+    isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == m
+    for m in loaded for v in vars(sys.modules[m]).values()
+)
+print(code, "numpy" in sys.modules, records, *loaded)
 """
 
 
@@ -706,22 +748,25 @@ def test_recommend_and_help_import_no_numpy(tmp_path):
     assert cli_again is cli
 
 
-#: the elicitrec modules each command loads, beyond the package, `cli`, `config` and `files`
+#: the dataclasses each command defines at start-up, and the elicitrec
+#: modules it loads beyond the package, `cli`, `config` and `files`
 LAYERS = {
-    "--help": (),
-    "balance": ("data_model", "recommender", "sampler"),
-    "train": ("data_model", "forest", "model_file"),
-    "score": ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler", "scores"),
-    "run": ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler"),
-    "evaluate": ("data_model", "evaluation", "forest", "model_file"),
-    "recommend": ("model_file", "scores"),
+    "--help": (6, ()),
+    "balance": (9, ("data_model", "recommender", "sampler")),
+    "train": (10, ("data_model", "forest", "model_file")),
+    "score": (19, ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler",
+                   "scores")),
+    "run": (16, ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler")),
+    "evaluate": (15, ("data_model", "evaluation", "forest", "model_file")),
+    "recommend": (10, ("model_file", "scores")),
 }
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
     """Each command imports only the layers whose code it runs: `balance`
     starts without the forest, evaluation and filter code, `run` without
-    the filter code, and `recommend` and `--help` without numpy."""
+    the filter code, and `recommend` and `--help` without numpy. Each
+    defines the dataclasses counted in `LAYERS`."""
     d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
     write_csv(d, tmp_path / "data.csv")
     cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, "filter": {"top_k": 2}})
@@ -739,10 +784,10 @@ def test_each_command_loads_only_its_layers(tmp_path):
                       "--row", str(tmp_path / "row.json"), "--threshold", "0.01"],
     }
     base = ("elicitrec", "elicitrec.cli", "elicitrec.config", "elicitrec.files")
-    for command, layers in LAYERS.items():  # train and score write what evaluate and recommend read
+    for command, (records, layers) in LAYERS.items():  # train and score write what evaluate and recommend read
         numpy = command not in ("--help", "recommend")
         loaded = sorted([*base, *(f"elicitrec.{layer}" for layer in layers)])
-        assert run_fresh(command, *argv[command]).split() == ["0", str(numpy), *loaded], command
+        assert run_fresh(command, *argv[command]).split() == ["0", str(numpy), str(records), *loaded], command
 
 
 class TestRecommend:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ from elicitrec.recommender import (
     MODE_SOUND,
     FilterConfig,
     PipelineConfig,
-    combine_reports,
     run_pipeline,
     select_best_filter,
 )
-from elicitrec.scores import Prediction, RecommendationSet, form_recommendations, recommendation_set_to_dict
+from elicitrec.scores import Prediction, form_recommendations
 from elicitrec.sampler import SmoteConfig, smote_oversample
 
 from conftest import interviews_score_table
@@ -115,6 +115,28 @@ class TestRunPipeline:
         assert roc_analysis_to_csv(row.imbalanced.roc) == roc_analysis_to_csv(row.balanced.roc)
         assert row.accuracy_improvement_pct == pytest.approx(0.0)
 
+    def test_input_freed_before_the_balanced_forest(self, skewed_dataset, monkeypatch):
+        # the dataset the pipeline works on is its own here, so nothing
+        # should hold it once both arms' rows are drawn
+        from elicitrec import recommender
+
+        own, alive = [], []
+        evaluate = recommender._evaluate_arm
+
+        def fresh(d):
+            reduced = select_features(d, d.feature_names)
+            own.append(weakref.ref(reduced))
+            return reduced
+
+        def checked(*args):
+            alive.append(own[0]() is not None)
+            return evaluate(*args)
+
+        monkeypatch.setattr(recommender, "drop_constant_features", fresh)
+        monkeypatch.setattr(recommender, "_evaluate_arm", checked)
+        run_pipeline(skewed_dataset, config())
+        assert alive == [True, False]
+
     def test_sound_mode_test_set_is_shared_and_real(self, skewed_dataset):
         for mode, seed in ((MODE_SOUND, 0), (MODE_SOUND, 9)):
             rep = run_pipeline(skewed_dataset, config(mode=mode, seed=seed))
@@ -167,48 +189,41 @@ class TestSharedBootstrap:
         assert len(subsets) == 3
         grown = []
 
-        def recorded(train, params, plan=None):
-            model = train_forest(train, params, plan)
-            grown.append((train, params, plan, model))
+        def recorded(train, params):
+            model = train_forest(train, params)
+            grown.append((train, params, model))
             return model
 
         monkeypatch.setattr("elicitrec.forest.train_forest", recorded)
         select_best_filter(d, METHODS, top_k, ForestParams(n_trees=30), eval_seed=s)
-        assert len(grown) == 3 and len({id(plan) for _, _, plan, _ in grown}) == 1
-        assert len({tuple(train.feature_names) for train, _, _, _ in grown}) == 3
-        for train, params, _, model in grown:
+        assert len(grown) == 3
+        assert len({tuple(train.feature_names) for train, _, _ in grown}) == 3
+        for train, params, model in grown:
             assert params.seed == derive_seed(s, STREAM_FOREST_IMBALANCED)
+            draw_bootstrap.cache_clear()  # so this forest draws afresh
             alone = train_forest(train, params)
             for f in (*NODE_FIELDS, "offsets"):
                 assert np.array_equal(getattr(model, f), getattr(alone, f))
 
-    def test_one_draw_serves_every_subset(self, skewed_dataset, monkeypatch):
+    def test_one_draw_serves_every_subset(self, skewed_dataset):
         # the three distinct top-10 sets train on equally many rows
-        drawn = []
-
-        def counted(n_rows, params):
-            drawn.append(n_rows)
-            return draw_bootstrap(n_rows, params)
-
-        monkeypatch.setattr("elicitrec.forest.draw_bootstrap", counted)
+        draw_bootstrap.cache_clear()
         select_best_filter(skewed_dataset, METHODS, 10, ForestParams(n_trees=30), eval_seed=11)
-        assert len(drawn) == 1
+        info = draw_bootstrap.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
-    def test_plan_must_fit_the_forest(self, skewed_dataset):
-        d, params = skewed_dataset, ForestParams(n_trees=3, seed=4)
-        plan = draw_bootstrap(d.n_rows, params)
-        for other in (dataclasses.replace(params, seed=5), dataclasses.replace(params, n_trees=4)):
-            with pytest.raises(ValueError, match="bootstrap plan"):
-                train_forest(d, other, plan)
-        with pytest.raises(ValueError, match="bootstrap plan"):
-            train_forest(d, params, draw_bootstrap(d.n_rows - 1, params))
+    def test_drawn_plan_is_read_only(self):
+        rows, keys = draw_bootstrap(7, ForestParams(n_trees=3, seed=4))
+        for a in (rows, keys):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
 
 class TestTTestAssembly:
     def test_needs_two_rows(self, skewed_dataset):
         rep1 = run_pipeline(skewed_dataset, config(seed=1))
         assert rep1.t_tests["precision"] is None
-        combined = combine_reports([rep1, run_pipeline(skewed_dataset, config(seed=2))])
+        combined = EvaluationReport(rows=rep1.rows + run_pipeline(skewed_dataset, config(seed=2)).rows)
         assert len(combined.rows) == 2
         t = combined.t_tests["precision"]
         if t is not None:
@@ -226,71 +241,71 @@ class TestTTestAssembly:
         assert out["precision"] is not None
         assert out["precision"].df == 1  # only the two intact rows pair up
 
-    def test_combine_empty(self):
-        with pytest.raises(ValueError, match="no report rows"):
-            combine_reports([])
+
+def listed(doc, key):
+    """The (feature, score) pairs of one list of a recommendations document."""
+    return [(e["feature"], e["score"]) for e in doc[key]]
 
 
 class TestFormRecommendations:
     def test_reference_scores_threshold_02(self):
         table = interviews_score_table()
-        rs = form_recommendations(table, Prediction("Interviews", 0.9), threshold=0.2)
-        assert [e.feature_name for e in rs.content_based] == [
-            "Project Size",
-            "Experience",
-            "WoW",
-            "Project Category",
-            "Company Type",
+        doc = form_recommendations(table, Prediction("Interviews", 0.9), threshold=0.2)
+        assert listed(doc, "content_based") == [
+            ("Project Size", 0.3),
+            ("Experience", 0.28),
+            ("WoW", 0.27),
+            ("Project Category", 0.23),
+            ("Company Type", 0.21),
         ]
-        assert [e.score for e in rs.content_based] == [0.3, 0.28, 0.27, 0.23, 0.21]
-        assert [e.feature_name for e in rs.collaborative] == ["Prototyping"]
-        assert rs.collaborative[0].score == 0.25
-        assert rs.predicted.label == "Interviews"
+        assert listed(doc, "collaborative") == [("Prototyping", 0.25)]
+        assert doc["predicted"]["label"] == "Interviews"
 
     def test_strict_threshold_boundary(self):
         table = interviews_score_table()
-        rs = form_recommendations(table, Prediction("Interviews", 0.9), threshold=0.25)
-        assert rs.collaborative == ()  # the 0.25 entry is excluded, not kept
-        assert [e.feature_name for e in rs.content_based] == [
+        doc = form_recommendations(table, Prediction("Interviews", 0.9), threshold=0.25)
+        assert doc["collaborative"] == []  # the 0.25 entry is excluded, not kept
+        assert [e["feature"] for e in doc["content_based"]] == [
             "Project Size",
             "Experience",
             "WoW",
         ]
 
     def test_above_max_threshold_empty(self):
-        rs = form_recommendations(
+        doc = form_recommendations(
             interviews_score_table(), Prediction("Interviews", 0.9), threshold=0.31
         )
-        assert rs.collaborative == () and rs.content_based == ()
+        assert doc["collaborative"] == [] and doc["content_based"] == []
 
     def test_role_partition_disjoint_and_complete(self):
         table = interviews_score_table()
-        rs = form_recommendations(table, Prediction("Interviews", 0.5), threshold=0.0)
-        names = {e.feature_name for e in rs.collaborative} | {
-            e.feature_name for e in rs.content_based
-        }
-        assert len(names) == len(rs.collaborative) + len(rs.content_based)
+        doc = form_recommendations(table, Prediction("Interviews", 0.5), threshold=0.0)
+        collaborative = {e["feature"] for e in doc["collaborative"]}
+        content_based = {e["feature"] for e in doc["content_based"]}
+        names = collaborative | content_based
+        assert len(names) == len(doc["collaborative"]) + len(doc["content_based"])
         assert names == {e.feature_name for e in table.entries if e.score > 0}
-        assert all(e.role == ROLE_TECHNIQUE for e in rs.collaborative)
-        assert all(e.role == ROLE_CONTEXT for e in rs.content_based)
+        role = {e.feature_name: e.role for e in table.entries}
+        assert all(role[name] == ROLE_TECHNIQUE for name in collaborative)
+        assert all(role[name] == ROLE_CONTEXT for name in content_based)
 
     def test_lowering_threshold_is_monotone(self):
         table = interviews_score_table()
         pred = Prediction("Interviews", 0.5)
         prev_c, prev_b = set(), set()
         for thr in (0.3, 0.25, 0.2, 0.15, 0.1, 0.0):
-            rs = form_recommendations(table, pred, threshold=thr)
-            cur_c = {e.feature_name for e in rs.collaborative}
-            cur_b = {e.feature_name for e in rs.content_based}
+            doc = form_recommendations(table, pred, threshold=thr)
+            cur_c = {e["feature"] for e in doc["collaborative"]}
+            cur_b = {e["feature"] for e in doc["content_based"]}
             assert prev_c <= cur_c and prev_b <= cur_b
             prev_c, prev_b = cur_c, cur_b
 
     def test_descending_order_kept(self):
-        rs = form_recommendations(
+        doc = form_recommendations(
             interviews_score_table(), Prediction("Interviews", 0.5), threshold=0.1
         )
-        for lst in (rs.collaborative, rs.content_based):
-            scores = [e.score for e in lst]
+        for key in ("collaborative", "content_based"):
+            scores = [e["score"] for e in doc[key]]
             assert scores == sorted(scores, reverse=True)
 
     def test_negative_threshold_rejected(self):
@@ -300,21 +315,10 @@ class TestFormRecommendations:
                     interviews_score_table(), Prediction("Interviews", 0.5), threshold=value
                 )
 
-    def test_set_invariant_rechecked(self):
-        entry = interviews_score_table().entries[0]
-        with pytest.raises(ValueError, match="strictly above"):
-            RecommendationSet(
-                predicted=Prediction("Interviews", 0.5),
-                collaborative=(),
-                content_based=(entry,),
-                threshold=0.5,
-            )
-
     def test_serialization(self):
-        rs = form_recommendations(
+        doc = form_recommendations(
             interviews_score_table(), Prediction("Interviews", 0.75), threshold=0.2
         )
-        doc = recommendation_set_to_dict(rs)
         assert doc["predicted"] == {"label": "Interviews", "probability": 0.75}
         assert doc["threshold"] == 0.2
         assert doc["collaborative"] == [{"feature": "Prototyping", "score": 0.25}]
