@@ -27,7 +27,7 @@ _EXPORTS = {
         "load_csv", "minority_label", "select_features", "split_train_test", "write_csv",
     ),
     "evaluation": (
-        "EvaluationReport", "RocAnalysis", "TTestResult", "analyze_scores", "auc", "dominates",
+        "EvaluationReport", "RocAnalysis", "analyze_scores", "auc", "dominates",
         "paired_t_test", "roc_convex_hull", "roc_curve",
     ),
     "feature_scoring": ("score_all",),

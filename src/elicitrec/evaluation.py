@@ -184,14 +184,6 @@ def dominates(hull_a: np.ndarray, hull_b: np.ndarray) -> str:
     return "neither"
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    t: float
-    df: int
-    p_two_tailed: float
-    mean_diff: float
-
-
 def student_t_p_two_tailed(t: float, df: int) -> float:
     """Two-tailed tail mass of Student's t for a whole-number df, as the
     finite sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even
@@ -213,8 +205,9 @@ def student_t_p_two_tailed(t: float, df: int) -> float:
     return min(1.0, max(0.0, 1.0 - central))
 
 
-def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
-    """Paired two-tailed t-test of matched finite samples.
+def paired_t_test(a: Sequence[float], b: Sequence[float]) -> dict:
+    """Paired two-tailed t-test of matched finite samples: the dict of
+    `t`, `df`, `p_two_tailed` and `mean_diff` (mean of a - b).
 
     t = mean(d) / (sd(d)/sqrt(n)) with the n-1 sample deviation and
     df = n - 1. A zero deviation makes t 0 when the means agree (p = 1)
@@ -236,14 +229,14 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
         t = mean / (sd / math.sqrt(n))
     else:
         t = math.copysign(math.inf, mean) if mean else 0.0
-    return TTestResult(t=t, df=n - 1, p_two_tailed=student_t_p_two_tailed(t, n - 1), mean_diff=mean)
+    return {"t": t, "df": n - 1, "p_two_tailed": student_t_p_two_tailed(t, n - 1), "mean_diff": mean}
 
 
 @dataclass(frozen=True)
 class ArmMetrics:
     """Test-set metrics of one pipeline arm (with or without balancing):
     what `judge` found on its test rows, the forest's mean split entropy
-    and the training row count. The other metrics derive from these."""
+    and the training row count. `report_to_dict` derives the rest."""
 
     confusion: tuple[int, int, int, int]  # (tp, fp, tn, fn) at CUTOFF
     roc: RocAnalysis
@@ -251,49 +244,18 @@ class ArmMetrics:
     n_train: int
 
     @property
-    def accuracy(self) -> float:
-        return accuracy(self.confusion)
-
-    @property
-    def precision(self) -> Optional[float]:
-        return precision(self.confusion)
-
-    @property
-    def recall(self) -> Optional[float]:
-        return recall(self.confusion)
-
-    @property
-    def n_test(self) -> int:
-        return sum(self.confusion)
-
-    @property
     def auch(self) -> float:
         return self.roc.auch
 
 
-def relative_improvement_pct(before: float, after: float) -> Optional[float]:
-    """Relative change in percent, or None when the baseline is zero."""
-    if before == 0:
-        return None
-    return (after - before) / before * 100.0
-
-
 @dataclass(frozen=True)
 class ReportRow:
-    """One label's two arms. Every comparison is derived from them, and
-    each delta is balanced minus imbalanced."""
+    """One label's two arms. `report_to_dict` compares them, each delta
+    balanced minus imbalanced."""
 
     label: str
     imbalanced: ArmMetrics
     balanced: ArmMetrics
-
-    @property
-    def accuracy_improvement_pct(self) -> Optional[float]:
-        return relative_improvement_pct(self.imbalanced.accuracy, self.balanced.accuracy)
-
-    @property
-    def auc_improvement_pct(self) -> Optional[float]:
-        return relative_improvement_pct(self.imbalanced.roc.auc, self.balanced.roc.auc)
 
     @property
     def hull_verdict(self) -> str:
@@ -301,43 +263,10 @@ class ReportRow:
         outcome = dominates(self.balanced.roc.hull, self.imbalanced.roc.hull)
         return {"A": "balanced", "B": "imbalanced"}.get(outcome, "neither")
 
-    @property
-    def auc_delta(self) -> float:
-        return self.balanced.roc.auc - self.imbalanced.roc.auc
-
-    @property
-    def accuracy_delta(self) -> float:
-        return self.balanced.accuracy - self.imbalanced.accuracy
-
-    @property
-    def entropy_delta(self) -> Optional[float]:
-        """None when either forest has no split."""
-        bal, imb = self.balanced.mean_split_entropy, self.imbalanced.mean_split_entropy
-        return None if bal is None or imb is None else bal - imb
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
     rows: tuple[ReportRow, ...]
-
-    @property
-    def t_tests(self) -> dict[str, Optional[TTestResult]]:
-        """The cross-row comparison: paired t-tests of imbalanced vs
-        balanced precision and recall over the rows where both sides are
-        defined; None when fewer than 2 pairs."""
-        out: dict[str, Optional[TTestResult]] = {}
-        for metric in ("precision", "recall"):
-            pairs = [(getattr(r.imbalanced, metric), getattr(r.balanced, metric)) for r in self.rows]
-            pairs = [pair for pair in pairs if None not in pair]
-            out[metric] = paired_t_test(*zip(*pairs)) if len(pairs) >= 2 else None
-        return out
-
-
-def t_test_to_dict(r: Optional[TTestResult]) -> Optional[dict]:
-    if r is None:
-        return None
-    t = None if math.isinf(r.t) else r.t
-    return {"t": t, "df": r.df, "p_two_tailed": r.p_two_tailed, "mean_diff": r.mean_diff}
 
 
 def metrics_to_dict(conf: tuple[int, int, int, int], analysis: RocAnalysis) -> dict:
@@ -357,45 +286,63 @@ def _arm_to_dict(m: ArmMetrics) -> dict:
         **metrics_to_dict(m.confusion, m.roc),
         "mean_split_entropy": m.mean_split_entropy,
         "n_train": m.n_train,
-        "n_test": m.n_test,
+        "n_test": sum(m.confusion),
         "hull": m.roc.hull[:, :2].tolist(),
     }
+
+
+def _improvement_pct(before: float, after: float) -> Optional[dict]:
+    """The relative change in percent and its whole-percent display, or
+    None when the baseline is zero."""
+    if before == 0:
+        return None
+    value = (after - before) / before * 100.0
+    return {"value": value, "display": f"{round(value)}%"}
 
 
 def report_to_dict(report: EvaluationReport, cfg: PipelineConfig) -> dict:
     """The report.json document: the target, mode and seed of `cfg`, the
     first row's comparison of its arms, and a `report` block of per-label
     metric rows for both arms, with rounded whole-percent improvement
-    columns, and the two t-test blocks."""
+    columns, and the two t-test blocks. Every comparison is taken from
+    the arm blocks the document holds, balanced against imbalanced."""
     rows = []
     for row in report.rows:
+        imb, bal = _arm_to_dict(row.imbalanced), _arm_to_dict(row.balanced)
         rows.append(
             {
                 "label": row.label,
-                "imbalanced": _arm_to_dict(row.imbalanced),
-                "balanced": _arm_to_dict(row.balanced),
-                "accuracy_improvement_pct": _round_pct(row.accuracy_improvement_pct),
-                "auc_improvement_pct": _round_pct(row.auc_improvement_pct),
+                "imbalanced": imb,
+                "balanced": bal,
+                "accuracy_improvement_pct": _improvement_pct(imb["accuracy"], bal["accuracy"]),
+                "auc_improvement_pct": _improvement_pct(imb["auc"], bal["auc"]),
             }
         )
-    comparison = ("hull_verdict", "auc_delta", "accuracy_delta", "entropy_delta")
+    imb, bal = rows[0]["imbalanced"], rows[0]["balanced"]
+    imb_entropy, bal_entropy = imb["mean_split_entropy"], bal["mean_split_entropy"]  # None without a split
+    # paired t-tests of imbalanced vs balanced over the rows where both
+    # sides are defined; None when fewer than 2 pairs
+    t_tests = {}
+    for metric in ("precision", "recall"):
+        pairs = [(r["imbalanced"][metric], r["balanced"][metric]) for r in rows]
+        pairs = [pair for pair in pairs if None not in pair]
+        test = paired_t_test(*zip(*pairs)) if len(pairs) >= 2 else None
+        if test is not None and math.isinf(test["t"]):
+            test["t"] = None  # JSON has no infinity
+        t_tests[metric] = test
     return {
         "format_version": 1,
         "target": cfg.target_name,
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "comparison": {name: getattr(report.rows[0], name) for name in comparison},
-        "report": {
-            "rows": rows,
-            "t_tests": {name: t_test_to_dict(r) for name, r in sorted(report.t_tests.items())},
+        "comparison": {
+            "hull_verdict": report.rows[0].hull_verdict,
+            "auc_delta": bal["auc"] - imb["auc"],
+            "accuracy_delta": bal["accuracy"] - imb["accuracy"],
+            "entropy_delta": None if bal_entropy is None or imb_entropy is None else bal_entropy - imb_entropy,
         },
+        "report": {"rows": rows, "t_tests": t_tests},
     }
-
-
-def _round_pct(value: Optional[float]) -> Optional[dict]:
-    if value is None:
-        return None
-    return {"value": value, "display": f"{round(value)}%"}
 
 
 def roc_analysis_to_csv(analysis: RocAnalysis) -> str:

@@ -14,9 +14,10 @@ Two orderings of balancing and splitting are supported:
   refused.
 
 With `smote` None the balanced arm is the imbalanced one. A report row
-holds the two arms; it derives every comparison between them.
+holds the two arms; report.json derives every comparison between them.
 
-`_arm_data` builds an arm's train and test rows, `_evaluate_arm` fits and
+`_arm_data` builds an arm's train and test rows, and refuses a split that
+leaves a part unusable before the arm's forest grows; `_evaluate_arm` fits and
 scores its forest. `select_best_filter` ranks each method by the balanced
 arm of a balance-first run on its top-k features, the forest seeded from
 the imbalanced stream: a leak, as synthetic rows reach the test split
@@ -78,13 +79,40 @@ def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
     return smote_oversample(d, replace(smote, seed=derive_seed(seed, STREAM_SMOTE)))
 
 
+def _check_split(train: Dataset, test: Dataset, cfg: PipelineConfig) -> None:
+    """Refuse a split with a part that lacks a class, or, where sound mode
+    will balance it, a training part with fewer minority rows than SMOTE
+    needs: 2 whenever it has rows to add (`sampler.smote_details`)."""
+    for part, rows in (("training", train), ("test", test)):
+        n_pos = int(rows.y.sum())
+        counts = (rows.n_rows - n_pos, n_pos)
+        smote_next = part == "training" and cfg.mode == MODE_SOUND and cfg.smote is not None
+        # SMOTE adds rows while the minority is short of target_ratio times the majority
+        if min(counts) == 1 and smote_next and round(cfg.smote.target_ratio * max(counts)) > 1:
+            need = "sound-mode SMOTE needs at least 2 minority rows there"
+        elif min(counts) == 0:
+            need = "each part needs rows of both classes"
+        else:
+            continue
+        levels = rows.target_levels
+        short = counts.index(min(counts))  # class 0 on a tie, as in `minority_label`
+        raise ValueError(
+            f"the split at test_fraction {cfg.test_fraction} and seed {cfg.seed} leaves the {part} part with "
+            f"class counts {levels[0]!r}: {counts[0]}, {levels[1]!r}: {counts[1]}; {need}: "
+            f"choose another seed, {'raise' if part == 'test' else 'lower'} test_fraction, "
+            f"or add rows of class {levels[short]!r}"
+        )
+
+
 def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset, Dataset]:
     """One arm's (train, test) rows: the split of `d`, balanced before the
     split (balance-first) or on its training rows (sound) for the balanced
-    arm."""
+    arm. `_check_split` checks the split before the arm's forest grows;
+    in sound mode the arms share it, so a refusal comes before either."""
     if balanced and cfg.mode == MODE_BALANCE_FIRST:
         d = balance(d, cfg.smote, cfg.seed)
     train, test = split_train_test(d, cfg.test_fraction, seed=derive_seed(cfg.seed, STREAM_SPLIT))
+    _check_split(train, test, cfg)
     if balanced and cfg.mode == MODE_SOUND:
         train = balance(train, cfg.smote, cfg.seed)
     return train, test
@@ -107,9 +135,9 @@ def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams, seed: int
 def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
     """Train and evaluate both arms (without and with balancing).
 
-    Returns one report row per run, carrying accuracy, precision, recall,
-    the full ROC analysis, and the forest's mean split entropy for each
-    arm; the row derives the comparisons between the arms.
+    Returns one report row per run, carrying each arm's confusion counts
+    at `CUTOFF`, full ROC analysis, forest's mean split entropy and
+    training row count; `report_to_dict` derives the comparisons.
     """
     from .evaluation import EvaluationReport, ReportRow
 

@@ -48,8 +48,8 @@ def test_criterion_01_paired_t_test_reference_p_values():
     r2 = paired_t_test(*recall_rows)
     elapsed = time.perf_counter() - start
 
-    assert r1.p_two_tailed == pytest.approx(0.018, abs=0.001)
-    assert r2.p_two_tailed == pytest.approx(0.087, abs=0.002)
+    assert r1["p_two_tailed"] == pytest.approx(0.018, abs=0.001)
+    assert r2["p_two_tailed"] == pytest.approx(0.087, abs=0.002)
     assert elapsed < 1e-3
 
 

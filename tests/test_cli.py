@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicitrec import cli, config, feature_scoring, forest, model_file, recommender
+from elicitrec import cli, config, evaluation, feature_scoring, forest, model_file, recommender
 from elicitrec.cli import main
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
@@ -22,7 +22,7 @@ from elicitrec.data_model import (
     load_csv,
     write_csv,
 )
-from elicitrec.evaluation import render_hulls_svg
+from elicitrec.evaluation import dominates, render_hulls_svg
 
 
 @pytest.fixture(scope="module")
@@ -603,6 +603,103 @@ class TestScore:
         assert not (out / "scores_MutualInfo.csv").exists()
 
 
+NEAR_PURE = SyntheticSpec(n_majority=307, n_minority=16, p=27, n_informative=6, seed=1)  # 95/5
+TWO_MINORITY = SyntheticSpec(n_majority=40, n_minority=2, p=5, n_informative=2, seed=3)
+
+
+class TestSplitErrors:
+    """A split that leaves a part unusable exits 2 with one message: the
+    part, its class counts, test_fraction, the seed and the remedy."""
+
+    @pytest.mark.parametrize("spec, seed, part, counts, need, remedy", [
+        (NEAR_PURE, 7, "test", "'0': 0, '1': 65", "each part needs rows of both classes", "raise"),
+        (NEAR_PURE, 9, "test", "'0': 0, '1': 65", "each part needs rows of both classes", "raise"),
+        (TWO_MINORITY, 0, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
+        (TWO_MINORITY, 1, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
+        (TWO_MINORITY, 2, "training", "'0': 0, '1': 34", "each part needs rows of both classes", "lower"),
+        (TWO_MINORITY, 3, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
+        (TWO_MINORITY, 4, "training", "'0': 1, '1': 33", "sound-mode SMOTE needs at least 2 minority rows there",
+         "lower"),
+        (TWO_MINORITY, 5, "training", "'0': 1, '1': 33", "sound-mode SMOTE needs at least 2 minority rows there",
+         "lower"),
+    ])
+    def test_run_names_the_part_and_the_remedy(self, tmp_path, capsys, spec, seed, part, counts, need, remedy):
+        write_csv(generate_synthetic(spec), tmp_path / "data.csv")
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}})
+        out = tmp_path / "out"
+        rc = main(["run", "--config", cfg, "--input", str(tmp_path / "data.csv"), "--seed", str(seed),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: the split at test_fraction 0.2 and seed {seed} leaves the {part} part with class counts "
+            f"{counts}; {need}: choose another seed, {remedy} test_fraction, or add rows of class '0'\n"
+        )
+        assert not out.exists()
+
+    def test_score_gets_the_same_message(self, tmp_path, capsys):
+        # only the unbalanced arm can lose its minority: SMOTE before the
+        # split fills both parts
+        write_csv(generate_synthetic(NEAR_PURE), tmp_path / "data.csv")
+        argv = ["--input", str(tmp_path / "data.csv"), "--seed", "7", "--out-dir", str(tmp_path)]
+        cfg = write_config(tmp_path, {"target": "target", "smote": None, "forest": {"n_trees": 3}})
+        assert main(["run", "--config", cfg, *argv]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: the split at test_fraction 0.2 and seed 7 leaves the test part")
+        assert main(["score", "--config", cfg, *argv]) == 2
+        assert capsys.readouterr().err == message
+
+
+class TestReportDocument:
+    """report.json's comparison, improvement columns and t-tests follow
+    from the arm blocks it prints."""
+
+    @staticmethod
+    def improvement(before, after):
+        if before == 0:
+            return None
+        value = (after - before) / before * 100.0
+        return {"value": value, "display": f"{round(value)}%"}
+
+    @pytest.mark.parametrize("extra", [{}, {"mode": "balance-first"}, {"smote": None}])
+    def test_comparisons_recomputed_from_the_arm_blocks(self, tmp_path, input_csv, extra):
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 15}, "seed": 7, **extra})
+        assert main(["run", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        (row,) = doc["report"]["rows"]
+        imb, bal = row["imbalanced"], row["balanced"]
+        verdict = {"A": "balanced", "B": "imbalanced"}.get(dominates(np.array(bal["hull"]), np.array(imb["hull"])),
+                                                           "neither")
+        assert doc["comparison"] == {
+            "hull_verdict": verdict,
+            "auc_delta": bal["auc"] - imb["auc"],
+            "accuracy_delta": bal["accuracy"] - imb["accuracy"],
+            "entropy_delta": bal["mean_split_entropy"] - imb["mean_split_entropy"],
+        }
+        assert row["accuracy_improvement_pct"] == self.improvement(imb["accuracy"], bal["accuracy"])
+        assert row["auc_improvement_pct"] == self.improvement(imb["auc"], bal["auc"])
+        assert doc["report"]["t_tests"] == {"precision": None, "recall": None}  # one row, no pairs
+        if "smote" in extra:
+            assert imb == bal and doc["comparison"]["hull_verdict"] == "neither"
+
+    def test_joined_rows_t_tests_are_ttest_rel_of_the_printed_metrics(self, tmp_path, input_csv):
+        stats = pytest.importorskip("scipy.stats")
+        d = load_csv(input_csv, "target")
+        rows = ()
+        for seed in (1, 2, 3):
+            cfg = config.PipelineConfig(target_name="target", forest=config.ForestParams(n_trees=15), seed=seed)
+            rows += recommender.run_pipeline(d, cfg).rows
+        doc = evaluation.report_to_dict(evaluation.EvaluationReport(rows=rows), cfg)
+        printed = doc["report"]["rows"]
+        for metric in ("precision", "recall"):
+            a = [r["imbalanced"][metric] for r in printed]
+            b = [r["balanced"][metric] for r in printed]
+            ref, ours = stats.ttest_rel(a, b), doc["report"]["t_tests"][metric]
+            assert ours["df"] == 2
+            assert ours["t"] == pytest.approx(ref.statistic, rel=1e-9)
+            assert ours["p_two_tailed"] == pytest.approx(ref.pvalue, rel=1e-7, abs=1e-12)
+            assert ours["mean_diff"] == pytest.approx(np.mean(np.subtract(a, b)), rel=1e-12)
+
+
 class TestThreadCounts:
     def test_artifacts_identical_across_thread_counts(self, tmp_path, input_csv):
         cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 10}, "filter": {"top_k": 4}})
@@ -754,10 +851,10 @@ LAYERS = {
     "--help": (6, ()),
     "balance": (9, ("data_model", "recommender", "sampler")),
     "train": (10, ("data_model", "forest", "model_file")),
-    "score": (19, ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler",
+    "score": (18, ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler",
                    "scores")),
-    "run": (16, ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler")),
-    "evaluate": (15, ("data_model", "evaluation", "forest", "model_file")),
+    "run": (15, ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler")),
+    "evaluate": (14, ("data_model", "evaluation", "forest", "model_file")),
     "recommend": (10, ("model_file", "scores")),
 }
 

@@ -5,18 +5,18 @@ import pytest
 
 from elicitrec.evaluation import (
     CUTOFF,
-    ArmMetrics,
     RocAnalysis,
+    _improvement_pct,
     accuracy,
     analyze_scores,
     auc,
     confusion,
     dominates,
     judge,
+    metrics_to_dict,
     paired_t_test,
     precision,
     recall,
-    relative_improvement_pct,
     roc_analysis_to_csv,
     roc_convex_hull,
     roc_curve,
@@ -70,9 +70,9 @@ class TestConfusion:
         conf, roc = judge(scores, y)
         assert conf == (2, 1, 1, 1)
         assert roc.auc == analyze_scores(scores, y).auc
-        arm = ArmMetrics(confusion=conf, roc=roc, mean_split_entropy=None, n_train=0)
-        assert arm.n_test == sum(conf) == len(y)
-        assert (arm.accuracy, arm.precision, arm.recall) == (0.6, 2 / 3, 2 / 3)
+        doc = metrics_to_dict(conf, roc)
+        assert sum(conf) == len(y)
+        assert (doc["accuracy"], doc["precision"], doc["recall"]) == (0.6, 2 / 3, 2 / 3)
 
 
 class TestRates:
@@ -93,8 +93,9 @@ class TestRates:
         assert recall((0, 3, 5, 0)) is None
 
     def test_improvement_pct(self):
-        assert relative_improvement_pct(0.5, 0.6) == pytest.approx(20.0)
-        assert relative_improvement_pct(0.0, 0.6) is None
+        assert _improvement_pct(0.5, 0.6)["value"] == pytest.approx(20.0)
+        assert _improvement_pct(0.5, 0.6)["display"] == "20%"
+        assert _improvement_pct(0.0, 0.6) is None
 
 
 class TestRocCurve:
@@ -236,23 +237,23 @@ class TestDominance:
 class TestPairedTTest:
     def test_reference_precision_rows(self):
         r = paired_t_test([0.89, 0.88, 0.81, 0.78], [0.936, 0.899, 0.831, 0.818])
-        assert r.df == 3
-        assert r.t == pytest.approx(-4.718320, abs=1e-5)
-        assert r.p_two_tailed == pytest.approx(0.018, abs=1e-3)
+        assert r["df"] == 3
+        assert r["t"] == pytest.approx(-4.718320, abs=1e-5)
+        assert r["p_two_tailed"] == pytest.approx(0.018, abs=1e-3)
 
     def test_reference_recall_rows(self):
         r = paired_t_test([1, 0.96, 0.9, 0.88], [1, 1, 0.922, 0.9])
-        assert r.t == pytest.approx(-2.506033, abs=1e-5)
-        assert r.p_two_tailed == pytest.approx(0.087, abs=2e-3)
+        assert r["t"] == pytest.approx(-2.506033, abs=1e-5)
+        assert r["p_two_tailed"] == pytest.approx(0.087, abs=2e-3)
 
     def test_equal_samples(self):
         r = paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert r.t == 0.0 and r.p_two_tailed == 1.0
+        assert r["t"] == 0.0 and r["p_two_tailed"] == 1.0
 
     def test_zero_sd_nonzero_mean(self):
         r = paired_t_test([2.0, 3.0], [1.0, 2.0])
-        assert math.isinf(r.t) and r.t > 0
-        assert r.p_two_tailed == 0.0
+        assert math.isinf(r["t"]) and r["t"] > 0
+        assert r["p_two_tailed"] == 0.0
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(9)
@@ -260,9 +261,9 @@ class TestPairedTTest:
             n = int(rng.integers(2, 12))
             a, b = rng.random(n), rng.random(n)
             r1, r2 = paired_t_test(a, b), paired_t_test(b, a)
-            assert r1.t == pytest.approx(-r2.t, abs=1e-12)
-            assert r1.p_two_tailed == pytest.approx(r2.p_two_tailed, abs=1e-12)
-            assert 0.0 <= r1.p_two_tailed <= 1.0
+            assert r1["t"] == pytest.approx(-r2["t"], abs=1e-12)
+            assert r1["p_two_tailed"] == pytest.approx(r2["p_two_tailed"], abs=1e-12)
+            assert 0.0 <= r1["p_two_tailed"] <= 1.0
 
     def test_errors(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -322,9 +323,9 @@ class TestScipyOracles:
             a = rng.random(n)
             b = a + rng.normal(rng.normal(0.0, 0.1), 0.2, size=n)
             ours, ref = paired_t_test(a, b), stats.ttest_rel(a, b)
-            assert ours.df == n - 1
-            assert ours.t == pytest.approx(ref.statistic, rel=1e-9)
-            assert ours.p_two_tailed == pytest.approx(ref.pvalue, rel=1e-7, abs=1e-12)
+            assert ours["df"] == n - 1
+            assert ours["t"] == pytest.approx(ref.statistic, rel=1e-9)
+            assert ours["p_two_tailed"] == pytest.approx(ref.pvalue, rel=1e-7, abs=1e-12)
 
     def test_t_tail_matches_t_sf(self):
         stats = pytest.importorskip("scipy.stats")

@@ -1,7 +1,8 @@
 """Every top-level function, class and assignment of the package has a
 reader: it is exported in `elicitrec.__all__`, package code outside its own
 definition reads it, or the benchmark harness under benchmarks/ reads it.
-A name that only tests read is code the package carries for its tests.
+So has every property of a package class, read as an attribute. A name
+that only tests read is code the package carries for its tests.
 """
 
 import ast
@@ -29,31 +30,56 @@ def _definitions(tree: ast.Module):
                         yield name.id, node
 
 
+def _properties(tree: ast.Module):
+    """(name, node) of each property and cached_property of a top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                # @property, @cached_property or @functools.cached_property
+                names = {getattr(d, "id", getattr(d, "attr", None)) for d in getattr(node, "decorator_list", ())}
+                if names & {"property", "cached_property"}:
+                    yield f"{cls.name}.{node.name}", node
+
+
 def _reads(tree: ast.Module):
-    """(name, line) of every name the module reads, bare or as an attribute."""
+    """(name, line, as_attribute) of every name the module reads, bare or
+    as an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def test_every_package_name_has_a_reader():
     modules = {path: _parse(path) for path in sorted((ROOT / "src" / "elicitrec").glob("*.py"))}
-    read_at = defaultdict(list)  # name -> (module, line) of each read in the package
+    read_at = defaultdict(list)  # name -> (module, line, as_attribute) of each read in the package
     for path, tree in modules.items():
-        for name, line in _reads(tree):
-            read_at[name].append((path, line))
-    bench_reads = {name for path in (ROOT / "benchmarks").rglob("*.py") for name, _ in _reads(_parse(path))}
-    unread = []
+        for name, line, attr in _reads(tree):
+            read_at[name].append((path, line, attr))
+    bench_reads = {
+        (name, attr) for path in (ROOT / "benchmarks").rglob("*.py") for name, _, attr in _reads(_parse(path))
+    }
+
+    def unread(path, node, name, attr_only):
+        # a property is read as an attribute: not by a getattr with a
+        # string, nor by a call of a same-named function
+        if (name, True) in bench_reads or ((name, False) in bench_reads and not attr_only):
+            return False
+        own = range(node.lineno, node.end_lineno + 1)
+        return not any((p != path or line not in own) and (attr or not attr_only) for p, line, attr in read_at[name])
+
+    found = []
     for path, tree in modules.items():
         for name, node in _definitions(tree):
-            if (name.startswith("__") and name.endswith("__")) or name in elicitrec.__all__ or name in bench_reads:
+            if (name.startswith("__") and name.endswith("__")) or name in elicitrec.__all__:
                 continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(p != path or line not in own for p, line in read_at[name]):
-                unread.append(f"{path.stem}.{name}")
-    assert unread == []
+            if unread(path, node, name, attr_only=False):
+                found.append(f"{path.stem}.{name}")
+        for qualified, node in _properties(tree):
+            if unread(path, node, node.name, attr_only=True):
+                found.append(f"{path.stem}.{qualified}")
+    assert found == []
 
 
 def test_every_sibling_import_is_read_where_it_is_imported():

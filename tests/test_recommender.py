@@ -11,11 +11,13 @@ from elicitrec.data_model import (
     STREAM_FOREST_IMBALANCED,
     STREAM_SMOTE,
     STREAM_SPLIT,
+    SyntheticSpec,
     derive_seed,
+    generate_synthetic,
     select_features,
     split_train_test,
 )
-from elicitrec.evaluation import EvaluationReport, analyze_scores, report_to_dict, roc_analysis_to_csv
+from elicitrec.evaluation import EvaluationReport, analyze_scores, precision, report_to_dict, roc_analysis_to_csv
 from elicitrec.feature_scoring import METHODS, score_all
 from elicitrec.forest import NODE_FIELDS, ForestParams, draw_bootstrap, predict_proba_many, train_forest
 from elicitrec.recommender import (
@@ -40,12 +42,17 @@ def config(**kw):
     return PipelineConfig(**base)
 
 
+def document(rep):
+    """The report.json document of `rep`, under one fixed config."""
+    return report_to_dict(rep, config())
+
+
 def report_text(rep):
     """Everything a report holds, as text: its JSON form plus each arm's ROC CSV.
     The header takes one fixed config, so two texts differ only where the
     reports do."""
     csvs = [roc_analysis_to_csv(arm.roc) for row in rep.rows for arm in (row.imbalanced, row.balanced)]
-    return json.dumps(report_to_dict(rep, config()), sort_keys=True) + "".join(csvs)
+    return json.dumps(document(rep), sort_keys=True) + "".join(csvs)
 
 
 class TestConfigValidation:
@@ -80,21 +87,22 @@ class TestRunPipeline:
     def test_sound_mode_report_shape(self, skewed_dataset):
         rep = run_pipeline(skewed_dataset, config())
         assert len(rep.rows) == 1
-        row = rep.rows[0]
-        assert row.label == "target"
-        for arm in (row.imbalanced, row.balanced):
-            assert 0.0 <= arm.accuracy <= 1.0
-            assert 0.0 <= arm.roc.auc <= 1.0
-            assert arm.roc.auch >= arm.roc.auc - 1e-12
-            assert arm.n_test == round(0.2 * len(skewed_dataset.y))
-        assert set(rep.t_tests) == {"precision", "recall"}
-        assert rep.t_tests["precision"] is None  # single row, no pairs
+        doc = document(rep)
+        row = doc["report"]["rows"][0]
+        assert row["label"] == "target"
+        for arm in (row["imbalanced"], row["balanced"]):
+            assert 0.0 <= arm["accuracy"] <= 1.0
+            assert 0.0 <= arm["auc"] <= 1.0
+            assert arm["auch"] >= arm["auc"] - 1e-12
+            assert arm["n_test"] == round(0.2 * len(skewed_dataset.y))
+        assert set(doc["report"]["t_tests"]) == {"precision", "recall"}
+        assert doc["report"]["t_tests"]["precision"] is None  # single row, no pairs
 
     def test_paper_mode_runs(self, skewed_dataset):
         rep = run_pipeline(skewed_dataset, config(mode=MODE_BALANCE_FIRST))
         row = rep.rows[0]
         # balanced arm drew its split from the oversampled pool
-        assert row.balanced.n_train + row.balanced.n_test == 2 * int(
+        assert row.balanced.n_train + sum(row.balanced.confusion) == 2 * int(
             (skewed_dataset.y == 1).sum()
         )
 
@@ -111,9 +119,9 @@ class TestRunPipeline:
     def test_smote_disabled_arms_identical(self, skewed_dataset):
         rep = run_pipeline(skewed_dataset, config(smote=None))
         row = rep.rows[0]
-        assert row.imbalanced.accuracy == row.balanced.accuracy
+        assert row.imbalanced.confusion == row.balanced.confusion
         assert roc_analysis_to_csv(row.imbalanced.roc) == roc_analysis_to_csv(row.balanced.roc)
-        assert row.accuracy_improvement_pct == pytest.approx(0.0)
+        assert document(rep)["report"]["rows"][0]["accuracy_improvement_pct"]["value"] == pytest.approx(0.0)
 
     def test_input_freed_before_the_balanced_forest(self, skewed_dataset, monkeypatch):
         # the dataset the pipeline works on is its own here, so nothing
@@ -141,7 +149,7 @@ class TestRunPipeline:
         for mode, seed in ((MODE_SOUND, 0), (MODE_SOUND, 9)):
             rep = run_pipeline(skewed_dataset, config(mode=mode, seed=seed))
             row = rep.rows[0]
-            assert row.imbalanced.n_test == row.balanced.n_test
+            assert sum(row.imbalanced.confusion) == sum(row.balanced.confusion)
         # the guard itself: oversampling the train subset only cannot
         # produce synthetic provenance in the shared test subset
         rep = run_pipeline(skewed_dataset, config(mode=MODE_SOUND))
@@ -222,12 +230,12 @@ class TestSharedBootstrap:
 class TestTTestAssembly:
     def test_needs_two_rows(self, skewed_dataset):
         rep1 = run_pipeline(skewed_dataset, config(seed=1))
-        assert rep1.t_tests["precision"] is None
+        assert document(rep1)["report"]["t_tests"]["precision"] is None
         combined = EvaluationReport(rows=rep1.rows + run_pipeline(skewed_dataset, config(seed=2)).rows)
         assert len(combined.rows) == 2
-        t = combined.t_tests["precision"]
+        t = document(combined)["report"]["t_tests"]["precision"]
         if t is not None:
-            assert t.df == 1
+            assert t["df"] == 1
 
     def test_skips_undefined_rows(self, skewed_dataset):
         rep = run_pipeline(skewed_dataset, config(seed=1))
@@ -235,11 +243,55 @@ class TestTTestAssembly:
         tp, fp, tn, fn = row.imbalanced.confusion
         # no positive predictions: precision is undefined
         no_positives = dataclasses.replace(row.imbalanced, confusion=(0, 0, tn + fp, fn + tp))
-        assert no_positives.precision is None
+        assert precision(no_positives.confusion) is None
         broken = dataclasses.replace(row, imbalanced=no_positives)
-        out = EvaluationReport(rows=(broken, row, row)).t_tests
+        out = document(EvaluationReport(rows=(broken, row, row)))["report"]["t_tests"]
         assert out["precision"] is not None
-        assert out["precision"].df == 1  # only the two intact rows pair up
+        assert out["precision"]["df"] == 1  # only the two intact rows pair up
+
+    def test_infinite_t_is_printed_as_null(self, skewed_dataset):
+        row = run_pipeline(skewed_dataset, config(seed=1)).rows[0]
+        # balanced precision beats imbalanced by the same margin in every
+        # row, so the differences have no spread and t is -inf
+        worse = dataclasses.replace(row.imbalanced, confusion=(1, 1, 5, 5))
+        better = dataclasses.replace(row.balanced, confusion=(1, 0, 6, 5))
+        rows = (dataclasses.replace(row, imbalanced=worse, balanced=better),) * 2
+        out = document(EvaluationReport(rows=rows))["report"]["t_tests"]
+        assert out["precision"] == {"t": None, "df": 1, "p_two_tailed": 0.0, "mean_diff": -0.5}
+        assert out["recall"] == {"t": 0.0, "df": 1, "p_two_tailed": 1.0, "mean_diff": 0.0}
+
+
+class TestSplitCheck:
+    NEAR_PURE = generate_synthetic(SyntheticSpec(n_majority=307, n_minority=16, p=27, n_informative=6, seed=1))
+    TWO_MINORITY = generate_synthetic(SyntheticSpec(n_majority=40, n_minority=2, p=5, n_informative=2, seed=3))
+
+    @pytest.fixture()
+    def no_forest(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a forest grew")
+
+        monkeypatch.setattr("elicitrec.forest.train_forest", refused)
+
+    @pytest.mark.parametrize("mode", [MODE_SOUND, MODE_BALANCE_FIRST])
+    @pytest.mark.parametrize("smote", [SmoteConfig(), None])
+    def test_refused_before_any_forest_grows(self, no_forest, mode, smote):
+        cases = [(self.NEAR_PURE, 7), (self.NEAR_PURE, 9), *((self.TWO_MINORITY, s) for s in (0, 1, 2, 3))]
+        if mode == MODE_SOUND and smote is not None:
+            cases += [(self.TWO_MINORITY, 4), (self.TWO_MINORITY, 5)]  # one minority row left to SMOTE
+        for d, seed in cases:
+            with pytest.raises(ValueError, match=f"^the split at test_fraction 0.2 and seed {seed} leaves the "):
+                run_pipeline(d, config(mode=mode, smote=smote, seed=seed))
+
+    def test_filter_selection_refused_before_any_forest_grows(self, no_forest):
+        with pytest.raises(ValueError, match="^the split at test_fraction 0.2 and seed 7 leaves the test part"):
+            select_best_filter(self.NEAR_PURE, METHODS, 5, FAST, eval_seed=7, smote_template=None)
+
+    def test_one_minority_row_serves_a_smote_that_adds_none(self):
+        # 33 training rows of class 1: SMOTE adds a row once
+        # round(target_ratio * 33) exceeds the one of class 0
+        run_pipeline(self.TWO_MINORITY, config(seed=4, smote=SmoteConfig(target_ratio=0.03)))
+        with pytest.raises(ValueError, match="SMOTE needs at least 2 minority rows"):
+            run_pipeline(self.TWO_MINORITY, config(seed=4, smote=SmoteConfig(target_ratio=0.05)))
 
 
 def listed(doc, key):
@@ -327,23 +379,25 @@ class TestFormRecommendations:
 
 class TestCompareBalancing:
     def test_smote_off_is_neither(self, skewed_dataset):
-        row = run_pipeline(skewed_dataset, config(smote=None)).rows[0]
-        assert row.hull_verdict == "neither"
-        assert row.auc_delta == 0.0
-        assert row.accuracy_delta == 0.0
-        assert row.entropy_delta == 0.0
+        comparison = document(run_pipeline(skewed_dataset, config(smote=None)))["comparison"]
+        assert comparison["hull_verdict"] == "neither"
+        assert comparison["auc_delta"] == 0.0
+        assert comparison["accuracy_delta"] == 0.0
+        assert comparison["entropy_delta"] == 0.0
 
     def test_verdict_vocabulary(self, skewed_dataset):
-        row = run_pipeline(skewed_dataset, config(mode=MODE_BALANCE_FIRST)).rows[0]
+        rep = run_pipeline(skewed_dataset, config(mode=MODE_BALANCE_FIRST))
+        row, comparison = rep.rows[0], document(rep)["comparison"]
         assert row.hull_verdict in ("balanced", "imbalanced", "neither")
-        assert row.auc_delta == pytest.approx(row.balanced.roc.auc - row.imbalanced.roc.auc)
+        assert comparison["auc_delta"] == pytest.approx(row.balanced.roc.auc - row.imbalanced.roc.auc)
 
     def test_derived_from_the_arms(self, skewed_dataset):
         row = run_pipeline(skewed_dataset, config()).rows[0]
         imb, bal = row.imbalanced, row.balanced
         flipped = dataclasses.replace(row, imbalanced=bal, balanced=imb)
-        assert flipped.auc_delta == -row.auc_delta
-        assert flipped.accuracy_delta == -row.accuracy_delta
-        assert flipped.entropy_delta == -row.entropy_delta
+        doc, flipped_doc = document(EvaluationReport(rows=(row,))), document(EvaluationReport(rows=(flipped,)))
+        for name in ("auc_delta", "accuracy_delta", "entropy_delta"):
+            assert flipped_doc["comparison"][name] == -doc["comparison"][name]
         assert {row.hull_verdict, flipped.hull_verdict} in ({"neither"}, {"balanced", "imbalanced"})
-        assert row.auc_improvement_pct == pytest.approx((bal.roc.auc / imb.roc.auc - 1) * 100)
+        improvement = doc["report"]["rows"][0]["auc_improvement_pct"]["value"]
+        assert improvement == pytest.approx((bal.roc.auc / imb.roc.auc - 1) * 100)
