@@ -169,25 +169,20 @@ def cmd_score(args: argparse.Namespace) -> int:
     s = _load_settings(args)
     d = _load_input(args, s)
     out_dir = args.out_dir
-    if len(s.filter.methods) > 1:
-        recommender.check_selection(d, s.filter.top_k, s.pipeline.forest)
-    tables = {method: feature_scoring.score_all(d, method) for method in s.filter.methods}
+    methods = s.filter.methods
+    tables = {method: feature_scoring.score_all(d, method) for method in methods}
+    selection = None
+    if len(methods) > 1:  # selection refuses before anything is written
+        selection = recommender.select_best_filter(
+            d, methods, s.filter.top_k, s.pipeline.forest, eval_seed=s.pipeline.seed,
+            test_fraction=s.pipeline.test_fraction, smote_template=s.pipeline.smote, tables=tables,
+        )
     for method, table in tables.items():
         _write_atomic(out_dir / f"scores_{method}.csv", scores.table_to_csv(table))
-    print(f"scored {d.n_features} features with {len(s.filter.methods)} method(s)")
-    if len(s.filter.methods) > 1:
-        selection = recommender.select_best_filter(
-            d,
-            s.filter.methods,
-            s.filter.top_k,
-            s.pipeline.forest,
-            eval_seed=s.pipeline.seed,
-            test_fraction=s.pipeline.test_fraction,
-            smote_template=s.pipeline.smote,
-            tables=tables,
-        )
+    print(f"scored {d.n_features} features with {len(methods)} method(s)")
+    if selection is not None:
         _write_atomic(out_dir / "best_method.txt", selection.method + "\n")
-        for method in s.filter.methods:
+        for method in methods:
             print(f"  {method}: auch {selection.auch_by_method[method]:.6f}")
         print(f"best filter: {selection.method} -> {out_dir / 'best_method.txt'}")
     return 0
@@ -211,7 +206,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     unknown = [e.feature_name for e in table.entries if roles.get(e.feature_name) != e.role]
     if unknown:
         raise ValueError(f"scores file {args.scores}: feature(s) not in the model with that role: {', '.join(unknown)}")
-    share = model_file.vote_share(bundle.forest, bundle.code_row(read_json(args.row, "context row")))
+    row = read_json(args.row, "context row")
+    try:
+        codes = bundle.code_row(row)
+    except ValueError as e:
+        raise ValueError(f"context row file {args.row}: {e}") from None
+    share = model_file.vote_share(bundle.forest, codes)
     prediction = scores.Prediction(label=bundle.target_name, probability=share)
     doc = scores.form_recommendations(table, prediction, float(s.recommendation_threshold))
     out = args.out_dir / "recommendations.json"

@@ -240,7 +240,11 @@ def load_settings(path: Optional[str], flags: Mapping[str, object]) -> Settings:
         doc = _checked(read_json(path, "config"), "config")
     for name, cls in _SECTIONS.items():
         if doc.get(name, {}) is not None:  # "smote": null stays None
-            doc[name] = cls(**_checked(doc.get(name, {}), name))
+            section = _checked(doc.get(name, {}), name)
+            try:
+                doc[name] = cls(**section)
+            except ValueError as e:
+                raise ValueError(f"config {name}: {e}") from None
     for name, role in doc.get("roles", {}).items():
         if role not in ROLES:
             raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")

@@ -210,7 +210,7 @@ def load_csv(
     # a name twice leaves a column unfilled, which `Dataset` refuses)
     k_of = {col_of[name]: k for k, name in enumerate(names) if name in col_of}
     X = np.empty((n_rows, len(names)), dtype=np.int64)
-    levels_of, unknown = {}, {}  # by X column: the file's levels, its first unknown level
+    levels_of, unknown = {}, {}  # by X column: the file's levels, its first unknown level and its row
     other = {}  # the target and provenance columns
     js = sorted([*k_of, target_idx] + ([] if prov_idx is None else [prov_idx]))
     for j, (levels, codes) in zip(js, read_columns(js)):
@@ -226,7 +226,8 @@ def load_csv(
             if -1 in known:
                 # the file's levels come in first-appearance order, so the
                 # first unknown one is the first in the file
-                unknown[k] = levels[known.index(-1)]
+                c = known.index(-1)
+                unknown[k] = levels[c], int(np.argmax(codes == c)) + 2
             else:
                 X[:, k] = np.array(known, dtype=np.int64)[codes]
 
@@ -264,7 +265,8 @@ def load_csv(
         raise ValueError(f"{path}: missing feature columns {missing}")
     if unknown:
         k = min(unknown)
-        raise ValueError(f"unknown level {unknown[k]!r} for feature {names[k]!r}")
+        level, row = unknown[k]
+        raise ValueError(f"{path}: row {row}: unknown level {level!r} for feature {names[k]!r}")
 
     synthetic = None
     if prov_idx is not None:

@@ -146,15 +146,15 @@ class Bundle:
         that maps every feature of the schema, and nothing else, to one of
         its levels."""
         if not isinstance(row, dict) or not all(isinstance(v, str) for v in row.values()):
-            raise ValueError("context row must be a JSON object of feature -> level string")
+            raise ValueError("must be a JSON object of feature -> level string")
         codes = []
         for f in self.schema:
             if f.name not in row:
-                raise ValueError(f"context row lacks feature {f.name!r}")
+                raise ValueError(f"lacks feature {f.name!r}")
             codes.append(f.encode(row[f.name]))
         extra = sorted(set(row) - {f.name for f in self.schema})
         if extra:
-            raise ValueError(f"context row has unknown feature(s): {', '.join(extra)}")
+            raise ValueError(f"has unknown feature(s): {', '.join(extra)}")
         return codes
 
 

@@ -1,31 +1,31 @@
 """End-to-end pipeline: split, balance, train, evaluate, and recommend.
 
 `run_pipeline` tests two arms, a forest without balancing and one with
-SMOTE. Both start from one split; only the balanced arm's data differs.
-Two orderings of balancing and splitting are supported:
+SMOTE. `_split` splits the input once and refuses a split that leaves a
+part unusable, before any forest grows; the imbalanced arm trains and
+tests on that split. The balanced arm's rows depend on the mode:
 
-- "balance-first" mode balances the full dataset and then splits, the
-  ordering many studies report. Because synthetic minority points are
-  created before the split, some of them land in the test subset; metrics
-  measured this way are optimistic.
-- "sound" mode (the default) balances only the training subset, so the
-  test subset contains real rows only and both arms share it, making
+- "sound" mode (the default) balances the training part of that split,
+  so the test part holds real rows only and both arms share it, making
   their comparison paired. An input that already holds synthetic rows is
   refused.
+- "balance-first" mode balances the full dataset and splits the result,
+  the ordering many studies report. Because synthetic minority points
+  are created before the split, some of them land in the test part;
+  metrics measured this way are optimistic.
 
 With `smote` None the balanced arm is the imbalanced one. A report row
 holds the two arms; report.json derives every comparison between them.
+`_evaluate_arm` fits and scores an arm's forest.
 
-`_arm_data` builds an arm's train and test rows, and refuses a split that
-leaves a part unusable before the arm's forest grows; `_evaluate_arm` fits and
-scores its forest. `select_best_filter` ranks each method by the balanced
-arm of a balance-first run on its top-k features, the forest seeded from
-the imbalanced stream: a leak, as synthetic rows reach the test split
-that ranks the filters, whatever mode `run` uses. With `smote` None it
-ranks them by the unbalanced arm, as `run` does. Its forests differ only
-in their columns, so they share the bootstrap draw that
-`forest.draw_bootstrap` keeps. `check_selection` refuses, before any
-work, a `top_k` or `mtry` those forests could not grow with.
+`select_best_filter` ranks each method by the balanced arm of a
+balance-first run on its top-k features, the forest seeded from the
+imbalanced stream: a leak, as synthetic rows reach the test split that
+ranks the filters, whatever mode `run` uses. With `smote` None it ranks
+them by the unbalanced arm, as `run` does. Before any work it refuses a
+`top_k` or `mtry` its forests could not grow with. Its forests differ
+only in their columns, so they share the bootstrap draw that
+`forest.draw_bootstrap` keeps.
 
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
@@ -67,7 +67,7 @@ from .data_model import (
     select_features,
     split_train_test,
 )
-from .sampler import smote_oversample
+from .sampler import rows_to_add, smote_oversample
 
 if TYPE_CHECKING:
     from .evaluation import ArmMetrics, EvaluationReport
@@ -79,16 +79,17 @@ def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
     return smote_oversample(d, replace(smote, seed=derive_seed(seed, STREAM_SMOTE)))
 
 
-def _check_split(train: Dataset, test: Dataset, cfg: PipelineConfig) -> None:
-    """Refuse a split with a part that lacks a class, or, where sound mode
-    will balance it, a training part with fewer minority rows than SMOTE
-    needs: 2 whenever it has rows to add (`sampler.smote_details`)."""
+def _split(d: Dataset, cfg: PipelineConfig) -> tuple[Dataset, Dataset]:
+    """The (train, test) split of `d` from the master seed's split stream,
+    refused, before any forest grows, when a part lacks a class or, where
+    sound mode will balance it, the training part holds one minority row
+    while SMOTE has rows to add (`sampler.rows_to_add`)."""
+    train, test = split_train_test(d, cfg.test_fraction, seed=derive_seed(cfg.seed, STREAM_SPLIT))
     for part, rows in (("training", train), ("test", test)):
         n_pos = int(rows.y.sum())
         counts = (rows.n_rows - n_pos, n_pos)
         smote_next = part == "training" and cfg.mode == MODE_SOUND and cfg.smote is not None
-        # SMOTE adds rows while the minority is short of target_ratio times the majority
-        if min(counts) == 1 and smote_next and round(cfg.smote.target_ratio * max(counts)) > 1:
+        if min(counts) == 1 and smote_next and rows_to_add(1, max(counts), cfg.smote.target_ratio):
             need = "sound-mode SMOTE needs at least 2 minority rows there"
         elif min(counts) == 0:
             need = "each part needs rows of both classes"
@@ -102,19 +103,6 @@ def _check_split(train: Dataset, test: Dataset, cfg: PipelineConfig) -> None:
             f"choose another seed, {'raise' if part == 'test' else 'lower'} test_fraction, "
             f"or add rows of class {levels[short]!r}"
         )
-
-
-def _arm_data(d: Dataset, cfg: PipelineConfig, balanced: bool) -> tuple[Dataset, Dataset]:
-    """One arm's (train, test) rows: the split of `d`, balanced before the
-    split (balance-first) or on its training rows (sound) for the balanced
-    arm. `_check_split` checks the split before the arm's forest grows;
-    in sound mode the arms share it, so a refusal comes before either."""
-    if balanced and cfg.mode == MODE_BALANCE_FIRST:
-        d = balance(d, cfg.smote, cfg.seed)
-    train, test = split_train_test(d, cfg.test_fraction, seed=derive_seed(cfg.seed, STREAM_SPLIT))
-    _check_split(train, test, cfg)
-    if balanced and cfg.mode == MODE_SOUND:
-        train = balance(train, cfg.smote, cfg.seed)
     return train, test
 
 
@@ -156,15 +144,17 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
             + (f" once the constant column(s) {', '.join(dropped)} are dropped" if dropped else "")
         )
     label = d.target_name
-    imb = _evaluate_arm(
-        *_arm_data(d, cfg, False), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED)
-    )
+    train, test = _split(d, cfg)
+    imb = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED))
     if cfg.smote is None:
         # with balancing off the arms are one experiment; reuse the
         # evaluation so the rows come out identical
         bal = imb
     else:
-        train, test = _arm_data(d, cfg, True)
+        if cfg.mode == MODE_SOUND:
+            train = balance(train, cfg.smote, cfg.seed)
+        else:
+            train, test = _split(balance(d, cfg.smote, cfg.seed), cfg)
         d = None  # unless the caller holds the input, it is freed before the balanced forest grows
         bal = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED))
     return EvaluationReport(rows=(ReportRow(label=label, imbalanced=imb, balanced=bal),))
@@ -178,18 +168,6 @@ _TIE_RANK = {METHOD_MUTUAL_INFO: 2, METHOD_CHI2: 1, METHOD_ANOVA_F: 0}
 class FilterSelection:
     method: str
     auch_by_method: dict[str, float]
-
-
-def check_selection(d: Dataset, top_k: int, forest_params: ForestParams) -> None:
-    """Refuse a filter selection on `d` whose forests could not grow: each
-    grows on one method's top_k features."""
-    if top_k > d.n_features:
-        raise ValueError(f"filter.top_k {top_k} exceeds the feature count {d.n_features}")
-    if forest_params.mtry is not None and forest_params.mtry > top_k:
-        raise ValueError(
-            f"forest.mtry {forest_params.mtry} exceeds filter.top_k {top_k}: "
-            "filter selection grows each forest on one method's top_k features"
-        )
 
 
 def select_best_filter(
@@ -218,7 +196,13 @@ def select_best_filter(
     from .feature_scoring import score_all
 
     FilterConfig(methods, top_k)  # checks both
-    check_selection(d, top_k, forest_params)
+    if top_k > d.n_features:
+        raise ValueError(f"filter.top_k {top_k} exceeds the feature count {d.n_features}")
+    if forest_params.mtry is not None and forest_params.mtry > top_k:
+        raise ValueError(
+            f"forest.mtry {forest_params.mtry} exceeds filter.top_k {top_k}: "
+            "filter selection grows each forest on one method's top_k features"
+        )
     cfg = PipelineConfig(
         target_name=d.target_name,
         mode=MODE_BALANCE_FIRST,
@@ -236,7 +220,8 @@ def select_best_filter(
         names = {e.feature_name for e in table.entries[:top_k]}
         subset = tuple(f.name for f in d.schema if f.name in names)
         if subset not in auch_by_subset:
-            train, test = _arm_data(select_features(d, subset), cfg, cfg.smote is not None)
+            sub = select_features(d, subset)
+            train, test = _split(sub if cfg.smote is None else balance(sub, cfg.smote, eval_seed), cfg)
             auch_by_subset[subset] = _evaluate_arm(train, test, forest_params, forest_seed).auch
         auch_by_method[method] = auch_by_subset[subset]
     best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))

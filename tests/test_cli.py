@@ -190,6 +190,21 @@ class TestTrainEvaluate:
         assert "['maybe', 'yes']" in err and "['no', 'yes']" in err
         assert not (tmp_path / "evaluation.json").exists()
 
+    def test_evaluate_unknown_level_names_file_and_row(self, tmp_path, input_csv, capsys):
+        header, *rows = read_rows(input_csv)
+        col = header.index("ctx01")
+        for r in (6, 4):  # the first in the file is reported, as a file line
+            rows[r][col] = f"v{9 + r}"
+        holdout = tmp_path / "holdout.csv"
+        holdout.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n", encoding="utf-8")
+        cfg = fast_config(tmp_path)
+        assert main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(tmp_path)]) == 0
+        rc = main(["evaluate", "--input", str(holdout), "--model", str(tmp_path / "model.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {holdout}: row 6: unknown level 'v13' for feature 'ctx01'\n"
+        assert not (tmp_path / "evaluation.json").exists()
+
 
 #: a string that `write_model` writes without its quotes: a JSON number
 #: that `json` reads as an infinite float
@@ -555,12 +570,12 @@ class TestScore:
         assert best in ("Chi2", "AnovaF", "MutualInfo")
         assert "best filter" in capsys.readouterr().out
 
-    def test_each_method_scored_once_and_written_before_selection(
+    def test_each_method_scored_once_and_nothing_written_before_selection(
         self, tmp_path, input_csv, monkeypatch
     ):
         cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5}, "filter": {"top_k": 4}})
         out = tmp_path / "once"
-        scored, written = [], []
+        scored, seen = [], []
         score_all, select = feature_scoring.score_all, recommender.select_best_filter
 
         def counted(d, method):
@@ -568,15 +583,19 @@ class TestScore:
             return score_all(d, method)
 
         def checked(*args, **kwargs):
-            written.extend(sorted(p.name for p in out.glob("scores_*.csv")))
-            return select(*args, **kwargs)
+            selection = select(*args, **kwargs)
+            seen.append(out.exists() and sorted(p.name for p in out.iterdir()))
+            return selection
 
         # the command and selection both score through feature_scoring
         monkeypatch.setattr(feature_scoring, "score_all", counted)
         monkeypatch.setattr(recommender, "select_best_filter", checked)
         assert main(["score", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 0
         assert sorted(scored) == sorted(feature_scoring.METHODS)
-        assert written == sorted(f"scores_{m}.csv" for m in feature_scoring.METHODS)
+        assert seen == [False]  # selection returned before the output directory was made
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["best_method.txt", *(f"scores_{m}.csv" for m in feature_scoring.METHODS)]
+        )
 
     @pytest.mark.parametrize("doc, message", [
         ({}, "filter.top_k 10 exceeds the feature count 3"),
@@ -647,6 +666,17 @@ class TestSplitErrors:
         assert message.startswith("error: the split at test_fraction 0.2 and seed 7 leaves the test part")
         assert main(["score", "--config", cfg, *argv]) == 2
         assert capsys.readouterr().err == message
+
+    def test_score_refused_by_its_split_writes_and_prints_nothing(self, tmp_path, capsys):
+        write_csv(generate_synthetic(NEAR_PURE), tmp_path / "data.csv")
+        cfg = write_config(tmp_path, {"target": "target", "smote": None})
+        out = tmp_path / "out"
+        argv = ["--config", cfg, "--input", str(tmp_path / "data.csv"), "--seed", "7", "--out-dir", str(out)]
+        assert main(["score", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the split at test_fraction 0.2 and seed 7 leaves the test part")
+        assert not out.exists()
 
 
 class TestReportDocument:
@@ -1032,7 +1062,9 @@ class TestRecommend:
         row_path.write_text(json.dumps(row), encoding="utf-8")
         rc = main(self.base_args(trained) + ["--threshold", "0.1"])
         assert rc == 2
-        assert bad_feature in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: context row file {row_path}: unknown level 'never-seen' for feature {bad_feature!r}\n"
+        )
 
     def test_missing_feature_rejected(self, trained, capsys):
         row_path = Path(trained["row"])
@@ -1042,7 +1074,7 @@ class TestRecommend:
         row_path.write_text(json.dumps(row), encoding="utf-8")
         rc = main(self.base_args(trained) + ["--threshold", "0.1"])
         assert rc == 2
-        assert removed in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: context row file {row_path}: lacks feature {removed!r}\n"
 
     @pytest.mark.parametrize("flag,kind,text,detail", [
         ("config", "config", b'{"target": "target",}',
@@ -1119,6 +1151,26 @@ class TestConfigErrors:
             err = capsys.readouterr().err
             assert rc == 2, err
             assert (key if section is None else f"{section}.{key}") in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("smote", "k_neighbors", 0, "k_neighbors must be at least 1"),
+        ("smote", "target_ratio", 1.5, "target_ratio must be in (0, 1]"),
+        ("forest", "n_trees", 0, "n_trees must be at least 1"),
+        ("forest", "mtry", 0, "mtry must be at least 1"),
+        ("forest", "max_depth", -1, "max_depth must be non-negative"),
+        ("forest", "min_samples_leaf", 0, "min_samples_leaf must be at least 1"),
+        ("forest", "criterion", "Gini", "criterion must be one of ('gini', 'entropy')"),
+        ("filter", "methods", ["Chi2", "Chi2"], "duplicate scoring methods"),
+        ("filter", "top_k", 0, "top_k must be at least 1"),
+    ])
+    def test_out_of_range_value_names_its_section(self, tmp_path, input_csv, capsys, section, key, value, message):
+        cfg = write_config(tmp_path, config_with(section, key, value))
+        for command in ("run", "score", "train", "balance"):
+            out = tmp_path / command
+            rc = main([command, "--config", cfg, "--input", input_csv, "--out-dir", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: config {section}: {message}\n"
             assert not out.exists()
 
     def test_null_accepted_where_it_means_something(self, tmp_path, input_csv, capsys):

@@ -202,10 +202,10 @@ def rowwise_load_csv(path, target_name, role_map=None, positive_label=None, sche
     for k, feat in enumerate(schema):
         j = col_of[feat.name]
         code_of = {v: c for c, v in enumerate(feat.levels)}
-        try:
-            X[:, k] = [code_of[row[j]] for row in rows]
-        except KeyError as e:
-            raise ValueError(f"unknown level {e.args[0]!r} for feature {feat.name!r}") from None
+        for r, row in enumerate(rows):
+            if row[j] not in code_of:
+                raise ValueError(f"{path}: row {r + 2}: unknown level {row[j]!r} for feature {feat.name!r}")
+            X[r, k] = code_of[row[j]]
     synthetic = None
     if prov_idx is not None:
         flags = [row[prov_idx] for row in rows]

@@ -8,11 +8,13 @@ import pytest
 from elicitrec.data_model import (
     ROLE_CONTEXT,
     ROLE_TECHNIQUE,
+    STREAM_FOREST_BALANCED,
     STREAM_FOREST_IMBALANCED,
     STREAM_SMOTE,
     STREAM_SPLIT,
     SyntheticSpec,
     derive_seed,
+    drop_constant_features,
     generate_synthetic,
     select_features,
     split_train_test,
@@ -20,6 +22,7 @@ from elicitrec.data_model import (
 from elicitrec.evaluation import EvaluationReport, analyze_scores, precision, report_to_dict, roc_analysis_to_csv
 from elicitrec.feature_scoring import METHODS, score_all
 from elicitrec.forest import NODE_FIELDS, ForestParams, draw_bootstrap, predict_proba_many, train_forest
+from elicitrec import recommender
 from elicitrec.recommender import (
     MODE_BALANCE_FIRST,
     MODE_SOUND,
@@ -29,9 +32,9 @@ from elicitrec.recommender import (
     select_best_filter,
 )
 from elicitrec.scores import Prediction, form_recommendations
-from elicitrec.sampler import SmoteConfig, smote_oversample
+from elicitrec.sampler import SmoteConfig, smote_details, smote_oversample
 
-from conftest import interviews_score_table
+from conftest import interviews_score_table, make_dataset
 
 FAST = ForestParams(n_trees=20)
 
@@ -126,8 +129,6 @@ class TestRunPipeline:
     def test_input_freed_before_the_balanced_forest(self, skewed_dataset, monkeypatch):
         # the dataset the pipeline works on is its own here, so nothing
         # should hold it once both arms' rows are drawn
-        from elicitrec import recommender
-
         own, alive = [], []
         evaluate = recommender._evaluate_arm
 
@@ -154,6 +155,50 @@ class TestRunPipeline:
         # produce synthetic provenance in the shared test subset
         rep = run_pipeline(skewed_dataset, config(mode=MODE_SOUND))
         assert rep.rows[0].balanced.n_train > rep.rows[0].imbalanced.n_train
+
+
+FOREST_STREAMS = {"imbalanced": STREAM_FOREST_IMBALANCED, "balanced": STREAM_FOREST_BALANCED}
+
+
+class TestRunProtocol:
+    """`run_pipeline` splits once per distinct set of rows it splits and
+    each arm's area is the chain built step by step."""
+
+    @pytest.mark.parametrize("mode, smote, splits", [
+        (MODE_SOUND, SmoteConfig(), 1),
+        (MODE_SOUND, None, 1),
+        (MODE_BALANCE_FIRST, SmoteConfig(), 2),
+        (MODE_BALANCE_FIRST, None, 1),
+    ])
+    def test_split_count(self, skewed_dataset, monkeypatch, mode, smote, splits):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return split_train_test(*args, **kwargs)
+
+        monkeypatch.setattr(recommender, "split_train_test", counted)
+        run_pipeline(skewed_dataset, config(mode=mode, smote=smote))
+        assert len(calls) == splits
+
+    @pytest.mark.parametrize("mode", [MODE_SOUND, MODE_BALANCE_FIRST])
+    def test_each_arm_is_the_chain(self, skewed_dataset, mode):
+        s = 5
+        row = run_pipeline(skewed_dataset, config(mode=mode, seed=s)).rows[0]
+        d = drop_constant_features(skewed_dataset)
+        smote = SmoteConfig(seed=derive_seed(s, STREAM_SMOTE))
+        split = dict(test_fraction=0.2, seed=derive_seed(s, STREAM_SPLIT))
+        train, test = split_train_test(d, **split)
+        arms = {"imbalanced": (train, test)}
+        if mode == MODE_SOUND:
+            arms["balanced"] = smote_oversample(train, smote), test
+        else:
+            arms["balanced"] = split_train_test(smote_oversample(d, smote), **split)
+        for arm, (train, test) in arms.items():
+            params = dataclasses.replace(FAST, seed=derive_seed(s, FOREST_STREAMS[arm]))
+            scores = predict_proba_many(train_forest(train, params), test.X)
+            assert getattr(row, arm).auch == analyze_scores(scores, test.y).auch
+            assert getattr(row, arm).n_train == train.n_rows
 
 
 def balance_first_chain_auch(d, method, top_k, s, forest=FAST):
@@ -285,6 +330,31 @@ class TestSplitCheck:
     def test_filter_selection_refused_before_any_forest_grows(self, no_forest):
         with pytest.raises(ValueError, match="^the split at test_fraction 0.2 and seed 7 leaves the test part"):
             select_best_filter(self.NEAR_PURE, METHODS, 5, FAST, eval_seed=7, smote_template=None)
+
+    @pytest.mark.parametrize("target_ratio", [0.02, 0.05, 0.1, 0.25, 0.5, 1.0])
+    def test_refused_exactly_when_smote_would_raise(self, monkeypatch, target_ratio):
+        # a sound-mode training part with n_short rows of one class and
+        # n_long of the other, next to a test part that holds both
+        test = make_dataset([[0], [1]], [0, 1])
+        cfg = config(smote=SmoteConfig(target_ratio=target_ratio))
+        for n_short in range(4):
+            for n_long in range(1, 41):
+                for short in (0, 1):
+                    y = [short] * n_short + [1 - short] * n_long
+                    train = make_dataset([[i % 2] for i in range(len(y))], y)
+                    monkeypatch.setattr(recommender, "split_train_test", lambda *a, **k: (train, test))
+                    try:
+                        smote_details(train, cfg.smote)
+                        raises = False
+                    except ValueError:
+                        raises = True
+                    try:
+                        recommender._split(train, cfg)
+                        refused = False
+                    except ValueError as e:
+                        assert str(e).startswith("the split at test_fraction 0.2 and seed 3 leaves the training part")
+                        refused = True
+                    assert refused == raises, (n_short, n_long, short)
 
     def test_one_minority_row_serves_a_smote_that_adds_none(self):
         # 33 training rows of class 1: SMOTE adds a row once
