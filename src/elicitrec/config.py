@@ -116,7 +116,7 @@ class ForestParams:
     def resolve_mtry(self, p: int) -> int:
         mtry = self.mtry if self.mtry is not None else max(1, int(math.sqrt(p)))
         if mtry > p:
-            raise ValueError(f"mtry {mtry} exceeds feature count {p}")
+            raise ValueError(f"forest.mtry {mtry} exceeds the {p} feature(s) its forest grows on")
         return mtry
 
 

@@ -1,14 +1,16 @@
 """End-to-end pipeline: split, balance, train, evaluate, and recommend.
 
 `run_pipeline` tests two arms, a forest without balancing and one with
-SMOTE. `_split` splits the input once and refuses a split that leaves a
-part unusable, before any forest grows; the imbalanced arm trains and
-tests on that split. The balanced arm's rows depend on the mode:
+SMOTE, and builds both arms' rows before any forest grows. `_split`
+refuses a split that leaves a part without a class; the imbalanced arm
+trains and tests on that split. The balanced arm's rows depend on the
+mode:
 
 - "sound" mode (the default) balances the training part of that split,
   so the test part holds real rows only and both arms share it, making
-  their comparison paired. An input that already holds synthetic rows is
-  refused.
+  their comparison paired. SMOTE's refusal of that part (`sampler`'s
+  two-row rule) is given in the split's terms. An input that already
+  holds synthetic rows is refused.
 - "balance-first" mode balances the full dataset and splits the result,
   the ordering many studies report. Because synthetic minority points
   are created before the split, some of them land in the test part;
@@ -67,7 +69,7 @@ from .data_model import (
     select_features,
     split_train_test,
 )
-from .sampler import rows_to_add, smote_oversample
+from .sampler import smote_oversample
 
 if TYPE_CHECKING:
     from .evaluation import ArmMetrics, EvaluationReport
@@ -79,30 +81,30 @@ def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
     return smote_oversample(d, replace(smote, seed=derive_seed(seed, STREAM_SMOTE)))
 
 
+def _refusal(d: Dataset, part: str, rows: Dataset, cfg: PipelineConfig, need: str) -> ValueError:
+    """The refusal of the split of `d` whose `part` holds `rows`: its class
+    counts, `need` and the remedy, which offers another seed or test_fraction
+    only where `d` holds the 2 rows of the short class both parts need."""
+    n_pos = int(rows.y.sum())
+    counts = (rows.n_rows - n_pos, n_pos)
+    levels = rows.target_levels
+    short = counts.index(min(counts))  # class 0 on a tie, as in `minority_label`
+    remedy = f"add rows of class {levels[short]!r}"
+    if int((d.y == short).sum()) >= 2:
+        remedy = f"choose another seed, {'raise' if part == 'test' else 'lower'} test_fraction, or {remedy}"
+    return ValueError(
+        f"the split at test_fraction {cfg.test_fraction} and seed {cfg.seed} leaves the {part} part with "
+        f"class counts {levels[0]!r}: {counts[0]}, {levels[1]!r}: {counts[1]}; {need}: {remedy}"
+    )
+
+
 def _split(d: Dataset, cfg: PipelineConfig) -> tuple[Dataset, Dataset]:
     """The (train, test) split of `d` from the master seed's split stream,
-    refused, before any forest grows, when a part lacks a class or, where
-    sound mode will balance it, the training part holds one minority row
-    while SMOTE has rows to add (`sampler.rows_to_add`)."""
+    refused when a part lacks a class."""
     train, test = split_train_test(d, cfg.test_fraction, seed=derive_seed(cfg.seed, STREAM_SPLIT))
     for part, rows in (("training", train), ("test", test)):
-        n_pos = int(rows.y.sum())
-        counts = (rows.n_rows - n_pos, n_pos)
-        smote_next = part == "training" and cfg.mode == MODE_SOUND and cfg.smote is not None
-        if min(counts) == 1 and smote_next and rows_to_add(1, max(counts), cfg.smote.target_ratio):
-            need = "sound-mode SMOTE needs at least 2 minority rows there"
-        elif min(counts) == 0:
-            need = "each part needs rows of both classes"
-        else:
-            continue
-        levels = rows.target_levels
-        short = counts.index(min(counts))  # class 0 on a tie, as in `minority_label`
-        raise ValueError(
-            f"the split at test_fraction {cfg.test_fraction} and seed {cfg.seed} leaves the {part} part with "
-            f"class counts {levels[0]!r}: {counts[0]}, {levels[1]!r}: {counts[1]}; {need}: "
-            f"choose another seed, {'raise' if part == 'test' else 'lower'} test_fraction, "
-            f"or add rows of class {levels[short]!r}"
-        )
+        if int(rows.y.sum()) in (0, rows.n_rows):
+            raise _refusal(d, part, rows, cfg, "each part needs rows of both classes")
     return train, test
 
 
@@ -145,18 +147,18 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
         )
     label = d.target_name
     train, test = _split(d, cfg)
-    imb = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED))
-    if cfg.smote is None:
-        # with balancing off the arms are one experiment; reuse the
-        # evaluation so the rows come out identical
-        bal = imb
-    else:
-        if cfg.mode == MODE_SOUND:
-            train = balance(train, cfg.smote, cfg.seed)
-        else:
-            train, test = _split(balance(d, cfg.smote, cfg.seed), cfg)
-        d = None  # unless the caller holds the input, it is freed before the balanced forest grows
-        bal = _evaluate_arm(train, test, cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED))
+    arms = [(train, test)]
+    if cfg.smote is not None and cfg.mode == MODE_SOUND:
+        try:
+            arms.append((balance(train, cfg.smote, cfg.seed), test))
+        except ValueError as e:
+            raise _refusal(d, "training", train, cfg, f"sound-mode {e}") from e
+    elif cfg.smote is not None:
+        arms.append(_split(balance(d, cfg.smote, cfg.seed), cfg))
+    d = train = test = None  # unless the caller holds the input, only the arms' rows outlive this line
+    imb = _evaluate_arm(*arms.pop(0), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED))
+    # with balancing off the arms are one experiment, evaluated once
+    bal = _evaluate_arm(*arms.pop(0), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_BALANCED)) if arms else imb
     return EvaluationReport(rows=(ReportRow(label=label, imbalanced=imb, balanced=bal),))
 
 

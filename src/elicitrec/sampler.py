@@ -74,11 +74,6 @@ def _interpolate(x: np.ndarray, x_r: np.ndarray, draw: np.ndarray, limits: np.nd
     return np.clip(np.ceil(values - 0.5).astype(np.int64), 0, limits)
 
 
-def rows_to_add(n_minority: int, n_majority: int, target_ratio: float) -> int:
-    """How many rows SMOTE adds to bring `n_minority` to `target_ratio` times `n_majority`."""
-    return max(0, round(target_ratio * n_majority) - n_minority)
-
-
 def smote_details(
     d: Dataset, cfg: SmoteConfig
 ) -> tuple[Dataset, np.ndarray, np.ndarray, np.ndarray]:
@@ -87,11 +82,14 @@ def smote_details(
     label = minority_label(d)
     minority_rows = np.flatnonzero(d.y == label)
     m = len(minority_rows)
-    needed = rows_to_add(m, d.n_rows - m, cfg.target_ratio)
-    if not needed:
+    needed = round(cfg.target_ratio * (d.n_rows - m)) - m
+    if needed <= 0:
         return d, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
     if m < 2:
-        raise ValueError("insufficient minority samples: need at least 2 rows")
+        raise ValueError(
+            f"SMOTE needs at least 2 rows of the minority class {d.target_levels[label]!r} "
+            f"to add {needed}, and the data holds {m}"
+        )
 
     k = min(cfg.k_neighbors, m - 1)
     slot = np.arange(needed) % m  # parents cycle over the minority rows

@@ -542,6 +542,14 @@ class TestRun:
         )
         assert not out.exists()
 
+    def test_train_names_the_mtry_key(self, tmp_path, capsys):
+        write_csv(generate_synthetic(SyntheticSpec(40, 10, 4, 2, seed=1)), tmp_path / "data.csv")
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3, "mtry": 9}})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--input", str(tmp_path / "data.csv"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: forest.mtry 9 exceeds the 4 feature(s) its forest grows on\n"
+        assert not (out / "model.json").exists()
+
     @pytest.mark.parametrize("forest_doc", [{"max_depth": 0}, {"min_samples_leaf": 100}])
     def test_forest_without_splits(self, tmp_path, input_csv, forest_doc):
         cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5, **forest_doc}, "filter": {"top_k": 4}})
@@ -637,10 +645,10 @@ class TestSplitErrors:
         (TWO_MINORITY, 1, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
         (TWO_MINORITY, 2, "training", "'0': 0, '1': 34", "each part needs rows of both classes", "lower"),
         (TWO_MINORITY, 3, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
-        (TWO_MINORITY, 4, "training", "'0': 1, '1': 33", "sound-mode SMOTE needs at least 2 minority rows there",
-         "lower"),
-        (TWO_MINORITY, 5, "training", "'0': 1, '1': 33", "sound-mode SMOTE needs at least 2 minority rows there",
-         "lower"),
+        (TWO_MINORITY, 4, "training", "'0': 1, '1': 33",
+         "sound-mode SMOTE needs at least 2 rows of the minority class '0' to add 32, and the data holds 1", "lower"),
+        (TWO_MINORITY, 5, "training", "'0': 1, '1': 33",
+         "sound-mode SMOTE needs at least 2 rows of the minority class '0' to add 32, and the data holds 1", "lower"),
     ])
     def test_run_names_the_part_and_the_remedy(self, tmp_path, capsys, spec, seed, part, counts, need, remedy):
         write_csv(generate_synthetic(spec), tmp_path / "data.csv")
@@ -677,6 +685,28 @@ class TestSplitErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: the split at test_fraction 0.2 and seed 7 leaves the test part")
         assert not out.exists()
+
+
+class TestOneMinorityRow:
+    """SMOTE on an input with one minority row exits 2 with sampler's
+    message, and no command writes or prints before it."""
+
+    MESSAGE = "error: SMOTE needs at least 2 rows of the minority class '0' to add 39, and the data holds 1\n"
+
+    @pytest.mark.parametrize("command", ["balance", "score"])
+    def test_refused_with_nothing_written(self, tmp_path, capsys, command):
+        write_csv(generate_synthetic(SyntheticSpec(40, 1, 5, 2, seed=3)), tmp_path / "data.csv")
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, "filter": {"top_k": 3}})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--input", str(tmp_path / "data.csv"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+        assert not out.exists()
+
+    def test_filter_selection_gives_the_same_text(self):
+        d = generate_synthetic(SyntheticSpec(40, 1, 5, 2, seed=3))
+        with pytest.raises(ValueError) as refused:
+            recommender.select_best_filter(d, feature_scoring.METHODS, 3, forest.ForestParams(n_trees=3), eval_seed=0)
+        assert f"error: {refused.value}\n" == self.MESSAGE
 
 
 class TestReportDocument:

@@ -126,7 +126,7 @@ class TestRunPipeline:
         assert roc_analysis_to_csv(row.imbalanced.roc) == roc_analysis_to_csv(row.balanced.roc)
         assert document(rep)["report"]["rows"][0]["accuracy_improvement_pct"]["value"] == pytest.approx(0.0)
 
-    def test_input_freed_before_the_balanced_forest(self, skewed_dataset, monkeypatch):
+    def test_input_freed_before_the_first_forest(self, skewed_dataset, monkeypatch):
         # the dataset the pipeline works on is its own here, so nothing
         # should hold it once both arms' rows are drawn
         own, alive = [], []
@@ -143,8 +143,11 @@ class TestRunPipeline:
 
         monkeypatch.setattr(recommender, "drop_constant_features", fresh)
         monkeypatch.setattr(recommender, "_evaluate_arm", checked)
-        run_pipeline(skewed_dataset, config())
-        assert alive == [True, False]
+        for cfg, arms in ((config(), 2), (config(mode=MODE_BALANCE_FIRST), 2), (config(smote=None), 1)):
+            own.clear()
+            alive.clear()
+            run_pipeline(skewed_dataset, cfg)
+            assert alive == [False] * arms, cfg
 
     def test_sound_mode_test_set_is_shared_and_real(self, skewed_dataset):
         for mode, seed in ((MODE_SOUND, 0), (MODE_SOUND, 9)):
@@ -327,12 +330,29 @@ class TestSplitCheck:
             with pytest.raises(ValueError, match=f"^the split at test_fraction 0.2 and seed {seed} leaves the "):
                 run_pipeline(d, config(mode=mode, smote=smote, seed=seed))
 
+    @pytest.mark.parametrize("mode, part", [(MODE_SOUND, "training"), (MODE_BALANCE_FIRST, "test")])
+    def test_balanced_split_checked_before_any_forest_grows(self, no_forest, mode, part):
+        # the input's split keeps one minority row in each part: sound-mode
+        # SMOTE refuses the training part, and in balance-first mode the
+        # split of the balanced rows leaves the test part one class
+        d = generate_synthetic(SyntheticSpec(n_majority=8, n_minority=2, p=4, n_informative=2, seed=0))
+        for seed in (5, 17):
+            with pytest.raises(ValueError, match=f"^the split at test_fraction 0.2 and seed {seed} leaves the {part} "):
+                run_pipeline(d, config(mode=mode, seed=seed))
+
+    @pytest.mark.parametrize("mode", [MODE_SOUND, MODE_BALANCE_FIRST])
+    def test_no_split_of_one_minority_row_can_help(self, no_forest, mode):
+        d = generate_synthetic(SyntheticSpec(n_majority=40, n_minority=1, p=5, n_informative=2, seed=3))
+        for seed in range(4):
+            with pytest.raises(ValueError, match="; each part needs rows of both classes: add rows of class '0'$"):
+                run_pipeline(d, config(mode=mode, seed=seed))
+
     def test_filter_selection_refused_before_any_forest_grows(self, no_forest):
         with pytest.raises(ValueError, match="^the split at test_fraction 0.2 and seed 7 leaves the test part"):
             select_best_filter(self.NEAR_PURE, METHODS, 5, FAST, eval_seed=7, smote_template=None)
 
     @pytest.mark.parametrize("target_ratio", [0.02, 0.05, 0.1, 0.25, 0.5, 1.0])
-    def test_refused_exactly_when_smote_would_raise(self, monkeypatch, target_ratio):
+    def test_refused_exactly_when_smote_would_raise(self, monkeypatch, no_forest, target_ratio):
         # a sound-mode training part with n_short rows of one class and
         # n_long of the other, next to a test part that holds both
         test = make_dataset([[0], [1]], [0, 1])
@@ -349,7 +369,8 @@ class TestSplitCheck:
                     except ValueError:
                         raises = True
                     try:
-                        recommender._split(train, cfg)
+                        run_pipeline(test, cfg)
+                    except AssertionError:  # the first forest, so nothing was refused
                         refused = False
                     except ValueError as e:
                         assert str(e).startswith("the split at test_fraction 0.2 and seed 3 leaves the training part")
@@ -360,7 +381,8 @@ class TestSplitCheck:
         # 33 training rows of class 1: SMOTE adds a row once
         # round(target_ratio * 33) exceeds the one of class 0
         run_pipeline(self.TWO_MINORITY, config(seed=4, smote=SmoteConfig(target_ratio=0.03)))
-        with pytest.raises(ValueError, match="SMOTE needs at least 2 minority rows"):
+        with pytest.raises(ValueError, match="class counts '0': 1, '1': 33; sound-mode SMOTE needs at least 2 rows "
+                           "of the minority class '0' to add 1, and the data holds 1: choose another seed"):
             run_pipeline(self.TWO_MINORITY, config(seed=4, smote=SmoteConfig(target_ratio=0.05)))
 
 

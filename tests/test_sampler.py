@@ -59,7 +59,8 @@ class TestNeighbors:
 
     def test_needs_two_minority_rows(self):
         d = make_dataset([[0], [1], [1]], [0, 1, 1])
-        with pytest.raises(ValueError, match="insufficient minority"):
+        with pytest.raises(ValueError, match="^SMOTE needs at least 2 rows of the minority class '0' to add 1, and "
+                           "the data holds 1$"):
             smote_details(d, SmoteConfig(k_neighbors=5))
 
 
