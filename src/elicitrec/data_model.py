@@ -234,9 +234,10 @@ def load_csv(
     target_values, target_codes = other[target_idx]
     distinct_targets = sorted(target_values)
     if len(distinct_targets) != 2:
-        raise ValueError(
-            f"{path}: non-binary target ({len(distinct_targets)} distinct values)"
-        )
+        k = len(distinct_targets)
+        shown = ", ".join(map(repr, distinct_targets[:5])) + (", ..." if k > 5 else "")
+        count = "one value" if k == 1 else f"{k} values"
+        raise ValueError(f"{path}: target {target_name!r} holds {count} ({shown}); a binary target needs two")
     if positive_label is None:
         if distinct_targets == ["0", "1"]:
             positive_label = "1"

@@ -28,6 +28,12 @@ breadth-first order. An internal node's `left` and `right` children are
 tree-local indices after its own; a leaf has `feature`, `left` and `right`
 -1 and `threshold` 0. `n0`/`n1` count the training rows of each class that
 reached the node.
+
+Prediction moves every (tree, row) pair down one level per step, on
+forest-global child indices, reading X as one flat array; a pair leaves at
+its leaf, and a row's probability is its trees' leaf positive fractions
+summed tree by tree, over the tree count. X needs a column for every
+feature the forest splits on.
 """
 
 from __future__ import annotations
@@ -373,23 +379,45 @@ def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
     return grow_forest(d.X, d.y, rows, params, keys)
 
 
+def _node_roots(m: RandomForestModel) -> np.ndarray:
+    """Each node's tree root, as a forest-global index."""
+    return np.repeat(m.offsets[:-1], np.diff(m.offsets))
+
+
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
     """Positive-class probability per row: mean leaf positive fraction.
 
-    All (tree, row) pairs descend together, one level per step.
+    All (tree, row) pairs descend together, one level per step, on
+    forest-global child indices; a pair leaves the descent at its leaf.
+    Raises ValueError when X has no column for the largest split feature.
     """
     X = np.asarray(X, dtype=np.int64)
-    n = X.shape[0]
-    root = np.repeat(m.offsets[:-1], n)  # pair (t, r) sits at t * n + r
-    row = np.tile(np.arange(n), m.n_trees)
-    node = root.copy()
-    live = np.flatnonzero(m.feature[node] >= 0)
-    while live.size:
-        cur = node[live]
-        go_left = X[row[live], m.feature[cur]] <= m.threshold[cur]
-        node[live] = root[live] + np.where(go_left, m.left[cur], m.right[cur])
-        live = live[m.feature[node[live]] >= 0]
-    leaf_fraction = (m.n1[node] / (m.n0[node] + m.n1[node])).reshape(m.n_trees, n)
+    n, p = X.shape
+    last = int(m.feature.max())
+    if p <= last:
+        raise ValueError(f"X has {p} column(s), but the forest splits on feature {last}, so it needs {last + 1}")
+    root = _node_roots(m)
+    kids = np.empty(2 * len(root), dtype=np.int64)  # node i's next is kids[2 * i + goes_right]
+    np.add(root, m.left, out=kids[0::2])
+    np.add(root, m.right, out=kids[1::2])
+    split = m.feature >= 0
+    feature = np.maximum(m.feature, 0)
+    flat = X.ravel()
+    # per (tree, row) pair still descending: its node, its row's first
+    # cell in `flat` and its place t * n + r
+    node = np.repeat(m.offsets[:-1], n)
+    at = np.tile(np.arange(0, n * p, p), m.n_trees)
+    pair = np.arange(node.size)
+    leaf = np.empty(node.size, dtype=np.int64)
+    while node.size:
+        on = split.take(node)
+        if not on.all():
+            done = np.flatnonzero(~on)
+            leaf[pair.take(done)] = node.take(done)
+            keep = np.flatnonzero(on)
+            node, at, pair = node.take(keep), at.take(keep), pair.take(keep)
+        node = kids.take(2 * node + (flat.take(at + feature.take(node)) > m.threshold.take(node)))
+    leaf_fraction = (m.n1[leaf] / (m.n0[leaf] + m.n1[leaf])).reshape(m.n_trees, n)
     acc = np.zeros(n)
     for fraction in leaf_fraction:  # tree by tree: the sum's rounding is fixed
         acc += fraction
@@ -407,7 +435,7 @@ def mean_split_entropy(m: RandomForestModel) -> Optional[float]:
     split = np.flatnonzero(m.feature >= 0)
     if not split.size:
         return None
-    root = np.repeat(m.offsets[:-1], np.diff(m.offsets))[split]
+    root = _node_roots(m)[split]
     kids = np.array([root + m.left[split], root + m.right[split]])
     sides = np.array([m.n0[kids], m.n1[kids]]).transpose(1, 0, 2)  # (left, right) x (class 0, class 1)
     return float(np.mean(_quality(sides, "entropy")))
@@ -424,8 +452,9 @@ def model_from_dict(doc: dict) -> RandomForestModel:
 def _checked_model(doc: dict) -> RandomForestModel:
     """The model of a forest document that `check_forest` has passed."""
     trees = doc["trees"]
+    offsets = np.cumsum([0] + [len(t["feature"]) for t in trees])
     return RandomForestModel(
-        **{f: np.concatenate([np.asarray(t[f], dtype=np.int64) for t in trees]) for f in NODE_FIELDS},
-        offsets=np.cumsum([0] + [len(t["feature"]) for t in trees]),
-        mtry=doc["mtry"], criterion=doc["criterion"], seed=doc["seed"],
+        **{f: np.fromiter(itertools.chain.from_iterable(t[f] for t in trees), np.int64, offsets[-1])
+           for f in NODE_FIELDS},
+        offsets=offsets, mtry=doc["mtry"], criterion=doc["criterion"], seed=doc["seed"],
     )

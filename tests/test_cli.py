@@ -190,6 +190,20 @@ class TestTrainEvaluate:
         assert "['maybe', 'yes']" in err and "['no', 'yes']" in err
         assert not (tmp_path / "evaluation.json").exists()
 
+    def test_evaluate_one_class_holdout_names_the_value(self, tmp_path, input_csv, capsys):
+        header, *rows = read_rows(input_csv)
+        holdout = tmp_path / "holdout.csv"
+        one_class = [r for r in rows if r[-1] == "1"]
+        holdout.write_text("\n".join(",".join(row) for row in [header, *one_class]) + "\n", encoding="utf-8")
+        assert main(["train", "--config", fast_config(tmp_path), "--input", input_csv, "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--input", str(holdout), "--model", str(tmp_path / "model.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {holdout}: target 'target' holds one value ('1'); a binary target needs two\n"
+        assert not (tmp_path / "evaluation.json").exists()
+
     def test_evaluate_unknown_level_names_file_and_row(self, tmp_path, input_csv, capsys):
         header, *rows = read_rows(input_csv)
         col = header.index("ctx01")

@@ -138,8 +138,20 @@ class TestLoadCsv:
         assert back.y.tolist() == d.y.tolist()
 
     def test_non_binary_target(self, tmp_path):
-        with pytest.raises(ValueError, match="non-binary"):
-            load_csv(write(tmp_path, "a,target\nx,1\ny,2\nz,3\n"), "target")
+        path = write(tmp_path, "a,target\nx,1\ny,2\nz,3\n")
+        with pytest.raises(ValueError) as e:
+            load_csv(path, "target")
+        assert str(e.value) == f"{path}: target 'target' holds 3 values ('1', '2', '3'); a binary target needs two"
+
+    @pytest.mark.parametrize("targets, found", [
+        ("11", "one value ('1')"),
+        ("1234567", "7 values ('1', '2', '3', '4', '5', ...)"),
+    ])
+    def test_target_values_named(self, tmp_path, targets, found):
+        path = write(tmp_path, "a,target\n" + "".join(f"x,{t}\n" for t in targets))
+        with pytest.raises(ValueError) as e:
+            load_csv(path, "target")
+        assert str(e.value) == f"{path}: target 'target' holds {found}; a binary target needs two"
 
     def test_string_target_needs_positive_label(self, tmp_path):
         text = "a,target\nx,yes\ny,no\n"

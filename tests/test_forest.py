@@ -537,6 +537,38 @@ class TestForest:
         X = skewed_dataset.X[:40]
         assert predict_proba_many(m, X).tolist() == [walk_proba(m, row) for row in X]
 
+    def test_descent_matches_row_walk_at_mixed_depths(self, skewed_dataset):
+        # single leaves, depth-3 trees, unbounded trees and a preorder tree:
+        # pairs leave the descent at very different steps
+        trees = []
+        for max_depth, seed in ((0, 1), (3, 2), (None, 3), (3, 4), (0, 5)):
+            m = train_forest(skewed_dataset, ForestParams(n_trees=3, max_depth=max_depth, seed=seed))
+            trees += model_to_dict(m)["trees"]
+        trees.insert(4, dict(
+            feature=[0, 1, -1, -1, -1], threshold=[0] * 5, left=[1, 2, -1, -1, -1],
+            right=[4, 3, -1, -1, -1], n0=[4, 4, 3, 1, 0], n1=[3, 1, 0, 1, 2],
+        ))
+        doc = {"format_version": 3, "n_trees": len(trees), "mtry": 5, "criterion": "gini", "seed": 0}
+        m = model_from_dict({**doc, "trees": trees})
+        leaves = {tree["left"].count(-1) for tree in trees}
+        assert 1 in leaves and len(leaves) > 3
+        X = skewed_dataset.X[:60]
+        assert predict_proba_many(m, X).tolist() == [walk_proba(m, row) for row in X]
+        assert predict_proba_many(m, X[7:8]).tolist() == [walk_proba(m, X[7])]
+        assert predict_proba(m, X[7]) == walk_proba(m, X[7])
+
+    @pytest.mark.parametrize("n_rows", [1, 50])
+    def test_too_narrow_matrix_refused(self, skewed_dataset, n_rows):
+        m = train_forest(skewed_dataset, ForestParams(n_trees=4, seed=6))
+        last = int(m.feature.max())
+        X = skewed_dataset.X[:n_rows, :last]
+        with pytest.raises(ValueError, match=f"X has {last} column\\(s\\), .* feature {last}, so it needs {last + 1}"):
+            predict_proba_many(m, X)
+        if n_rows == 1:
+            with pytest.raises(ValueError, match="so it needs"):
+                predict_proba(m, X[0])
+        assert predict_proba_many(m, skewed_dataset.X[:n_rows, :last + 1]).shape == (n_rows,)
+
     def test_predict_threshold_boundary(self):
         X = np.array([[0], [1]])
         y = np.array([0, 1])

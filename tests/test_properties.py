@@ -189,7 +189,10 @@ def rowwise_load_csv(path, target_name, role_map=None, positive_label=None, sche
     target_values = [row[target_idx] for row in rows]
     distinct_targets = sorted(set(target_values))
     if len(distinct_targets) != 2:
-        raise ValueError(f"{path}: non-binary target ({len(distinct_targets)} distinct values)")
+        k = len(distinct_targets)
+        shown = ", ".join(repr(v) for v in distinct_targets[:5]) + (", ..." if k > 5 else "")
+        count = "one value" if k == 1 else f"{k} values"
+        raise ValueError(f"{path}: target {target_name!r} holds {count} ({shown}); a binary target needs two")
     positive_label = positive_label or "1"
     negative_label = next(v for v in distinct_targets if v != positive_label)
     y = [1 if v == positive_label else 0 for v in target_values]
