@@ -23,11 +23,11 @@ weighted by its count, and the histogram sums those weights. Splits and
 the stored class counts depend only on the weighted counts, so the trees
 are the ones that growing on every bootstrap entry would give.
 
-A tree is a set of parallel int64 node arrays (`NODE_FIELDS`) in
-breadth-first order. An internal node's `left` and `right` children are
-tree-local indices after its own; a leaf has `feature`, `left` and `right`
--1 and `threshold` 0. `n0`/`n1` count the training rows of each class that
-reached the node.
+A tree is five parallel int64 node arrays (`NODE_FIELDS`) in
+breadth-first order. An internal node's children are `left`, a tree-local
+index after its own, and the node after it, `left + 1`; a leaf has
+`feature` and `left` -1 and `threshold` 0. `n0`/`n1` count the training
+rows of each class that reached the node.
 
 Prediction moves every (tree, row) pair down one level per step, on
 forest-global child indices, reading X as one flat array; a pair leaves at
@@ -84,12 +84,11 @@ def _quality(sides, criterion: str):
 @dataclass(frozen=True, eq=False)
 class RandomForestModel:
     """Every tree's node arrays, concatenated; tree t holds the nodes
-    offsets[t]:offsets[t + 1], with child indices local to the tree."""
+    offsets[t]:offsets[t + 1], with `left` local to the tree."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
     offsets: np.ndarray
@@ -328,7 +327,7 @@ def grow_forest(X, y, boots, params: ForestParams, keys) -> RandomForestModel:
         n_nodes += 2 * np.bincount(t, minlength=n_trees)
         sides = np.array([left, counts.take(sp, axis=1) - left])
         feature = feats[sp, slot]
-        made.append((t, local[sp], dict(feature=feature, threshold=threshold, left=first, right=first + 1)))
+        made.append((t, local[sp], dict(feature=feature, threshold=threshold, left=first)))
         tree, local, key = t.repeat(2), (first[:, None] + np.arange(2)).ravel(), kids.take(sp, axis=0).ravel()
         counts = sides.transpose(1, 2, 0).reshape(2, -1)
         go = grows(counts, depth)
@@ -387,21 +386,16 @@ def _node_roots(m: RandomForestModel) -> np.ndarray:
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
     """Positive-class probability per row: mean leaf positive fraction.
 
-    All (tree, row) pairs descend together, one level per step, on
-    forest-global child indices; a pair leaves the descent at its leaf.
-    Raises ValueError when X has no column for the largest split feature.
+    All (tree, row) pairs descend together, one level per step, from one
+    table of forest-global left children; a pair leaves the descent at its
+    leaf. Raises ValueError when X has no column for the largest split feature.
     """
     X = np.asarray(X, dtype=np.int64)
     n, p = X.shape
     last = int(m.feature.max())
     if p <= last:
         raise ValueError(f"X has {p} column(s), but the forest splits on feature {last}, so it needs {last + 1}")
-    root = _node_roots(m)
-    kids = np.empty(2 * len(root), dtype=np.int64)  # node i's next is kids[2 * i + goes_right]
-    np.add(root, m.left, out=kids[0::2])
-    np.add(root, m.right, out=kids[1::2])
-    split = m.feature >= 0
-    feature = np.maximum(m.feature, 0)
+    first = _node_roots(m) + m.left  # a split's children: first, first + 1
     flat = X.ravel()
     # per (tree, row) pair still descending: its node, its row's first
     # cell in `flat` and its place t * n + r
@@ -410,13 +404,13 @@ def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
     pair = np.arange(node.size)
     leaf = np.empty(node.size, dtype=np.int64)
     while node.size:
-        on = split.take(node)
+        on = m.feature.take(node) >= 0
         if not on.all():
             done = np.flatnonzero(~on)
             leaf[pair.take(done)] = node.take(done)
             keep = np.flatnonzero(on)
             node, at, pair = node.take(keep), at.take(keep), pair.take(keep)
-        node = kids.take(2 * node + (flat.take(at + feature.take(node)) > m.threshold.take(node)))
+        node = first.take(node) + (flat.take(at + m.feature.take(node)) > m.threshold.take(node))
     leaf_fraction = (m.n1[leaf] / (m.n0[leaf] + m.n1[leaf])).reshape(m.n_trees, n)
     acc = np.zeros(n)
     for fraction in leaf_fraction:  # tree by tree: the sum's rounding is fixed
@@ -435,8 +429,7 @@ def mean_split_entropy(m: RandomForestModel) -> Optional[float]:
     split = np.flatnonzero(m.feature >= 0)
     if not split.size:
         return None
-    root = _node_roots(m)[split]
-    kids = np.array([root + m.left[split], root + m.right[split]])
+    kids = _node_roots(m)[split] + m.left[split] + np.arange(2)[:, None]  # (left, right) x splits
     sides = np.array([m.n0[kids], m.n1[kids]]).transpose(1, 0, 2)  # (left, right) x (class 0, class 1)
     return float(np.mean(_quality(sides, "entropy")))
 

@@ -3,11 +3,11 @@
 `model.json` holds a forest header (`format_version`, `n_trees`, `mtry`,
 `criterion`, `seed`), the feature schema and target levels, and a
 `trees` list. Each tree is an object of parallel integer node lists
-(`NODE_FIELDS`) in breadth-first order, root first. An internal node
-sends a row whose code at `feature` is <= `threshold` to `left`, else to
-`right`, both tree-local indices after its own; a leaf has `feature`,
-`left` and `right` -1 and `threshold` 0. `n0` and `n1` count the training
-rows of each class that reached the node.
+(`NODE_FIELDS`, then `right`) in breadth-first order, root first. An
+internal node sends a row whose code at `feature` is <= `threshold` to
+`left`, a tree-local index after its own, else to `right`, which is
+`left + 1`; a leaf has `feature`, `left` and `right` -1 and `threshold` 0.
+`n0` and `n1` count the training rows of each class that reached the node.
 
 `pieces` streams the file a tree at a time and `model_to_dict` builds it
 as one object, both from `_tree_lists`. `load` reads a file into a checked
@@ -28,8 +28,9 @@ from .files import dump_json, read_json
 
 MODEL_FORMAT_VERSION = 3
 
-#: the node lists of a tree, each of integers
-NODE_FIELDS = ("feature", "threshold", "left", "right", "n0", "n1")
+#: a model's node arrays; a tree of the file adds `right`, derived from them
+NODE_FIELDS = ("feature", "threshold", "left", "n0", "n1")
+_FILE_FIELDS = (*NODE_FIELDS, "right")
 #: the node lists must fit in int64, as the arrays hold them
 _INT_LIMIT = 1 << 63
 
@@ -51,10 +52,13 @@ def _head(m, d=None) -> dict:
 
 
 def _tree_lists(m) -> Iterator[dict]:
-    """Each tree's node lists, from the node arrays and `offsets` of `m`."""
+    """Each tree's node lists, from the node arrays and `offsets` of `m`,
+    and `right`: `left + 1` at a split, -1 at a leaf."""
+    right = m.left + 1
+    right[m.feature < 0] = -1
     cut = m.offsets.tolist()
     for a, b in zip(cut, cut[1:]):
-        yield {f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS}
+        yield {**{f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS}, "right": right[a:b].tolist()}
 
 
 def model_to_dict(m, d=None) -> dict:
@@ -75,22 +79,25 @@ def pieces(m, d) -> Iterator[str]:
 def _check_tree(doc, where: str) -> None:
     """Check one tree's node lists: JSON integers (a bool is none) that fit
     in int64, so that a descent from the root only moves forward, stays
-    inside the tree and ends at a leaf with rows."""
-    missing = [f for f in NODE_FIELDS if not isinstance(doc, dict) or f not in doc]
+    inside the tree and ends at a leaf with rows; `right` as `_tree_lists`
+    writes it."""
+    missing = [f for f in _FILE_FIELDS if not isinstance(doc, dict) or f not in doc]
     if missing:
         raise ValueError(f"{where} lacks the node array {missing[0]!r}")
-    for f in NODE_FIELDS:
+    for f in _FILE_FIELDS:
         values = doc[f]
         if not (isinstance(values, list) and set(map(type, values)) <= {int}
                 and -_INT_LIMIT <= min(values, default=0) and max(values, default=0) < _INT_LIMIT):
             raise ValueError(f"{where} holds a node array ({f!r}) that is not a list of 64-bit integers")
     feature = doc["feature"]
     n = len(feature)
-    if n == 0 or any(len(doc[f]) != n for f in NODE_FIELDS):
+    if n == 0 or any(len(doc[f]) != n for f in _FILE_FIELDS):
         raise ValueError(f"{where} node arrays must be non-empty lists of equal length")
     for i, f, left, right in zip(range(n), feature, doc["left"], doc["right"]):
         if f >= 0 and not (i < left < n and i < right < n):
             raise ValueError(f"{where} has a child index not after its parent or outside the tree")
+        if right != (left + 1 if f >= 0 else -1):
+            raise ValueError(f"{where} has a 'right' that is not 'left' + 1 at a split or not -1 at a leaf")
     for f, n0, n1 in zip(feature, doc["n0"], doc["n1"]):
         if f < 0 and (n0 < 0 or n1 < 0 or n0 + n1 == 0):
             raise ValueError(f"{where} has a leaf with negative class counts or none at all")
@@ -201,9 +208,9 @@ def vote_share(forest: dict, row: Sequence[int]) -> float:
     hold exactly)."""
     acc = 0.0
     for t in forest["trees"]:
-        feature, threshold, left, right = t["feature"], t["threshold"], t["left"], t["right"]
+        feature, threshold, left = t["feature"], t["threshold"], t["left"]
         i = 0
         while (f := feature[i]) >= 0:
-            i = left[i] if row[f] <= threshold[i] else right[i]
+            i = left[i] + (row[f] > threshold[i])
         acc += t["n1"][i] / (t["n0"][i] + t["n1"][i])
     return acc / len(forest["trees"])

@@ -6,8 +6,8 @@ one of its k nearest minority neighbours x_r:
     values = x + k_draw * (x_r - x),   k_draw uniform in [0, 1)
 
 Because the feature domain is ordinal codes, the interpolated vector is
-rounded back to the nearest valid code (half-way rounds down) so the
-output dataset stays closed under the schema.
+rounded back to the nearest code (half-way rounds down), which lies between
+the two rows' codes, so the output dataset stays closed under the schema.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def _neighbors(Xm: np.ndarray, n_parents: int, k: int) -> np.ndarray:
     return out
 
 
-def _interpolate(x: np.ndarray, x_r: np.ndarray, draw: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    """Rows x + draw * (x_r - x), each value rounded to the nearest code
-    (half-way rounds down: ceil(v - 0.5)) and clipped to [0, limits]."""
+def _interpolate(x: np.ndarray, x_r: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """Rows x + draw * (x_r - x), draw in [0, 1), each value rounded to the
+    nearest code (half-way rounds down: ceil(v - 0.5)), between x's and x_r's."""
     values = x + draw[:, None] * (x_r - x)
-    return np.clip(np.ceil(values - 0.5).astype(np.int64), 0, limits)
+    return np.ceil(values - 0.5).astype(np.int64)
 
 
 def smote_details(
@@ -103,13 +103,12 @@ def smote_details(
     parent = minority_rows[slot]
     neighbor = minority_rows[near[slot, pick]]
 
-    limits = np.array([len(f.levels) - 1 for f in d.schema], dtype=np.int64)
     n = d.n_rows
     X = np.empty((n + needed, d.n_features), dtype=np.int64)
     X[:n] = d.X
     for lo in range(0, needed, _SYNTH_ROWS):
         hi = min(lo + _SYNTH_ROWS, needed)
-        X[n + lo : n + hi] = _interpolate(d.X[parent[lo:hi]], d.X[neighbor[lo:hi]], draw[lo:hi], limits)
+        X[n + lo : n + hi] = _interpolate(d.X[parent[lo:hi]], d.X[neighbor[lo:hi]], draw[lo:hi])
     y = np.concatenate([d.y, np.full(needed, label, dtype=np.int64)])
     synthetic = np.concatenate([d.synthetic, np.ones(needed, dtype=bool)])
     balanced = replace(d, X=_handed(X), y=_handed(y), synthetic=_handed(synthetic))

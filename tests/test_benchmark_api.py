@@ -114,7 +114,7 @@ def test_tree_shape_reads_the_model_file_layout(bench, skewed_dataset, max_depth
             i, d = todo.pop()
             depth = max(depth, d)
             if m.feature[start + i] >= 0:
-                todo += [(m.left[start + i], d + 1), (m.right[start + i], d + 1)]
+                todo += [(m.left[start + i], d + 1), (m.left[start + i] + 1, d + 1)]
         shapes.append((int(m.offsets[t + 1] - start), depth))
     assert [bench["traced"].tree_shape(tree) for tree in trees] == shapes
     deepest = max(d for _, d in shapes)

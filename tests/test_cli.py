@@ -257,6 +257,15 @@ MALFORMED_MODELS = {
         lambda doc, tree: setitem(tree["right"], 0, len(tree["right"])),
         "outside the tree",
     ),
+    # a split's right child is the node after its left child, a leaf's is -1
+    "right_not_after_left": (
+        lambda doc, tree: setitem(tree["right"], 0, tree["left"][0]),
+        "model tree 0 has a 'right' that is not 'left' + 1 at a split or not -1 at a leaf",
+    ),
+    "leaf_right_not_minus_one": (
+        lambda doc, tree: setitem(tree["right"], tree["feature"].index(-1), 0),
+        "model tree 0 has a 'right' that is not 'left' + 1 at a split or not -1 at a leaf",
+    ),
     "feature_outside_schema": (
         lambda doc, tree: setitem(tree["feature"], 0, len(doc["schema"])),
         "8-feature schema",
@@ -341,6 +350,7 @@ class TestModelFile:
         ])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "evaluation.json").exists()
 
     @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
     def test_malformed_model_exits_2_in_recommend(self, tmp_path, input_csv, model_doc, capsys, case):
@@ -406,12 +416,16 @@ class TestModelFile:
         else:
             assert (m.feature >= 0).sum() > (100 if shape == "deep" else 20)
         cut = m.offsets.tolist()
-        fields = ("feature", "threshold", "left", "right", "n0", "n1")
+        fields = ("feature", "threshold", "left", "n0", "n1")
+        right = np.where(m.feature >= 0, m.left + 1, -1)  # the file's derived column
         doc = {
             "format_version": 3, "n_trees": 5, "mtry": m.mtry, "criterion": criterion, "seed": 3,
             "schema": [{"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema],
             "target_name": "target", "target_levels": list(d.target_levels),
-            "trees": [{f: getattr(m, f)[a:b].tolist() for f in fields} for a, b in zip(cut, cut[1:])],
+            "trees": [
+                {**{f: getattr(m, f)[a:b].tolist() for f in fields}, "right": right[a:b].tolist()}
+                for a, b in zip(cut, cut[1:])
+            ],
         }
         expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert "".join(model_file.pieces(m, d)) == expected

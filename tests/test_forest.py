@@ -92,9 +92,10 @@ def root_keys(seed, n_trees):
 
 
 def grow_one(X, y, params):
-    """The grower on one tree whose sample is every row once."""
+    """The grower on one tree whose sample is every row once, as the model
+    file's node lists (`right` among them), each an int64 array."""
     m = grow_forest(np.asarray(X), np.asarray(y), np.arange(len(y))[None, :], params, root_keys(params.seed, 1))
-    return {f: getattr(m, f) for f in NODE_FIELDS}
+    return {f: np.array(values, dtype=np.int64) for f, values in model_to_dict(m)["trees"][0].items()}
 
 
 def root_split(X, y, criterion):
@@ -274,7 +275,7 @@ def replay(d, m, params, boots):
             if f >= 0:
                 go_left = d.X[rows, f] <= m.threshold[start + i]
                 todo.append((m.left[start + i], rows[go_left], depth + 1, splitmix64(key, p + 1)))
-                todo.append((m.right[start + i], rows[~go_left], depth + 1, splitmix64(key, p + 2)))
+                todo.append((m.left[start + i] + 1, rows[~go_left], depth + 1, splitmix64(key, p + 2)))
 
 
 def check_against_oracle(d, m, params, boots=None):
@@ -308,11 +309,11 @@ def check_against_oracle(d, m, params, boots=None):
             assert stops or not oracle
             continue
         assert not stops
-        assert i < m.left[g] < m.right[g]
+        assert i < m.left[g] and start + m.left[g] + 1 < m.offsets[m.offsets.searchsorted(g, "right")]
         q_min = min(q for q, _, _ in oracle)
         first_best = min((f, thr) for q, f, thr in oracle if q <= q_min + 1e-12)
         assert (m.feature[g], m.threshold[g]) == (first_best[0], math.floor(first_best[1]))
-        kids = ((m.n0[start + c], m.n1[start + c]) for c in (m.left[g], m.right[g]))
+        kids = ((m.n0[start + c], m.n1[start + c]) for c in (m.left[g], m.left[g] + 1))
         assert split_quality(*kids, criterion) == pytest.approx(q_min, abs=1e-12)
         left = Xs[:, first_best[0]] <= first_best[1]
         split_entropies[g] = brute_best_quality(left[:, None].astype(int), ys, [0], "entropy")[0][0]
@@ -488,7 +489,7 @@ def walk_proba(m, row):
     for start in m.offsets[:-1]:
         i = start
         while m.feature[i] >= 0:
-            child = m.left[i] if row[m.feature[i]] <= m.threshold[i] else m.right[i]
+            child = m.left[i] if row[m.feature[i]] <= m.threshold[i] else m.left[i] + 1
             i = start + child
         total += m.n1[i] / (m.n0[i] + m.n1[i])
     return total / m.n_trees
@@ -538,15 +539,16 @@ class TestForest:
         assert predict_proba_many(m, X).tolist() == [walk_proba(m, row) for row in X]
 
     def test_descent_matches_row_walk_at_mixed_depths(self, skewed_dataset):
-        # single leaves, depth-3 trees, unbounded trees and a preorder tree:
-        # pairs leave the descent at very different steps
+        # single leaves, depth-3 trees, unbounded trees and a hand-made tree
+        # with leaves at depths 1, 2 and 3: pairs leave the descent at very
+        # different steps
         trees = []
         for max_depth, seed in ((0, 1), (3, 2), (None, 3), (3, 4), (0, 5)):
             m = train_forest(skewed_dataset, ForestParams(n_trees=3, max_depth=max_depth, seed=seed))
             trees += model_to_dict(m)["trees"]
         trees.insert(4, dict(
-            feature=[0, 1, -1, -1, -1], threshold=[0] * 5, left=[1, 2, -1, -1, -1],
-            right=[4, 3, -1, -1, -1], n0=[4, 4, 3, 1, 0], n1=[3, 1, 0, 1, 2],
+            feature=[0, -1, 1, 2, -1, -1, -1], threshold=[0, 0, 1, 0, 0, 0, 0], left=[1, -1, 3, 5, -1, -1, -1],
+            right=[2, -1, 4, 6, -1, -1, -1], n0=[4, 3, 1, 1, 0, 1, 0], n1=[6, 0, 6, 4, 2, 1, 3],
         ))
         doc = {"format_version": 3, "n_trees": len(trees), "mtry": 5, "criterion": "gini", "seed": 0}
         m = model_from_dict({**doc, "trees": trees})
@@ -609,8 +611,9 @@ class TestSerialization:
         doc = model_to_dict(m)
         assert doc["format_version"] == 3
         for tree in doc["trees"]:
-            assert set(tree) == set(NODE_FIELDS)
-            assert all(type(v) is int for f in NODE_FIELDS for v in tree[f])
+            assert set(tree) == {*NODE_FIELDS, "right"}
+            assert all(type(v) is int for values in tree.values() for v in values)
+            assert tree["right"] == [k + 1 if f >= 0 else -1 for f, k in zip(tree["feature"], tree["left"])]
         m2 = model_from_dict(doc)
         assert model_to_dict(m2) == doc
         for f in NODE_FIELDS:
@@ -626,23 +629,24 @@ class TestSerialization:
         x = skewed_dataset.X[:10]
         assert np.array_equal(predict_proba_many(m, x), predict_proba_many(m2, x))
 
-    def test_preorder_trees_still_load(self):
-        # the reader only needs children after parents, so a tree stored in
-        # preorder predicts as its breadth-first twin does
-        preorder = dict(
-            feature=[0, 1, -1, -1, -1], threshold=[0] * 5, left=[1, 2, -1, -1, -1],
-            right=[4, 3, -1, -1, -1], n0=[4, 4, 3, 1, 0], n1=[3, 1, 0, 1, 2],
-        )
+    def test_right_other_than_left_plus_one_refused(self):
+        # a split's right child is the node after its left child, and a
+        # leaf's right is -1; a preorder tree, whose children only follow
+        # their parent, is no longer read
         breadth_first = dict(
             feature=[0, 1, -1, -1, -1], threshold=[0] * 5, left=[1, 3, -1, -1, -1],
             right=[2, 4, -1, -1, -1], n0=[4, 4, 0, 3, 1], n1=[3, 1, 2, 0, 1],
         )
+        preorder = {**breadth_first, "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
+                    "n0": [4, 4, 3, 1, 0], "n1": [3, 1, 0, 1, 2]}
+        leaf_with_right = {**breadth_first, "right": [2, 4, -1, -1, 0]}
+        doc = {"format_version": 3, "n_trees": 2, "mtry": 1, "criterion": "gini", "seed": 0}
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        probas = []
-        for tree in (preorder, breadth_first):
-            doc = {"format_version": 3, "n_trees": 1, "mtry": 1, "criterion": "gini", "seed": 0}
-            probas.append(predict_proba_many(model_from_dict({**doc, "trees": [tree]}), X).tolist())
-        assert probas[0] == probas[1] == [0.0, 0.5, 1.0, 1.0]
+        m = model_from_dict({**doc, "trees": [breadth_first, breadth_first]})
+        assert predict_proba_many(m, X).tolist() == [0.0, 0.5, 1.0, 1.0]
+        for tree in (preorder, leaf_with_right):
+            with pytest.raises(ValueError, match="^model tree 1 has a 'right' that is not 'left' \\+ 1 at a split"):
+                model_from_dict({**doc, "trees": [breadth_first, tree]})
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="format_version"):

@@ -98,6 +98,32 @@ def test_smote_keeps_prefix_and_schema(case):
 
 
 @st.composite
+def wide_code_cases(draw):
+    """SMOTE inputs whose codes span up to 2000 levels and sit mostly at
+    their column's ends, where a rounded code could leave the schema."""
+    n = draw(st.integers(4, 30))
+    levels = draw(st.lists(st.integers(1, 2000), min_size=1, max_size=4))
+    X = np.column_stack([
+        draw(hnp.arrays(np.int64, n, elements=st.sampled_from([0, L - 1]) | st.integers(0, L - 1)))
+        for L in levels
+    ])
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    assume(min(y.sum(), n - y.sum()) >= 2 and 2 * y.sum() != n)  # SMOTE adds rows
+    cfg = SmoteConfig(k_neighbors=draw(st.integers(1, 8)), target_ratio=1.0, seed=draw(st.integers(0, 2**64)))
+    return make_dataset(X, y, levels=levels), cfg
+
+
+@given(wide_code_cases())
+def test_smote_codes_lie_between_parent_and_neighbour(case):
+    # nothing clips a synthetic code: rounding alone keeps it on the segment
+    d, cfg = case
+    out, parent, neighbor, _ = smote_details(d, cfg)
+    new = out.X[d.n_rows:]
+    assert len(new) > 0
+    assert ((np.minimum(d.X[parent], d.X[neighbor]) <= new) & (new <= np.maximum(d.X[parent], d.X[neighbor]))).all()
+
+
+@st.composite
 def tied_scores(draw):
     """(scores, labels): scores on a grid of at most 11 values, so ties
     are common; both classes present."""

@@ -69,18 +69,20 @@ class TestSynthesize:
         x = np.array([[0, 0]])
         x_r = np.array([[3, 1]])
         # values [1.5, 0.5]; round half down: ceil(v - 0.5)
-        got = sampler._interpolate(x, x_r, np.array([0.5]), np.array([3, 1]))
+        got = sampler._interpolate(x, x_r, np.array([0.5]))
         assert got.tolist() == [[1, 0]]
 
     def test_rounding_half_down_and_clamp(self):
         cases = [(0.5, 0), (1.5, 1), (2.5, 2), (1.51, 2), (0.49, 0), (3.0, 3)]
         draws = np.array([v / 3 for v, _ in cases])
         n = len(cases)
-        got = sampler._interpolate(np.zeros((n, 1), np.int64), np.full((n, 1), 3), draws, np.array([3]))
+        got = sampler._interpolate(np.zeros((n, 1), np.int64), np.full((n, 1), 3), draws)
         assert got[:, 0].tolist() == [expected for _, expected in cases]
-        # a limit below the rounded code clips it
-        clipped = sampler._interpolate(np.zeros((n, 1), np.int64), np.full((n, 1), 3), draws, np.array([1]))
-        assert clipped[:, 0].tolist() == [0, 1, 1, 1, 0, 1]
+        # the largest draw below 1 reaches the neighbour's code and never
+        # passes it, upward or downward
+        top = np.nextafter(1.0, 0.0)
+        ends = np.array([[0, 10**6]])
+        assert sampler._interpolate(ends, ends[:, ::-1], np.array([top])).tolist() == [[10**6, 0]]
 
 
 class TestSmote:
