@@ -389,11 +389,6 @@ def _group_levels(data: bytes, buf: np.ndarray, starts: np.ndarray, lengths: np.
     for length in np.flatnonzero(counts).tolist():
         cells = by_length[lo : lo + counts[length]]
         lo += counts[length]
-        if len(cells) == 1:  # a length of one cell is one level
-            level[cells] = n_ids
-            firsts.append(cells)
-            n_ids += 1
-            continue
         raw = buf[starts[cells, None] + np.arange(length, dtype=starts.dtype)]
         if n_cols << 8 * length <= 1 << 63:  # (column, bytes) fits one int64
             key = np.zeros((len(cells), 8), dtype=np.uint8)

@@ -23,11 +23,11 @@ weighted by its count, and the histogram sums those weights. Splits and
 the stored class counts depend only on the weighted counts, so the trees
 are the ones that growing on every bootstrap entry would give.
 
-A tree is five parallel int64 node arrays (`NODE_FIELDS`) in
-breadth-first order. An internal node's children are `left`, a tree-local
-index after its own, and the node after it, `left + 1`; a leaf has
-`feature` and `left` -1 and `threshold` 0. `n0`/`n1` count the training
-rows of each class that reached the node.
+A tree is four parallel int64 node arrays (`NODE_FIELDS`) in
+breadth-first order, root first: the split that follows k earlier splits
+of its tree has the children 2k + 1 and 2k + 2, so no node stores a child
+index. A leaf has `feature` -1 and `threshold` 0. `n0`/`n1` count the
+training rows of each class that reached the node.
 
 Prediction moves every (tree, row) pair down one level per step, on
 forest-global child indices, reading X as one flat array; a pair leaves at
@@ -83,12 +83,10 @@ def _quality(sides, criterion: str):
 
 @dataclass(frozen=True, eq=False)
 class RandomForestModel:
-    """Every tree's node arrays, concatenated; tree t holds the nodes
-    offsets[t]:offsets[t + 1], with `left` local to the tree."""
+    """Every tree's node arrays, concatenated; tree t holds the nodes offsets[t]:offsets[t + 1]."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
     offsets: np.ndarray
@@ -327,7 +325,7 @@ def grow_forest(X, y, boots, params: ForestParams, keys) -> RandomForestModel:
         n_nodes += 2 * np.bincount(t, minlength=n_trees)
         sides = np.array([left, counts.take(sp, axis=1) - left])
         feature = feats[sp, slot]
-        made.append((t, local[sp], dict(feature=feature, threshold=threshold, left=first)))
+        made.append((t, local[sp], dict(feature=feature, threshold=threshold)))
         tree, local, key = t.repeat(2), (first[:, None] + np.arange(2)).ravel(), kids.take(sp, axis=0).ravel()
         counts = sides.transpose(1, 2, 0).reshape(2, -1)
         go = grows(counts, depth)
@@ -378,9 +376,10 @@ def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
     return grow_forest(d.X, d.y, rows, params, keys)
 
 
-def _node_roots(m: RandomForestModel) -> np.ndarray:
-    """Each node's tree root, as a forest-global index."""
-    return np.repeat(m.offsets[:-1], np.diff(m.offsets))
+def _first_children(m: RandomForestModel) -> np.ndarray:
+    """Per node, a split's forest-global first child: 2K + t + 1 for a split of tree t
+    after K splits of the forest, as the t + 1 roots and 2K children come before it."""
+    return 2 * np.cumsum(m.feature >= 0) + np.repeat(np.arange(m.n_trees), np.diff(m.offsets)) - 1
 
 
 def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
@@ -395,7 +394,7 @@ def predict_proba_many(m: RandomForestModel, X: np.ndarray) -> np.ndarray:
     last = int(m.feature.max())
     if p <= last:
         raise ValueError(f"X has {p} column(s), but the forest splits on feature {last}, so it needs {last + 1}")
-    first = _node_roots(m) + m.left  # a split's children: first, first + 1
+    first = _first_children(m)  # a split's children: first, first + 1
     flat = X.ravel()
     # per (tree, row) pair still descending: its node, its row's first
     # cell in `flat` and its place t * n + r
@@ -429,7 +428,7 @@ def mean_split_entropy(m: RandomForestModel) -> Optional[float]:
     split = np.flatnonzero(m.feature >= 0)
     if not split.size:
         return None
-    kids = _node_roots(m)[split] + m.left[split] + np.arange(2)[:, None]  # (left, right) x splits
+    kids = _first_children(m)[split] + np.arange(2)[:, None]  # (left, right) x splits
     sides = np.array([m.n0[kids], m.n1[kids]]).transpose(1, 0, 2)  # (left, right) x (class 0, class 1)
     return float(np.mean(_quality(sides, "entropy")))
 

@@ -3,11 +3,11 @@
 `model.json` holds a forest header (`format_version`, `n_trees`, `mtry`,
 `criterion`, `seed`), the feature schema and target levels, and a
 `trees` list. Each tree is an object of parallel integer node lists
-(`NODE_FIELDS`, then `right`) in breadth-first order, root first. An
-internal node sends a row whose code at `feature` is <= `threshold` to
-`left`, a tree-local index after its own, else to `right`, which is
-`left + 1`; a leaf has `feature`, `left` and `right` -1 and `threshold` 0.
-`n0` and `n1` count the training rows of each class that reached the node.
+(`NODE_FIELDS`, then `left` and `right`) in breadth-first order, root
+first. A split sends a row whose code at `feature` is <= `threshold` to
+`left`, else to `right`: 2k + 1 and 2k + 2 for the split after k earlier
+splits of its tree. A leaf has `feature`, `left` and `right` -1 and
+`threshold` 0. `n0` and `n1` count the training rows of each class there.
 
 `pieces` streams the file a tree at a time and `model_to_dict` builds it
 as one object, both from `_tree_lists`. `load` reads a file into a checked
@@ -28,9 +28,9 @@ from .files import dump_json, read_json
 
 MODEL_FORMAT_VERSION = 3
 
-#: a model's node arrays; a tree of the file adds `right`, derived from them
-NODE_FIELDS = ("feature", "threshold", "left", "n0", "n1")
-_FILE_FIELDS = (*NODE_FIELDS, "right")
+#: a model's node arrays; a tree of the file adds `left` and `right`, derived from `feature`
+NODE_FIELDS = ("feature", "threshold", "n0", "n1")
+_FILE_FIELDS = (*NODE_FIELDS, "left", "right")
 #: the node lists must fit in int64, as the arrays hold them
 _INT_LIMIT = 1 << 63
 
@@ -52,13 +52,15 @@ def _head(m, d=None) -> dict:
 
 
 def _tree_lists(m) -> Iterator[dict]:
-    """Each tree's node lists, from the node arrays and `offsets` of `m`,
-    and `right`: `left + 1` at a split, -1 at a leaf."""
-    right = m.left + 1
-    right[m.feature < 0] = -1
-    cut = m.offsets.tolist()
+    """Each tree's node lists, from the node arrays and `offsets` of `m`."""
+    split, cut = m.feature >= 0, m.offsets
+    k = split.cumsum()  # splits up to each node, in the forest, then in its tree
+    k -= (k - split)[cut[:-1]].repeat(cut[1:] - cut[:-1])
+    left = 2 * k * split - 1  # the k-th split's children: 2k - 1, 2k; a leaf's -1
+    columns = [(f, getattr(m, f)) for f in NODE_FIELDS] + [("left", left), ("right", left + split)]
+    cut = cut.tolist()
     for a, b in zip(cut, cut[1:]):
-        yield {**{f: getattr(m, f)[a:b].tolist() for f in NODE_FIELDS}, "right": right[a:b].tolist()}
+        yield {f: values[a:b].tolist() for f, values in columns}
 
 
 def model_to_dict(m, d=None) -> dict:
@@ -78,9 +80,8 @@ def pieces(m, d) -> Iterator[str]:
 
 def _check_tree(doc, where: str) -> None:
     """Check one tree's node lists: JSON integers (a bool is none) that fit
-    in int64, so that a descent from the root only moves forward, stays
-    inside the tree and ends at a leaf with rows; `right` as `_tree_lists`
-    writes it."""
+    in int64, laid out as `_tree_lists` writes them (checked in one pass),
+    so that a descent from the root moves forward and ends at a leaf with rows."""
     missing = [f for f in _FILE_FIELDS if not isinstance(doc, dict) or f not in doc]
     if missing:
         raise ValueError(f"{where} lacks the node array {missing[0]!r}")
@@ -89,18 +90,22 @@ def _check_tree(doc, where: str) -> None:
         if not (isinstance(values, list) and set(map(type, values)) <= {int}
                 and -_INT_LIMIT <= min(values, default=0) and max(values, default=0) < _INT_LIMIT):
             raise ValueError(f"{where} holds a node array ({f!r}) that is not a list of 64-bit integers")
-    feature = doc["feature"]
-    n = len(feature)
+    n = len(doc["feature"])
     if n == 0 or any(len(doc[f]) != n for f in _FILE_FIELDS):
         raise ValueError(f"{where} node arrays must be non-empty lists of equal length")
-    for i, f, left, right in zip(range(n), feature, doc["left"], doc["right"]):
-        if f >= 0 and not (i < left < n and i < right < n):
-            raise ValueError(f"{where} has a child index not after its parent or outside the tree")
-        if right != (left + 1 if f >= 0 else -1):
-            raise ValueError(f"{where} has a 'right' that is not 'left' + 1 at a split or not -1 at a leaf")
-    for f, n0, n1 in zip(feature, doc["n0"], doc["n1"]):
-        if f < 0 and (n0 < 0 or n1 < 0 or n0 + n1 == 0):
-            raise ValueError(f"{where} has a leaf with negative class counts or none at all")
+    last = 0  # the last node that the root and the splits so far reach
+    for i, f, thr, n0, n1, left, right in zip(range(n), *map(doc.get, _FILE_FIELDS)):
+        if i > last:
+            raise ValueError(f"{where} has a node ({i}) that no split reaches")
+        if f >= 0:
+            if left != last + 1 or right != last + 2:
+                raise ValueError(f"{where} has a split (node {i}) whose children are not {last + 1} and {last + 2}")
+            last += 2
+        elif f != -1 or thr != 0 or left != -1 or right != -1 or n0 < 0 or n1 < 0 or n0 + n1 == 0:
+            raise ValueError(f"{where} has a leaf (node {i}) other than feature -1, threshold 0, left -1, right -1"
+                             " with class counts >= 0, not both 0")
+    if last >= n:
+        raise ValueError(f"{where} has a child index outside the tree")
 
 
 def check_forest(doc: dict) -> list[dict]:
@@ -189,7 +194,7 @@ def check_bundle(doc) -> Bundle:
     if not all(isinstance(v, str) for v in [target, *levels]) or levels[0] == levels[1]:
         raise ValueError("model target_name must be a string and target_levels two distinct strings")
     trees = check_forest(doc)
-    if min(min(t["feature"]) for t in trees) < -1 or max(max(t["feature"]) for t in trees) >= len(schema):
+    if max(max(t["feature"]) for t in trees) >= len(schema):
         raise ValueError(f"model has a feature index outside its {len(schema)}-feature schema")
     return Bundle(forest=doc, schema=schema, target_name=target, target_levels=tuple(levels))
 

@@ -126,7 +126,7 @@ def test_criterion_03_best_split_matches_brute_force():
         feature, threshold = int(m.feature[0]), int(m.threshold[0])
         assert feature >= 0
         left, right = y[X[:, feature] <= threshold], y[X[:, feature] > threshold]
-        for child, labels in ((m.left[0], left), (m.left[0] + 1, right)):
+        for child, labels in ((1, left), (2, right)):  # the root's children, breadth-first
             assert (m.n0[child], m.n1[child]) == (len(labels) - labels.sum(), labels.sum())
         quality = sum(len(labels) / n * _oracle_impurity(labels, criterion) for labels in (left, right))
         assert abs(quality - q_min) <= 1e-12

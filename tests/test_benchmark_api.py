@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from elicitrec import cli
@@ -110,11 +111,13 @@ def test_tree_shape_reads_the_model_file_layout(bench, skewed_dataset, max_depth
     shapes = []
     for t, tree in enumerate(trees):
         start, depth, todo = m.offsets[t], 0, [(0, 0)]
+        # breadth-first: the split after k earlier splits has the children 2k + 1, 2k + 2
+        first = 2 * np.cumsum(m.feature[start:m.offsets[t + 1]] >= 0) - 1
         while todo:  # a descent over the node arrays, every node once
             i, d = todo.pop()
             depth = max(depth, d)
             if m.feature[start + i] >= 0:
-                todo += [(m.left[start + i], d + 1), (m.left[start + i] + 1, d + 1)]
+                todo += [(first[i], d + 1), (first[i] + 1, d + 1)]
         shapes.append((int(m.offsets[t + 1] - start), depth))
     assert [bench["traced"].tree_shape(tree) for tree in trees] == shapes
     deepest = max(d for _, d in shapes)

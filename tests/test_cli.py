@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicitrec import cli, config, evaluation, feature_scoring, forest, model_file, recommender
+from elicitrec import cli, config, evaluation, feature_scoring, files, forest, model_file, recommender
 from elicitrec.cli import main
 from elicitrec.data_model import (
     PROVENANCE_COLUMN,
@@ -66,6 +66,16 @@ def constant_column_csv(tmp_path):
 
 def no_tmp_leftovers(dirpath):
     return not [p for p in dirpath.iterdir() if p.suffix == ".tmp"]
+
+
+def test_write_atomic_leaves_nothing_when_its_text_fails(tmp_path):
+    def pieces():
+        yield "first piece\n"
+        raise RuntimeError("the text failed part-way")
+
+    with pytest.raises(RuntimeError, match="part-way"):
+        files.write_atomic(tmp_path / "out.txt", pieces())
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBalance:
@@ -238,6 +248,34 @@ def as_format_2(doc, tree):
         t["split_entropy"] = [0.5 if f >= 0 else 0.0 for f in t["feature"]]
 
 
+def swap_sibling_pairs(doc, tree):
+    """Swap the children of nodes 1 and 2, the root's children and both
+    splits: node 2's children then come before node 1's. The layout still
+    moves forward, but it is not the breadth-first one."""
+    assert min(tree["feature"][1:3]) >= 0
+    for f in ("left", "right"):
+        tree[f][1], tree[f][2] = tree[f][2], tree[f][1]
+
+
+def append_leaf(doc, tree):
+    """A leaf after the last node, which no split reaches."""
+    for f, value in dict(feature=-1, threshold=0, left=-1, right=-1, n0=1, n1=0).items():
+        tree[f].append(value)
+
+
+def drop_last_two(doc, tree):
+    """Drop the last two nodes, the children of the last split."""
+    for values in tree.values():
+        del values[-2:]
+
+
+def first_leaf_sets(field, value):
+    return lambda doc, tree: setitem(tree[field], tree["feature"].index(-1), value)
+
+
+SPLIT_RULE = "model tree 0 has a split (node {}) whose children are not {} and {}"
+LEAF_RULE = "other than feature -1, threshold 0, left -1, right -1 with class counts >= 0, not both 0"
+
 # each case breaks a model.json (doc) or its first tree (tree) in place
 MALFORMED_MODELS = {
     "version_1": (
@@ -246,37 +284,55 @@ MALFORMED_MODELS = {
     ),
     "version_2": (as_format_2, "model format_version 2 is no longer read; retrain with `elicitrec train`"),
     "missing_key": (lambda doc, tree: doc.pop("seed"), "lacks 'seed'"),
+    **{
+        f"missing_{key}": (lambda doc, tree, key=key: doc.pop(key), f"model file lacks {key!r}")
+        for key in ("schema", "target_name", "target_levels")
+    },
+    "trees_fewer_than_n_trees": (
+        lambda doc, tree: doc.update(trees=doc["trees"][:1]),
+        "model trees must be a list of n_trees (at least 1) trees",
+    ),
+    "schema_role_unknown": (
+        lambda doc, tree: doc["schema"][0].update(role="ctx"),
+        "unknown role 'ctx' for feature 'ctx00'",
+    ),
+    "schema_levels_empty": (lambda doc, tree: doc["schema"][0].update(levels=[]), "feature 'ctx00' has no levels"),
+    "schema_levels_repeated": (
+        lambda doc, tree: doc["schema"][0].update(levels=["v0", "v1", "v0"]),
+        "feature 'ctx00' has duplicate levels",
+    ),
     "missing_node_array": (lambda doc, tree: tree.pop("n1"), "lacks the node array 'n1'"),
     "missing_schema_key": (lambda doc, tree: doc["schema"][0].pop("levels"), "'levels'"),
     "levels_a_string": (lambda doc, tree: doc["schema"][0].update(levels="abc"), "list of strings"),
     "level_not_a_string": (lambda doc, tree: doc["schema"][0]["levels"].append(7), "list of strings"),
     "name_not_a_string": (lambda doc, tree: doc["schema"][0].update(name=["ctx00"]), "must be a string"),
     "unequal_lengths": (lambda doc, tree: tree["threshold"].pop(), "equal length"),
-    "child_before_parent": (lambda doc, tree: setitem(tree["left"], 0, 0), "not after its parent"),
+    # the split that follows k earlier splits has the children 2k + 1 and
+    # 2k + 2; a leaf is feature -1, threshold 0, left -1, right -1
+    "child_before_parent": (lambda doc, tree: setitem(tree["left"], 0, 0), SPLIT_RULE.format(0, 1, 2)),
     "child_outside_tree": (
         lambda doc, tree: setitem(tree["right"], 0, len(tree["right"])),
-        "outside the tree",
+        SPLIT_RULE.format(0, 1, 2),
     ),
-    # a split's right child is the node after its left child, a leaf's is -1
     "right_not_after_left": (
         lambda doc, tree: setitem(tree["right"], 0, tree["left"][0]),
-        "model tree 0 has a 'right' that is not 'left' + 1 at a split or not -1 at a leaf",
+        SPLIT_RULE.format(0, 1, 2),
     ),
-    "leaf_right_not_minus_one": (
-        lambda doc, tree: setitem(tree["right"], tree["feature"].index(-1), 0),
-        "model tree 0 has a 'right' that is not 'left' + 1 at a split or not -1 at a leaf",
-    ),
+    "children_not_breadth_first": (swap_sibling_pairs, SPLIT_RULE.format(1, 3, 4)),
+    "unreached_node": (append_leaf, ") that no split reaches"),
+    "last_children_missing": (drop_last_two, "model tree 0 has a child index outside the tree"),
+    "leaf_right_not_minus_one": (first_leaf_sets("right", 0), LEAF_RULE),
+    "leaf_left_not_minus_one": (first_leaf_sets("left", 7), LEAF_RULE),
+    "leaf_threshold_not_zero": (first_leaf_sets("threshold", 9), LEAF_RULE),
+    "leaf_feature_below_minus_one": (first_leaf_sets("feature", -5), LEAF_RULE),
     "feature_outside_schema": (
         lambda doc, tree: setitem(tree["feature"], 0, len(doc["schema"])),
         "8-feature schema",
     ),
-    "negative_leaf_count": (
-        lambda doc, tree: setitem(tree["n0"], tree["feature"].index(-1), -1),
-        "negative",
-    ),
+    "negative_leaf_count": (first_leaf_sets("n0", -1), LEAF_RULE),
     "empty_leaf": (
         lambda doc, tree: tree.update(n0=[0] * len(tree["n0"]), n1=[0] * len(tree["n1"])),
-        "none at all",
+        LEAF_RULE,
     ),
     # JSON numbers of the wrong kind are refused, not converted
     "child_not_an_integer": (
@@ -317,6 +373,10 @@ MALFORMED_MODELS = {
         "target_levels two distinct strings",
     ),
     "target_levels_equal": (lambda doc, tree: doc.update(target_levels=["1", "1"]), "two distinct strings"),
+    "target_levels_one_value": (
+        lambda doc, tree: doc.update(target_levels=["1"]),
+        "model target_levels must list exactly two values",
+    ),
     "criterion_a_number": (lambda doc, tree: doc.update(criterion=7), "model criterion must be one of"),
     "criterion_a_list": (lambda doc, tree: doc.update(criterion=["x"]), "model criterion must be one of"),
     "mtry_negative": (lambda doc, tree: doc.update(mtry=-3), "model mtry must be at least 1"),
@@ -326,6 +386,12 @@ MALFORMED_MODELS = {
         "feature 'ctx00' appears more than once in the schema",
     ),
 }
+#: the cases that break the node layout or a leaf, which `model_from_dict` refuses too
+LAYOUT_CASES = (
+    "child_before_parent", "child_outside_tree", "right_not_after_left", "children_not_breadth_first",
+    "unreached_node", "last_children_missing", "leaf_right_not_minus_one", "leaf_left_not_minus_one",
+    "leaf_threshold_not_zero", "leaf_feature_below_minus_one", "negative_leaf_count", "empty_leaf",
+)
 
 
 class TestModelFile:
@@ -373,6 +439,29 @@ class TestModelFile:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "recommendations.json").exists()
 
+    def test_model_file_not_an_object_exits_2(self, tmp_path, input_csv, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[]", encoding="utf-8")
+        (tmp_path / "scores.csv").write_text("feature,role,score\n", encoding="utf-8")
+        (tmp_path / "row.json").write_text("{}", encoding="utf-8")
+        for argv, output in (
+            (["evaluate", "--input", input_csv], "evaluation.json"),
+            (["recommend", "--scores", str(tmp_path / "scores.csv"), "--row", str(tmp_path / "row.json"),
+              "--threshold", "0.1"], "recommendations.json"),
+        ):
+            assert main([*argv, "--model", str(model), "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == "error: model file must hold a JSON object\n"
+            assert not (tmp_path / output).exists()
+
+    @pytest.mark.parametrize("case", LAYOUT_CASES)
+    def test_malformed_layout_raises_in_model_from_dict(self, model_doc, case):
+        # benchmarks/checks.py reads model files through model_from_dict
+        mutate, message = MALFORMED_MODELS[case]
+        doc = json.loads(model_doc)
+        mutate(doc, doc["trees"][0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            forest.model_from_dict(doc)
+
     def test_key_error_is_a_bug(self, tmp_path, input_csv, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise KeyError("n_trees")
@@ -416,14 +505,19 @@ class TestModelFile:
         else:
             assert (m.feature >= 0).sum() > (100 if shape == "deep" else 20)
         cut = m.offsets.tolist()
-        fields = ("feature", "threshold", "left", "n0", "n1")
-        right = np.where(m.feature >= 0, m.left + 1, -1)  # the file's derived column
+        fields = ("feature", "threshold", "n0", "n1")
+        # the file's derived columns: the split that follows k earlier splits
+        # of its tree has the children 2k + 1 and 2k + 2, a leaf -1 and -1
+        split = m.feature >= 0
+        k = np.concatenate([np.cumsum(split[a:b]) for a, b in zip(cut, cut[1:])])
+        left, right = np.where(split, 2 * k - 1, -1), np.where(split, 2 * k, -1)
         doc = {
             "format_version": 3, "n_trees": 5, "mtry": m.mtry, "criterion": criterion, "seed": 3,
             "schema": [{"name": f.name, "role": f.role, "levels": list(f.levels)} for f in d.schema],
             "target_name": "target", "target_levels": list(d.target_levels),
             "trees": [
-                {**{f: getattr(m, f)[a:b].tolist() for f in fields}, "right": right[a:b].tolist()}
+                {**{f: getattr(m, f)[a:b].tolist() for f in fields},
+                 "left": left[a:b].tolist(), "right": right[a:b].tolist()}
                 for a, b in zip(cut, cut[1:])
             ],
         }
@@ -1015,6 +1109,50 @@ class TestRecommend:
         out = capsys.readouterr().out
         assert "prediction:" in out
 
+    def test_technique_features_listed_as_written(self, trained, input_csv, capsys):
+        roles = {f"tech0{k}": "technique" for k in range(4)}
+        cfg = fast_config(trained["dir"], roles=roles)
+        assert main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(trained["dir"])]) == 0
+        scores = trained["dir"] / "scores_tech.csv"
+        scores.write_text(
+            "feature,role,score\ntech02,technique,0.75\nctx01,context,0.5\ntech00,technique,0.25\n"
+            "tech01,technique,0.05\n",
+            encoding="utf-8",
+        )
+        assert main(self.base_args({**trained, "scores": str(scores)}) + ["--threshold", "0.1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        doc = json.loads((trained["dir"] / "recommendations.json").read_text())
+        assert doc["collaborative"] == [{"feature": "tech02", "score": 0.75}, {"feature": "tech00", "score": 0.25}]
+        start = out.index("also consider (technique features above threshold):")
+        listed = out[start + 1:start + 1 + len(doc["collaborative"])]
+        assert listed == [f"  {e['feature']}: {e['score']:g}" for e in doc["collaborative"]]
+        assert out[start + 1 + len(listed)].startswith("context features above threshold")
+
+    @pytest.mark.parametrize("body,message", [
+        ("feature,role,score\nctx00,context,0.1\nctx01,context,0.5\n",
+         "entries must be sorted by descending score, then name"),
+        ("feature,score,role\nctx00,0.5,context\n", "expected header 'feature,role,score'"),
+        ("", "expected header 'feature,role,score'"),
+    ], ids=["unsorted", "wrong_header", "empty"])
+    def test_bad_scores_file_exits_2(self, trained, capsys, body, message):
+        scores = trained["dir"] / "scores_bad.csv"
+        scores.write_text(body, encoding="utf-8")
+        assert main(self.base_args({**trained, "scores": str(scores)}) + ["--threshold", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: scores file {scores}: {message}\n"
+        assert not (trained["dir"] / "recommendations.json").exists()
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda row: ["ctx00"], "must be a JSON object of feature -> level string"),
+        (lambda row: {**row, "ctx00": 1}, "must be a JSON object of feature -> level string"),
+        (lambda row: {**row, "zz": "v0", "aa": "v1"}, "has unknown feature(s): aa, zz"),
+    ], ids=["a_list", "level_not_a_string", "unknown_features"])
+    def test_bad_context_row_exits_2(self, trained, capsys, change, message):
+        row_path = Path(trained["row"])
+        row_path.write_text(json.dumps(change(json.loads(row_path.read_text(encoding="utf-8")))), encoding="utf-8")
+        assert main(self.base_args(trained) + ["--threshold", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: context row file {row_path}: {message}\n"
+        assert not (trained["dir"] / "recommendations.json").exists()
+
     def test_high_threshold_gives_empty_lists(self, trained):
         rc = main(self.base_args(trained) + ["--threshold", "1e9"])
         assert rc == 0
@@ -1250,6 +1388,26 @@ class TestConfigErrors:
                 assert report["comparison"]["auc_delta"] == 0.0
             else:  # null stands for the default, or for the --target flag
                 assert report == base
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "config must be a JSON object"),
+        ({"target": "target", "roles": {"ctx00": "ctx"}}, "config roles['ctx00'] must be 'context' or 'technique'"),
+    ], ids=["a_list", "role_unknown"])
+    def test_refused_before_any_output(self, tmp_path, input_csv, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_csv_of_only_the_target_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "target_only.csv"
+        data.write_text("target\n0\n1\n0\n1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"target": "target"})
+        assert main(["train", "--config", cfg, "--input", str(data), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {data}: no feature columns\n"
+        assert not out.exists()
 
     def test_unknown_key(self, tmp_path, input_csv, capsys):
         cfg = write_config(tmp_path, {"target": "target", "tress": 5})

@@ -255,6 +255,13 @@ def splitmix64(key, i):
     return z ^ (z >> 31)
 
 
+def first_children(m, t):
+    """Each node's tree-local first child in tree t, by the breadth-first
+    rule: the split that follows k earlier splits of its tree has the
+    children 2k + 1 and 2k + 2 (a leaf's entry means nothing)."""
+    return 2 * np.cumsum(m.feature[m.offsets[t]:m.offsets[t + 1]] >= 0) - 1
+
+
 def replay(d, m, params, boots):
     """Every node of every tree of `m`, with the sample rows that reach it,
     its depth and its drawn features, found by walking each tree's sample
@@ -266,6 +273,7 @@ def replay(d, m, params, boots):
     mtry = params.resolve_mtry(p)
     keys = root_keys(params.seed, m.n_trees)
     for t, start in enumerate(m.offsets[:-1]):
+        first = first_children(m, t)
         todo = [(0, boots[t], 0, int(keys[t]))]
         while todo:
             i, rows, depth, key = todo.pop()
@@ -274,8 +282,8 @@ def replay(d, m, params, boots):
             f = m.feature[start + i]
             if f >= 0:
                 go_left = d.X[rows, f] <= m.threshold[start + i]
-                todo.append((m.left[start + i], rows[go_left], depth + 1, splitmix64(key, p + 1)))
-                todo.append((m.left[start + i] + 1, rows[~go_left], depth + 1, splitmix64(key, p + 2)))
+                todo.append((first[i], rows[go_left], depth + 1, splitmix64(key, p + 1)))
+                todo.append((first[i] + 1, rows[~go_left], depth + 1, splitmix64(key, p + 2)))
 
 
 def check_against_oracle(d, m, params, boots=None):
@@ -309,11 +317,13 @@ def check_against_oracle(d, m, params, boots=None):
             assert stops or not oracle
             continue
         assert not stops
-        assert i < m.left[g] and start + m.left[g] + 1 < m.offsets[m.offsets.searchsorted(g, "right")]
+        t = m.offsets.searchsorted(g, "right") - 1
+        kid = first_children(m, t)[i]
+        assert i < kid and start + kid + 1 < m.offsets[t + 1]
         q_min = min(q for q, _, _ in oracle)
         first_best = min((f, thr) for q, f, thr in oracle if q <= q_min + 1e-12)
         assert (m.feature[g], m.threshold[g]) == (first_best[0], math.floor(first_best[1]))
-        kids = ((m.n0[start + c], m.n1[start + c]) for c in (m.left[g], m.left[g] + 1))
+        kids = ((m.n0[start + c], m.n1[start + c]) for c in (kid, kid + 1))
         assert split_quality(*kids, criterion) == pytest.approx(q_min, abs=1e-12)
         left = Xs[:, first_best[0]] <= first_best[1]
         split_entropies[g] = brute_best_quality(left[:, None].astype(int), ys, [0], "entropy")[0][0]
@@ -486,11 +496,10 @@ class TestScheduling:
 def walk_proba(m, row):
     """Reference for predict_proba_many: one row, one tree at a time."""
     total = 0.0
-    for start in m.offsets[:-1]:
-        i = start
+    for t, start in enumerate(m.offsets[:-1]):
+        first, i = first_children(m, t), start
         while m.feature[i] >= 0:
-            child = m.left[i] if row[m.feature[i]] <= m.threshold[i] else m.left[i] + 1
-            i = start + child
+            i = start + first[i - start] + (row[m.feature[i]] > m.threshold[i])
         total += m.n1[i] / (m.n0[i] + m.n1[i])
     return total / m.n_trees
 
@@ -611,9 +620,12 @@ class TestSerialization:
         doc = model_to_dict(m)
         assert doc["format_version"] == 3
         for tree in doc["trees"]:
-            assert set(tree) == {*NODE_FIELDS, "right"}
+            assert set(tree) == {*NODE_FIELDS, "left", "right"}
             assert all(type(v) is int for values in tree.values() for v in values)
-            assert tree["right"] == [k + 1 if f >= 0 else -1 for f, k in zip(tree["feature"], tree["left"])]
+            # the split after k earlier splits has the children 2k + 1, 2k + 2; a leaf -1, -1
+            splits = itertools.accumulate(f >= 0 for f in tree["feature"])
+            kids = [(2 * k - 1, 2 * k) if f >= 0 else (-1, -1) for f, k in zip(tree["feature"], splits)]
+            assert list(zip(tree["left"], tree["right"])) == kids
         m2 = model_from_dict(doc)
         assert model_to_dict(m2) == doc
         for f in NODE_FIELDS:
@@ -630,9 +642,9 @@ class TestSerialization:
         assert np.array_equal(predict_proba_many(m, x), predict_proba_many(m2, x))
 
     def test_right_other_than_left_plus_one_refused(self):
-        # a split's right child is the node after its left child, and a
-        # leaf's right is -1; a preorder tree, whose children only follow
-        # their parent, is no longer read
+        # a split's children are the next two nodes of the breadth-first
+        # layout, and a leaf's right is -1; a preorder tree, whose children
+        # only follow their parent, is no longer read
         breadth_first = dict(
             feature=[0, 1, -1, -1, -1], threshold=[0] * 5, left=[1, 3, -1, -1, -1],
             right=[2, 4, -1, -1, -1], n0=[4, 4, 0, 3, 1], n1=[3, 1, 2, 0, 1],
@@ -644,8 +656,11 @@ class TestSerialization:
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         m = model_from_dict({**doc, "trees": [breadth_first, breadth_first]})
         assert predict_proba_many(m, X).tolist() == [0.0, 0.5, 1.0, 1.0]
-        for tree in (preorder, leaf_with_right):
-            with pytest.raises(ValueError, match="^model tree 1 has a 'right' that is not 'left' \\+ 1 at a split"):
+        for tree, message in (
+            (preorder, "a split \\(node 0\\) whose children are not 1 and 2"),
+            (leaf_with_right, "a leaf \\(node 4\\) other than feature -1, threshold 0, left -1, right -1"),
+        ):
+            with pytest.raises(ValueError, match=f"^model tree 1 has {message}"):
                 model_from_dict({**doc, "trees": [breadth_first, tree]})
 
     def test_version_checked(self):
