@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -110,7 +109,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     s = _load_settings(args)
     d = _load_input(args, s)
-    params = replace(s.pipeline.forest, seed=s.pipeline.seed)
+    params = s.pipeline.forest.replace(seed=s.pipeline.seed)
     model = forest.train_forest(d, params)
     out = args.out_dir / "model.json"
     _write_atomic(out, model_file.pieces(model, d))
@@ -170,7 +169,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     d = _load_input(args, s)
     out_dir = args.out_dir
     methods = s.filter.methods
-    tables = {method: feature_scoring.score_all(d, method) for method in methods}
+    try:
+        tables = {method: feature_scoring.score_all(d, method) for method in methods}
+    except ValueError as e:
+        raise ValueError(f"{args.input}: {e}") from None
     selection = None
     if len(methods) > 1:  # selection refuses before anything is written
         selection = recommender.select_best_filter(

@@ -1,8 +1,9 @@
 """Names and settings shared by every layer, and the config file, in plain Python.
 
 The feature roles, the filter methods, the pipeline modes, the
-positive-class cut-off, a feature's schema and the four settings records
-that a config file fills. `load_settings` reads the config file (keys
+positive-class cut-off, `Record` (the frozen base of the package's
+records), a feature's schema and the four settings records that a config
+file fills. `load_settings` reads the config file (keys
 `_KEYS`), refusing an unknown key, a wrong type or a non-finite number,
 and merges a command's flags into it. Nothing here imports numpy, so a
 command that needs no arrays (`recommend`, `--help`) starts without it.
@@ -10,9 +11,9 @@ command that needs no arrays (`recommend`, `--help`) starts without it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Optional
 
 from .files import read_json
@@ -36,21 +37,71 @@ CUTOFF = 0.5
 CRITERIA = ("gini", "entropy")
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
+class Record:
+    """The frozen base of the package's records.
+
+    A subclass lists its fields in `__slots__`, in order; a slot whose name
+    starts with an underscore is private state, not a field. Its `__init__`
+    checks the values and sets each field once, through `_set`. A record
+    compares and hashes by its fields, like a frozen dataclass, unless its
+    class passes `eq=False`, which keeps identity. `replace(**changes)`
+    builds a new record through `__init__`, so every check runs again.
+    Unlike a dataclass, defining a record generates and compiles no code,
+    which every command would pay for at start-up.
+    """
+
+    __slots__ = ("__weakref__",)  # a caller may watch a record's lifetime
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes):
+        """A copy of this record with `changes` applied, checked again."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FeatureSchema(Record):
     """One categorical feature: its name, role, and ordered level list."""
 
-    name: str
-    role: str
-    levels: tuple[str, ...]
+    __slots__ = ("name", "role", "levels")
 
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r} for feature {self.name!r}")
-        if not self.levels:
-            raise ValueError(f"feature {self.name!r} has no levels")
-        if len(set(self.levels)) != len(self.levels):
-            raise ValueError(f"feature {self.name!r} has duplicate levels")
+    def __init__(self, name: str, role: str, levels: tuple[str, ...]):
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r} for feature {name!r}")
+        if not levels:
+            raise ValueError(f"feature {name!r} has no levels")
+        if len(set(levels)) != len(levels):
+            raise ValueError(f"feature {name!r} has duplicate levels")
+        self._set(name=name, role=role, levels=levels)
 
     def decode(self, code: int) -> str:
         return self.levels[code]
@@ -75,8 +126,11 @@ def distinct_schema(features: Iterable[FeatureSchema]) -> tuple[FeatureSchema, .
     return schema
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SmoteConfig:
+    """SMOTE's settings. It stays a dataclass, not a `Record`: the
+    benchmark harness copies it with `dataclasses.replace`."""
+
     k_neighbors: int = 5
     target_ratio: float = 1.0  # 1.0 = minority matches the majority count
     seed: int = 0
@@ -89,9 +143,13 @@ class SmoteConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
+    replace = dataclasses.replace
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class ForestParams:
+    """The forest's settings; a dataclass for the reason `SmoteConfig` is."""
+
     n_trees: int = 100
     mtry: Optional[int] = None  # None = floor(sqrt(p))
     max_depth: Optional[int] = None
@@ -113,6 +171,8 @@ class ForestParams:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
+    replace = dataclasses.replace
+
     def resolve_mtry(self, p: int) -> int:
         mtry = self.mtry if self.mtry is not None else max(1, int(math.sqrt(p)))
         if mtry > p:
@@ -120,40 +180,43 @@ class ForestParams:
         return mtry
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    methods: tuple[str, ...] = METHODS
-    top_k: int = 10
+class FilterConfig(Record):
+    __slots__ = ("methods", "top_k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.methods:
+    def __init__(self, methods: Iterable[str] = METHODS, top_k: int = 10):
+        methods = tuple(methods)
+        if not methods:
             raise ValueError("at least one scoring method is required")
-        unknown = [m for m in self.methods if m not in METHODS]
+        unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown scoring methods: {unknown}")
-        if len(set(self.methods)) != len(self.methods):
+        if len(set(methods)) != len(methods):
             raise ValueError("duplicate scoring methods")
-        if self.top_k < 1:
+        if top_k < 1:
             raise ValueError("top_k must be at least 1")
+        self._set(methods=methods, top_k=top_k)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    target_name: str
-    mode: str = MODE_SOUND
-    test_fraction: float = 0.2
-    smote: Optional[SmoteConfig] = field(default_factory=SmoteConfig)
-    forest: ForestParams = field(default_factory=ForestParams)
-    seed: int = 0
+class PipelineConfig(Record):
+    __slots__ = ("target_name", "mode", "test_fraction", "smote", "forest", "seed")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.test_fraction < 1.0:
+    def __init__(
+        self,
+        target_name: str,
+        mode: str = MODE_SOUND,
+        test_fraction: float = 0.2,
+        smote: Optional[SmoteConfig] = SmoteConfig(),  # None: no balancing
+        forest: ForestParams = ForestParams(),
+        seed: int = 0,
+    ):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if not 0.0 < test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be non-negative")
+        self._set(target_name=target_name, mode=mode, test_fraction=test_fraction, smote=smote, forest=forest,
+                  seed=seed)
 
 
 #: JSON types by the name a config error gives them
@@ -192,8 +255,8 @@ _KEYS = {
     "filter": {"methods": ("a list",), "top_k": ("an integer",)},
 }
 
-#: the dataclass each config section is read into; a key the section
-#: leaves out takes the dataclass default
+#: the record each config section is read into; a key the section leaves
+#: out takes the record's default
 _SECTIONS = {"smote": SmoteConfig, "forest": ForestParams, "filter": FilterConfig}
 
 
@@ -219,16 +282,22 @@ def _checked(doc, level: str) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class Settings:
+class Settings(Record):
     """Everything a subcommand might need, merged from config and flags.
     `pipeline.target_name` is empty when no target is set."""
 
-    pipeline: PipelineConfig
-    filter: FilterConfig
-    positive_label: Optional[str] = None
-    roles: dict[str, str] = field(default_factory=dict)
-    recommendation_threshold: Optional[float] = None
+    __slots__ = ("pipeline", "filter", "positive_label", "roles", "recommendation_threshold")
+
+    def __init__(
+        self,
+        pipeline: PipelineConfig,
+        filter: FilterConfig,
+        positive_label: Optional[str] = None,
+        roles: Optional[dict[str, str]] = None,
+        recommendation_threshold: Optional[float] = None,
+    ):
+        self._set(pipeline=pipeline, filter=filter, positive_label=positive_label,
+                  roles={} if roles is None else roles, recommendation_threshold=recommendation_threshold)
 
 
 def load_settings(path: Optional[str], flags: Mapping[str, object]) -> Settings:
@@ -249,5 +318,5 @@ def load_settings(path: Optional[str], flags: Mapping[str, object]) -> Settings:
         if role not in ROLES:
             raise ValueError(f"config roles[{name!r}] must be 'context' or 'technique'")
     doc.update((k, v) for k, v in flags.items() if k in _KEYS["config"] and v is not None)
-    pipeline = {f.name: doc.pop(f.name) for f in fields(PipelineConfig) if f.name in doc}
+    pipeline = {name: doc.pop(name) for name in PipelineConfig.__slots__ if name in doc}
     return Settings(PipelineConfig(target_name=doc.pop("target", None) or "", **pipeline), **doc)

@@ -13,13 +13,12 @@ import codecs
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, FeatureSchema, distinct_schema
+from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, FeatureSchema, Record, distinct_schema
 from .files import write_atomic
 
 #: Reserved CSV column carrying row provenance ("1" = synthetic).
@@ -66,51 +65,50 @@ def _handed(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Immutable ordinal-encoded table with a binary target.
 
     X holds one code column per schema entry; y is 0/1 with 1 the positive
     (technique used) class. `synthetic` flags rows appended by oversampling
-    so they can be traced through the pipeline.
+    so they can be traced through the pipeline (None: no row is).
+    `target_levels` are the (negative, positive) labels.
     """
 
-    schema: tuple[FeatureSchema, ...]
-    target_name: str
-    X: np.ndarray
-    y: np.ndarray
-    synthetic: np.ndarray = field(default=None)  # type: ignore[assignment]
-    target_levels: tuple[str, str] = ("0", "1")  # (negative, positive) labels
+    __slots__ = ("schema", "target_name", "X", "y", "synthetic", "target_levels")
 
-    def __post_init__(self):
-        X = _frozen_array(self.X, np.int64)
-        y = _frozen_array(self.y, np.int64)
-        syn = self.synthetic
-        syn = _frozen_array(
-            np.zeros(len(y), dtype=bool) if syn is None else syn, bool
-        )
-        object.__setattr__(self, "schema", distinct_schema(self.schema))
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "synthetic", syn)
+    def __init__(
+        self,
+        schema: Iterable[FeatureSchema],
+        target_name: str,
+        X: np.ndarray,
+        y: np.ndarray,
+        synthetic: Optional[np.ndarray] = None,
+        target_levels: tuple[str, str] = ("0", "1"),
+    ):
+        X = _frozen_array(X, np.int64)
+        y = _frozen_array(y, np.int64)
+        syn = _frozen_array(np.zeros(len(y), dtype=bool) if synthetic is None else synthetic, bool)
+        schema = distinct_schema(schema)
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
             raise ValueError("dataset must have at least one row and one feature")
-        if X.shape[1] != len(self.schema):
+        if X.shape[1] != len(schema):
             raise ValueError("schema length does not match feature count")
         if y.shape != (X.shape[0],) or syn.shape != (X.shape[0],):
             raise ValueError("row count mismatch between X, y and provenance")
         if not np.isin(y, (0, 1)).all():
             raise ValueError("target must be 0/1")
-        if any(f.name == self.target_name for f in self.schema):
-            raise ValueError(f"target {self.target_name!r} also appears as a feature")
-        if PROVENANCE_COLUMN in (self.target_name, *self.feature_names):
+        names = tuple(f.name for f in schema)
+        if target_name in names:
+            raise ValueError(f"target {target_name!r} also appears as a feature")
+        if PROVENANCE_COLUMN in (target_name, *names):
             raise ValueError(f"{PROVENANCE_COLUMN!r} is the provenance column, neither a target nor a feature")
         if X.min() < 0:
             raise ValueError("ordinal codes must be non-negative")
-        limits = np.array([len(f.levels) for f in self.schema])
+        limits = np.array([len(f.levels) for f in schema])
         if (X >= limits).any():
             bad = int(np.argmax((X >= limits).any(axis=0)))
-            raise ValueError(f"code out of range for feature {self.schema[bad].name!r}")
+            raise ValueError(f"code out of range for feature {schema[bad].name!r}")
+        self._set(schema=schema, target_name=target_name, X=X, y=y, synthetic=syn, target_levels=target_levels)
 
     @property
     def n_rows(self) -> int:
@@ -480,15 +478,11 @@ def select_features(d: Dataset, names: Iterable[str]) -> Dataset:
         cols.append(index[n])
     if not cols:
         raise ValueError("empty feature selection")
-    return replace(
-        d,
-        schema=tuple(d.schema[j] for j in cols),
-        X=_handed(d.X.take(cols, axis=1)),
-    )
+    return d.replace(schema=tuple(d.schema[j] for j in cols), X=_handed(d.X.take(cols, axis=1)))
 
 
 def _subset(d: Dataset, rows: np.ndarray) -> Dataset:
-    return replace(d, X=_handed(d.X[rows]), y=_handed(d.y[rows]), synthetic=_handed(d.synthetic[rows]))
+    return d.replace(X=_handed(d.X[rows]), y=_handed(d.y[rows]), synthetic=_handed(d.synthetic[rows]))
 
 
 def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -519,24 +513,20 @@ def minority_label(d: Dataset) -> int:
     return 0 if n_neg <= n_pos else 1
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     """Shape of a generated dataset: class counts, feature count, how many
     features carry class signal, and the RNG seed."""
 
-    n_majority: int
-    n_minority: int
-    p: int
-    n_informative: int
-    seed: int = 0
+    __slots__ = ("n_majority", "n_minority", "p", "n_informative", "seed")
 
-    def __post_init__(self):
-        if self.n_majority < 1 or self.n_minority < 1:
+    def __init__(self, n_majority: int, n_minority: int, p: int, n_informative: int, seed: int = 0):
+        if n_majority < 1 or n_minority < 1:
             raise ValueError("class counts must be positive")
-        if self.n_minority > self.n_majority:
+        if n_minority > n_majority:
             raise ValueError("n_minority must not exceed n_majority")
-        if not 0 <= self.n_informative <= self.p:
+        if not 0 <= n_informative <= p:
             raise ValueError("n_informative must be between 0 and p")
+        self._set(n_majority=n_majority, n_minority=n_minority, p=p, n_informative=n_informative, seed=seed)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -20,33 +20,29 @@ The files of `evaluate` and `run` are laid out here: `evaluation_to_dict`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import CUTOFF, PipelineConfig
+from .config import CUTOFF, PipelineConfig, Record
 
 
-@dataclass(frozen=True, eq=False)
-class RocAnalysis:
+class RocAnalysis(Record, eq=False):
     """A curve from `roc_curve`, its hull mask and both areas."""
 
-    curve: np.ndarray
-    on_hull: np.ndarray
-    auc: float
-    auch: float
+    __slots__ = ("curve", "on_hull", "auc", "auch")
 
-    def __post_init__(self):
-        rates = self.curve[:, :2]
+    def __init__(self, curve: np.ndarray, on_hull: np.ndarray, auc: float, auch: float):
+        rates = curve[:, :2]
         dx, dy = np.diff(rates, axis=0).T
         if not np.all((rates >= 0) & (rates <= 1)) or np.any((dx < 0) | ((dx == 0) & (dy < 0))):
             raise ValueError("curve rates must lie in [0, 1], sorted by (fpr, tpr)")
-        ends = self.hull[[0, -1], :2].tolist() if self.on_hull.any() else None
+        ends = curve[on_hull][[0, -1], :2].tolist() if on_hull.any() else None
         if ends != [[0.0, 0.0], [1.0, 1.0]]:
             raise ValueError("hull must run from (0,0) to (1,1)")
-        if self.auch < self.auc - 1e-9:
+        if auch < auc - 1e-9:
             raise ValueError("area under the hull cannot fall below the curve's")
+        self._set(curve=curve, on_hull=on_hull, auc=auc, auch=auch)
 
     @property
     def hull(self) -> np.ndarray:
@@ -232,30 +228,35 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> dict:
     return {"t": t, "df": n - 1, "p_two_tailed": student_t_p_two_tailed(t, n - 1), "mean_diff": mean}
 
 
-@dataclass(frozen=True)
-class ArmMetrics:
+class ArmMetrics(Record):
     """Test-set metrics of one pipeline arm (with or without balancing):
     what `judge` found on its test rows, the forest's mean split entropy
     and the training row count. `report_to_dict` derives the rest."""
 
-    confusion: tuple[int, int, int, int]  # (tp, fp, tn, fn) at CUTOFF
-    roc: RocAnalysis
-    mean_split_entropy: Optional[float]  # None when the forest has no split
-    n_train: int
+    __slots__ = ("confusion", "roc", "mean_split_entropy", "n_train")
+
+    def __init__(
+        self,
+        confusion: tuple[int, int, int, int],  # (tp, fp, tn, fn) at CUTOFF
+        roc: RocAnalysis,
+        mean_split_entropy: Optional[float],  # None when the forest has no split
+        n_train: int,
+    ):
+        self._set(confusion=confusion, roc=roc, mean_split_entropy=mean_split_entropy, n_train=n_train)
 
     @property
     def auch(self) -> float:
         return self.roc.auch
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     """One label's two arms. `report_to_dict` compares them, each delta
     balanced minus imbalanced."""
 
-    label: str
-    imbalanced: ArmMetrics
-    balanced: ArmMetrics
+    __slots__ = ("label", "imbalanced", "balanced")
+
+    def __init__(self, label: str, imbalanced: ArmMetrics, balanced: ArmMetrics):
+        self._set(label=label, imbalanced=imbalanced, balanced=balanced)
 
     @property
     def hull_verdict(self) -> str:
@@ -264,9 +265,11 @@ class ReportRow:
         return {"A": "balanced", "B": "imbalanced"}.get(outcome, "neither")
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    rows: tuple[ReportRow, ...]
+class EvaluationReport(Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[ReportRow, ...]):
+        self._set(rows=rows)
 
 
 def metrics_to_dict(conf: tuple[int, int, int, int], analysis: RocAnalysis) -> dict:

@@ -59,7 +59,7 @@ def anova_f_score(x: np.ndarray, y: np.ndarray) -> float:
     g0, g1 = _class_split(x, y)
     n = x.size
     if n < 3:
-        raise ValueError("need at least 3 rows (df_within < 1)")
+        raise ValueError(f"{METHOD_ANOVA_F} needs at least 3 rows, the input holds {n}")  # MS_within divides by n - 2
     grand = x.mean()
     ss_between = g0.size * (g0.mean() - grand) ** 2 + g1.size * (g1.mean() - grand) ** 2
     ss_within = ((g0 - g0.mean()) ** 2).sum() + ((g1 - g1.mean()) ** 2).sum()

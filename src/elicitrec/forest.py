@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import ForestParams
+from .config import ForestParams, Record
 from .data_model import Dataset
 from .model_file import NODE_FIELDS, check_forest
 
@@ -81,18 +80,15 @@ def _quality(sides, criterion: str):
     return w[0] * impurity[0] + w[1] * impurity[1]
 
 
-@dataclass(frozen=True, eq=False)
-class RandomForestModel:
+class RandomForestModel(Record, eq=False):
     """Every tree's node arrays, concatenated; tree t holds the nodes offsets[t]:offsets[t + 1]."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    n0: np.ndarray
-    n1: np.ndarray
-    offsets: np.ndarray
-    mtry: int
-    criterion: str
-    seed: int
+    __slots__ = ("feature", "threshold", "n0", "n1", "offsets", "mtry", "criterion", "seed")
+
+    def __init__(self, feature: np.ndarray, threshold: np.ndarray, n0: np.ndarray, n1: np.ndarray,
+                 offsets: np.ndarray, mtry: int, criterion: str, seed: int):
+        self._set(feature=feature, threshold=threshold, n0=n0, n1=n1, offsets=offsets, mtry=mtry,
+                  criterion=criterion, seed=seed)
 
     @property
     def n_trees(self) -> int:
@@ -353,9 +349,15 @@ def draw_bootstrap(n_rows: int, params: ForestParams) -> tuple[np.ndarray, np.nd
     SeedSequence per tree serves both.
 
     The last draw is kept, read-only, so forests of one seed and size on
-    different columns (the subsets of one filter selection) draw once."""
-    rows = np.empty((params.n_trees, n_rows), dtype=np.int64)
-    keys = np.empty(params.n_trees, dtype=np.uint64)
+    different columns (the subsets of one filter selection) draw once.
+    Samples too large to allocate are refused with a ValueError."""
+    try:
+        rows = np.empty((params.n_trees, n_rows), dtype=np.int64)
+        keys = np.empty(params.n_trees, dtype=np.uint64)
+    except (MemoryError, ValueError):  # numpy raises ValueError past its largest array size
+        raise ValueError(
+            f"forest.n_trees {params.n_trees}: that many bootstrap samples of {n_rows} rows do not fit in memory"
+        ) from None
     for t, row in enumerate(rows):
         seq = np.random.SeedSequence([params.seed, t])
         keys[t] = seq.generate_state(1, np.uint64)[0]

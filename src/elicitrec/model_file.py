@@ -19,11 +19,9 @@ its model and scores its row without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
-from .config import CRITERIA, FeatureSchema, distinct_schema
+from .config import CRITERIA, FeatureSchema, Record, distinct_schema
 from .files import dump_json, read_json
 
 MODEL_FORMAT_VERSION = 3
@@ -136,22 +134,24 @@ def check_forest(doc: dict) -> list[dict]:
     return trees
 
 
-@dataclass(frozen=True, eq=False)
-class Bundle:
+class Bundle(Record, eq=False):
     """A checked model file: its forest document, as parsed, and the
     schema and target levels that code a row for it."""
 
-    forest: dict
-    schema: tuple[FeatureSchema, ...]
-    target_name: str
-    target_levels: tuple[str, str]
+    __slots__ = ("forest", "schema", "target_name", "target_levels", "_model")
 
-    @cached_property
+    def __init__(self, forest: dict, schema: tuple[FeatureSchema, ...], target_name: str,
+                 target_levels: tuple[str, str]):
+        self._set(forest=forest, schema=schema, target_name=target_name, target_levels=target_levels, _model=None)
+
+    @property
     def model(self):
         """The forest as arrays (`forest.RandomForestModel`), built on first use."""
-        from .forest import _checked_model
+        if self._model is None:
+            from .forest import _checked_model
 
-        return _checked_model(self.forest)
+            self._set(_model=_checked_model(self.forest))
+        return self._model
 
     def code_row(self, row) -> list[int]:
         """The codes, in schema order, of context row `row`: a JSON object

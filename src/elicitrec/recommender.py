@@ -43,7 +43,6 @@ so `elicitrec balance` starts without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .config import (
@@ -55,6 +54,7 @@ from .config import (
     FilterConfig,
     ForestParams,
     PipelineConfig,
+    Record,
     SmoteConfig,
 )
 from .data_model import (
@@ -78,7 +78,7 @@ if TYPE_CHECKING:
 
 def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
     """SMOTE on `d`, seeded from the master `seed`'s SMOTE stream."""
-    return smote_oversample(d, replace(smote, seed=derive_seed(seed, STREAM_SMOTE)))
+    return smote_oversample(d, smote.replace(seed=derive_seed(seed, STREAM_SMOTE)))
 
 
 def _refusal(d: Dataset, part: str, rows: Dataset, cfg: PipelineConfig, need: str) -> ValueError:
@@ -112,7 +112,7 @@ def _evaluate_arm(train: Dataset, test: Dataset, params: ForestParams, seed: int
     from .evaluation import ArmMetrics, judge
     from .forest import mean_split_entropy, predict_proba_many, train_forest
 
-    model = train_forest(train, replace(params, seed=seed))
+    model = train_forest(train, params.replace(seed=seed))
     conf, roc = judge(predict_proba_many(model, test.X), test.y)
     return ArmMetrics(
         confusion=conf,
@@ -166,10 +166,11 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
 _TIE_RANK = {METHOD_MUTUAL_INFO: 2, METHOD_CHI2: 1, METHOD_ANOVA_F: 0}
 
 
-@dataclass(frozen=True)
-class FilterSelection:
-    method: str
-    auch_by_method: dict[str, float]
+class FilterSelection(Record):
+    __slots__ = ("method", "auch_by_method")
+
+    def __init__(self, method: str, auch_by_method: dict[str, float]):
+        self._set(method=method, auch_by_method=auch_by_method)
 
 
 def select_best_filter(

@@ -12,8 +12,6 @@ the two rows' codes, so the output dataset stays closed under the schema.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .config import SmoteConfig
@@ -111,7 +109,7 @@ def smote_details(
         X[n + lo : n + hi] = _interpolate(d.X[parent[lo:hi]], d.X[neighbor[lo:hi]], draw[lo:hi])
     y = np.concatenate([d.y, np.full(needed, label, dtype=np.int64)])
     synthetic = np.concatenate([d.synthetic, np.ones(needed, dtype=bool)])
-    balanced = replace(d, X=_handed(X), y=_handed(y), synthetic=_handed(synthetic))
+    balanced = d.replace(X=_handed(X), y=_handed(y), synthetic=_handed(synthetic))
     return balanced, parent, neighbor, draw
 
 

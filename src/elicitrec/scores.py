@@ -13,25 +13,23 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
-from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, ROLES
-
-
-@dataclass(frozen=True)
-class ScoreEntry:
-    feature_name: str
-    role: str
-    score: float
+from .config import ROLE_CONTEXT, ROLE_TECHNIQUE, ROLES, Record
 
 
-@dataclass(frozen=True)
-class FeatureScoreTable:
-    entries: tuple[ScoreEntry, ...]
+class ScoreEntry(Record):
+    __slots__ = ("feature_name", "role", "score")
 
-    def __post_init__(self):
+    def __init__(self, feature_name: str, role: str, score: float):
+        self._set(feature_name=feature_name, role=role, score=score)
+
+
+class FeatureScoreTable(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[ScoreEntry, ...]):
         seen = set()
-        for e in self.entries:
+        for e in entries:
             if e.feature_name in seen:
                 raise ValueError(f"feature {e.feature_name!r} is listed twice")
             seen.add(e.feature_name)
@@ -39,9 +37,10 @@ class FeatureScoreTable:
                 raise ValueError(f"unknown role {e.role!r} for feature {e.feature_name!r}")
             if math.isnan(e.score) or e.score < 0:
                 raise ValueError(f"negative or NaN score for {e.feature_name!r}")
-        keys = [(-e.score, e.feature_name) for e in self.entries]
+        keys = [(-e.score, e.feature_name) for e in entries]
         if keys != sorted(keys):
             raise ValueError("entries must be sorted by descending score, then name")
+        self._set(entries=entries)
 
 
 def table_to_csv(table: FeatureScoreTable) -> str:
@@ -69,10 +68,11 @@ def table_from_csv(text: str) -> FeatureScoreTable:
     return FeatureScoreTable(entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class Prediction:
-    label: str
-    probability: float
+class Prediction(Record):
+    __slots__ = ("label", "probability")
+
+    def __init__(self, label: str, probability: float):
+        self._set(label=label, probability=probability)
 
 
 def form_recommendations(scores: FeatureScoreTable, prediction: Prediction, threshold: float) -> dict:

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

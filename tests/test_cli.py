@@ -672,6 +672,18 @@ class TestRun:
         assert capsys.readouterr().err == "error: forest.mtry 9 exceeds the 4 feature(s) its forest grows on\n"
         assert not (out / "model.json").exists()
 
+    # both counts fail when numpy sizes the sample array, before any memory
+    # is touched: 10**15 past the address space, 10**18 past numpy's size limit
+    @pytest.mark.parametrize("n_trees", [10**15, 10**18])
+    def test_train_names_an_unallocatable_tree_count(self, tmp_path, input_csv, capsys, n_trees):
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": n_trees}})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--input", input_csv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: forest.n_trees {n_trees}: that many bootstrap samples of 110 rows do not fit in memory\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("forest_doc", [{"max_depth": 0}, {"min_samples_leaf": 100}])
     def test_forest_without_splits(self, tmp_path, input_csv, forest_doc):
         cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 5, **forest_doc}, "filter": {"top_k": 4}})
@@ -738,6 +750,16 @@ class TestScore:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", [["AnovaF"], ["Chi2", "AnovaF", "MutualInfo"]])
+    def test_too_few_rows_for_anova_names_the_file_and_method(self, tmp_path, capsys, methods):
+        data = tmp_path / "two.csv"
+        data.write_text("a,b,target\nx,p,1\ny,q,0\n", encoding="utf-8")
+        cfg = write_config(tmp_path, {"target": "target", "filter": {"methods": methods, "top_k": 1}})
+        out = tmp_path / "out"
+        assert main(["score", "--config", cfg, "--input", str(data), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {data}: AnovaF needs at least 3 rows, the input holds 2\n")
         assert not out.exists()
 
     def test_single_method_skips_marker(self, tmp_path, input_csv):
@@ -945,8 +967,9 @@ def test_no_command_imports_numpy_ma(tmp_path):
 
 #: runs `python -m elicitrec` with argv[1:] (none: only `import elicitrec`)
 #: in this interpreter, then prints its exit code, whether numpy was imported,
-#: the number of dataclasses the loaded elicitrec modules define (about 1 ms
-#: of start-up each) and the sorted elicitrec modules it loaded
+#: the number of `Record` classes the loaded elicitrec modules define, the
+#: dataclasses they define (about 1 ms of start-up each), comma-joined, and
+#: the sorted elicitrec modules it loaded
 LOADS_SCRIPT = """
 import dataclasses, runpy, sys
 code = 0
@@ -959,11 +982,11 @@ if sys.argv[1:]:
 else:
     import elicitrec
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "elicitrec")
-records = sum(
-    isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == m
-    for m in loaded for v in vars(sys.modules[m]).values()
-)
-print(code, "numpy" in sys.modules, records, *loaded)
+from elicitrec.config import Record
+defined = [v for m in loaded for v in vars(sys.modules[m]).values() if isinstance(v, type) and v.__module__ == m]
+records = sum(issubclass(v, Record) and v is not Record for v in defined)
+dataclass_names = sorted(v.__name__ for v in defined if dataclasses.is_dataclass(v))
+print(code, "numpy" in sys.modules, records, ",".join(dataclass_names), *loaded)
 """
 
 
@@ -1027,25 +1050,29 @@ def test_recommend_and_help_import_no_numpy(tmp_path):
     assert cli_again is cli
 
 
-#: the dataclasses each command defines at start-up, and the elicitrec
+#: the `Record` classes each command defines at start-up, and the elicitrec
 #: modules it loads beyond the package, `cli`, `config` and `files`
 LAYERS = {
-    "--help": (6, ()),
-    "balance": (9, ("data_model", "recommender", "sampler")),
-    "train": (10, ("data_model", "forest", "model_file")),
-    "score": (18, ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler",
+    "--help": (4, ()),
+    "balance": (7, ("data_model", "recommender", "sampler")),
+    "train": (8, ("data_model", "forest", "model_file")),
+    "score": (16, ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler",
                    "scores")),
-    "run": (15, ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler")),
-    "evaluate": (14, ("data_model", "evaluation", "forest", "model_file")),
-    "recommend": (10, ("model_file", "scores")),
+    "run": (13, ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler")),
+    "evaluate": (12, ("data_model", "evaluation", "forest", "model_file")),
+    "recommend": (8, ("model_file", "scores")),
 }
+#: the only dataclasses the package defines, both in `config`, which every
+#: command loads: code outside the package copies them with `dataclasses.replace`
+DATACLASSES = "ForestParams,SmoteConfig"
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
     """Each command imports only the layers whose code it runs: `balance`
     starts without the forest, evaluation and filter code, `run` without
     the filter code, and `recommend` and `--help` without numpy. Each
-    defines the dataclasses counted in `LAYERS`."""
+    defines the records counted in `LAYERS` and only the two dataclasses
+    `DATACLASSES`."""
     d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
     write_csv(d, tmp_path / "data.csv")
     cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, "filter": {"top_k": 2}})
@@ -1066,7 +1093,9 @@ def test_each_command_loads_only_its_layers(tmp_path):
     for command, (records, layers) in LAYERS.items():  # train and score write what evaluate and recommend read
         numpy = command not in ("--help", "recommend")
         loaded = sorted([*base, *(f"elicitrec.{layer}" for layer in layers)])
-        assert run_fresh(command, *argv[command]).split() == ["0", str(numpy), str(records), *loaded], command
+        assert run_fresh(command, *argv[command]).split() == [
+            "0", str(numpy), str(records), DATACLASSES, *loaded
+        ], command
 
 
 class TestRecommend:

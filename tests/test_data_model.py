@@ -1,7 +1,6 @@
 import csv
 import io
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,7 +251,7 @@ class TestWriteCsv:
             assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
         # load_csv rejects empty cells; every other level loads back as written
         d = make_dataset([[0], [1], [2], [3], [4]], [0, 1, 0, 1, 1], names=["x,1"])
-        d = replace(d, schema=(FeatureSchema("x,1", ROLE_CONTEXT, levels[:5]),))
+        d = d.replace(schema=(FeatureSchema("x,1", ROLE_CONTEXT, levels[:5]),))
         out = tmp_path / "quoted.csv"
         write_csv(d, out)
         back = load_csv(out, "target")
@@ -281,7 +280,7 @@ class TestDatasetValidation:
             make_dataset([[0], [1]], [0, 1], names=[PROVENANCE_COLUMN])
         d = make_dataset([[0], [1]], [0, 1])
         with pytest.raises(ValueError, match="'_synthetic' is the provenance column"):
-            replace(d, target_name=PROVENANCE_COLUMN)
+            d.replace(target_name=PROVENANCE_COLUMN)
 
     def test_arrays_read_only(self):
         d = make_dataset([[0], [1]], [0, 1])
@@ -313,7 +312,7 @@ class TestOwnership:
             assert not np.shares_memory(out.synthetic, d.synthetic)
         # a Dataset's own arrays are read-only, so a new one keeps them as they are
         assert selected.y is d.y and selected.synthetic is d.synthetic
-        assert replace(train, target_name="other").X is train.X
+        assert train.replace(target_name="other").X is train.X
 
 
 class TestPreprocessing:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import weakref
 
@@ -198,7 +197,7 @@ class TestRunProtocol:
         else:
             arms["balanced"] = split_train_test(smote_oversample(d, smote), **split)
         for arm, (train, test) in arms.items():
-            params = dataclasses.replace(FAST, seed=derive_seed(s, FOREST_STREAMS[arm]))
+            params = FAST.replace(seed=derive_seed(s, FOREST_STREAMS[arm]))
             scores = predict_proba_many(train_forest(train, params), test.X)
             assert getattr(row, arm).auch == analyze_scores(scores, test.y).auch
             assert getattr(row, arm).n_train == train.n_rows
@@ -212,7 +211,7 @@ def balance_first_chain_auch(d, method, top_k, s, forest=FAST):
     sub = select_features(d, [f.name for f in d.schema if f.name in names])
     balanced = smote_oversample(sub, SmoteConfig(seed=derive_seed(s, STREAM_SMOTE)))
     train, test = split_train_test(balanced, 0.2, seed=derive_seed(s, STREAM_SPLIT))
-    params = dataclasses.replace(forest, seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
+    params = forest.replace(seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
     scores = predict_proba_many(train_forest(train, params), test.X)
     return analyze_scores(scores, test.y).auch
 
@@ -231,7 +230,7 @@ class TestFilterProtocol:
             names = {e.feature_name for e in score_all(d, method).entries[:top_k]}
             sub = select_features(d, [f.name for f in d.schema if f.name in names])
             train, test = split_train_test(sub, 0.2, seed=derive_seed(s, STREAM_SPLIT))
-            params = dataclasses.replace(FAST, seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
+            params = FAST.replace(seed=derive_seed(s, STREAM_FOREST_IMBALANCED))
             scores = predict_proba_many(train_forest(train, params), test.X)
             assert sel.auch_by_method[method] == analyze_scores(scores, test.y).auch
 
@@ -290,9 +289,9 @@ class TestTTestAssembly:
         row = rep.rows[0]
         tp, fp, tn, fn = row.imbalanced.confusion
         # no positive predictions: precision is undefined
-        no_positives = dataclasses.replace(row.imbalanced, confusion=(0, 0, tn + fp, fn + tp))
+        no_positives = row.imbalanced.replace(confusion=(0, 0, tn + fp, fn + tp))
         assert precision(no_positives.confusion) is None
-        broken = dataclasses.replace(row, imbalanced=no_positives)
+        broken = row.replace(imbalanced=no_positives)
         out = document(EvaluationReport(rows=(broken, row, row)))["report"]["t_tests"]
         assert out["precision"] is not None
         assert out["precision"]["df"] == 1  # only the two intact rows pair up
@@ -301,9 +300,9 @@ class TestTTestAssembly:
         row = run_pipeline(skewed_dataset, config(seed=1)).rows[0]
         # balanced precision beats imbalanced by the same margin in every
         # row, so the differences have no spread and t is -inf
-        worse = dataclasses.replace(row.imbalanced, confusion=(1, 1, 5, 5))
-        better = dataclasses.replace(row.balanced, confusion=(1, 0, 6, 5))
-        rows = (dataclasses.replace(row, imbalanced=worse, balanced=better),) * 2
+        worse = row.imbalanced.replace(confusion=(1, 1, 5, 5))
+        better = row.balanced.replace(confusion=(1, 0, 6, 5))
+        rows = (row.replace(imbalanced=worse, balanced=better),) * 2
         out = document(EvaluationReport(rows=rows))["report"]["t_tests"]
         assert out["precision"] == {"t": None, "df": 1, "p_two_tailed": 0.0, "mean_diff": -0.5}
         assert out["recall"] == {"t": 0.0, "df": 1, "p_two_tailed": 1.0, "mean_diff": 0.0}
@@ -486,7 +485,7 @@ class TestCompareBalancing:
     def test_derived_from_the_arms(self, skewed_dataset):
         row = run_pipeline(skewed_dataset, config()).rows[0]
         imb, bal = row.imbalanced, row.balanced
-        flipped = dataclasses.replace(row, imbalanced=bal, balanced=imb)
+        flipped = row.replace(imbalanced=bal, balanced=imb)
         doc, flipped_doc = document(EvaluationReport(rows=(row,))), document(EvaluationReport(rows=(flipped,)))
         for name in ("auc_delta", "accuracy_delta", "entropy_delta"):
             assert flipped_doc["comparison"][name] == -doc["comparison"][name]
