@@ -22,6 +22,7 @@ numpy and `balance` without the forest, evaluation and filter code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -48,6 +49,17 @@ def _load_input(args: argparse.Namespace, s: config.Settings) -> Dataset:
     if not s.pipeline.target_name:
         raise ValueError("a target column is required (config 'target' or --target)")
     return load_csv(args.input, s.pipeline.target_name, role_map=s.roles, positive_label=s.positive_label)
+
+
+@contextlib.contextmanager
+def _naming_the_input(args: argparse.Namespace):
+    """Prefixes the input file to a split of too few rows."""
+    from .data_model import TooFewRowsError
+
+    try:
+        yield
+    except TooFewRowsError as e:
+        raise ValueError(f"{args.input}: {e}") from None
 
 
 # --- the model file --------------------------------------------------------
@@ -147,7 +159,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     s = _load_settings(args)
     cfg = s.pipeline
-    report = recommender.run_pipeline(_load_input(args, s), cfg)
+    with _naming_the_input(args):
+        report = recommender.run_pipeline(_load_input(args, s), cfg)
     row = report.rows[0]
     out_dir = args.out_dir
     _write_atomic(out_dir / "report.json", _dump_json(evaluation.report_to_dict(report, cfg)))
@@ -175,10 +188,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.input}: {e}") from None
     selection = None
     if len(methods) > 1:  # selection refuses before anything is written
-        selection = recommender.select_best_filter(
-            d, methods, s.filter.top_k, s.pipeline.forest, eval_seed=s.pipeline.seed,
-            test_fraction=s.pipeline.test_fraction, smote_template=s.pipeline.smote, tables=tables,
-        )
+        with _naming_the_input(args):
+            selection = recommender.select_best_filter(
+                d, methods, s.filter.top_k, s.pipeline.forest, eval_seed=s.pipeline.seed,
+                test_fraction=s.pipeline.test_fraction, smote_template=s.pipeline.smote, tables=tables,
+            )
     for method, table in tables.items():
         _write_atomic(out_dir / f"scores_{method}.csv", scores.table_to_csv(table))
     print(f"scored {d.n_features} features with {len(methods)} method(s)")

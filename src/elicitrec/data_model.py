@@ -1,5 +1,6 @@
 """Categorical dataset representation: CSV ingestion, ordinal encoding,
-preprocessing, splitting, and a seeded synthetic generator.
+preprocessing, splitting, a seeded synthetic generator, and the package's
+random streams.
 
 Feature values are category strings encoded as ordinal codes (the index of
 the string in the feature's level list). Codes are assigned by first
@@ -31,12 +32,85 @@ STREAM_SMOTE = 1
 STREAM_FOREST_IMBALANCED = 2
 STREAM_FOREST_BALANCED = 3
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's stream increment
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _stream(keys: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Outputs first .. first + count - 1 of the splitmix64 stream that each
+    uint64 key seeds, one row per key: output i of key k is the finalizer
+    of k + i * gamma (Steele, Lea & Flood, OOPSLA 2014), in wrapping uint64
+    arithmetic. Every draw of the package but `generate_synthetic`'s is a
+    function of such (key, counter) pairs (Salmon et al., SC 2011)."""
+    z = keys[:, None] + np.arange(first, first + count, dtype=np.uint64) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _key(*values: int) -> np.ndarray:
+    """The stream key of a sequence of non-negative integers, as the
+    one-key array `_stream` takes: starting from 0, each value's 64-bit
+    words, low word first and at least one, are absorbed in turn, word w
+    making the key output 1 of the stream keyed key ^ w."""
+    key = np.zeros(1, np.uint64)
+    for value in values:
+        if value < 0:
+            raise ValueError("seeds and stream indices must be non-negative")
+        while True:
+            key = _stream(key ^ np.uint64(value & 0xFFFFFFFFFFFFFFFF), 1, 1)[0]
+            value >>= 64
+            if not value:
+                break
+    return key
+
+
+def _below(z: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's (ACM TOMACS 2019) map of uint64 outputs `z` into
+    [0, bound), 1 <= bound < 2**32: the high word of the 128-bit product
+    z * bound, and whether its low word is at least 2**64 mod bound, so
+    that every value keeps exactly floor(2**64 / bound) accepted outputs.
+    With bound below 2**32, each 32-bit half of z times bound fits a word."""
+    b = np.uint64(bound)
+    high = z >> np.uint64(32)
+    high *= b
+    low = z & _LOW32
+    low *= b
+    low >>= np.uint64(32)
+    high += low
+    high >>= np.uint64(32)
+    return high.view(np.int64), z * b >= np.uint64((1 << 64) % bound)
+
+
+def _bounded(keys: np.ndarray, first: int, count: int, bound: int) -> np.ndarray:
+    """Per key, `count` draws in [0, bound): Lemire's map of the outputs of
+    its stream from counter `first` on, with each rejected output skipped,
+    so a rejection moves the draws after it one counter later. A
+    rejection is rare (under bound / 2**64 per output), so the outputs
+    past `first + count` are made only when one happens."""
+    draws, ok = _below(_stream(keys, first, count), bound)
+    while (short := count - int(ok.sum(axis=1).min(initial=count))) > 0:  # the most any key lacks
+        more, more_ok = _below(_stream(keys, first + draws.shape[1], short), bound)
+        draws, ok = np.hstack([draws, more]), np.hstack([ok, more_ok])
+    if draws.shape[1] > count:  # each key's first `count` accepted draws
+        ok &= ok.cumsum(axis=1) <= count
+        return draws[ok].reshape(len(keys), count)
+    return draws
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Uniform floats in [0, 1): the top 53 bits of uint64 outputs, over 2**53."""
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
 
 def derive_seed(master: int, stream: int) -> int:
-    """Independent child seed for one named stream of a master seed."""
-    if master < 0 or stream < 0:
-        raise ValueError("seeds and stream indices must be non-negative")
-    return int(np.random.SeedSequence([master, stream]).generate_state(1)[0])
+    """Independent child seed for one named stream of a master seed: the
+    stream key of (master, stream), shifted right one bit, so that int64
+    holds it. A master of 2**64 or more is absorbed word by word."""
+    return int(_key(master, stream)[0]) >> 1
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -485,19 +559,38 @@ def _subset(d: Dataset, rows: np.ndarray) -> Dataset:
     return d.replace(X=_handed(d.X[rows]), y=_handed(d.y[rows]), synthetic=_handed(d.synthetic[rows]))
 
 
+class TooFewRowsError(ValueError):
+    """A split of fewer rows than its test_fraction needs; a caller that
+    knows the rows' file names it."""
+
+
+def _rows_needed(test_fraction: float) -> int:
+    """The fewest rows n whose split at `test_fraction` leaves each part a
+    row, 1 <= round(n * test_fraction) <= n - 1; every larger n does too,
+    as round(n * test_fraction) grows by at most 1 per row."""
+    n = max(2, int(0.5 / min(test_fraction, 1.0 - test_fraction)))
+    while not 1 <= round(n * test_fraction) <= n - 1:
+        n += 1
+    return n
+
+
 def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Uniform random partition without replacement; |test| = round(n * fraction)."""
+    """Uniform random partition without replacement; |test| = round(n * fraction).
+
+    Rows are ordered by outputs 0 .. n - 1 of the stream keyed by `seed`
+    (one key's outputs are distinct), and the first round(n * fraction)
+    form the test part. A split that would leave a part empty raises
+    `TooFewRowsError`."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = d.n_rows
     n_test = round(n * test_fraction)
     if n_test < 1 or n_test >= n:
-        raise ValueError(
-            f"degenerate split: {n} rows at fraction {test_fraction} leaves "
-            f"{n_test} test rows"
+        raise TooFewRowsError(
+            f"the split at test_fraction {test_fraction} leaves a part empty: "
+            f"it needs at least {_rows_needed(test_fraction)} rows and gets {n}"
         )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = _stream(_key(seed), 0, n)[0].argsort()
     test_rows = np.sort(perm[:n_test])
     train_rows = np.sort(perm[n_test:])
     return _subset(d, train_rows), _subset(d, test_rows)
@@ -537,6 +630,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     its mass on an anchor level, which differs per class, and spreads the
     rest uniformly; remaining features are uniform noise. First half of
     the features get the context role, the rest the technique role.
+
+    Its draws come from numpy's `default_rng`, not from the package's
+    streams, so generated files keep their bytes; no command calls it, and
+    `numpy.random` is imported here only.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_majority + spec.n_minority

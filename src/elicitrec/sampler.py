@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SmoteConfig
-from .data_model import Dataset, _handed, minority_label
+from .data_model import Dataset, _bounded, _handed, _key, _stream, _unit, minority_label
 
 #: parent rows per block of the neighbour search; one block holds a
 #: (rows x minority count) key matrix, partitioned in place. On 2000
@@ -92,12 +92,12 @@ def smote_details(
     k = min(cfg.k_neighbors, m - 1)
     slot = np.arange(needed) % m  # parents cycle over the minority rows
     near = _neighbors(d.X[minority_rows], min(needed, m), k)
-    rng = np.random.default_rng(cfg.seed)
-    pick = np.empty(needed, dtype=np.int64)
-    draw = np.empty(needed)
-    for s in range(needed):  # one (neighbour, draw) pair per row, in row order
-        pick[s] = rng.integers(k)
-        draw[s] = rng.random()
+    # the pick and draw keys are outputs 0 and 1 of the seed key's stream;
+    # synthetic row s takes bounded draw s of the first and output s of
+    # the second
+    pick_key, draw_key = _stream(_key(cfg.seed), 0, 2).T
+    pick = _bounded(pick_key, 0, needed, k)[0]
+    draw = _unit(_stream(draw_key, 0, needed)[0])
     parent = minority_rows[slot]
     neighbor = minority_rows[near[slot, pick]]
 
@@ -117,8 +117,8 @@ def smote_oversample(d: Dataset, cfg: SmoteConfig) -> Dataset:
     """Append synthetic minority rows until the class ratio hits the target.
 
     Parents cycle round-robin over the minority rows in ascending row
-    order; the neighbour pick and interpolation draw come from a seeded
-    RNG, so the output is a pure function of (dataset, config). Original
-    rows are kept unchanged as a prefix of the result.
+    order; the neighbour pick and interpolation draw come from the streams
+    of the config's seed, so the output is a pure function of (dataset,
+    config). Original rows are kept unchanged as a prefix of the result.
     """
     return smote_details(d, cfg)[0]

@@ -21,6 +21,96 @@ from elicitrec.data_model import (
 )
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(key, i):
+    """Output i of the splitmix64 stream seeded with `key`, in python ints."""
+    z = (key + i * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+# The oracle of every draw the commands make, in python ints: each is
+# written from the documented (key, counter) rule, not from the library.
+
+
+def stream_key(*values):
+    """The stream key of non-negative integers: from 0, each value's 64-bit
+    words, low word first and at least one, each making the key output 1
+    of the stream keyed key ^ word."""
+    key = 0
+    for value in values:
+        while True:
+            key = splitmix64(key ^ (value & MASK64), 1)
+            value >>= 64
+            if not value:
+                break
+    return key
+
+
+def derived_seed(master, stream):
+    """`derive_seed`: the key of (master, stream) without its lowest bit."""
+    return stream_key(master, stream) >> 1
+
+
+def lemire(z, bound, bits=64):
+    """Lemire's map of a `bits`-bit output z into [0, bound): the value, and
+    whether the output is accepted."""
+    product = z * bound
+    return product >> bits, product % (1 << bits) >= (1 << bits) % bound
+
+
+def bounded_draws(key, first, count, bound, also_reject=lambda z: False):
+    """The first `count` accepted values of key's stream from output `first`
+    on (`also_reject` rejects more outputs, to test the skip rule)."""
+    out, i = [], first
+    while len(out) < count:
+        z = splitmix64(key, i)
+        value, accepted = lemire(z, bound)
+        if accepted and not also_reject(z):
+            out.append(value)
+        i += 1
+    return out
+
+
+def tree_keys(seed, n_trees):
+    """Tree t's key: output t of the seed's key's stream."""
+    key = stream_key(seed)
+    return [splitmix64(key, t) for t in range(n_trees)]
+
+
+def root_keys(seed, n_trees):
+    """Tree t's root key: output 0 of its tree key's stream."""
+    return [splitmix64(k, 0) for k in tree_keys(seed, n_trees)]
+
+
+def bootstrap_rows(seed, n_trees, n_rows):
+    """Tree t's bootstrap: n_rows bounded draws in [0, n_rows) of its tree
+    key's stream from output 1 on."""
+    return [np.array(bounded_draws(k, 1, n_rows, n_rows)) for k in tree_keys(seed, n_trees)]
+
+
+def split_rows(seed, n, n_test):
+    """(train rows, test rows), ascending: rows ordered by outputs 0..n-1
+    of the seed's key's stream, the first n_test of them the test part."""
+    key = stream_key(seed)
+    order = sorted(range(n), key=lambda i: splitmix64(key, i))
+    return sorted(order[n_test:]), sorted(order[:n_test])
+
+
+def smote_draws(seed, needed, k):
+    """Each synthetic row's neighbour pick in [0, k) and interpolation
+    draw in [0, 1): the pick key and draw key are outputs 0 and 1 of the
+    seed's key's stream; row s takes bounded draw s of the first, and the
+    top 53 bits of output s of the second over 2**53."""
+    key = stream_key(seed)
+    pick_key, draw_key = splitmix64(key, 0), splitmix64(key, 1)
+    draws = [(splitmix64(draw_key, s) >> 11) / 2**53 for s in range(needed)]
+    return bounded_draws(pick_key, 0, needed, k), draws
+
+
 @pytest.fixture(scope="session")
 def skewed_dataset() -> Dataset:
     """Heavily skewed synthetic data: 282 majority / 41 minority

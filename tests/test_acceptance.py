@@ -34,7 +34,7 @@ from elicitrec.recommender import MODE_BALANCE_FIRST, PipelineConfig, run_pipeli
 from elicitrec.sampler import SmoteConfig, smote_details
 from elicitrec.scores import Prediction, form_recommendations
 
-from conftest import interviews_score_table
+from conftest import interviews_score_table, root_keys
 
 
 def test_criterion_01_paired_t_test_reference_p_values():
@@ -114,8 +114,7 @@ def test_criterion_03_best_split_matches_brute_force():
         # the split search on every row and feature: the root of a depth-1
         # tree grown on every row once with mtry = p
         params = ForestParams(mtry=p, max_depth=1, criterion=criterion)
-        keys = [np.random.SeedSequence([params.seed, 0]).generate_state(1, np.uint64)[0]]
-        m = grow_forest(X, y, np.arange(n)[None, :], params, keys)
+        m = grow_forest(X, y, np.arange(n)[None, :], params, root_keys(params.seed, 1))
         oracle = _oracle_splits(X, y, criterion)
         if not oracle or y.min() == y.max():  # nothing to split, or pure
             assert m.feature.tolist() == [-1]

@@ -783,15 +783,15 @@ class TestSplitErrors:
     part, its class counts, test_fraction, the seed and the remedy."""
 
     @pytest.mark.parametrize("spec, seed, part, counts, need, remedy", [
-        (NEAR_PURE, 7, "test", "'0': 0, '1': 65", "each part needs rows of both classes", "raise"),
-        (NEAR_PURE, 9, "test", "'0': 0, '1': 65", "each part needs rows of both classes", "raise"),
-        (TWO_MINORITY, 0, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
+        (NEAR_PURE, 47, "test", "'0': 0, '1': 65", "each part needs rows of both classes", "raise"),
+        (NEAR_PURE, 86, "test", "'0': 0, '1': 65", "each part needs rows of both classes", "raise"),
+        (TWO_MINORITY, 6, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
         (TWO_MINORITY, 1, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
-        (TWO_MINORITY, 2, "training", "'0': 0, '1': 34", "each part needs rows of both classes", "lower"),
+        (TWO_MINORITY, 5, "training", "'0': 0, '1': 34", "each part needs rows of both classes", "lower"),
         (TWO_MINORITY, 3, "test", "'0': 0, '1': 8", "each part needs rows of both classes", "raise"),
         (TWO_MINORITY, 4, "training", "'0': 1, '1': 33",
          "sound-mode SMOTE needs at least 2 rows of the minority class '0' to add 32, and the data holds 1", "lower"),
-        (TWO_MINORITY, 5, "training", "'0': 1, '1': 33",
+        (TWO_MINORITY, 0, "training", "'0': 1, '1': 33",
          "sound-mode SMOTE needs at least 2 rows of the minority class '0' to add 32, and the data holds 1", "lower"),
     ])
     def test_run_names_the_part_and_the_remedy(self, tmp_path, capsys, spec, seed, part, counts, need, remedy):
@@ -811,11 +811,11 @@ class TestSplitErrors:
         # only the unbalanced arm can lose its minority: SMOTE before the
         # split fills both parts
         write_csv(generate_synthetic(NEAR_PURE), tmp_path / "data.csv")
-        argv = ["--input", str(tmp_path / "data.csv"), "--seed", "7", "--out-dir", str(tmp_path)]
+        argv = ["--input", str(tmp_path / "data.csv"), "--seed", "47", "--out-dir", str(tmp_path)]
         cfg = write_config(tmp_path, {"target": "target", "smote": None, "forest": {"n_trees": 3}})
         assert main(["run", "--config", cfg, *argv]) == 2
         message = capsys.readouterr().err
-        assert message.startswith("error: the split at test_fraction 0.2 and seed 7 leaves the test part")
+        assert message.startswith("error: the split at test_fraction 0.2 and seed 47 leaves the test part")
         assert main(["score", "--config", cfg, *argv]) == 2
         assert capsys.readouterr().err == message
 
@@ -823,11 +823,27 @@ class TestSplitErrors:
         write_csv(generate_synthetic(NEAR_PURE), tmp_path / "data.csv")
         cfg = write_config(tmp_path, {"target": "target", "smote": None})
         out = tmp_path / "out"
-        argv = ["--config", cfg, "--input", str(tmp_path / "data.csv"), "--seed", "7", "--out-dir", str(out)]
+        argv = ["--config", cfg, "--input", str(tmp_path / "data.csv"), "--seed", "47", "--out-dir", str(out)]
         assert main(["score", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the split at test_fraction 0.2 and seed 7 leaves the test part")
+        assert captured.err.startswith("error: the split at test_fraction 0.2 and seed 47 leaves the test part")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", {}),
+        ("score", {"filter": {"methods": ["Chi2", "MutualInfo"], "top_k": 1}}),
+    ])
+    def test_too_few_rows_to_split_names_the_file(self, tmp_path, capsys, command, extra):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,target\nx,p,0\ny,q,1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, **extra})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--input", str(data), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {data}: the split at test_fraction 0.2 leaves a part empty: it needs at least 3 rows and gets 2\n"
+        )
         assert not out.exists()
 
 
@@ -966,10 +982,10 @@ def test_no_command_imports_numpy_ma(tmp_path):
 
 
 #: runs `python -m elicitrec` with argv[1:] (none: only `import elicitrec`)
-#: in this interpreter, then prints its exit code, whether numpy was imported,
-#: the number of `Record` classes the loaded elicitrec modules define, the
-#: dataclasses they define (about 1 ms of start-up each), comma-joined, and
-#: the sorted elicitrec modules it loaded
+#: in this interpreter, then prints its exit code, whether numpy and
+#: numpy.random were imported, the number of `Record` classes the loaded
+#: elicitrec modules define, the dataclasses they define (about 1 ms of
+#: start-up each), comma-joined, and the sorted elicitrec modules it loaded
 LOADS_SCRIPT = """
 import dataclasses, runpy, sys
 code = 0
@@ -986,7 +1002,7 @@ from elicitrec.config import Record
 defined = [v for m in loaded for v in vars(sys.modules[m]).values() if isinstance(v, type) and v.__module__ == m]
 records = sum(issubclass(v, Record) and v is not Record for v in defined)
 dataclass_names = sorted(v.__name__ for v in defined if dataclasses.is_dataclass(v))
-print(code, "numpy" in sys.modules, records, ",".join(dataclass_names), *loaded)
+print(code, "numpy" in sys.modules, "numpy.random" in sys.modules, records, ",".join(dataclass_names), *loaded)
 """
 
 
@@ -1070,9 +1086,10 @@ DATACLASSES = "ForestParams,SmoteConfig"
 def test_each_command_loads_only_its_layers(tmp_path):
     """Each command imports only the layers whose code it runs: `balance`
     starts without the forest, evaluation and filter code, `run` without
-    the filter code, and `recommend` and `--help` without numpy. Each
-    defines the records counted in `LAYERS` and only the two dataclasses
-    `DATACLASSES`."""
+    the filter code, and `recommend` and `--help` without numpy. None
+    imports `numpy.random` (about 12 ms of start-up): every draw is the
+    package's own stream. Each defines the records counted in `LAYERS` and
+    only the two dataclasses `DATACLASSES`."""
     d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
     write_csv(d, tmp_path / "data.csv")
     cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, "filter": {"top_k": 2}})
@@ -1094,7 +1111,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
         numpy = command not in ("--help", "recommend")
         loaded = sorted([*base, *(f"elicitrec.{layer}" for layer in layers)])
         assert run_fresh(command, *argv[command]).split() == [
-            "0", str(numpy), str(records), DATACLASSES, *loaded
+            "0", str(numpy), "False", str(records), DATACLASSES, *loaded
         ], command
 
 

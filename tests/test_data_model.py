@@ -12,6 +12,8 @@ from elicitrec.data_model import (
     ROLE_CONTEXT,
     ROLE_TECHNIQUE,
     SyntheticSpec,
+    TooFewRowsError,
+    _rows_needed,
     derive_seed,
     drop_constant_features,
     generate_synthetic,
@@ -367,8 +369,17 @@ class TestSplit:
         d = make_dataset([[0], [1], [0]], [0, 1, 0])
         with pytest.raises(ValueError):
             split_train_test(d, 0.0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewRowsError, match="^the split at test_fraction 0.95 leaves a part empty: it needs "
+                           "at least 11 rows and gets 3$"):
             split_train_test(d, 0.95, seed=0)  # empty train
+        with pytest.raises(TooFewRowsError, match="it needs at least 3 rows and gets 2$"):
+            split_train_test(d.replace(X=d.X[:2], y=d.y[:2], synthetic=d.synthetic[:2]), 0.2, seed=0)  # empty test
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99])
+    def test_rows_needed_is_the_fewest_that_split(self, fraction):
+        need = _rows_needed(fraction)
+        splits = [1 <= round(n * fraction) <= n - 1 for n in range(1, need + 500)]
+        assert splits == [False] * (need - 1) + [True] * 500
 
 
 class TestSummaries:

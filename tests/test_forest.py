@@ -22,7 +22,7 @@ from elicitrec.forest import (
 )
 from elicitrec.model_file import model_to_dict
 
-from conftest import make_dataset
+from conftest import bootstrap_rows, make_dataset, root_keys, splitmix64
 
 
 def brute_best_quality(X, y, feats, criterion):
@@ -84,11 +84,6 @@ def split_quality(left, right, criterion):
     n_left, n_right = sum(left), sum(right)
     n = n_left + n_right
     return n_left / n * impurity(left) + n_right / n * impurity(right)
-
-
-def root_keys(seed, n_trees):
-    """Each tree's root key: SeedSequence([seed, t])'s first uint64."""
-    return [np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0] for t in range(n_trees)]
 
 
 def grow_one(X, y, params):
@@ -244,17 +239,6 @@ class TestGrowTree:
         assert t["n0"][0] + t["n1"][0] == t["n0"][leaf].sum() + t["n1"][leaf].sum() == 60
 
 
-MASK64 = (1 << 64) - 1
-
-
-def splitmix64(key, i):
-    """Output i of the splitmix64 stream seeded with `key`, in python ints."""
-    z = (key + i * 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
 def first_children(m, t):
     """Each node's tree-local first child in tree t, by the breadth-first
     rule: the split that follows k earlier splits of its tree has the
@@ -265,8 +249,8 @@ def first_children(m, t):
 def replay(d, m, params, boots):
     """Every node of every tree of `m`, with the sample rows that reach it,
     its depth and its drawn features, found by walking each tree's sample
-    `boots[t]` down from the root (documented draw: a root's key is
-    SeedSequence([seed, t])'s first uint64, a node's features the mtry
+    `boots[t]` down from the root (documented draw: a root's key as
+    `conftest.root_keys` gives it, a node's features the mtry
     lowest-ranked of its stream's outputs 1..p, its children's keys
     outputs p + 1 and p + 2)."""
     p = d.X.shape[1]
@@ -296,7 +280,7 @@ def check_against_oracle(d, m, params, boots=None):
     criterion, min_samples_leaf, max_depth = params.criterion, params.min_samples_leaf, params.max_depth
     if boots is None:
         n = len(d.y)
-        boots = [np.random.default_rng([params.seed, t]).integers(0, n, size=n) for t in range(m.n_trees)]
+        boots = bootstrap_rows(params.seed, m.n_trees, n)
     depths, split_entropies = {}, {}
     for start, i, rows, depth, feats in replay(d, m, params, boots):
         g = start + i
@@ -438,8 +422,7 @@ class TestScheduling:
         params = ForestParams(n_trees=5, seed=6)
         n = len(y)
         distinct = sum(
-            len(set(np.random.default_rng([params.seed, t]).integers(0, n, size=n) % len(base)))
-            for t in range(params.n_trees)
+            len(set(rows % len(base))) for rows in bootstrap_rows(params.seed, params.n_trees, n)
         )
         rows_in = []
         kernel = forest._best_splits

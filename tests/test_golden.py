@@ -20,30 +20,30 @@ from elicitrec.cli import main
 from elicitrec.data_model import SyntheticSpec, generate_synthetic, write_csv
 
 GOLDEN = {
-    "cmds/balanced.csv": "f242266bc095ea7d58a5eda76697ebe2fba43b5cc932e6e8cc473a1cfea2b6cf",
+    "cmds/balanced.csv": "b9ca39d75cda123df316223846bda7ee9fae9a3a3102820654021abc8b70fdc3",
     "cmds/best_method.txt": "bf4563d019348832d7a0df9f8ba14a3a58697a72c81522c0a01d8013bf9a2e70",
     "cmds/evaluation.json": "2680febc19c50d95165d57c11a1d2c5c736339ed39136ff39eca11fb37b13d91",
-    "cmds/model.json": "17a145f07e1ede7e4b10b29053a5c66409ca5c36bf1d7a40d3f64b1eaed62ecc",
+    "cmds/model.json": "867789a5e5ec7b1bdb7f2ddfcc1a4ee3cac85a8420cad6c396e60ffbb6f9e20c",
     "cmds/recommendations.json": "a02dec9c18a4614f2a3392de82605505717bac6a67847f970ae1a6ce8a96f554",
     "cmds/scores_AnovaF.csv": "c8b7b388abccb695739ef8b8675ab956546b109d38af7862e33fc6cc6f5c2dd9",
     "cmds/scores_Chi2.csv": "aa1d8fc83aeb4d57fc902e8ccde10ef190b9524123579d49452eb76cb415d79e",
     "cmds/scores_MutualInfo.csv": "768dc23902bd84f3cd376e8e5fb6a1e8e971940dd9880199699fc71c757ba9f3",
-    "run_balance_first/report.json": "966a66afd0fa3e7db23c54b00960c13f594f2984cb6692dfb39b5f5c15ffbc5b",
-    "run_balance_first/roc_balanced.csv": "d09966878d3aa704d6f132f06fd3136c4e3b15d92937c7f656c325d2558fea87",
-    "run_balance_first/roc_hulls.svg": "88faac72900daa30da1c3a4e20d86d11b433cdbe24b0bba453958fdb2601519d",
-    "run_balance_first/roc_imbalanced.csv": "bacc06f0b1f3810ad1694f76a78ae53d7e29986acf37a76118a6070306878e31",
-    "run_on_balanced/report.json": "7dca4be7f84c3f0ed678158237182f7d76c5a0617f6f61589a3731f29127a271",
-    "run_on_balanced/roc_balanced.csv": "d09966878d3aa704d6f132f06fd3136c4e3b15d92937c7f656c325d2558fea87",
-    "run_on_balanced/roc_hulls.svg": "ca95f07a228e569b89456a1547778b864dfd43980b1d2f3298743a0c82b01f56",
-    "run_on_balanced/roc_imbalanced.csv": "70d7b356cf0e1bfcf6f2ca2e4212625d91d78dbdd939d38029b9369e9eb0bb2f",
-    "run_smote_off/report.json": "0ae22d855d844fd54eef243494ab7f3b7f2021092bfe73b85b3e392caf306dfa",
-    "run_smote_off/roc_balanced.csv": "bacc06f0b1f3810ad1694f76a78ae53d7e29986acf37a76118a6070306878e31",
-    "run_smote_off/roc_hulls.svg": "fd27395a8d60bb3da7da480e05de5340303da0a31988d0f903cd636318d73c06",
-    "run_smote_off/roc_imbalanced.csv": "bacc06f0b1f3810ad1694f76a78ae53d7e29986acf37a76118a6070306878e31",
-    "run_sound/report.json": "438865a9b03cf9d8c647f828f0d5427de84321d14cbed49fe6c5115ec06397c2",
-    "run_sound/roc_balanced.csv": "da0521a5e0909e09267d64498df53d7ce2b59de09217881adf756d17fb84cc67",
-    "run_sound/roc_hulls.svg": "0110ca487520f1c2fa787dcdda2ad27506fced19694f95f05acb2278afbf80f4",
-    "run_sound/roc_imbalanced.csv": "bacc06f0b1f3810ad1694f76a78ae53d7e29986acf37a76118a6070306878e31",
+    "run_balance_first/report.json": "a94c788454da87e96bc7b4247fd01cb91836fc91d8db33174be4dc9f4e2b2ad5",
+    "run_balance_first/roc_balanced.csv": "2c396b3cfad39979b37320ad002c1536a31af6dfc8e5602c0770561d83a6c3a5",
+    "run_balance_first/roc_hulls.svg": "81c3e131881e58276ddb99e0dbeaedf959444b360c82d83e2c35c258c5ec8bda",
+    "run_balance_first/roc_imbalanced.csv": "d9d08b5e2dfd197b940d34291fe78da1d617a6976c6780ce6a3ab4ecdd3594d1",
+    "run_on_balanced/report.json": "500269b906415314b72614970088788c1e730438f637fbcd387a7630ae224f74",
+    "run_on_balanced/roc_balanced.csv": "2c396b3cfad39979b37320ad002c1536a31af6dfc8e5602c0770561d83a6c3a5",
+    "run_on_balanced/roc_hulls.svg": "523c7699aedb7d7d500ea4891e1bd7a53abedc7613a174ec439be7cc9aa9a2d5",
+    "run_on_balanced/roc_imbalanced.csv": "fc313520f4f15a30c854c70fe9c8feddf560fef0d24b204452bac343798cb944",
+    "run_smote_off/report.json": "be3ca59f68227fe99736449782e04e55a664960422f9406d5ee5c1fe75987198",
+    "run_smote_off/roc_balanced.csv": "d9d08b5e2dfd197b940d34291fe78da1d617a6976c6780ce6a3ab4ecdd3594d1",
+    "run_smote_off/roc_hulls.svg": "9520bc43f442cff6339e9feaf25fde76ad61118f85a008ae63dababff6672d1f",
+    "run_smote_off/roc_imbalanced.csv": "d9d08b5e2dfd197b940d34291fe78da1d617a6976c6780ce6a3ab4ecdd3594d1",
+    "run_sound/report.json": "06e9f7b73669963558545cfc1dee521984b29437c00f119f6f1f8a0cddcae8aa",
+    "run_sound/roc_balanced.csv": "ea690d8b6aef54c8ed81d50231aba87a573f26dd0504dbc90c2c859cab37ef64",
+    "run_sound/roc_hulls.svg": "fe93be25a4d261d02aebcf2cd3c9daf5d1f1f9fd330f8aad9e64430e77ffe0ed",
+    "run_sound/roc_imbalanced.csv": "d9d08b5e2dfd197b940d34291fe78da1d617a6976c6780ce6a3ab4ecdd3594d1",
 }
 
 

@@ -322,9 +322,9 @@ class TestSplitCheck:
     @pytest.mark.parametrize("mode", [MODE_SOUND, MODE_BALANCE_FIRST])
     @pytest.mark.parametrize("smote", [SmoteConfig(), None])
     def test_refused_before_any_forest_grows(self, no_forest, mode, smote):
-        cases = [(self.NEAR_PURE, 7), (self.NEAR_PURE, 9), *((self.TWO_MINORITY, s) for s in (0, 1, 2, 3))]
+        cases = [(self.NEAR_PURE, 47), (self.NEAR_PURE, 86), *((self.TWO_MINORITY, s) for s in (1, 3, 5, 6))]
         if mode == MODE_SOUND and smote is not None:
-            cases += [(self.TWO_MINORITY, 4), (self.TWO_MINORITY, 5)]  # one minority row left to SMOTE
+            cases += [(self.TWO_MINORITY, 4), (self.TWO_MINORITY, 0)]  # one minority row left to SMOTE
         for d, seed in cases:
             with pytest.raises(ValueError, match=f"^the split at test_fraction 0.2 and seed {seed} leaves the "):
                 run_pipeline(d, config(mode=mode, smote=smote, seed=seed))
@@ -335,7 +335,7 @@ class TestSplitCheck:
         # SMOTE refuses the training part, and in balance-first mode the
         # split of the balanced rows leaves the test part one class
         d = generate_synthetic(SyntheticSpec(n_majority=8, n_minority=2, p=4, n_informative=2, seed=0))
-        for seed in (5, 17):
+        for seed in (1, 29):
             with pytest.raises(ValueError, match=f"^the split at test_fraction 0.2 and seed {seed} leaves the {part} "):
                 run_pipeline(d, config(mode=mode, seed=seed))
 
@@ -347,8 +347,8 @@ class TestSplitCheck:
                 run_pipeline(d, config(mode=mode, seed=seed))
 
     def test_filter_selection_refused_before_any_forest_grows(self, no_forest):
-        with pytest.raises(ValueError, match="^the split at test_fraction 0.2 and seed 7 leaves the test part"):
-            select_best_filter(self.NEAR_PURE, METHODS, 5, FAST, eval_seed=7, smote_template=None)
+        with pytest.raises(ValueError, match="^the split at test_fraction 0.2 and seed 47 leaves the test part"):
+            select_best_filter(self.NEAR_PURE, METHODS, 5, FAST, eval_seed=47, smote_template=None)
 
     @pytest.mark.parametrize("target_ratio", [0.02, 0.05, 0.1, 0.25, 0.5, 1.0])
     def test_refused_exactly_when_smote_would_raise(self, monkeypatch, no_forest, target_ratio):
