@@ -1,9 +1,10 @@
 """Names and settings shared by every layer, and the config file, in plain Python.
 
 The feature roles, the filter methods, the pipeline modes, the
-positive-class cut-off, `Record` (the frozen base of the package's
-records), a feature's schema and the four settings records that a config
-file fills. `load_settings` reads the config file (keys
+positive-class cut-off, the split criteria, a forest's node fields
+(`NODE_FIELDS`, shared by `forest` and `model_file`), `Record` (the
+frozen base of the package's records), a feature's schema and the four
+settings records that a config file fills. `load_settings` reads the config file (keys
 `_KEYS`), refusing an unknown key, a wrong type or a non-finite number,
 and merges a command's flags into it. Nothing here imports numpy, so a
 command that needs no arrays (`recommend`, `--help`) starts without it.
@@ -35,6 +36,10 @@ MODES = (MODE_BALANCE_FIRST, MODE_SOUND)
 CUTOFF = 0.5
 
 CRITERIA = ("gini", "entropy")
+
+#: a forest's int64 node arrays, one entry per node; a tree of the model
+#: file adds `left` and `right`, derived from `feature`
+NODE_FIELDS = ("feature", "threshold", "n0", "n1")
 
 
 class Record:

@@ -38,15 +38,13 @@ feature the forest splits on.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Optional
 
 import numpy as np
 
-from .config import ForestParams, Record
+from .config import NODE_FIELDS, ForestParams, Record
 from .data_model import Dataset, _bounded, _key, _stream
-from .model_file import NODE_FIELDS, check_forest
 
 
 def _fractions(counts):
@@ -336,7 +334,6 @@ def grow_forest(X, y, boots, params: ForestParams, keys) -> RandomForestModel:
 _DRAW_ENTRIES = 1 << 16
 
 
-@functools.lru_cache(maxsize=1)
 def draw_bootstrap(n_rows: int, params: ForestParams) -> tuple[np.ndarray, np.ndarray]:
     """Every tree's bootstrap sample and root key, as the pair (rows, keys).
 
@@ -345,9 +342,6 @@ def draw_bootstrap(n_rows: int, params: ForestParams) -> tuple[np.ndarray, np.nd
     stream, and its sample the `n_rows` bounded draws in [0, n_rows)
     (`data_model._bounded`) of that stream from output 1 on. So tree t
     depends on (seed, t, n_rows) only, and no tree waits for another.
-
-    The last draw is kept, read-only, so forests of one seed and size on
-    different columns (the subsets of one filter selection) draw once.
     Samples too large to allocate are refused with a ValueError."""
     try:
         rows = np.empty((params.n_trees, n_rows), dtype=np.int64)
@@ -361,10 +355,7 @@ def draw_bootstrap(n_rows: int, params: ForestParams) -> tuple[np.ndarray, np.nd
     for a in range(0, params.n_trees, step):
         tree_keys[a:a + step] = _stream(seed_key, a, min(step, params.n_trees - a))[0]
         rows[a:a + step] = _bounded(tree_keys[a:a + step], 1, n_rows, n_rows)
-    keys = _stream(tree_keys, 0, 1)[:, 0]
-    rows.setflags(write=False)
-    keys.setflags(write=False)
-    return rows, keys
+    return rows, _stream(tree_keys, 0, 1)[:, 0]
 
 
 def train_forest(d: Dataset, params: ForestParams) -> RandomForestModel:
@@ -439,6 +430,8 @@ def model_from_dict(doc: dict) -> RandomForestModel:
     """Rebuild a model from `model_file.model_to_dict` output; raises
     ValueError when the document is not a well-formed forest of the current
     format (`model_file.check_forest`)."""
+    from .model_file import check_forest
+
     check_forest(doc)
     return _checked_model(doc)
 

@@ -3,7 +3,7 @@
 `model.json` holds a forest header (`format_version`, `n_trees`, `mtry`,
 `criterion`, `seed`), the feature schema and target levels, and a
 `trees` list. Each tree is an object of parallel integer node lists
-(`NODE_FIELDS`, then `left` and `right`) in breadth-first order, root
+(`config.NODE_FIELDS`, then `left` and `right`) in breadth-first order, root
 first. A split sends a row whose code at `feature` is <= `threshold` to
 `left`, else to `right`: 2k + 1 and 2k + 2 for the split after k earlier
 splits of its tree. A leaf has `feature`, `left` and `right` -1 and
@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .config import CRITERIA, FeatureSchema, Record, distinct_schema
+from .config import CRITERIA, NODE_FIELDS, FeatureSchema, Record, distinct_schema
 from .files import dump_json, read_json
 
 MODEL_FORMAT_VERSION = 3
 
-#: a model's node arrays; a tree of the file adds `left` and `right`, derived from `feature`
-NODE_FIELDS = ("feature", "threshold", "n0", "n1")
 _FILE_FIELDS = (*NODE_FIELDS, "left", "right")
 #: the node lists must fit in int64, as the arrays hold them
 _INT_LIMIT = 1 << 63

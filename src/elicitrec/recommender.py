@@ -25,9 +25,8 @@ balance-first run on its top-k features, the forest seeded from the
 imbalanced stream: a leak, as synthetic rows reach the test split that
 ranks the filters, whatever mode `run` uses. With `smote` None it ranks
 them by the unbalanced arm, as `run` does. Before any work it refuses a
-`top_k` or `mtry` its forests could not grow with. Its forests differ
-only in their columns, so they share the bootstrap draw that
-`forest.draw_bootstrap` keeps.
+`top_k` or `mtry` its forests could not grow with, a `test_fraction`
+outside (0, 1) and a negative seed.
 
 Every random choice derives from the master seed through fixed stream
 indices, so a run is a pure function of (dataset, config).
@@ -81,10 +80,11 @@ def balance(d: Dataset, smote: SmoteConfig, seed: int) -> Dataset:
     return smote_oversample(d, smote.replace(seed=derive_seed(seed, STREAM_SMOTE)))
 
 
-def _refusal(d: Dataset, part: str, rows: Dataset, cfg: PipelineConfig, need: str) -> ValueError:
-    """The refusal of the split of `d` whose `part` holds `rows`: its class
-    counts, `need` and the remedy, which offers another seed or test_fraction
-    only where `d` holds the 2 rows of the short class both parts need."""
+def _refusal(d: Dataset, part: str, rows: Dataset, test_fraction: float, seed: int, need: str) -> ValueError:
+    """The refusal of the split of `d` at `test_fraction` and master `seed`
+    whose `part` holds `rows`: its class counts, `need` and the remedy, which
+    offers another seed or test_fraction only where `d` holds the 2 rows of
+    the short class both parts need."""
     n_pos = int(rows.y.sum())
     counts = (rows.n_rows - n_pos, n_pos)
     levels = rows.target_levels
@@ -93,18 +93,18 @@ def _refusal(d: Dataset, part: str, rows: Dataset, cfg: PipelineConfig, need: st
     if int((d.y == short).sum()) >= 2:
         remedy = f"choose another seed, {'raise' if part == 'test' else 'lower'} test_fraction, or {remedy}"
     return ValueError(
-        f"the split at test_fraction {cfg.test_fraction} and seed {cfg.seed} leaves the {part} part with "
+        f"the split at test_fraction {test_fraction} and seed {seed} leaves the {part} part with "
         f"class counts {levels[0]!r}: {counts[0]}, {levels[1]!r}: {counts[1]}; {need}: {remedy}"
     )
 
 
-def _split(d: Dataset, cfg: PipelineConfig) -> tuple[Dataset, Dataset]:
-    """The (train, test) split of `d` from the master seed's split stream,
+def _split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """The (train, test) split of `d` from the master `seed`'s split stream,
     refused when a part lacks a class."""
-    train, test = split_train_test(d, cfg.test_fraction, seed=derive_seed(cfg.seed, STREAM_SPLIT))
+    train, test = split_train_test(d, test_fraction, seed=derive_seed(seed, STREAM_SPLIT))
     for part, rows in (("training", train), ("test", test)):
         if int(rows.y.sum()) in (0, rows.n_rows):
-            raise _refusal(d, part, rows, cfg, "each part needs rows of both classes")
+            raise _refusal(d, part, rows, test_fraction, seed, "each part needs rows of both classes")
     return train, test
 
 
@@ -146,15 +146,15 @@ def run_pipeline(d: Dataset, cfg: PipelineConfig) -> EvaluationReport:
             + (f" once the constant column(s) {', '.join(dropped)} are dropped" if dropped else "")
         )
     label = d.target_name
-    train, test = _split(d, cfg)
+    train, test = _split(d, cfg.test_fraction, cfg.seed)
     arms = [(train, test)]
     if cfg.smote is not None and cfg.mode == MODE_SOUND:
         try:
             arms.append((balance(train, cfg.smote, cfg.seed), test))
         except ValueError as e:
-            raise _refusal(d, "training", train, cfg, f"sound-mode {e}") from e
+            raise _refusal(d, "training", train, cfg.test_fraction, cfg.seed, f"sound-mode {e}") from e
     elif cfg.smote is not None:
-        arms.append(_split(balance(d, cfg.smote, cfg.seed), cfg))
+        arms.append(_split(balance(d, cfg.smote, cfg.seed), cfg.test_fraction, cfg.seed))
     d = train = test = None  # unless the caller holds the input, only the arms' rows outlive this line
     imb = _evaluate_arm(*arms.pop(0), cfg.forest, derive_seed(cfg.seed, STREAM_FOREST_IMBALANCED))
     # with balancing off the arms are one experiment, evaluated once
@@ -206,14 +206,10 @@ def select_best_filter(
             f"forest.mtry {forest_params.mtry} exceeds filter.top_k {top_k}: "
             "filter selection grows each forest on one method's top_k features"
         )
-    cfg = PipelineConfig(
-        target_name=d.target_name,
-        mode=MODE_BALANCE_FIRST,
-        test_fraction=test_fraction,
-        smote=smote_template,
-        forest=forest_params,
-        seed=eval_seed,
-    )
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie strictly between 0 and 1")
+    if eval_seed < 0:
+        raise ValueError("eval_seed must be non-negative")
     forest_seed = derive_seed(eval_seed, STREAM_FOREST_IMBALANCED)
     tables = tables or {}
     auch_by_subset: dict[tuple[str, ...], float] = {}  # one arm per distinct set
@@ -224,7 +220,8 @@ def select_best_filter(
         subset = tuple(f.name for f in d.schema if f.name in names)
         if subset not in auch_by_subset:
             sub = select_features(d, subset)
-            train, test = _split(sub if cfg.smote is None else balance(sub, cfg.smote, eval_seed), cfg)
+            rows = sub if smote_template is None else balance(sub, smote_template, eval_seed)
+            train, test = _split(rows, test_fraction, eval_seed)
             auch_by_subset[subset] = _evaluate_arm(train, test, forest_params, forest_seed).auch
         auch_by_method[method] = auch_by_subset[subset]
     best = max(methods, key=lambda m: (auch_by_method[m], _TIE_RANK[m]))

@@ -1072,9 +1072,8 @@ LAYERS = {
     "--help": (4, ()),
     "balance": (7, ("data_model", "recommender", "sampler")),
     "train": (8, ("data_model", "forest", "model_file")),
-    "score": (16, ("data_model", "evaluation", "feature_scoring", "forest", "model_file", "recommender", "sampler",
-                   "scores")),
-    "run": (13, ("data_model", "evaluation", "forest", "model_file", "recommender", "sampler")),
+    "score": (15, ("data_model", "evaluation", "feature_scoring", "forest", "recommender", "sampler", "scores")),
+    "run": (12, ("data_model", "evaluation", "forest", "recommender", "sampler")),
     "evaluate": (12, ("data_model", "evaluation", "forest", "model_file")),
     "recommend": (8, ("model_file", "scores")),
 }
@@ -1086,7 +1085,8 @@ DATACLASSES = "ForestParams,SmoteConfig"
 def test_each_command_loads_only_its_layers(tmp_path):
     """Each command imports only the layers whose code it runs: `balance`
     starts without the forest, evaluation and filter code, `run` without
-    the filter code, and `recommend` and `--help` without numpy. None
+    the filter code, `run` and `score` (which write no model) without
+    `model_file`, and `recommend` and `--help` without numpy. None
     imports `numpy.random` (about 12 ms of start-up): every draw is the
     package's own stream. Each defines the records counted in `LAYERS` and
     only the two dataclasses `DATACLASSES`."""

@@ -261,7 +261,32 @@ class TestWriteCsv:
         assert back.X.tolist() == d.X.tolist()
 
 
+ONE_FEATURE = (FeatureSchema("f0", ROLE_CONTEXT, ("a", "b")),)
+
+
+def dataset(**changes):
+    """A two-row, one-feature Dataset built with `changes` to its arguments."""
+    args = dict(schema=ONE_FEATURE, target_name="target", X=[[0], [1]], y=[0, 1])
+    return Dataset(**{**args, **changes})
+
+
 class TestDatasetValidation:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: dataset(X=np.zeros((0, 1)), y=[]), "^dataset must have at least one row and one feature$"),
+        (lambda: dataset(schema=(), X=np.zeros((2, 0))), "^dataset must have at least one row and one feature$"),
+        (lambda: dataset(X=[[0, 1], [1, 0]]), "^schema length does not match feature count$"),
+        (lambda: dataset(y=[0, 1, 1]), "^row count mismatch between X, y and provenance$"),
+        (lambda: dataset(synthetic=[False]), "^row count mismatch between X, y and provenance$"),
+        (lambda: dataset(target_name="f0"), "^target 'f0' also appears as a feature$"),
+        (lambda: dataset(X=[[0], [-1]]), "^ordinal codes must be non-negative$"),
+        (lambda: select_features(dataset(), []), "^empty feature selection$"),
+        (lambda: SyntheticSpec(n_majority=3, n_minority=0, p=2, n_informative=1), "^class counts must be positive$"),
+        (lambda: SyntheticSpec(n_majority=0, n_minority=0, p=2, n_informative=1), "^class counts must be positive$"),
+    ])
+    def test_refusals(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_rejects_bad_codes(self):
         with pytest.raises(ValueError):
             make_dataset([[5]], [1], levels=[2])

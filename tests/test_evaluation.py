@@ -50,6 +50,17 @@ def simpson_two_tailed(t, df, steps=20000):
     return 1 - 2 * center
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: confusion([], []), "^empty label sequence$"),
+    (lambda: accuracy((0, 0, 0, 0)), "^empty confusion counts$"),
+    (lambda: roc_curve([0.2, 0.7, 0.4], [0, 1]), "^length mismatch between scores and labels$"),
+    (lambda: auc(np.array([[0.0, 0.0, math.inf]])), "^need at least two points$"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestConfusion:
     def test_counts(self):
         assert confusion([1, 0], [1, 0]) == (1, 0, 1, 0)

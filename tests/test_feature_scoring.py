@@ -35,6 +35,13 @@ def counts_to_columns(table):
     return np.array(x, dtype=np.int16), np.array(y, dtype=np.int8)
 
 
+@pytest.mark.parametrize("score", [chi2_score, anova_f_score, mutual_info_score])
+@pytest.mark.parametrize("label", [0, 1])
+def test_single_class_target_refused(score, label):
+    with pytest.raises(ValueError, match="^single-class target$"):
+        score(np.array([0, 1, 2, 1], dtype=np.int16), np.full(4, label, dtype=np.int8))
+
+
 class TestChi2:
     def test_known_table(self):
         x, y = counts_to_columns([[30, 10], [10, 30]])

@@ -82,6 +82,13 @@ def test_every_package_name_has_a_reader():
     assert found == []
 
 
+def test_dir_lists_every_export():
+    """`dir(elicitrec)` names every export, also one that no use has loaded yet."""
+    names = dir(elicitrec)
+    assert names == sorted(set(names))
+    assert {*elicitrec.__all__, "__version__"} <= set(names)
+
+
 def test_every_sibling_import_is_read_where_it_is_imported():
     # a name imported from a sibling module and never read is a second
     # import path for it; importers should name the defining module

@@ -20,7 +20,7 @@ from elicitrec.data_model import (
 )
 from elicitrec.evaluation import EvaluationReport, analyze_scores, precision, report_to_dict, roc_analysis_to_csv
 from elicitrec.feature_scoring import METHODS, score_all
-from elicitrec.forest import NODE_FIELDS, ForestParams, draw_bootstrap, predict_proba_many, train_forest
+from elicitrec.forest import NODE_FIELDS, ForestParams, predict_proba_many, train_forest
 from elicitrec import recommender
 from elicitrec.recommender import (
     MODE_BALANCE_FIRST,
@@ -237,8 +237,8 @@ class TestFilterProtocol:
 
 class TestSharedBootstrap:
     def test_each_subset_forest_is_train_forest_on_its_rows(self, skewed_dataset, monkeypatch):
-        # the filters pick three different top-10 sets; their forests share
-        # one bootstrap draw, and each equals a forest grown on its own
+        # the filters pick three different top-10 sets; their forests draw
+        # the same bootstrap, and each equals a forest grown on its own
         d, top_k, s = skewed_dataset, 10, 11
         subsets = {frozenset(e.feature_name for e in score_all(d, m).entries[:top_k]) for m in METHODS}
         assert len(subsets) == 3
@@ -255,23 +255,9 @@ class TestSharedBootstrap:
         assert len({tuple(train.feature_names) for train, _, _ in grown}) == 3
         for train, params, model in grown:
             assert params.seed == derive_seed(s, STREAM_FOREST_IMBALANCED)
-            draw_bootstrap.cache_clear()  # so this forest draws afresh
             alone = train_forest(train, params)
             for f in (*NODE_FIELDS, "offsets"):
                 assert np.array_equal(getattr(model, f), getattr(alone, f))
-
-    def test_one_draw_serves_every_subset(self, skewed_dataset):
-        # the three distinct top-10 sets train on equally many rows
-        draw_bootstrap.cache_clear()
-        select_best_filter(skewed_dataset, METHODS, 10, ForestParams(n_trees=30), eval_seed=11)
-        info = draw_bootstrap.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-
-    def test_drawn_plan_is_read_only(self):
-        rows, keys = draw_bootstrap(7, ForestParams(n_trees=3, seed=4))
-        for a in (rows, keys):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1
 
 
 class TestTTestAssembly:
@@ -349,6 +335,21 @@ class TestSplitCheck:
     def test_filter_selection_refused_before_any_forest_grows(self, no_forest):
         with pytest.raises(ValueError, match="^the split at test_fraction 0.2 and seed 47 leaves the test part"):
             select_best_filter(self.NEAR_PURE, METHODS, 5, FAST, eval_seed=47, smote_template=None)
+
+    @pytest.mark.parametrize("test_fraction, eval_seed, message", [
+        (0.0, 3, "^test_fraction must lie strictly between 0 and 1$"),
+        (1.0, 3, "^test_fraction must lie strictly between 0 and 1$"),
+        (0.2, -1, "^eval_seed must be non-negative$"),
+    ])
+    def test_filter_selection_refuses_its_fraction_and_seed_before_any_work(
+        self, no_forest, monkeypatch, test_fraction, eval_seed, message
+    ):
+        def refused(*args):
+            raise AssertionError("SMOTE ran")
+
+        monkeypatch.setattr(recommender, "balance", refused)
+        with pytest.raises(ValueError, match=message):
+            select_best_filter(self.TWO_MINORITY, METHODS, 3, FAST, eval_seed=eval_seed, test_fraction=test_fraction)
 
     @pytest.mark.parametrize("target_ratio", [0.02, 0.05, 0.1, 0.25, 0.5, 1.0])
     def test_refused_exactly_when_smote_would_raise(self, monkeypatch, no_forest, target_ratio):

@@ -1,8 +1,9 @@
 """The package's random streams against the pure-Python oracle in
 `conftest`: the generator itself, Lemire's bounded draw, and every draw a
 command makes (derived seeds, bootstraps and root keys, the split, SMOTE's
-picks and draws), bit for bit; and the rule that keeps `numpy.random` out
-of the commands."""
+picks and draws), bit for bit; the rule that keeps `numpy.random` out
+of the commands; and the rule that keeps process-wide memos out of the
+package, so every call computes its result afresh."""
 
 import ast
 from pathlib import Path
@@ -128,18 +129,28 @@ def test_derive_seed_absorbs_every_word():
 
 @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11, 2**64 + 3])
 def test_bootstrap_equals_the_oracle(seed):
-    rows, keys = forest.draw_bootstrap.__wrapped__(37, ForestParams(n_trees=6, seed=seed))
+    rows, keys = forest.draw_bootstrap(37, ForestParams(n_trees=6, seed=seed))
     assert rows.tolist() == [r.tolist() for r in bootstrap_rows(seed, 6, 37)]
     assert keys.tolist() == root_keys(seed, 6)
 
 
 def test_tree_t_depends_on_the_seed_t_and_the_rows_only(monkeypatch):
-    draw = forest.draw_bootstrap.__wrapped__
-    rows, keys = draw(50, ForestParams(n_trees=9, seed=4))
+    rows, keys = forest.draw_bootstrap(50, ForestParams(n_trees=9, seed=4))
     monkeypatch.setattr(forest, "_DRAW_ENTRIES", 120)  # trees drawn two at a time
-    few_rows, few_keys = draw(50, ForestParams(n_trees=5, seed=4))
+    few_rows, few_keys = forest.draw_bootstrap(50, ForestParams(n_trees=5, seed=4))
     assert few_rows.tolist() == rows[:5].tolist()
     assert few_keys.tolist() == keys[:5].tolist()
+
+
+def test_each_draw_is_fresh():
+    """No draw is kept between calls: equal arguments give equal, writable
+    arrays of their own."""
+    params = ForestParams(n_trees=3, seed=4)
+    first, second = forest.draw_bootstrap(7, params), forest.draw_bootstrap(7, params)
+    for a, b in zip(first, second):
+        assert a.tolist() == b.tolist()
+        assert a is not b and not np.shares_memory(a, b)
+        assert a.flags.writeable and b.flags.writeable
 
 
 @pytest.mark.parametrize("n, fraction, seed", [(10, 0.2, 0), (323, 0.2, 1234567), (57, 0.35, 2**64 + 9)])
@@ -197,3 +208,41 @@ def test_numpy_random_only_in_generate_synthetic():
                 found += lines
     assert found == []
     assert exempt  # the check reads the module it guards
+
+
+#: the `functools` decorators that keep results for the life of the process
+MEMOS = ("lru_cache", "cache", "cached_property")
+
+
+def memo_lines(tree: ast.AST):
+    """The line of each use of a `MEMOS` decorator in `tree`: read as an
+    attribute of `functools` (under any name it is imported as), or
+    imported from it."""
+    modules = {"functools"} | {
+        a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "functools"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in MEMOS and isinstance(node.value, ast.Name) and node.value.id in modules:
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name in (*MEMOS, "*") for a in node.names):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("source", [
+    "functools.lru_cache(maxsize=1)(f)", "import functools as ft; ft.cache(f)", "functools.cached_property(f)",
+    "from functools import cached_property", "from functools import partial, lru_cache as memo",
+    "from functools import *",
+])
+def test_the_memo_check_finds_each_form(source):
+    assert list(memo_lines(ast.parse(source))) == [1]
+
+
+def test_no_memo_in_the_package():
+    """No function or property of the package keeps its results between
+    calls: a kept result is shared by every caller in the process."""
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in memo_lines(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
