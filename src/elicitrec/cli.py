@@ -13,6 +13,9 @@ fixed seed makes each subcommand's outputs byte-identical across runs.
 Exit codes: 0 success, 1 runtime failure, 2 validation or config error
 or a path that cannot be read or written.
 
+`main(argv)` runs one command in the calling process; `entry()` is the
+process entry of `python -m elicitrec` and the `elicitrec` script.
+
 The module loads only `config` and `files`, the two numpy-free layers
 every command needs; each command imports the other layers it runs where
 it runs them, so `--help` loads nothing more, `recommend` runs without
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -308,5 +312,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> int:
+    """Run `main` on the process's own arguments, then freeze the cyclic
+    collector's tracked objects, also when `main` leaves by `SystemExit`
+    (`--help`, a usage error). The interpreter's shutdown collections then
+    skip their walk over everything numpy and the command made; exit
+    codes, stream flushes, atexit handlers and every written file are
+    unchanged. Only a process that is about to exit calls this."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import importlib
 import json
 import os
@@ -982,12 +983,13 @@ def test_no_command_imports_numpy_ma(tmp_path):
 
 
 #: runs `python -m elicitrec` with argv[1:] (none: only `import elicitrec`)
-#: in this interpreter, then prints its exit code, whether numpy and
+#: in this interpreter, then prints its exit code, whether the process entry
+#: froze the collector's objects on the way out, whether numpy and
 #: numpy.random were imported, the number of `Record` classes the loaded
 #: elicitrec modules define, the dataclasses they define (about 1 ms of
 #: start-up each), comma-joined, and the sorted elicitrec modules it loaded
 LOADS_SCRIPT = """
-import dataclasses, runpy, sys
+import dataclasses, gc, runpy, sys
 code = 0
 if sys.argv[1:]:
     sys.argv[0] = "elicitrec"
@@ -1002,7 +1004,8 @@ from elicitrec.config import Record
 defined = [v for m in loaded for v in vars(sys.modules[m]).values() if isinstance(v, type) and v.__module__ == m]
 records = sum(issubclass(v, Record) and v is not Record for v in defined)
 dataclass_names = sorted(v.__name__ for v in defined if dataclasses.is_dataclass(v))
-print(code, "numpy" in sys.modules, "numpy.random" in sys.modules, records, ",".join(dataclass_names), *loaded)
+print(code, gc.get_freeze_count() > 0, "numpy" in sys.modules, "numpy.random" in sys.modules, records,
+      ",".join(dataclass_names), *loaded)
 """
 
 
@@ -1029,7 +1032,9 @@ MOVED = {
 
 def test_recommend_and_help_import_no_numpy(tmp_path):
     """`recommend`, `--help` and `import elicitrec` never import numpy
-    (about 90 ms of start-up), and the package's names stay where they were."""
+    (about 90 ms of start-up), and the package's names stay where they were.
+    The process entry freezes the collector on every way out, exit 2 too;
+    an import alone freezes nothing."""
     d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
     data = tmp_path / "data.csv"
     write_csv(d, data)
@@ -1042,17 +1047,17 @@ def test_recommend_and_help_import_no_numpy(tmp_path):
     bad.write_text(json.dumps({**json.loads((tmp_path / "model.json").read_text()), "mtry": 1.5}), encoding="utf-8")
 
     def run(*argv):
-        return " ".join(run_fresh(*argv).split()[:2])
+        return " ".join(run_fresh(*argv).split()[:3])
 
     recommend = [
         "recommend", "--scores", str(tmp_path / "scores_Chi2.csv"), "--row", str(row),
         "--threshold", "0.01", "--out-dir", str(tmp_path),
     ]
-    assert run(*recommend, "--model", str(tmp_path / "model.json")) == "0 False"
+    assert run(*recommend, "--model", str(tmp_path / "model.json")) == "0 True False"
     assert (tmp_path / "recommendations.json").exists()
-    assert run(*recommend, "--model", str(bad)) == "2 False"
-    assert run("--help") == "0 False"
-    assert run() == "0 False"
+    assert run(*recommend, "--model", str(bad)) == "2 True False"
+    assert run("--help") == "0 True False"
+    assert run() == "0 False False"
 
     import elicitrec
 
@@ -1089,7 +1094,8 @@ def test_each_command_loads_only_its_layers(tmp_path):
     `model_file`, and `recommend` and `--help` without numpy. None
     imports `numpy.random` (about 12 ms of start-up): every draw is the
     package's own stream. Each defines the records counted in `LAYERS` and
-    only the two dataclasses `DATACLASSES`."""
+    only the two dataclasses `DATACLASSES`, and leaves through the process
+    entry, which freezes the collector's objects."""
     d = generate_synthetic(SyntheticSpec(n_majority=30, n_minority=10, p=4, n_informative=2, seed=1))
     write_csv(d, tmp_path / "data.csv")
     cfg = write_config(tmp_path, {"target": "target", "forest": {"n_trees": 3}, "filter": {"top_k": 2}})
@@ -1111,8 +1117,23 @@ def test_each_command_loads_only_its_layers(tmp_path):
         numpy = command not in ("--help", "recommend")
         loaded = sorted([*base, *(f"elicitrec.{layer}" for layer in layers)])
         assert run_fresh(command, *argv[command]).split() == [
-            "0", str(numpy), "False", str(records), DATACLASSES, *loaded
+            "0", "True", str(numpy), "False", str(records), DATACLASSES, *loaded
         ], command
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, input_csv, capsys):
+    """Only the process entry freezes: `cli.main` in a caller's process
+    leaves the collector's freeze count and its on/off switch alone, on a
+    success, on bad input and on `--help`."""
+    state = gc.get_freeze_count(), gc.isenabled()
+    assert main(["balance", "--config", fast_config(tmp_path), "--input", input_csv, "--out-dir", str(tmp_path)]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+    assert main(["balance", "--input", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path)]) == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
 
 
 class TestRecommend:

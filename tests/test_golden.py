@@ -3,6 +3,8 @@ a known-good build.
 
 A refactor that keeps outputs must keep every digest. A change that alters
 an artifact on purpose updates its digest here and says so in CHANGES.md.
+The commands run twice: through `cli.main` in this process, and as
+`python -m elicitrec` processes, whose entry must write the same bytes.
 Print the current digests with `python tests/test_golden.py`.
 """
 
@@ -11,11 +13,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import elicitrec
 from elicitrec.cli import main
 from elicitrec.data_model import SyntheticSpec, generate_synthetic, write_csv
 
@@ -47,8 +52,21 @@ GOLDEN = {
 }
 
 
-def produce(work: Path) -> dict[str, str]:
-    """Run every subcommand on a small synthetic input; digest each artifact."""
+def in_process(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def in_a_fresh_process(argv: list[str]) -> int:
+    """`python -m elicitrec` with argv, on this checkout's package."""
+    src = str(Path(elicitrec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "elicitrec", *argv], capture_output=True, env=env).returncode
+
+
+def produce(work: Path, run=in_process) -> dict[str, str]:
+    """Run every subcommand on a small synthetic input, each through `run`;
+    digest each artifact."""
     data = work / "data.csv"
     write_csv(generate_synthetic(SyntheticSpec(n_majority=90, n_minority=20, p=8, n_informative=4, seed=3)), data)
     base = {"target": "target", "forest": {"n_trees": 15}, "filter": {"top_k": 4}, "seed": 7}
@@ -79,8 +97,7 @@ def produce(work: Path) -> dict[str, str]:
          "--out-dir", str(work / "run_on_balanced")],
     ]
     for argv in calls:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0, argv
+        assert run(argv) == 0, argv
     return {
         p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(work.glob("*/*"))
@@ -99,6 +116,10 @@ def test_artifact_set(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_bytes(digests, name):
     assert digests.get(name) == GOLDEN[name]
+
+
+def test_process_entry_writes_the_same_bytes(tmp_path):
+    assert produce(tmp_path, run=in_a_fresh_process) == GOLDEN
 
 
 if __name__ == "__main__":
